@@ -38,7 +38,6 @@ from .gaussian import (
     TowerSampler,
     empirical_covariance,
     export_batch_csv,
-    limit_fields,
     martingale_checks,
     sample_covariance,
 )
@@ -248,9 +247,9 @@ def cmd_gaussian(cfg: Config, outdir: Path, verbose: bool) -> int:
     mask = se > 0
     z_top[mask] = np.abs(cov - tower.levels[-1])[mask] / se[mask]
     mart = martingale_checks(batch, tower)
-    fields = limit_fields(sampler, cfg.nsamples)
-    covY, _ = sample_covariance(fields.Y)
-    covD, _ = sample_covariance(fields.Z - fields.Y)
+    # The limit fields of this seed are the batch's level 0 and top level.
+    covY, _ = sample_covariance(batch.level(0))
+    covD, _ = sample_covariance(batch.level(batch.top_level) - batch.level(0))
 
     bundle.add_gram_csv("empirical_covariance.csv", tower.points, cov)
     bundle.add_gram_csv("empirical_covariance_se.csv", tower.points, se)

@@ -9,7 +9,14 @@ throughout; all builtin kernels are real symmetric.
 
 RNG contract: Philox 4x64-10 counter-based bit generator
 (numpy.random.Philox) keyed by the 64-bit seed; identical seed and shape
-requests reproduce the sample stream bit for bit.
+requests reproduce the sample stream bit for bit.  Sampling and the limit
+fields read the same draw g[j, k, a] (sample j, level k, point a).  The
+level-n field is the sum over k <= n of g[:, k, :] @ F_k^T; the sampler
+forms it bit for bit as a per-level product followed by a running sum.
+``limit_fields`` forms only Y and Z, in one product over all levels, so Y
+equals the level-0 field exactly and Z equals the top-level field to
+rounding.  Where a Gram diagonal is exactly zero its factor row is zero
+(``sqrt_factor``), so the field and its increments are exactly zero there.
 """
 
 from __future__ import annotations
@@ -49,44 +56,54 @@ class TowerSampler:
         )
         if worst > 1e-10 * scale:
             raise NumericalError(f"factor reconstruction error {worst:.3e} too large")
+        self.factors_t = np.stack([F.T for F in self.factors])  # (levels, P, P)
+
+    def _draw(self, nsamples: int) -> np.ndarray:
+        """The standard normal noise g[j, k, a] behind sample j, level k, point a."""
+        if nsamples < 1:
+            raise InputError("need at least one sample")
+        rng = make_rng(self.seed)
+        return rng.standard_normal((nsamples, len(self.factors), len(self.points)))
 
     def sample(self, nsamples: int) -> "FieldBatch":
         """One batch: values[j, n, a] = level-n field of sample j at point a."""
-        if nsamples < 1:
-            raise InputError("need at least one sample")
-        n_levels = len(self.factors)
-        n_pts = len(self.points)
-        rng = make_rng(self.seed)
-        g = rng.standard_normal((nsamples, n_levels, n_pts))
-        contribs = np.empty_like(g)
-        for k, F in enumerate(self.factors):
-            contribs[:, k, :] = g[:, k, :] @ F.T
-        values = np.cumsum(contribs, axis=1)
-        return FieldBatch(values=values, points=self.points, seed=self.seed)
+        g = self._draw(nsamples)
+        # Level-major: fields[k] = g[:, k, :] @ F_k^T in one batched product,
+        # then the running sum over levels in place.  Adding one contiguous
+        # level at a time does cumsum's additions several times faster.
+        fields = np.matmul(g.transpose(1, 0, 2), self.factors_t)
+        for k in range(1, len(fields)):
+            np.add(fields[k - 1], fields[k], out=fields[k])
+        return FieldBatch(fields=fields, points=self.points, seed=self.seed)
 
 
 @dataclass
 class FieldBatch:
-    """Sampled field levels; increments are level differences."""
+    """Sampled field levels, stored level-major; increments are level differences."""
 
-    values: np.ndarray  # (nsamples, levels 0..N, npoints)
+    fields: np.ndarray  # (levels 0..N, nsamples, npoints)
     points: tuple
     seed: int
 
     @property
+    def values(self) -> np.ndarray:
+        """values[j, n, a]: sample j, level n, point a (a view of ``fields``)."""
+        return self.fields.transpose(1, 0, 2)
+
+    @property
     def nsamples(self) -> int:
-        return self.values.shape[0]
+        return self.fields.shape[1]
 
     @property
     def top_level(self) -> int:
-        return self.values.shape[1] - 1
+        return self.fields.shape[0] - 1
 
     def level(self, n: int) -> np.ndarray:
-        return self.values[:, n, :]
+        return self.fields[n]
 
     def increment(self, n: int) -> np.ndarray:
         """Level-(n+1) minus level-n field; depends only on level-(n+1) noise."""
-        return self.values[:, n + 1, :] - self.values[:, n, :]
+        return self.fields[n + 1] - self.fields[n]
 
 
 def empirical_covariance(batch: FieldBatch, level: int) -> tuple[np.ndarray, np.ndarray]:
@@ -146,32 +163,37 @@ def martingale_checks(
     (i) increment means vanish, (ii) increments at different levels are
     uncorrelated, (iii) the level-n increment covariance matches the level-n
     defect Gram; each within ``threshold`` plug-in standard errors.
+
+    All second moments come from two Gram products of the stacked
+    increments I (nsamples x N*P): M2 = I^T I / n holds every cross-level
+    covariance (off-diagonal blocks) and every increment covariance
+    (diagonal blocks); (I*I)^T (I*I) / n gives the second moments of the
+    cross products, hence their population-std standard errors.
     """
     N = batch.top_level
     if N < 1:
         raise InputError("martingale checks need at least one increment level")
-    n = batch.nsamples
-    incs = [batch.increment(k) for k in range(N)]
+    _, n, P = batch.fields.shape
+    # I[j, k*P + a]: level-k increment of sample j at point a.
+    I = np.diff(batch.fields, axis=0).transpose(1, 0, 2).reshape(n, N * P)
 
-    mean_z = 0.0
-    for inc in incs:
-        mean = inc.mean(axis=0)
-        se = inc.std(axis=0) / math.sqrt(n)
-        mean_z = max(mean_z, float(np.max(_z_scores(mean, se))))
+    mean_z = float(np.max(_z_scores(I.mean(axis=0), I.std(axis=0) / math.sqrt(n))))
+
+    M2 = (I.T @ I / n).reshape(N, P, N, P)
+    I *= I
+    M4 = (I.T @ I / n).reshape(N, P, N, P)
+    cross_se = np.sqrt(np.maximum(M4 - M2**2, 0.0)) / math.sqrt(n)
 
     cross_z = 0.0
+    qv_z_per_level = []
     for a in range(N):
         for b in range(a + 1, N):
-            prod = incs[a][:, :, None] * incs[b][:, None, :]
-            cov = prod.mean(axis=0)
-            se = prod.std(axis=0) / math.sqrt(n)
-            cross_z = max(cross_z, float(np.max(_z_scores(cov, se))))
-
-    qv_z_per_level = []
-    for k, inc in enumerate(incs):
-        cov, se = sample_covariance(inc)
-        z = _z_scores(cov - tower.defects[k], se)
-        qv_z_per_level.append(float(np.max(z)))
+            z = _z_scores(M2[a, :, b, :], cross_se[a, :, b, :])
+            cross_z = max(cross_z, float(np.max(z)))
+        cov = M2[a, :, a, :]
+        var = np.diag(cov)
+        se = np.sqrt(np.maximum(np.outer(var, var) + cov**2, 0.0) / n)
+        qv_z_per_level.append(float(np.max(_z_scores(cov - tower.defects[a], se))))
 
     return MartingaleReport(
         max_mean_z=mean_z,
@@ -213,12 +235,18 @@ def limit_fields(
             f"truncation tail bound {tail_bound:.3e} exceeds the requested "
             f"tolerance {tail_tol:.3e}; build the tower to a larger horizon"
         )
-    batch = sampler.sample(nsamples)
+    # One product of the flattened noise against [F_0^T over zeros | F_0^T..F_N^T]:
+    # the first P columns are Y, the last P the top-level field Z.
+    L, P = len(sampler.factors), len(sampler.points)
+    W = np.zeros((L * P, 2 * P))
+    W[:P, :P] = sampler.factors_t[0]
+    W[:, P:] = sampler.factors_t.reshape(L * P, P)
+    YZ = sampler._draw(nsamples).reshape(nsamples, L * P) @ W
     return LimitFields(
-        Z=batch.level(batch.top_level).copy(),
-        Y=batch.level(0).copy(),
-        points=batch.points,
-        levels_used=batch.top_level,
+        Z=YZ[:, P:],
+        Y=YZ[:, :P],
+        points=sampler.points,
+        levels_used=L - 1,
     )
 
 

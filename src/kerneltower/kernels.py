@@ -222,11 +222,14 @@ def sqrt_factor(A: np.ndarray, tol: float = DEFAULT_PSD_TOL,
     Eigendecomposition with small negative eigenvalues clipped at zero;
     eigenvalues below -tol*scale are a genuine PSD failure.  If the clipped
     factor fails to reconstruct A, one diagonal jitter of jitter*scale is
-    attempted before giving up.
+    attempted before giving up.  Rows at indices where A has an exactly zero
+    diagonal are zero: for a PSD matrix that row of any factor is zero, and
+    the eigendecomposition would otherwise leave rounding noise there.
     """
     A = np.asarray(A, dtype=float)
     n = A.shape[0]
     scale = max(float(np.max(np.abs(np.diag(A)))), 1.0) if n else 1.0
+    null = np.diag(A) == 0.0
 
     def factor(M):
         w, U = np.linalg.eigh(M)
@@ -234,7 +237,9 @@ def sqrt_factor(A: np.ndarray, tol: float = DEFAULT_PSD_TOL,
             raise NumericalError(
                 f"square-root factorization: eigenvalue {w[0]:.3e} below -tol*scale"
             )
-        return U * np.sqrt(np.clip(w, 0.0, None))
+        R = U * np.sqrt(np.clip(w, 0.0, None))
+        R[null] = 0.0
+        return R
 
     R = factor(A)
     if np.max(np.abs(R @ R.T - A)) <= 1e-10 * scale:

@@ -357,7 +357,13 @@ def estimate_K_infinity(
         certified = True
     else:
         tail = _extrapolated_tail_diagonal(levels)
-        bound = np.sqrt(np.outer(tail, tail))
+        with np.errstate(invalid="ignore"):  # 0 * inf, overwritten below
+            bound = np.sqrt(np.outer(tail, tail))
+        # Cauchy-Schwarz: the PSD remainder has a zero row s where its
+        # diagonal tail at s is zero, whatever the other tail.
+        zero = tail == 0.0
+        bound[zero, :] = 0.0
+        bound[:, zero] = 0.0
         certified = False
     return KInfinityEstimate(
         points=pts,

@@ -1,6 +1,7 @@
+import numpy as np
 import pytest
 
-from kerneltower import DivergentDeltaModel, WordTreeModel, feeder_model
+from kerneltower import DivergentDeltaModel, FiniteStateModel, WordTreeModel, feeder_model
 from kerneltower.points import orbit_closure
 
 
@@ -34,3 +35,19 @@ def small_base(ex25):
 @pytest.fixture(scope="session")
 def closure2(ex25, root):
     return orbit_closure(ex25.branch, [root], 2)
+
+
+@pytest.fixture(scope="session")
+def sink_model():
+    """Seeded 8-state model with a kernel-null sink (state 0).
+
+    phi_1 is the identity and phi_2 sends half the states to the sink, so
+    LK - K = K o (phi_2 x phi_2) is PSD, and every state phi_2 sends to the
+    sink has an exactly zero level-0 defect diagonal.
+    """
+    rng = np.random.default_rng(2024)
+    S = 8
+    A = rng.standard_normal((S, S))
+    A[0] = 0.0
+    phi2 = [0] + [0 if s % 2 else int(rng.integers(1, S)) for s in range(1, S)]
+    return FiniteStateModel([list(range(S)), phi2], A @ A.T, name="sink")

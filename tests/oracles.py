@@ -7,6 +7,8 @@ agreement with the library is evidence, not tautology.
 
 import math
 
+import numpy as np
+
 
 def all_words(m, n):
     """All length-n words over 1..m by plain recursion, lexicographic."""
@@ -52,3 +54,50 @@ def diagonal_word_sum(K, maps, s, n):
         K(word_forward(maps, w, s), word_forward(maps, w, s))
         for w in all_words(m, n)
     )
+
+
+def reference_sample(factors, seed, nsamples):
+    """Level fields values[j, n, a] by one strided product per level and a cumsum.
+
+    Draws the same Philox 4x64-10 stream as the library, directly from numpy.
+    """
+    rng = np.random.Generator(np.random.Philox(key=int(seed)))
+    g = rng.standard_normal((nsamples, len(factors), factors[0].shape[0]))
+    contribs = np.empty_like(g)
+    for k, F in enumerate(factors):
+        contribs[:, k, :] = g[:, k, :] @ F.T
+    return np.cumsum(contribs, axis=1)
+
+
+def _z(delta, se):
+    z = np.zeros_like(delta)
+    mask = se > 0
+    z[mask] = np.abs(delta[mask]) / se[mask]
+    z[(~mask) & (np.abs(delta) > 0)] = np.inf
+    return z
+
+
+def reference_martingale_z(values, defects):
+    """(mean z, cross z, per-level quadratic-variation z) pair by pair.
+
+    Every pair of increment levels forms its (n, P, P) product array; the
+    quadratic-variation standard error is the Gaussian plug-in formula.
+    """
+    n, L, _ = values.shape
+    incs = [values[:, k + 1, :] - values[:, k, :] for k in range(L - 1)]
+    mean_z = max(
+        float(np.max(_z(inc.mean(axis=0), inc.std(axis=0) / math.sqrt(n)))) for inc in incs
+    )
+    cross_z = 0.0
+    for a in range(len(incs)):
+        for b in range(a + 1, len(incs)):
+            prod = incs[a][:, :, None] * incs[b][:, None, :]
+            z = _z(prod.mean(axis=0), prod.std(axis=0) / math.sqrt(n))
+            cross_z = max(cross_z, float(np.max(z)))
+    qv_z = []
+    for inc, D in zip(incs, defects):
+        cov = inc.T @ inc / n
+        var = np.einsum("ja,ja->a", inc, inc) / n
+        se = np.sqrt(np.maximum(np.outer(var, var) + cov**2, 0.0) / n)
+        qv_z.append(float(np.max(_z(cov - D, se))))
+    return mean_z, cross_z, qv_z

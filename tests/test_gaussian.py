@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -14,10 +16,55 @@ from kerneltower import (
 )
 from kerneltower.gaussian import sample_covariance
 
+from oracles import reference_martingale_z, reference_sample
+
 
 @pytest.fixture(scope="module")
 def ex_tower(ex25, small_base):
     return build_tower(ex25.kernel, ex25.branch, small_base, 4)
+
+
+@pytest.fixture(scope="module")
+def sink_tower(sink_model):
+    return build_tower(sink_model.kernel, sink_model.branch, list(range(sink_model.S)), 4)
+
+
+@pytest.fixture(scope="module")
+def towers(ex_tower, sink_tower, ex25, small_base):
+    """Word-tree, zero-defect and finite-state towers."""
+    zero = build_tower(ex25.diag_invariant, ex25.branch, small_base, 3)
+    return {"ex25": ex_tower, "zero-defect": zero, "sink": sink_tower}
+
+
+@pytest.mark.parametrize("name", ["ex25", "zero-defect", "sink"])
+def test_sample_matches_per_level_reference(towers, name):
+    sampler = TowerSampler(towers[name], seed=41)
+    batch = sampler.sample(2_000)
+    ref = reference_sample(sampler.factors, 41, 2_000)
+    assert np.array_equal(batch.values, ref)
+    for n in range(batch.top_level):
+        assert np.array_equal(batch.increment(n), ref[:, n + 1] - ref[:, n])
+
+
+@pytest.mark.parametrize("name", ["ex25", "zero-defect", "sink"])
+def test_limit_fields_match_per_level_reference(towers, name):
+    sampler = TowerSampler(towers[name], seed=43)
+    fields = limit_fields(sampler, 2_000)
+    ref = reference_sample(sampler.factors, 43, 2_000)
+    assert np.array_equal(fields.Y, ref[:, 0])
+    scale = max(float(np.max(np.abs(ref))), 1.0)
+    assert np.max(np.abs(fields.Z - ref[:, -1])) <= 1e-13 * scale
+
+
+@pytest.mark.parametrize("name", ["ex25", "zero-defect", "sink"])
+def test_martingale_z_match_pairwise_reference(towers, name):
+    tower = towers[name]
+    batch = TowerSampler(tower, seed=47).sample(20_000)
+    report = martingale_checks(batch, tower)
+    mean_z, cross_z, qv_z = reference_martingale_z(batch.values, tower.defects)
+    got = [report.max_mean_z, report.max_cross_z] + report.per_level_qv_z
+    want = [mean_z, cross_z] + qv_z
+    assert got == pytest.approx(want, rel=1e-12, abs=0.0)
 
 
 def test_factors_reconstruct_grams(ex_tower):
@@ -81,6 +128,22 @@ def test_martingale_zero_defect_model(ex25, small_base):
         assert np.max(np.abs(batch.increment(n))) == 0.0
     report = martingale_checks(batch, tower)
     assert report.passed and report.max_qv_z == 0.0
+
+
+def test_martingale_null_points_are_exactly_zero(sink_tower):
+    # A zero defect diagonal has an exactly zero factor row, so the
+    # increment there is exactly 0 and its z-score is 0, not the sqrt(n/2)
+    # that rounding noise in the factor would give.
+    n = 3_000
+    batch = TowerSampler(sink_tower, seed=3).sample(n)
+    report = martingale_checks(batch, sink_tower)
+    for k, D in enumerate(sink_tower.defects):
+        null = np.diag(D) == 0.0
+        assert null[0] and null.sum() >= 2
+        assert np.all(batch.increment(k)[:, null] == 0.0)
+    assert np.all(batch.level(0)[:, 0] == 0.0)
+    assert math.sqrt(n / 2) not in [report.max_mean_z, report.max_cross_z] + report.per_level_qv_z
+    assert report.passed
 
 
 def test_exact_centering(ex_tower):

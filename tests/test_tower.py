@@ -210,6 +210,17 @@ def test_estimate_invariant_kernel_converges_immediately(ex25, small_base):
     assert np.max(np.abs(est.entries - gram(ex25.diag_invariant, small_base).entries)) <= 1e-15
 
 
+def test_estimate_uncertified_bound_is_zero_on_sink_row(sink_model):
+    # Where a zero diagonal tail meets an unknown (infinite) one, the
+    # Cauchy-Schwarz bound is 0, not 0 * inf.
+    pts = list(range(sink_model.S))
+    est = estimate_K_infinity(sink_model.kernel, sink_model.branch, pts, max_levels=6)
+    assert not est.certified
+    assert np.isinf(est.bound).any()
+    assert not np.isnan(est.bound).any()
+    assert np.all(est.bound[0] == 0.0) and np.all(est.bound[:, 0] == 0.0)
+
+
 def test_estimate_divergence_report(delta2, root):
     with pytest.raises(DivergenceError) as exc:
         estimate_K_infinity(delta2.kernel, delta2.branch, [root], ceiling=1e4)
