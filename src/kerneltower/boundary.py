@@ -25,8 +25,8 @@ from .kernels import (
     DEFAULT_PSD_TOL,
     Gram,
     Kernel,
-    apply_L,
     apply_L_power,
+    defect_kernel,
     gram,
     sqrt_factor,
 )
@@ -100,9 +100,6 @@ class DoobChain:
             raise InputError(f"transition probabilities undefined at gauge zero {point_label(s)}")
         return [self.h(f(s)) / hs for f in self.branch.maps]
 
-    def p(self, i: int, s: Point) -> float:
-        return self.probs(s)[i - 1]
-
 
 def build_doob(
     gauge: Callable[[Point], float],
@@ -151,9 +148,6 @@ class CylinderTable:
 
     def level_sum(self, k: int) -> float:
         return math.fsum(p for w, p in self.table.items() if len(w) == k)
-
-    def level_items(self, k: int) -> list[tuple[Word, float]]:
-        return [(w, p) for w, p in self.table.items() if len(w) == k]
 
 
 def _walk_levels(chain: DoobChain, s: Point, n: int, cap: int):
@@ -206,10 +200,6 @@ def cylinder_measure(
 class PathSample:
     word: Word
     points: list[Point]
-
-    @property
-    def step_count(self) -> int:
-        return len(self.word)
 
 
 def sample_path(chain: DoobChain, s: Point, n: int, seed: int) -> PathSample:
@@ -456,7 +446,9 @@ def boundary_feature_gram(
     normalized one-step defect at the reversed orbit points; their Gram is
     compared against the tower's accumulated normalized defects.  The
     reference measure enters each fiber as 1/sqrt(mass) and the level Gram
-    as mass, so it cancels analytically and only perturbs roundoff.
+    as mass, so it cancels by construction (each coefficient is computed as
+    root * (p / root) with root = sqrt(mass)): a change of reference
+    measure moves the Gram by rounding only.
     """
     if N < 1:
         raise InputError("boundary feature Gram needs at least one level")
@@ -466,9 +458,7 @@ def boundary_feature_gram(
     for s in base:
         chain.require_domain(s)
 
-    LK = apply_L(K, chain.branch)
-    defect = Kernel(lambda s, t: LK(s, t) - K(s, t), name=f"defect[{K.name}]")
-    defect_h = h_normalize(defect, chain.h)
+    defect_h = h_normalize(defect_kernel(K, chain.branch), chain.h)
 
     # One synchronized walk per base point; word order is shared across them.
     walks = [list(_walk_levels(chain, s, N - 1, cap)) for s in base]
@@ -488,7 +478,7 @@ def boundary_feature_gram(
     section_gram = factor @ factor.T
 
     r = len(base)
-    contribs = []
+    entries = np.zeros((r, r))
     for n in range(N):
         n_words = len(walks[0][n])
         for j in range(n_words):
@@ -505,8 +495,7 @@ def boundary_feature_gram(
                     coef[a] = root * (p / root)
                     idx[a] = section_index[x]
             if np.any(coef != 0.0):
-                contribs.append(np.outer(coef, coef) * section_gram[np.ix_(idx, idx)])
-    entries = np.sum(np.stack(contribs), axis=0)
+                entries += np.outer(coef, coef) * section_gram[np.ix_(idx, idx)]
 
     h_vec = np.array([chain.h(s) for s in base])
     reference = (tower.levels[N] - tower.levels[0]) / np.outer(h_vec, h_vec)

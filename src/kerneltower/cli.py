@@ -41,7 +41,7 @@ from .gaussian import (
     martingale_checks,
     sample_covariance,
 )
-from .kernels import apply_L, gram, psd_check, set_default_workers
+from .kernels import defect_kernel, gram, psd_check
 from .models import FiniteStateModel, Model, WordTreeModel, build_model
 from .points import orbit_closure, point_label
 from .reports import Bundle, RunReport
@@ -76,9 +76,9 @@ def _resolve_certificate(cfg: Config, model: Model, base):
         if isinstance(model, WordTreeModel):
             r_fn, C, beta = model.defect_lyapunov()
         elif isinstance(model, FiniteStateModel) and model.lyapunov:
-            values = [float(x) for x in model.lyapunov["r"]]
+            values = model.lyapunov["r"]
             r_fn = lambda s: values[s]
-            C, beta = float(model.lyapunov["C"]), float(model.lyapunov["beta"])
+            C, beta = model.lyapunov["C"], model.lyapunov["beta"]
         else:
             return None, "no certificate available for this model"
     else:
@@ -97,8 +97,8 @@ def _resolve_certificate(cfg: Config, model: Model, base):
     if getattr(model, "has_oracle", False) and hasattr(model, "oracle_defect"):
         d0 = lambda s: model.oracle_defect(0, s, s)
     else:
-        LK = apply_L(model.kernel, model.branch)
-        d0 = lambda s: LK(s, s) - model.kernel(s, s)
+        defect = defect_kernel(model.kernel, model.branch)
+        d0 = lambda s: defect(s, s)
     domain = orbit_closure(model.branch, base, min(cfg.horizon + 1, 8), cfg.pair_cap)
     outcome = lyapunov_verify(d0, model.branch, r_fn, C, beta, domain)
     if hasattr(outcome, "bound"):
@@ -106,11 +106,7 @@ def _resolve_certificate(cfg: Config, model: Model, base):
     return None, f"refuted: {outcome}"
 
 
-def cmd_tower(cfg: Config, outdir: Path, verbose: bool) -> int:
-    t0 = time.perf_counter()
-    model = build_model(cfg.model_kind, cfg.model_params)
-    base = _resolve_base(cfg, model)
-    bundle = Bundle(outdir, cfg.formats)
+def cmd_tower(cfg: Config, model: Model, base, bundle: Bundle) -> dict:
     results = {}
 
     sub_pts = orbit_closure(model.branch, base, min(cfg.horizon, 2), cfg.pair_cap)
@@ -166,21 +162,10 @@ def cmd_tower(cfg: Config, outdir: Path, verbose: bool) -> int:
         "max_bound": float(np.max(est.bound)) if np.all(np.isfinite(est.bound)) else "inf",
         "invariance_residual": inv_res,
     }
-
-    report = RunReport("tower", cfg.resolved(), results,
-                       timings={"total_s": time.perf_counter() - t0})
-    bundle.finish(report, cfg.echo_yaml())
-    if verbose:
-        print(f"tower: wrote {outdir} in {report.timings['total_s']:.2f}s", file=sys.stderr)
-    print(report.summary_json(), end="")
-    return 0
+    return results
 
 
-def cmd_diagonal(cfg: Config, outdir: Path, verbose: bool) -> int:
-    t0 = time.perf_counter()
-    model = build_model(cfg.model_kind, cfg.model_params)
-    base = _resolve_base(cfg, model)
-    bundle = Bundle(outdir, cfg.formats)
+def cmd_diagonal(cfg: Config, model: Model, base, bundle: Bundle) -> dict:
     results = {"traces": {}, "layer_cake": {}}
 
     rows = []
@@ -222,22 +207,10 @@ def cmd_diagonal(cfg: Config, outdir: Path, verbose: bool) -> int:
             "epsilon": witness.epsilon,
             "rho": witness.rho,
         }
-
-    report = RunReport("diagonal", cfg.resolved(), results,
-                       timings={"total_s": time.perf_counter() - t0})
-    bundle.finish(report, cfg.echo_yaml())
-    print(report.summary_json(), end="")
-    return 0
+    return results
 
 
-def cmd_gaussian(cfg: Config, outdir: Path, verbose: bool) -> int:
-    t0 = time.perf_counter()
-    if cfg.seed is None:
-        raise InputError("config seed: required for the gaussian subcommand")
-    model = build_model(cfg.model_kind, cfg.model_params)
-    base = _resolve_base(cfg, model)
-    bundle = Bundle(outdir, cfg.formats)
-
+def cmd_gaussian(cfg: Config, model: Model, base, bundle: Bundle) -> dict:
     tower = build_tower(model.kernel, model.branch, base, cfg.horizon, cfg.tol, cfg.pair_cap)
     sampler = TowerSampler(tower, cfg.seed, cfg.tol)
     batch = sampler.sample(cfg.nsamples)
@@ -254,9 +227,9 @@ def cmd_gaussian(cfg: Config, outdir: Path, verbose: bool) -> int:
     bundle.add_gram_csv("empirical_covariance.csv", tower.points, cov)
     bundle.add_gram_csv("empirical_covariance_se.csv", tower.points, se)
     if cfg.gaussian.get("export_samples"):
-        export_batch_csv(batch, Path(outdir) / "samples.csv")
+        export_batch_csv(batch, bundle.outdir / "samples.csv")
 
-    results = {
+    return {
         "generator": "philox4x64-10",
         "seed": cfg.seed,
         "nsamples": cfg.nsamples,
@@ -275,18 +248,9 @@ def cmd_gaussian(cfg: Config, outdir: Path, verbose: bool) -> int:
             ),
         },
     }
-    report = RunReport("gaussian", cfg.resolved(), results,
-                       timings={"total_s": time.perf_counter() - t0})
-    bundle.finish(report, cfg.echo_yaml())
-    print(report.summary_json(), end="")
-    return 0
 
 
-def cmd_boundary(cfg: Config, outdir: Path, verbose: bool) -> int:
-    t0 = time.perf_counter()
-    model = build_model(cfg.model_kind, cfg.model_params)
-    base = _resolve_base(cfg, model)
-    bundle = Bundle(outdir, cfg.formats)
+def cmd_boundary(cfg: Config, model: Model, base, bundle: Bundle) -> dict:
     cyl_levels = cfg.boundary["cylinder_levels"]
     feat_levels = cfg.boundary["feature_levels"]
 
@@ -299,14 +263,20 @@ def cmd_boundary(cfg: Config, outdir: Path, verbose: bool) -> int:
         closure = orbit_closure(model.branch, base, 1, cfg.pair_cap)
         gtower = build_tower(model.kernel, model.branch, closure, cfg.horizon, cfg.tol, cfg.pair_cap)
         gauge, positive = gauge_from_tower(gtower)
+        if not positive:
+            raise InputError(
+                f"the level-{cfg.horizon} tower diagonal vanishes on the one-step "
+                "closure of the base points: no gauge-positive domain"
+            )
         domain = positive
         gauge_info["source"] = f"tower diagonal at level {cfg.horizon}"
         cert, cert_status = _resolve_certificate(cfg, model, base)
         gauge_info["certificate"] = cert_status
         if cert is not None:
-            cert_domain = set(cert.domain)
-            tail = max(cert.bound(s, s, cfg.horizon) for s in positive if s in cert_domain)
-            gauge_info["harmonicity_budget"] = tail
+            # The certificate domain contains the one-step closure, hence ``positive``.
+            gauge_info["harmonicity_budget"] = max(
+                cert.bound(s, s, cfg.horizon) for s in positive
+            )
     chain = build_doob(gauge, model.branch, domain, cfg.tol)
     gauge_info["harmonicity_residual"] = chain.harmonicity_residual
     base = [s for s in base if chain.in_domain(s)]
@@ -366,9 +336,28 @@ def cmd_boundary(cfg: Config, outdir: Path, verbose: bool) -> int:
             "word": "".join(map(str, path.word)),
             "points": [point_label(x) for x in path.points],
         }
-    report = RunReport("boundary", cfg.resolved(), results,
-                       timings={"total_s": time.perf_counter() - t0})
+    return results
+
+
+PIPELINES = {
+    "tower": cmd_tower,
+    "diagonal": cmd_diagonal,
+    "gaussian": cmd_gaussian,
+    "boundary": cmd_boundary,
+}
+
+
+def run_pipeline(command: str, cfg: Config, outdir: Path, verbose: bool) -> int:
+    """Model -> base -> bundle -> results -> report, around one pipeline subcommand."""
+    t0 = time.perf_counter()
+    model = build_model(cfg.model_kind, cfg.model_params)
+    base = _resolve_base(cfg, model)
+    bundle = Bundle(outdir, cfg.formats)
+    results = PIPELINES[command](cfg, model, base, bundle)
+    report = RunReport(command, cfg.resolved(), results)
     bundle.finish(report, cfg.echo_yaml())
+    if verbose:
+        print(f"{command}: wrote {outdir} in {time.perf_counter() - t0:.2f}s", file=sys.stderr)
     print(report.summary_json(), end="")
     return 0
 
@@ -398,7 +387,6 @@ def cmd_verify(cfg: Config, outdir: Path, verbose: bool) -> int:
             },
             "all_passed": all(r.passed for r in results),
         },
-        timings={r.name: r.elapsed for r in results},
     )
     bundle.finish(report, cfg.echo_yaml())
     failures = [r for r in results if not r.passed]
@@ -415,22 +403,13 @@ def cmd_verify(cfg: Config, outdir: Path, verbose: bool) -> int:
     return 0
 
 
-COMMANDS = {
-    "tower": cmd_tower,
-    "diagonal": cmd_diagonal,
-    "gaussian": cmd_gaussian,
-    "boundary": cmd_boundary,
-    "verify": cmd_verify,
-}
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="kerneltower",
         description="Kernel towers under branching maps: completion, diagnostics, simulation, boundary.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in COMMANDS:
+    for name in [*PIPELINES, "verify"]:
         p = sub.add_parser(name, help=f"run the {name} pipeline")
         p.add_argument("--config", help="YAML config file")
         p.add_argument("--seed", type=int, help="override config seed")
@@ -438,7 +417,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--format", choices=["csv", "json", "both"], help="bundle formats")
         p.add_argument("--tol", type=float, help="override PSD/identity tolerance")
         p.add_argument("--max-level", type=int, dest="max_level", help="override horizon")
-        p.add_argument("--threads", type=int, default=1, help="worker cap for Gram assembly")
         p.add_argument("--verbose", action="store_true")
     return parser
 
@@ -464,9 +442,12 @@ def main(argv=None) -> int:
             cfg.horizon = args.max_level
         if args.format:
             cfg.formats = ["csv", "json"] if args.format == "both" else [args.format]
-        set_default_workers(args.threads)
+        if args.command == "gaussian" and cfg.seed is None:
+            raise InputError("config seed: required for the gaussian subcommand")
         outdir = Path(args.out) if args.out else Path("runs") / args.command
-        return COMMANDS[args.command](cfg, outdir, args.verbose)
+        if args.command == "verify":
+            return cmd_verify(cfg, outdir, args.verbose)
+        return run_pipeline(args.command, cfg, outdir, args.verbose)
     except KernelTowerError as exc:
         print(f"error[{exc.category}]: {exc}", file=sys.stderr)
         return exc.exit_code

@@ -27,7 +27,13 @@ from .points import (
     orbit_points_by_level,
     point_label,
 )
-from .tower import DEFAULT_CEILING, TailCertificate, Tower, tower_gram_iter
+from .tower import (
+    DEFAULT_CEILING,
+    TailCertificate,
+    Tower,
+    extrapolated_tail_bound,
+    tower_gram_iter,
+)
 
 CONVERGING = "converging"
 DIVERGING = "diverging"
@@ -308,8 +314,8 @@ def tail_bound(
 
     With a certificate: the closed geometric form (certified).  Without: a
     Cauchy-Schwarz bound from the limit diagonal when a closed-form one is
-    supplied, else a geometric extrapolation of the last two diagonal
-    increments, flagged uncertified.
+    supplied, else the tower's extrapolated Cauchy-Schwarz bound at level N
+    (:func:`extrapolated_tail_bound`), flagged uncertified.
     """
     if N > tower.horizon:
         raise InputError(f"tower horizon {tower.horizon} below requested level {N}")
@@ -320,24 +326,9 @@ def tail_bound(
     if require_certified:
         raise ContractError("certified bound requested but no certificate supplied")
     a, b = tower.index(s), tower.index(t)
-    uN_s = tower.levels[N][a, a]
-    uN_t = tower.levels[N][b, b]
     if oracle_diag is not None:
-        gap_s = max(oracle_diag(s) - uN_s, 0.0)
-        gap_t = max(oracle_diag(t) - uN_t, 0.0)
+        gap_s = max(oracle_diag(s) - tower.levels[N][a, a], 0.0)
+        gap_t = max(oracle_diag(t) - tower.levels[N][b, b], 0.0)
         return TailBound(math.sqrt(gap_s * gap_t), certified=False, method="oracle-diagonal")
-    tails = []
-    for idx in (a, b):
-        if N < 2:
-            tails.append(math.inf)
-            continue
-        d_last = tower.levels[N][idx, idx] - tower.levels[N - 1][idx, idx]
-        d_prev = tower.levels[N - 1][idx, idx] - tower.levels[N - 2][idx, idx]
-        if d_last <= 0.0:
-            tails.append(0.0)
-        elif d_prev <= 0.0 or d_last >= d_prev:
-            tails.append(math.inf)
-        else:
-            q = d_last / d_prev
-            tails.append(d_last * q / (1.0 - q))
-    return TailBound(math.sqrt(tails[0] * tails[1]), certified=False, method="extrapolated")
+    bound = extrapolated_tail_bound(tower.levels[: N + 1])[a, b]
+    return TailBound(float(bound), certified=False, method="extrapolated")

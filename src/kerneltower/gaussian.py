@@ -29,7 +29,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ContractError, InputError, NumericalError
-from .kernels import DEFAULT_PSD_TOL, Kernel, sqrt_factor
+from .kernels import DEFAULT_PSD_TOL, Kernel
 from .points import BranchSystem, Point, point_label
 from .rngs import make_rng
 from .tower import DEFAULT_CEILING, Tower, build_tower
@@ -45,8 +45,7 @@ class TowerSampler:
         self.seed = int(seed)
         self.points = tower.points
         try:
-            self.factors = [sqrt_factor(tower.levels[0], tol)]
-            self.factors += [sqrt_factor(D, tol) for D in tower.defects]
+            self.factors = tower.factors(tol)
         except NumericalError as exc:
             raise NumericalError(f"sampler factorization failed: {exc}") from exc
         scale = max(float(np.max(np.abs(tower.levels[-1]))), 1.0)

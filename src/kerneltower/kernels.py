@@ -15,7 +15,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import InputError, KernelTowerError, NumericalError
+from .errors import InputError, KernelTowerError, ModelError, NumericalError
 from .points import BranchSystem, Point, point_label
 
 DEFAULT_PSD_TOL = 1e-9
@@ -55,22 +55,6 @@ class Kernel:
         return self._fn if self._memo is None else self.__call__
 
 
-def kernel_from_function(fn, name="", memoize=False) -> Kernel:
-    return fn if isinstance(fn, Kernel) else Kernel(fn, name=name, memoize=memoize)
-
-
-def kernel_sum(a: Kernel, b: Kernel, name: str = "") -> Kernel:
-    return Kernel(lambda s, t: a(s, t) + b(s, t), name=name or f"{a.name}+{b.name}")
-
-
-def kernel_diff(a: Kernel, b: Kernel, name: str = "") -> Kernel:
-    return Kernel(lambda s, t: a(s, t) - b(s, t), name=name or f"{a.name}-{b.name}")
-
-
-def kernel_scale(c: float, a: Kernel, name: str = "") -> Kernel:
-    return Kernel(lambda s, t: c * a(s, t), name=name or f"{c}*{a.name}")
-
-
 def apply_L(J: Kernel, branch: BranchSystem, name: str = "") -> Kernel:
     """The branching operator: (LJ)(s,t) = sum_i J(phi_i(s), phi_i(t)).
 
@@ -90,6 +74,12 @@ def apply_L_power(J: Kernel, branch: BranchSystem, n: int) -> Kernel:
     for _ in range(n):
         K = apply_L(K, branch)
     return K
+
+
+def defect_kernel(K: Kernel, branch: BranchSystem) -> Kernel:
+    """The one-step defect LK - K; PSD on a set iff K is subinvariant there."""
+    LK = apply_L(K, branch)
+    return Kernel(lambda s, t: LK(s, t) - K(s, t), name=f"defect[{K.name}]")
 
 
 @dataclass
@@ -131,63 +121,37 @@ class PsdReport:
     def __post_init__(self):
         self.psd = self.min_eigenvalue >= -self.tol * max(self.scale, 1.0)
 
-    @property
-    def margin(self) -> float:
-        return self.min_eigenvalue
-
     def summary(self) -> str:
         verdict = "PSD" if self.psd else "not-PSD"
         return f"{verdict} (min eig {self.min_eigenvalue:.3e}, scale {self.scale:.3e}, tol {self.tol:.1e})"
 
 
-_default_workers = 1
-
-
-def set_default_workers(n: int) -> None:
-    """Worker cap for Gram assembly (the CLI --threads flag lands here)."""
-    global _default_workers
-    _default_workers = max(1, int(n))
-
-
-def _gram_row(J, pts, a):
-    out = []
-    for b in range(a, len(pts)):
-        try:
-            out.append(float(J(pts[a], pts[b])))
-        except KernelTowerError:
-            raise
-        except Exception as exc:  # annotate with the offending pair
-            raise type(exc)(
-                f"kernel {J.name} failed at "
-                f"({point_label(pts[a])}, {point_label(pts[b])}): {exc}"
-            ) from exc
-    return out
-
-
-def gram(J: Kernel, points: Sequence[Point], workers: int | None = None) -> Gram:
+def gram(J: Kernel, points: Sequence[Point]) -> Gram:
     """Assemble the symmetric Gram matrix, one evaluation per unordered pair.
 
-    Rows may be evaluated by a worker pool; entries are written by index,
-    so the result is deterministic regardless of parallelism.
+    A kernel failure that is not a library error becomes a model error
+    naming the kernel and the pair, chained to the original exception.
     """
     pts = tuple(points)
     if not pts:
         raise InputError("Gram assembly needs a nonempty point list")
     n = len(pts)
-    workers = _default_workers if workers is None else max(1, workers)
     G = np.empty((n, n), dtype=float)
-    if workers > 1 and n >= 8:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(lambda a: _gram_row(J, pts, a), range(n)))
-    else:
-        rows = [_gram_row(J, pts, a) for a in range(n)]
-    for a, row in enumerate(rows):
-        for off, v in enumerate(row):
-            b = a + off
-            G[a, b] = v
-            G[b, a] = v
+    try:
+        for a in range(n):
+            s = pts[a]
+            row = []
+            for t in pts[a:]:
+                row.append(float(J(s, t)))
+            G[a, a:] = G[a:, a] = row
+    except KernelTowerError:
+        raise
+    except Exception as exc:
+        b = a + len(row)
+        raise ModelError(
+            f"kernel {J.name} failed at "
+            f"({point_label(pts[a])}, {point_label(pts[b])}): {exc}"
+        ) from exc
     return Gram(pts, G)
 
 

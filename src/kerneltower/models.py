@@ -211,9 +211,6 @@ class DivergentDeltaModel(Model):
     def oracle_defect(self, n: int, u, v) -> float:
         return float(self.m**n * (self.m - 1)) if u == v else 0.0
 
-    def oracle_diagonal(self, n: int) -> float:
-        return float(self.m**n)
-
 
 class FiniteStateModel(Model):
     """S states, m map tables, one symmetric PSD kernel table."""
@@ -247,7 +244,7 @@ class FiniteStateModel(Model):
             name=f"{name}-maps",
         )
         self.kernel = Kernel(lambda s, t: float(table[s, t]), name=f"K[{name}]")
-        self.lyapunov = dict(lyapunov) if lyapunov else None
+        self.lyapunov = _lyapunov_record(lyapunov, self.S) if lyapunov else None
 
     def point(self, spec) -> Point:
         try:
@@ -260,6 +257,19 @@ class FiniteStateModel(Model):
 
     def all_states(self) -> list[int]:
         return list(range(self.S))
+
+
+def _lyapunov_record(lyap, S: int) -> dict:
+    """{C, beta, r} of a per-state Lyapunov certificate, checked and as floats."""
+    if not isinstance(lyap, Mapping) or not {"C", "beta", "r"} <= set(lyap):
+        raise InputError(f"lyapunov: expected a mapping with keys C, beta and r, got {lyap!r}")
+    r = lyap["r"]
+    if not isinstance(r, (list, tuple)) or len(r) != S:
+        raise InputError(f"lyapunov.r: expected {S} per-state values, got {r!r}")
+    try:
+        return {"C": float(lyap["C"]), "beta": float(lyap["beta"]), "r": [float(x) for x in r]}
+    except (TypeError, ValueError):
+        raise InputError(f"lyapunov: C, beta and r must be numbers, got {dict(lyap)!r}") from None
 
 
 def feeder_model() -> FiniteStateModel:

@@ -14,7 +14,7 @@ instead of silent memory exhaustion.
 from __future__ import annotations
 
 import itertools
-from typing import Callable, Hashable, Iterable, Iterator, Sequence
+from typing import Callable, Hashable, Iterable, Sequence
 
 from .errors import InputError, ResourceError
 
@@ -96,12 +96,6 @@ def enumerate_words(m: int, n: int, cap: int = DEFAULT_WORD_CAP) -> list[Word]:
         raise InputError("word length must be nonnegative")
     check_word_cap(m, n, cap)
     return list(itertools.product(range(1, m + 1), repeat=n))
-
-
-def iter_words(m: int, n: int, cap: int = DEFAULT_WORD_CAP) -> Iterator[Word]:
-    """Lazy lexicographic enumeration with the same cap as enumerate_words."""
-    check_word_cap(m, n, cap)
-    return itertools.product(range(1, m + 1), repeat=n)
 
 
 def orbit_points_by_level(

@@ -24,7 +24,7 @@ def fmt(value):
     """Shortest round-trip text for a cell value."""
     if isinstance(value, (float, np.floating)):
         return repr(float(value))
-    if isinstance(value, (int, np.integer)):
+    if isinstance(value, (int, np.integer, np.bool_)):
         return str(int(value))
     return str(value)
 
@@ -50,12 +50,11 @@ def jsonable(value):
 
 @dataclass
 class RunReport:
-    """Per-run results; timings are kept out of the persisted summary."""
+    """Per-run results, as persisted in summary.json."""
 
     command: str
     config_echo: dict
     results: dict = field(default_factory=dict)
-    timings: dict = field(default_factory=dict)
 
     def summary_dict(self) -> dict:
         return jsonable(

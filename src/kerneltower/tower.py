@@ -34,6 +34,7 @@ from .kernels import (
     Kernel,
     PsdReport,
     apply_L,
+    defect_kernel,
     gram,
     psd_check,
     sqrt_factor,
@@ -133,17 +134,62 @@ class Tower:
     def level_gram(self, n: int) -> Gram:
         return Gram(self.points, self.levels[n])
 
-    def defect_gram(self, n: int) -> Gram:
-        return Gram(self.points, self.defects[n])
-
-    def diagonal(self, n: int) -> np.ndarray:
-        return np.diag(self.levels[n]).copy()
-
     def index(self, s: Point) -> int:
         try:
             return self.points.index(s)
         except ValueError:
             raise InputError(f"point {point_label(s)} not in tower base") from None
+
+    @classmethod
+    def from_levels(cls, points, levels, tol: float = DEFAULT_PSD_TOL,
+                    kernel_name: str = "") -> "Tower":
+        """Certify the defects of computed levels and check the telescoping identity.
+
+        Raises a model error naming the level if any defect Gram fails the
+        PSD test, and a numerical error if the telescoping identity drifts
+        beyond its budget (it is exact up to float reassociation).
+        """
+        defects = []
+        reports = []
+        for n in range(len(levels) - 1):
+            D = levels[n + 1] - levels[n]
+            report = psd_check(D, tol)
+            if not report.psd:
+                raise ModelError(
+                    f"defect level {n} is not PSD ({report.summary()}); "
+                    "the kernel is not subinvariant on this set"
+                )
+            defects.append(D)
+            reports.append(report)
+
+        reconstructed = levels[0] + sum(defects) if defects else levels[0]
+        scale = max(float(np.max(np.abs(levels[-1]))), 1.0)
+        residual = float(np.max(np.abs(reconstructed - levels[-1]))) / scale
+        if residual > TELESCOPE_RTOL:
+            raise NumericalError(
+                f"telescoping residual {residual:.3e} exceeds {TELESCOPE_RTOL:.1e}"
+            )
+        return cls(
+            points=tuple(points),
+            horizon=len(levels) - 1,
+            levels=levels,
+            defects=defects,
+            defect_reports=reports,
+            trace_increments=[float(np.trace(D)) for D in defects],
+            telescoping_residual=residual,
+            kernel_name=kernel_name,
+        )
+
+    def factors(self, tol: float = DEFAULT_PSD_TOL) -> list[np.ndarray]:
+        """Square-root factors of the base Gram and of every defect Gram, in level order."""
+        out = []
+        for n, G in enumerate([self.levels[0]] + self.defects):
+            try:
+                out.append(sqrt_factor(G, tol))
+            except NumericalError as exc:
+                what = "base kernel" if n == 0 else f"defect level {n - 1}"
+                raise NumericalError(f"{what} factor failed: {exc}") from exc
+        return out
 
 
 def subinvariance_check(
@@ -155,9 +201,7 @@ def subinvariance_check(
     A PSD verdict certifies the subinvariance inequality LK >= K on the
     given finite set.
     """
-    LK = apply_L(K, branch)
-    defect = Kernel(lambda s, t: LK(s, t) - K(s, t), name=f"defect[{K.name}]")
-    return psd_check(gram(defect, points), tol)
+    return psd_check(gram(defect_kernel(K, branch), points), tol)
 
 
 def build_tower(
@@ -170,46 +214,14 @@ def build_tower(
 ) -> Tower:
     """Compute levels 0..horizon of the tower with per-level defect certification.
 
-    Raises a model error naming the level if any defect Gram fails the PSD
-    test, and a numerical error if the telescoping identity drifts beyond
-    its budget (it is exact up to float reassociation by construction).
+    Defects are certified and the telescoping identity is checked by
+    :meth:`Tower.from_levels`.
     """
     if horizon < 0:
         raise InputError("tower horizon must be nonnegative")
     it = tower_gram_iter(K, branch, points, pair_cap)
     levels = [next(it) for _ in range(horizon + 1)]
-    defects = []
-    reports = []
-    increments = []
-    for n in range(horizon):
-        D = levels[n + 1] - levels[n]
-        report = psd_check(D, tol)
-        if not report.psd:
-            raise ModelError(
-                f"defect level {n} is not PSD ({report.summary()}); "
-                "the kernel is not subinvariant on this set"
-            )
-        defects.append(D)
-        reports.append(report)
-        increments.append(float(np.trace(D)))
-
-    reconstructed = levels[0] + sum(defects) if defects else levels[0]
-    scale = max(float(np.max(np.abs(levels[-1]))), 1.0)
-    residual = float(np.max(np.abs(reconstructed - levels[-1]))) / scale
-    if residual > TELESCOPE_RTOL:
-        raise NumericalError(
-            f"telescoping residual {residual:.3e} exceeds {TELESCOPE_RTOL:.1e}"
-        )
-    return Tower(
-        points=tuple(points),
-        horizon=horizon,
-        levels=levels,
-        defects=defects,
-        defect_reports=reports,
-        trace_increments=increments,
-        telescoping_residual=residual,
-        kernel_name=K.name,
-    )
+    return Tower.from_levels(points, levels, tol, K.name)
 
 
 def level_via_words(
@@ -350,26 +362,16 @@ def estimate_K_infinity(
         traces.append(float(np.trace(levels[-1])))
 
     N = len(levels) - 1
-    tower = _tower_from_levels(pts, levels, tol, K.name)
-
+    tower = Tower.from_levels(pts, levels, tol, K.name)
     if certificate is not None:
         bound = certificate.bound_matrix(pts, N)
-        certified = True
     else:
-        tail = _extrapolated_tail_diagonal(levels)
-        with np.errstate(invalid="ignore"):  # 0 * inf, overwritten below
-            bound = np.sqrt(np.outer(tail, tail))
-        # Cauchy-Schwarz: the PSD remainder has a zero row s where its
-        # diagonal tail at s is zero, whatever the other tail.
-        zero = tail == 0.0
-        bound[zero, :] = 0.0
-        bound[:, zero] = 0.0
-        certified = False
+        bound = extrapolated_tail_bound(levels)
     return KInfinityEstimate(
         points=pts,
         entries=levels[-1].copy(),
         bound=bound,
-        certified=certified,
+        certified=certificate is not None,
         levels_used=N,
         converged=converged,
         trace_history=traces,
@@ -377,46 +379,36 @@ def estimate_K_infinity(
     )
 
 
-def _tower_from_levels(pts, levels, tol, kernel_name) -> Tower:
-    defects = [levels[n + 1] - levels[n] for n in range(len(levels) - 1)]
-    reports = []
-    for n, D in enumerate(defects):
-        report = psd_check(D, tol)
-        if not report.psd:
-            raise ModelError(f"defect level {n} is not PSD ({report.summary()})")
-        reports.append(report)
-    return Tower(
-        points=pts,
-        horizon=len(levels) - 1,
-        levels=levels,
-        defects=defects,
-        defect_reports=reports,
-        trace_increments=[float(np.trace(D)) for D in defects],
-        telescoping_residual=0.0,
-        kernel_name=kernel_name,
-    )
-
-
 def _extrapolated_tail_diagonal(levels) -> np.ndarray:
     """Geometric extrapolation of remaining diagonal growth from the last two increments."""
-    n_pts = levels[0].shape[0]
     if len(levels) == 1:
-        return np.full(n_pts, np.inf)  # no increments observed: no information
-    if len(levels) == 2:
-        d = np.diag(levels[1]) - np.diag(levels[0])
-        return np.where(d <= 0.0, 0.0, np.inf)
+        return np.full(levels[0].shape[0], np.inf)  # no increments observed: no information
     d_last = np.diag(levels[-1]) - np.diag(levels[-2])
-    d_prev = np.diag(levels[-2]) - np.diag(levels[-3])
-    tail = np.empty(n_pts)
-    for a in range(n_pts):
-        if d_last[a] <= 0.0:
-            tail[a] = 0.0
-        elif d_prev[a] <= 0.0 or d_last[a] >= d_prev[a]:
-            tail[a] = np.inf  # no observed decay: honest "unknown"
-        else:
-            q = d_last[a] / d_prev[a]
-            tail[a] = d_last[a] * q / (1.0 - q)
+    # A single observed increment shows no decay to extrapolate.
+    d_prev = (np.diag(levels[-2]) - np.diag(levels[-3]) if len(levels) > 2
+              else np.zeros_like(d_last))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        q = d_last / d_prev
+        tail = d_last * q / (1.0 - q)
+    tail[(d_prev <= 0.0) | (d_last >= d_prev)] = np.inf  # no observed decay: honest "unknown"
+    tail[d_last <= 0.0] = 0.0
     return tail
+
+
+def extrapolated_tail_bound(levels) -> np.ndarray:
+    """Uncertified per-entry bound on |K_inf - K_N| from the levels K_0..K_N.
+
+    Cauchy-Schwarz on the extrapolated diagonal tails; the PSD remainder
+    has a zero row s where its diagonal tail at s is zero, whatever the
+    other tail.
+    """
+    tail = _extrapolated_tail_diagonal(levels)
+    with np.errstate(invalid="ignore"):  # 0 * inf, overwritten below
+        bound = np.sqrt(np.outer(tail, tail))
+    zero = tail == 0.0
+    bound[zero, :] = 0.0
+    bound[:, zero] = 0.0
+    return bound
 
 
 def invariance_residual(
@@ -530,27 +522,10 @@ class Embedding:
         B = self.blocks[0]
         return B @ B.T
 
-    def vector(self, s: Point) -> np.ndarray:
-        try:
-            a = self.points.index(s)
-        except ValueError:
-            raise InputError(f"point {point_label(s)} not embedded") from None
-        return self.vectors[a]
-
 
 def defect_embedding(tower: Tower, tol: float = DEFAULT_PSD_TOL) -> Embedding:
     """Factor the base Gram and every defect Gram into feature blocks."""
-    blocks = []
-    try:
-        blocks.append(sqrt_factor(tower.levels[0], tol))
-    except NumericalError as exc:
-        raise NumericalError(f"base kernel factor failed: {exc}") from exc
-    for n, D in enumerate(tower.defects):
-        try:
-            blocks.append(sqrt_factor(D, tol))
-        except NumericalError as exc:
-            raise NumericalError(f"defect level {n} factor failed: {exc}") from exc
-    emb = Embedding(points=tower.points, blocks=blocks)
+    emb = Embedding(points=tower.points, blocks=tower.factors(tol))
     scale = max(float(np.max(np.abs(tower.levels[-1]))), 1.0)
     err = float(np.max(np.abs(emb.gram() - tower.levels[-1])))
     if err > 1e-10 * scale:

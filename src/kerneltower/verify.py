@@ -41,7 +41,7 @@ from .gaussian import (
     martingale_checks,
     sample_covariance,
 )
-from .kernels import apply_L
+from .kernels import defect_kernel
 from .models import DivergentDeltaModel, WordTreeModel, feeder_model
 from .points import orbit_closure
 from .reports import RunReport
@@ -59,7 +59,7 @@ class CheckResult:
     passed: bool
     detail: str
     metrics: dict = field(default_factory=dict)
-    elapsed: float = 0.0
+    elapsed: float = 0.0  # wall seconds, filled in by run_checks
 
     def line(self) -> str:
         status = "PASS" if self.passed else "FAIL"
@@ -94,7 +94,6 @@ def check_example25_oracle(ctx) -> CheckResult:
         "example-tower-oracle", 1, passed,
         f"max |computed - closed form| = {worst:.3e} (tol 1e-12), {elapsed:.2f}s (< 1s)",
         {"max_abs_error": worst, "tolerance": 1e-12, "runtime_budget_s": 1.0},
-        elapsed,
     )
 
 
@@ -115,7 +114,6 @@ def check_word_expansion(ctx) -> CheckResult:
         "word-expansion-equivalence", 2, passed,
         f"max route difference = {worst:.3e} (tol 1e-12), {elapsed:.2f}s (< 5s)",
         {"max_abs_error": worst, "tolerance": 1e-12, "runtime_budget_s": 5.0},
-        elapsed,
     )
 
 
@@ -133,7 +131,6 @@ def _builtin_suite():
 
 def check_telescoping(ctx) -> CheckResult:
     """Criterion 3: level N equals level 0 plus accumulated defects, N = 10."""
-    t0 = time.perf_counter()
     worst = 0.0
     worst_model = ""
     delta = ctx.fault_for("telescoping")
@@ -145,19 +142,16 @@ def check_telescoping(ctx) -> CheckResult:
         resid = _rel_max(tower.levels[0] + sum(defects) - tower.levels[10], tower.levels[10])
         if resid >= worst:
             worst, worst_model = resid, model.name
-    elapsed = time.perf_counter() - t0
     passed = worst <= 1e-12
     return CheckResult(
         "telescoping-identity", 3, passed,
         f"max relative residual = {worst:.3e} (tol 1e-12, worst on {worst_model})",
         {"max_rel_residual": worst, "tolerance": 1e-12, "worst_model": worst_model},
-        elapsed,
     )
 
 
 def check_certified_tail_bound(ctx) -> CheckResult:
     """Criterion 4: the geometric tail bound dominates and is tight on the diagonal."""
-    t0 = time.perf_counter()
     model = _example_model()
     K, B = model.kernel, model.branch
     F = orbit_closure(B, [model.point("")], 2)
@@ -167,14 +161,12 @@ def check_certified_tail_bound(ctx) -> CheckResult:
     # carries ~2 ulp of cancellation noise that a strict inequality would
     # mistake for a refutation.
     d0 = lambda s: model.oracle_defect(0, s, s)
-    LK = apply_L(K, B)
-    defect_drift = max(
-        abs((LK(s, s) - K(s, s)) - d0(s)) for s in orbit_closure(B, F, 3)
-    )
+    defect = defect_kernel(K, B)
+    defect_drift = max(abs(defect(s, s) - d0(s)) for s in orbit_closure(B, F, 3))
     r_fn, C, beta = model.defect_lyapunov()
     cert = lyapunov_verify(d0, B, r_fn, C, beta, orbit_closure(B, F, 3))
     if not hasattr(cert, "bound"):
-        return CheckResult("certified-tail-bound", 4, False, f"premises refuted: {cert}", {}, 0.0)
+        return CheckResult("certified-tail-bound", 4, False, f"premises refuted: {cert}")
 
     dominates = True
     for N in range(10, 21):
@@ -190,20 +182,17 @@ def check_certified_tail_bound(ctx) -> CheckResult:
     tight = abs(b10 - gap10) <= 1e-15 * gap10
     expected = 0.5**11
     pinned = abs(b10 - expected) <= 1e-15 * expected
-    elapsed = time.perf_counter() - t0
     passed = dominates and tight and pinned and defect_drift <= 1e-12
     return CheckResult(
         "certified-tail-bound", 4, passed,
         f"bound(N=10, root) = {b10!r} vs gap {gap10!r} (= 0.5^11), dominates N=10..20: {dominates}",
         {"bound_at_10": b10, "gap_at_10": gap10, "dominates": dominates,
          "tight": tight, "computed_defect_drift": defect_drift},
-        elapsed,
     )
 
 
 def check_layer_cake(ctx) -> CheckResult:
     """Criterion 5: layer-cake integral equals the word sum, n <= 8."""
-    t0 = time.perf_counter()
     worst = 0.0
     for model in (_example_model(), DivergentDeltaModel(m=2)):
         s = model.point("")
@@ -213,19 +202,16 @@ def check_layer_cake(ctx) -> CheckResult:
             scale = max(1.0, abs(lc.word_sum))
             worst = max(worst, lc.residual / scale)
             worst = max(worst, abs(lc.integral - trace.values[n]) / scale)
-    elapsed = time.perf_counter() - t0
     passed = worst <= 1e-12
     return CheckResult(
         "layer-cake-identity", 5, passed,
         f"max relative residual = {worst:.3e} (tol 1e-12)",
         {"max_rel_residual": worst, "tolerance": 1e-12},
-        elapsed,
     )
 
 
 def check_blowup_classification(ctx) -> CheckResult:
     """Criterion 6: witness-based blow-up vs convergence, probe agreement."""
-    t0 = time.perf_counter()
     delta = DivergentDeltaModel(m=2)
     tree = _example_model()
     everywhere = lambda x: True
@@ -248,7 +234,6 @@ def check_blowup_classification(ctx) -> CheckResult:
         and probe_delta == v_delta
         and probe_tree == v_tree
     )
-    elapsed = time.perf_counter() - t0
     return CheckResult(
         "blowup-classification", 6, ok,
         f"delta: witness={w_delta.valid}/trace={v_delta}/probe={probe_delta}; "
@@ -260,7 +245,6 @@ def check_blowup_classification(ctx) -> CheckResult:
             "probe_delta": probe_delta,
             "probe_tree": probe_tree,
         },
-        elapsed,
     )
 
 
@@ -304,13 +288,11 @@ def check_gaussian_covariance(ctx) -> CheckResult:
         f"{passes}/{PROTOCOL_SEEDS} seeds within 5 SE (need >= {PROTOCOL_MIN_PASS}); "
         f"martingale z = {mart.max_qv_z:.2f}; {elapsed:.1f}s (< 30s)",
         {"seed_passes": passes, "martingale_max_z": mart.max_qv_z, "worst_level_z": worst_z},
-        elapsed,
     )
 
 
 def check_compression_fields(ctx) -> CheckResult:
     """Criterion 8: level-0 component reproduces K; the rest reproduces the defects."""
-    t0 = time.perf_counter()
     model = _example_model()
     F = [model.point(x) for x in ("", "1", "2")]
     N = 12
@@ -340,7 +322,6 @@ def check_compression_fields(ctx) -> CheckResult:
         and abs(covY[0, 0] - 1.5) <= 0.04
         and abs(covD[0, 0] - 0.5) <= 0.05
     )
-    elapsed = time.perf_counter() - t0
     passed = passes >= PROTOCOL_MIN_PASS and spot
     return CheckResult(
         "compression-fields", 8, passed,
@@ -348,13 +329,11 @@ def check_compression_fields(ctx) -> CheckResult:
         f"cov(Y)={covY[0,0]:.4f} (1.5), cov(Z-Y)={covD[0,0]:.4f} (0.5)",
         {"seed_passes": passes, "covZ_root": float(covZ[0, 0]),
          "covY_root": float(covY[0, 0]), "covD_root": float(covD[0, 0])},
-        elapsed,
     )
 
 
 def check_doob_cylinders(ctx) -> CheckResult:
     """Criterion 9: cylinder level sums are 1; uniform masses are exactly 2^-n."""
-    t0 = time.perf_counter()
     model = _example_model()
     dom = orbit_closure(model.branch, [model.point("")], 12)
     chain = build_doob(model.oracle_gauge, model.branch, dom, ctx.tol)
@@ -376,20 +355,17 @@ def check_doob_cylinders(ctx) -> CheckResult:
     ftable = cylinder_measure(fchain, 2, 12)
     worst_sum = max(worst_sum, max(abs(ftable.level_sum(k) - 1.0) for k in range(13)))
 
-    elapsed = time.perf_counter() - t0
     passed = worst_sum <= 1e-12 and exact and consistent <= 1e-12
     return CheckResult(
         "doob-cylinder-measures", 9, passed,
         f"max |level sum - 1| = {worst_sum:.3e} (tol 1e-12); uniform masses exact: {exact}",
         {"max_level_sum_error": worst_sum, "uniform_masses_exact": exact,
          "max_consistency_error": consistent},
-        elapsed,
     )
 
 
 def check_intertwining(ctx) -> CheckResult:
     """Criterion 10: gauge intertwining and normalization commuting, n <= 5."""
-    t0 = time.perf_counter()
     worst = 0.0
 
     model = _example_model()
@@ -412,19 +388,16 @@ def check_intertwining(ctx) -> CheckResult:
         worst = max(worst, res.one_step_residual, res.markov_residual)
         worst = max(worst, normalization_commutes(feeder.kernel, fchain, positive, n))
 
-    elapsed = time.perf_counter() - t0
     passed = worst <= 1e-12
     return CheckResult(
         "intertwining-normalization", 10, passed,
         f"max residual = {worst:.3e} (tol 1e-12) over n <= 5, two models",
         {"max_residual": worst, "tolerance": 1e-12},
-        elapsed,
     )
 
 
 def check_boundary_gram(ctx) -> CheckResult:
     """Criterion 11: boundary feature Gram equals accumulated normalized defects."""
-    t0 = time.perf_counter()
     model = _example_model()
     K, B = model.kernel, model.branch
     F = orbit_closure(B, [model.point("")], 1)
@@ -441,7 +414,6 @@ def check_boundary_gram(ctx) -> CheckResult:
     rhs = tower.levels[0] / np.outer(h_vec, h_vec) + bg_half.entries
     full_identity = float(np.max(np.abs(lhs - rhs)))
 
-    elapsed = time.perf_counter() - t0
     passed = bg_half.residual <= 1e-10 and nu_shift <= 1e-12 and full_identity <= 1e-10
     return CheckResult(
         "boundary-feature-gram", 11, passed,
@@ -449,7 +421,6 @@ def check_boundary_gram(ctx) -> CheckResult:
         f"(tol 1e-12); full identity = {full_identity:.3e} (tol 1e-10)",
         {"gram_residual": bg_half.residual, "nu_invariance": nu_shift,
          "full_identity_residual": full_identity},
-        elapsed,
     )
 
 
@@ -460,8 +431,6 @@ def check_determinism(ctx) -> CheckResult:
     is exercised by the CLI tests; here the summary JSON and a sampled CSV
     are produced twice from scratch and compared byte for byte.
     """
-    t0 = time.perf_counter()
-
     def produce() -> bytes:
         model = _example_model()
         F = [model.point(x) for x in ("", "1")]
@@ -478,13 +447,11 @@ def check_determinism(ctx) -> CheckResult:
         return report.summary_json().encode()
 
     first, second = produce(), produce()
-    elapsed = time.perf_counter() - t0
     passed = first == second
     return CheckResult(
         "report-determinism", 12, passed,
         f"two independent productions identical: {passed} ({len(first)} bytes)",
         {"bytes": len(first)},
-        elapsed,
     )
 
 
@@ -522,7 +489,9 @@ def run_checks(ctx: VerifyContext | None = None, progress=None) -> list[CheckRes
     ctx = ctx or VerifyContext()
     results = []
     for fn in CHECKS:
+        t0 = time.perf_counter()
         result = fn(ctx)
+        result.elapsed = time.perf_counter() - t0
         results.append(result)
         if progress is not None:
             progress(result)

@@ -7,6 +7,7 @@ test exercises the bundle-level determinism criterion by invoking the
 verify command twice and comparing the output directories byte for byte.
 """
 
+import csv
 import filecmp
 import json
 
@@ -46,6 +47,10 @@ def test_acceptance_criterion_12_full_bundles(tmp_path, capsys):
     summary = json.loads((out1 / "summary.json").read_text())
     assert summary["results"]["all_passed"] is True
     assert (out1 / "verify_results.csv").read_text() == (out2 / "verify_results.csv").read_text()
+    with open(out1 / "verify_results.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert len(rows) == 12
+    assert all(row["passed"] == "1" for row in rows), rows
 
 
 def test_fault_injection_fails_named_check(tmp_path, capsys):

@@ -133,7 +133,7 @@ def test_sample_path_chain_rule(chain, ex25):
     product = 1.0
     x = s
     for i in path.word:
-        product *= chain.p(i, x)
+        product *= chain.probs(x)[i - 1]
         x = chain.branch.apply(i, x)
     assert product == pytest.approx(table.mass(path.word), abs=1e-12)
     assert path.points[-1] == x
@@ -249,7 +249,7 @@ def test_normalization_commutes_direct_one_step(chain, ex25, small_base):
     for s in small_base:
         for t in small_base:
             rhs = math.fsum(
-                chain.p(i, s) * chain.p(i, t)
+                chain.probs(s)[i - 1] * chain.probs(t)[i - 1]
                 * Jh(ex25.branch.apply(i, s), ex25.branch.apply(i, t))
                 for i in (1, 2)
             )

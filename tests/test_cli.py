@@ -214,10 +214,41 @@ def test_verify_fault_injection_exit_and_naming(tmp_path, capsys):
     assert summary["results"]["all_passed"] is False
 
 
-def test_threads_flag_matches_serial(tmp_path, capsys):
+def test_short_lyapunov_table_is_input_error(tmp_path, capsys):
+    cfg = write_config(
+        tmp_path,
+        "model:\n  kind: finite-state\n  maps: [[0, 1], [1, 1]]\n"
+        "  kernel: [[1.0, 0.0], [0.0, 0.0]]\n"
+        "  lyapunov: {C: 1, beta: 0.5, r: [1.0]}\nhorizon: 2\n",
+    )
+    code = main(["tower", "--config", cfg, "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error[input]")
+    assert "lyapunov.r" in err
+
+
+def test_boundary_without_positive_gauge_is_input_error(tmp_path, capsys):
+    cfg = write_config(
+        tmp_path,
+        "model:\n  kind: finite-state\n  maps: [[1, 2, 3, 3]]\n"
+        "  kernel: [[0, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0]]\n"
+        "  lyapunov: {C: 1, beta: 0.5, r: [1, 0.4, 0.1, 0.01]}\n"
+        "base_points: [0]\nhorizon: 0\n",
+    )
+    code = main(["boundary", "--config", cfg, "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error[input]")
+
+
+def test_verbose_reports_each_pipeline(tmp_path, capsys):
     cfg = write_config(tmp_path, EX25_YAML)
-    out1, out2 = tmp_path / "a", tmp_path / "b"
-    assert main(["tower", "--config", cfg, "--out", str(out1)]) == 0
-    assert main(["tower", "--config", cfg, "--threads", "4", "--out", str(out2)]) == 0
-    capsys.readouterr()
-    assert_dirs_byte_identical(out1, out2)
+    for command in ("tower", "diagonal", "gaussian", "boundary"):
+        out = tmp_path / command
+        args = [command, "--config", cfg, "--out", str(out), "--verbose"]
+        if command == "gaussian":
+            args += ["--max-level", "3"]
+        assert main(args) == 0
+        err = capsys.readouterr().err
+        assert err.startswith(f"{command}: wrote {out} in ")

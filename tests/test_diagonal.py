@@ -1,8 +1,11 @@
+import math
+
 import pytest
 
 from kerneltower import (
     BranchSystem,
     ContractError,
+    FiniteStateModel,
     InputError,
     TailCertificate,
     apply_P,
@@ -262,6 +265,29 @@ def test_tail_bound_extrapolated_is_flagged(ex25, root):
     assert not tb.certified and tb.method == "extrapolated"
     gap = ex25.oracle_limit(root, root) - ex25.oracle_level(6, root, root)
     assert tb.value == pytest.approx(gap, rel=1e-9)  # exact geometric decay here
+
+
+def _doubling_model():
+    # Two identity maps: LK = 2K, so state 0 doubles every level and the
+    # kernel-null state 1 never moves.
+    return FiniteStateModel([[0, 1], [0, 1]], [[1.0, 0.0], [0.0, 0.0]])
+
+
+def test_tail_bound_zero_tail_beats_infinite_tail():
+    model = _doubling_model()
+    tower = build_tower(model.kernel, model.branch, [0, 1], 4)
+    assert tail_bound(tower, 0, 0, 4).value == math.inf
+    # Cauchy-Schwarz: the remainder's row at a zero-tail state is zero.
+    assert tail_bound(tower, 0, 1, 4).value == 0.0
+    assert tail_bound(tower, 1, 0, 4).value == 0.0
+
+
+def test_tail_bound_at_level_one_follows_the_tower_rule():
+    model = _doubling_model()
+    tower = build_tower(model.kernel, model.branch, [0, 1], 1)
+    assert tail_bound(tower, 1, 1, 1).value == 0.0  # increment <= 0: no tail
+    assert tail_bound(tower, 0, 0, 1).value == math.inf  # one increment: no decay seen
+    assert tail_bound(tower, 1, 1, 0).value == math.inf  # no increment: no information
 
 
 def test_tail_bound_contract_errors(ex25, root):

@@ -5,6 +5,7 @@ from kerneltower import (
     DivergentDeltaModel,
     InputError,
     Kernel,
+    ModelError,
     NumericalError,
     WordTreeModel,
     feeder_model,
@@ -53,18 +54,25 @@ def test_gram_permutation_equivariance(ex25, small_base):
     assert np.array_equal(Gp.entries, G.entries[np.ix_(perm, perm)])
 
 
-def test_gram_worker_pool_is_deterministic(ex25, closure2):
-    seq = gram(ex25.kernel, closure2, workers=1)
-    par = gram(ex25.kernel, closure2, workers=4)
-    assert np.array_equal(seq.entries, par.entries)
-
-
 def test_gram_annotates_failures(small_base):
     def bad(s, t):
         raise ValueError("boom")
 
-    with pytest.raises(ValueError, match="boom"):
+    with pytest.raises(ModelError, match="boom") as info:
         gram(Kernel(bad, name="bad"), small_base)
+    assert "kernel bad failed at (<>, <>)" in str(info.value)
+    assert isinstance(info.value.__cause__, ValueError)
+
+
+def test_gram_failure_keeps_the_original_exception(small_base):
+    # An exception whose constructor takes other arguments than a message
+    # must survive annotation intact, as the cause of the model error.
+    def undecodable(s, t):
+        return b"\xff".decode("utf-8") if (s, t) == ((1,), (2,)) else 0.0
+
+    with pytest.raises(ModelError, match=r"kernel undecodable failed at \(1, 2\)") as info:
+        gram(Kernel(undecodable), small_base)
+    assert isinstance(info.value.__cause__, UnicodeDecodeError)
 
 
 def test_psd_check_identity():

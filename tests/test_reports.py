@@ -11,6 +11,8 @@ def test_fmt_shortest_round_trip():
         assert float(fmt(x)) == x
     assert fmt(np.float64(0.25)) == "0.25"
     assert fmt(7) == "7"
+    assert fmt(np.True_) == fmt(True) == "1"
+    assert fmt(np.False_) == fmt(False) == "0"
     assert fmt("<>") == "<>"
 
 

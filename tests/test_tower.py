@@ -221,6 +221,18 @@ def test_estimate_uncertified_bound_is_zero_on_sink_row(sink_model):
     assert np.all(est.bound[0] == 0.0) and np.all(est.bound[:, 0] == 0.0)
 
 
+def test_estimate_tower_reports_its_telescoping_residual(sink_model):
+    est = estimate_K_infinity(sink_model.kernel, sink_model.branch, sink_model.all_states(),
+                              max_levels=5)
+    tower = est.tower
+    scale = max(float(np.max(np.abs(tower.levels[-1]))), 1.0)
+    recomputed = float(np.max(np.abs(
+        tower.levels[0] + sum(tower.defects) - tower.levels[-1]))) / scale
+    assert recomputed > 0.0  # rounding shows at this depth
+    assert tower.telescoping_residual == recomputed
+    assert tower.trace_increments == [float(np.trace(D)) for D in tower.defects]
+
+
 def test_estimate_divergence_report(delta2, root):
     with pytest.raises(DivergenceError) as exc:
         estimate_K_infinity(delta2.kernel, delta2.branch, [root], ceiling=1e4)
