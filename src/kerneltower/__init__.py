@@ -9,6 +9,7 @@ realizes the Doob-transformed boundary feature model.
 
 from .boundary import (
     BoundaryGram,
+    BoundarySections,
     CylinderTable,
     DoobChain,
     ProductCylinderWeights,
@@ -62,6 +63,7 @@ from .gaussian import (
 from .kernels import (
     Gram,
     Kernel,
+    KernelBatch,
     PsdReport,
     apply_L,
     apply_L_power,

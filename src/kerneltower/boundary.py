@@ -414,6 +414,48 @@ class ProductCylinderWeights:
 
 
 @dataclass
+class BoundarySections:
+    """The reference-measure-free part of a boundary feature Gram.
+
+    The Doob walks of the base points down to level N - 1 and the Gram of
+    the normalized one-step defect on every point those walks reach with
+    positive mass, rebuilt from its square-root factor.
+    """
+
+    points: tuple
+    levels: int
+    walks: list
+    section_index: dict
+    section_gram: np.ndarray
+
+
+def _boundary_sections(K, base, chain, N, tol, cap) -> BoundarySections:
+    defect_h = h_normalize(defect_kernel(K, chain.branch), chain.h)
+
+    # One synchronized walk per base point; word order is shared across them.
+    walks = [list(_walk_levels(chain, s, N - 1, cap)) for s in base]
+
+    # Sections are only needed on cylinders with mass; zero-mass fibers
+    # vanish and may sit at gauge zeros where the normalized defect is
+    # undefined.
+    section_points: dict[Point, None] = {}
+    for walk in walks:
+        for level in walk:
+            for _w, x, p in level:
+                if p != 0.0:
+                    section_points.setdefault(x, None)
+    section_list = list(section_points)
+    factor = sqrt_factor(gram(defect_h, section_list).entries, tol)
+    return BoundarySections(
+        points=base,
+        levels=N,
+        walks=walks,
+        section_index={x: i for i, x in enumerate(section_list)},
+        section_gram=factor @ factor.T,
+    )
+
+
+@dataclass
 class BoundaryGram:
     """Boundary feature Gram and its residual against the tower reference."""
 
@@ -422,6 +464,7 @@ class BoundaryGram:
     reference: np.ndarray
     levels: int
     weights_desc: str
+    sections: BoundarySections
 
     @property
     def residual(self) -> float:
@@ -439,6 +482,7 @@ def boundary_feature_gram(
     N: int,
     tol: float = DEFAULT_PSD_TOL,
     cap: int = DEFAULT_WORD_CAP,
+    sections: BoundarySections | None = None,
 ) -> BoundaryGram:
     """Truncated boundary feature Gram of the accumulated normalized defects.
 
@@ -449,6 +493,10 @@ def boundary_feature_gram(
     as mass, so it cancels by construction (each coefficient is computed as
     root * (p / root) with root = sqrt(mass)): a change of reference
     measure moves the Gram by rounding only.
+
+    The walks and the section Gram do not depend on the reference measure:
+    pass ``sections`` from an earlier result on the same kernel, tower and
+    chain to weight them again without rebuilding them.
     """
     if N < 1:
         raise InputError("boundary feature Gram needs at least one level")
@@ -457,25 +505,12 @@ def boundary_feature_gram(
     base = tower.points
     for s in base:
         chain.require_domain(s)
-
-    defect_h = h_normalize(defect_kernel(K, chain.branch), chain.h)
-
-    # One synchronized walk per base point; word order is shared across them.
-    walks = [list(_walk_levels(chain, s, N - 1, cap)) for s in base]
-
-    # Sections are only needed on cylinders with mass; zero-mass fibers
-    # vanish and may sit at gauge zeros where the normalized defect is
-    # undefined.
-    section_points: dict[Point, None] = {}
-    for walk in walks:
-        for level in walk:
-            for _w, x, p in level:
-                if p != 0.0:
-                    section_points.setdefault(x, None)
-    section_list = list(section_points)
-    section_index = {x: i for i, x in enumerate(section_list)}
-    factor = sqrt_factor(gram(defect_h, section_list).entries, tol)
-    section_gram = factor @ factor.T
+    if sections is None:
+        sections = _boundary_sections(K, base, chain, N, tol, cap)
+    elif sections.points != base or sections.levels != N:
+        raise InputError("boundary sections were built for other base points or levels")
+    walks, section_index = sections.walks, sections.section_index
+    section_gram = sections.section_gram
 
     r = len(base)
     entries = np.zeros((r, r))
@@ -505,4 +540,5 @@ def boundary_feature_gram(
         reference=reference,
         levels=N,
         weights_desc=weights.describe(),
+        sections=sections,
     )

@@ -304,7 +304,8 @@ def cmd_boundary(cfg: Config, model: Model, base, bundle: Bundle) -> dict:
     nu = ProductCylinderWeights(cfg.boundary["nu"])
     nu_alt = ProductCylinderWeights(cfg.boundary["nu_alt"])
     bg = boundary_feature_gram(model.kernel, tower, chain, nu, feat_levels, cfg.tol, cfg.pair_cap)
-    bg_alt = boundary_feature_gram(model.kernel, tower, chain, nu_alt, feat_levels, cfg.tol, cfg.pair_cap)
+    bg_alt = boundary_feature_gram(model.kernel, tower, chain, nu_alt, feat_levels, cfg.tol,
+                                   cfg.pair_cap, sections=bg.sections)
     nu_shift = float(np.max(np.abs(bg.entries - bg_alt.entries)))
     bundle.add_gram_csv("boundary_gram.csv", bg.points, bg.entries)
 

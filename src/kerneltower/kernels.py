@@ -21,20 +21,38 @@ from .points import BranchSystem, Point, point_label
 DEFAULT_PSD_TOL = 1e-9
 
 
+@dataclass(frozen=True)
+class KernelBatch:
+    """Vectorized form of a kernel over interned points.
+
+    ``feature`` maps a point to the int the kernel reads from it (a word
+    length, a state).  ``evaluate(fa, fb, same)`` returns the kernel at the
+    pairs whose points have features ``fa`` and ``fb``, with ``same``
+    marking pairs of equal points.  The two sides of a pair arrive in no
+    particular order; each value must equal, bit for bit, the scalar kernel
+    at the pair as ``tower._canon_pair`` orders it.
+    """
+
+    feature: Callable[[Point], int]
+    evaluate: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray]
+
+
 class Kernel:
     """A symmetric pointwise kernel.
 
     ``fn`` is evaluated once per unordered pair when ``memoize`` is on;
     composed kernels (e.g. the branching operator applied to a base kernel)
     memoize so that repeated Gram assembly over overlapping point sets does
-    not re-walk the branch tree.
+    not re-walk the branch tree.  An optional ``batch`` form lets the tower
+    core evaluate all pairs of a level in one call.
     """
 
     def __init__(self, fn: Callable[[Point, Point], float], name: str = "",
-                 memoize: bool = False):
+                 memoize: bool = False, batch: KernelBatch | None = None):
         self._fn = fn
         self.name = name or getattr(fn, "__name__", "kernel")
         self._memo: dict | None = {} if memoize else None
+        self.batch = batch
 
     def __repr__(self):
         return f"Kernel({self.name})"

@@ -12,12 +12,13 @@ with a genuinely nontrivial defect and a nondegenerate Doob chain.
 
 from __future__ import annotations
 
+import operator
 from typing import Mapping, Sequence
 
 import numpy as np
 
 from .errors import ContractError, InputError
-from .kernels import DEFAULT_PSD_TOL, Kernel, psd_check
+from .kernels import DEFAULT_PSD_TOL, Kernel, KernelBatch, psd_check
 from .points import BranchSystem, Point
 
 
@@ -95,7 +96,8 @@ class WordTreeModel(Model):
         self._pim: list[float] = [1.0]   # m^-k
         self._pism: list[float] = [1.0]  # m^(-k/2)
         self._pr: list[float] = [1.0]    # r^k
-        self.kernel = Kernel(self._make_eval(), name=f"K[{self.name}]")
+        self.kernel = Kernel(self._make_eval(), name=f"K[{self.name}]",
+                             batch=KernelBatch(len, self._batch_eval))
         # Named parts, exposed for order/invariance tests.
         self.diag_invariant = Kernel(self._j0, name="J0")   # L-invariant, diagonal
         self.rank_one = Kernel(self._j1, name="J1")         # L-invariant, rank one
@@ -148,6 +150,20 @@ class WordTreeModel(Model):
             return val
 
         return evaluate
+
+    def _batch_eval(self, lu, lv, same):
+        # The scalar kernel's operations, elementwise, on the same power tables.
+        k = lu + lv
+        self._pow(self._pism, self._inv_sqrt_m, int(k.max()))
+        val = self.eta * np.array(self._pism)[k]
+        if same.any():
+            ls = lu[same]
+            top = int(ls.max())
+            self._pow(self._pim, self._inv_m, top)
+            self._pow(self._pr, self.r, top)
+            pim, pr = np.array(self._pim), np.array(self._pr)
+            val[same] += pim[ls] * (1.0 - self.c * pr[ls])
+        return val
 
     # closed-form oracles ----------------------------------------------
     def oracle_level(self, n: int, u, v) -> float:
@@ -234,7 +250,11 @@ class FiniteStateModel(Model):
             if len(row) != self.S:
                 raise InputError(f"map table {k} has {len(row)} entries, expected {self.S}")
             for s, x in enumerate(row):
-                if not isinstance(x, int) or not 0 <= x < self.S:
+                try:
+                    row[s] = operator.index(x)  # any integer, stored as a Python int
+                except TypeError:
+                    row[s] = -1  # not an integer: refused as out of range below
+                if not 0 <= row[s] < self.S:
                     raise InputError(f"map table {k} sends state {s} to {x!r}, outside 0..{self.S - 1}")
         self.table = table
         self.m = len(self.maps_table)
@@ -243,7 +263,11 @@ class FiniteStateModel(Model):
             [(lambda row: (lambda s: row[s]))(row) for row in self.maps_table],
             name=f"{name}-maps",
         )
-        self.kernel = Kernel(lambda s, t: float(table[s, t]), name=f"K[{name}]")
+        self.kernel = Kernel(
+            lambda s, t: float(table[s, t]), name=f"K[{name}]",
+            # States are ints, so the core orders each pair as (min, max).
+            batch=KernelBatch(int, lambda a, b, _same: table[np.minimum(a, b), np.maximum(a, b)]),
+        )
         self.lyapunov = _lyapunov_record(lyapunov, self.S) if lyapunov else None
 
     def point(self, spec) -> Point:

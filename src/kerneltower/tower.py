@@ -1,20 +1,24 @@
 """The kernel tower: iterated branching, defects, and the invariant completion.
 
-Level Grams are computed by advancing, per base pair, the multiset of
-descendant point pairs one branching step at a time.  On finite-state
-systems the multiset collapses to at most S^2 entries with integer
-multiplicities; on genuine trees it grows by a factor m per level and is
-guarded by the pair cap.  Defects are exact level differences; their PSD
-margins are certified per level.
+Level n of the tower is K_n = L^n K: each entry K_n(s, t) sums K over the
+pair orbit {(phi_w s, phi_w t) : |w| = n}.  The core interns every point
+it reaches as an int id and turns each map into an int successor array,
+grown one level at a time.  A base pair's orbit is an array of
+(base pair, lo id, hi id) rows with float64 multiplicities; one branching
+step maps all rows through the m successor arrays at once and merges
+duplicate rows.  On finite-state systems the orbits saturate at S^2 pairs
+per base pair; on genuine trees they grow by a factor m per level and are
+guarded by the pair cap.  Each Gram entry is the exactly rounded
+``math.fsum`` of count * kernel-value terms.  Defects are exact level
+differences; their PSD margins are certified per level.
 
-Word-sum evaluation (one sum over all length-n words) is kept as an
-independent second route to the same level Grams.
+Word-sum evaluation (one sum over all length-n words, with the scalar
+kernel) is kept as an independent second route to the same level Grams.
 """
 
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass
 from typing import Callable, Iterator, Sequence
 
@@ -62,6 +66,63 @@ def _canon_pair(x, y):
         return (x, y)
 
 
+class _PointIndex:
+    """Points interned as int ids, with one successor array per map.
+
+    Successors are computed for each point once, when the level holding it
+    is advanced, so the table grows one level at a time.
+    """
+
+    def __init__(self, maps):
+        self.maps = maps
+        self.ids: dict = {}
+        self.points: list = []
+        self.succ = np.empty((len(maps), 0), dtype=np.int64)
+        self.features = np.empty(0, dtype=np.int64)
+
+    def intern(self, points) -> np.ndarray:
+        setdefault, ids = self.ids.setdefault, self.ids
+        out = np.array([setdefault(p, len(ids)) for p in points], dtype=np.int64)
+        self.points.extend(list(ids)[len(self.points):])
+        return out
+
+    def successors(self) -> np.ndarray:
+        done = self.succ.shape[1]
+        if done < len(self.points):
+            fresh = self.points[done:]
+            rows = [self.intern(map(f, fresh)) for f in self.maps]
+            self.succ = np.concatenate([self.succ, np.vstack(rows)], axis=1)
+        return self.succ
+
+    def feature_array(self, feature) -> np.ndarray:
+        have = len(self.features)
+        if have < len(self.points):
+            fresh = np.fromiter(map(feature, self.points[have:]), dtype=np.int64)
+            self.features = np.concatenate([self.features, fresh])
+        return self.features
+
+
+def _distinct(columns, sizes):
+    """Distinct rows of int columns (column k below sizes[k]), sorted, and each row's rank.
+
+    Rows are packed into one exact int64 key when the key space fits in
+    63 bits; otherwise numpy compares them column by column.
+    """
+    if math.prod(sizes) >= 2**63:
+        rows, inverse = np.unique(np.column_stack(columns), axis=0, return_inverse=True)
+        return list(rows.T), inverse.reshape(-1)
+    key = columns[0]
+    for col, size in zip(columns[1:], sizes[1:]):
+        key = key * size + col
+    uniq, inverse = np.unique(key, return_inverse=True)
+    out = []
+    for size in reversed(sizes[1:]):
+        uniq, col = np.divmod(uniq, size)
+        out.append(col)
+    out.append(uniq)
+    return out[::-1], inverse.reshape(-1)
+
+
 def tower_gram_iter(
     K: Kernel,
     branch: BranchSystem,
@@ -70,52 +131,72 @@ def tower_gram_iter(
 ) -> Iterator[np.ndarray]:
     """Yield the level-0, level-1, ... Gram matrices of the tower on ``points``.
 
-    Each unordered base pair carries a Counter of descendant pairs with
-    multiplicities; one branching step maps every pair through all m maps.
+    Every point reached is interned once as an int id; each map becomes an
+    int successor array, extended by the points of each new level only when
+    the next level is requested, so callers may stop at any horizon.  Each
+    unordered base pair carries its pair orbit as rows (base pair, lo id,
+    hi id) with float64 multiplicities (exact below 2^53, never wrapping).
+    One step maps all rows through the successor arrays and merges
+    duplicates.  A level's pairs are evaluated in one call when the kernel
+    has a ``KernelBatch``; otherwise the scalar kernel is called once per
+    distinct pair, ordered by ``_canon_pair``.  Each entry is the
+    ``math.fsum`` of its rows' count * value terms: exactly rounded, so it
+    does not depend on the order of the rows.  Pairs of points that do not
+    compare are merged as unordered pairs.
+
+    ``pair_cap`` bounds the rows of a level (distinct pairs summed over the
+    base pairs); a level beyond it raises a resource error when requested.
     """
     pts = tuple(points)
     n = len(pts)
     if n == 0:
         raise InputError("tower needs a nonempty base point list")
-    maps = branch.maps
+    batch = K.batch if isinstance(K, Kernel) else None
     evaluate = K.raw() if isinstance(K, Kernel) else K
-    index_pairs = [(a, b) for a in range(n) for b in range(a, n)]
-    orbits = [Counter({_canon_pair(pts[a], pts[b]): 1}) for (a, b) in index_pairs]
+    index = _PointIndex(branch.maps)
+    base = index.intern(pts)
+    ia, ib = np.triu_indices(n)
+    n_pairs = len(ia)
+    bp = np.arange(n_pairs)
+    lo = np.minimum(base[ia], base[ib])
+    hi = np.maximum(base[ia], base[ib])
+    cnt = np.ones(n_pairs)
 
     while True:
-        cache: dict = {}
-        cache_get = cache.get
+        if batch is not None:
+            feat = index.feature_array(batch.feature)
+            values = batch.evaluate(feat[lo], feat[hi], lo == hi)
+        else:
+            size = len(index.points)
+            (plo, phi), which = _distinct([lo, hi], [size, size])
+            pool = index.points
+            values = np.array(
+                [evaluate(*_canon_pair(pool[a], pool[b]))
+                 for a, b in zip(plo.tolist(), phi.tolist())],
+                dtype=float,
+            )[which]
+        terms = (cnt * values).tolist()
+        bounds = np.searchsorted(bp, np.arange(n_pairs + 1)).tolist()
+        sums = [math.fsum(terms[bounds[k]:bounds[k + 1]]) for k in range(n_pairs)]
         G = np.empty((n, n), dtype=float)
-        for (a, b), orbit in zip(index_pairs, orbits):
-            terms = []
-            for pair, cnt in orbit.items():
-                v = cache_get(pair)
-                if v is None:
-                    v = evaluate(pair[0], pair[1])
-                    cache[pair] = v
-                terms.append(cnt * v)
-            total = math.fsum(terms)
-            G[a, b] = total
-            G[b, a] = total
+        G[ia, ib] = sums
+        G[ib, ia] = sums
         yield G
 
-        size = 0
-        new_orbits = []
-        for orbit in orbits:
-            nxt: Counter = Counter()
-            for (x, y), cnt in orbit.items():
-                for f in maps:
-                    fx, fy = f(x), f(y)
-                    key = _canon_pair(fx, fy)
-                    nxt[key] += cnt
-            size += len(nxt)
-            if size > pair_cap:
-                raise ResourceError(
-                    f"tower pair orbit exceeded the cap of {pair_cap} pairs; "
-                    "reduce the horizon or supply a tail certificate"
-                )
-            new_orbits.append(nxt)
-        orbits = new_orbits
+        succ = index.successors()
+        size = len(index.points)
+        m = len(succ)
+        a, b = succ[:, lo].ravel(), succ[:, hi].ravel()
+        (bp, lo, hi), which = _distinct(
+            [np.tile(bp, m), np.minimum(a, b), np.maximum(a, b)],
+            [n_pairs, size, size],
+        )
+        if len(bp) > pair_cap:
+            raise ResourceError(
+                f"tower pair orbit exceeded the cap of {pair_cap} pairs; "
+                "reduce the horizon or supply a tail certificate"
+            )
+        cnt = np.bincount(which, weights=np.tile(cnt, m), minlength=len(bp))
 
 
 @dataclass
@@ -270,11 +351,15 @@ class TailCertificate:
         dom = set(self.domain)
         return all(s in dom for s in points)
 
-    def bound(self, s: Point, t: Point, N: int) -> float:
+    def _require_tail_form(self) -> None:
+        # A diagonal-form premise bounds the kernel diagonal, not the defect.
         if self.form != "defect" or not self.beta < 1.0:
             raise ContractError(
                 "tail bounds need a defect-form certificate with beta < 1"
             )
+
+    def bound(self, s: Point, t: Point, N: int) -> float:
+        self._require_tail_form()
         return (
             self.C / (1.0 - self.beta)
             * self.beta**N
@@ -282,6 +367,7 @@ class TailCertificate:
         )
 
     def bound_matrix(self, points: Sequence[Point], N: int) -> np.ndarray:
+        self._require_tail_form()
         pts = tuple(points)
         r_vals = np.array([self.r_fn(s) for s in pts], dtype=float)
         root = np.sqrt(r_vals)

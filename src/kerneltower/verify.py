@@ -406,7 +406,8 @@ def check_boundary_gram(ctx) -> CheckResult:
     chain = build_doob(model.oracle_gauge, B, dom, ctx.tol)
 
     bg_half = boundary_feature_gram(K, tower, chain, ProductCylinderWeights.bernoulli(0.5), 8, ctx.tol)
-    bg_alt = boundary_feature_gram(K, tower, chain, ProductCylinderWeights.bernoulli(0.3), 8, ctx.tol)
+    bg_alt = boundary_feature_gram(K, tower, chain, ProductCylinderWeights.bernoulli(0.3), 8, ctx.tol,
+                                   sections=bg_half.sections)
     nu_shift = float(np.max(np.abs(bg_half.entries - bg_alt.entries)))
 
     h_vec = np.array([chain.h(s) for s in F])

@@ -6,8 +6,11 @@ agreement with the library is evidence, not tautology.
 """
 
 import math
+from collections import Counter
 
 import numpy as np
+
+from kerneltower import InputError, Kernel, ResourceError
 
 
 def all_words(m, n):
@@ -54,6 +57,60 @@ def diagonal_word_sum(K, maps, s, n):
         K(word_forward(maps, w, s), word_forward(maps, w, s))
         for w in all_words(m, n)
     )
+
+
+def _canon_pair(x, y):
+    if x == y:
+        return (x, y)
+    try:
+        return (x, y) if x <= y else (y, x)
+    except TypeError:
+        return (x, y)
+
+
+def reference_tower_gram_iter(K, branch, points, pair_cap=2**24):
+    """Level Grams from one Counter of descendant pairs per base pair.
+
+    The pair-orbit loop the table-backed core replaced: every pair is
+    mapped through every map and re-ordered in Python, and each level's
+    distinct pairs are evaluated once with the scalar kernel.
+    """
+    pts = tuple(points)
+    n = len(pts)
+    if n == 0:
+        raise InputError("tower needs a nonempty base point list")
+    maps = branch.maps
+    evaluate = K.raw() if isinstance(K, Kernel) else K
+    index_pairs = [(a, b) for a in range(n) for b in range(a, n)]
+    orbits = [Counter({_canon_pair(pts[a], pts[b]): 1}) for (a, b) in index_pairs]
+    while True:
+        cache = {}
+        G = np.empty((n, n), dtype=float)
+        for (a, b), orbit in zip(index_pairs, orbits):
+            terms = []
+            for pair, cnt in orbit.items():
+                v = cache.get(pair)
+                if v is None:
+                    v = evaluate(pair[0], pair[1])
+                    cache[pair] = v
+                terms.append(cnt * v)
+            G[a, b] = G[b, a] = math.fsum(terms)
+        yield G
+        size = 0
+        new_orbits = []
+        for orbit in orbits:
+            nxt = Counter()
+            for (x, y), cnt in orbit.items():
+                for f in maps:
+                    nxt[_canon_pair(f(x), f(y))] += cnt
+            size += len(nxt)
+            if size > pair_cap:
+                raise ResourceError(
+                    f"tower pair orbit exceeded the cap of {pair_cap} pairs; "
+                    "reduce the horizon or supply a tail certificate"
+                )
+            new_orbits.append(nxt)
+        orbits = new_orbits
 
 
 def reference_sample(factors, seed, nsamples):

@@ -316,6 +316,19 @@ def test_boundary_gram_residual_and_nu_invariance(chain, ex25, small_base):
     assert np.max(np.abs(bg.entries - bg_alt.entries)) <= 1e-12
 
 
+def test_boundary_gram_reused_sections_match_a_fresh_build(chain, ex25, small_base):
+    tower = build_tower(ex25.kernel, ex25.branch, small_base, 6)
+    nu, nu_alt = ProductCylinderWeights.bernoulli(0.5), ProductCylinderWeights.bernoulli(0.3)
+    bg = boundary_feature_gram(ex25.kernel, tower, chain, nu, 6)
+    fresh = boundary_feature_gram(ex25.kernel, tower, chain, nu_alt, 6)
+    reused = boundary_feature_gram(ex25.kernel, tower, chain, nu_alt, 6, sections=bg.sections)
+    assert reused.sections is bg.sections
+    assert np.array_equal(reused.entries, fresh.entries)
+    assert np.array_equal(reused.reference, fresh.reference)
+    with pytest.raises(InputError, match="other base points or levels"):
+        boundary_feature_gram(ex25.kernel, tower, chain, nu_alt, 5, sections=bg.sections)
+
+
 def test_boundary_gram_full_identity(chain, ex25, small_base):
     tower = build_tower(ex25.kernel, ex25.branch, small_base, 8)
     bg = boundary_feature_gram(

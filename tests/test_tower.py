@@ -247,6 +247,29 @@ def test_estimate_requires_covering_certificate(ex25, small_base):
         estimate_K_infinity(ex25.kernel, ex25.branch, small_base, certificate=cert)
 
 
+def test_estimate_refuses_diagonal_form_certificate_with_beta_one(ex25, root):
+    # diagonal_lyapunov gives beta = 1: the closed form would divide by 1 - beta.
+    r_fn, C = ex25.diagonal_lyapunov()
+    diag = lambda s: ex25.kernel(s, s)
+    cert = lyapunov_verify(diag, ex25.branch, r_fn, C, 1.0, [root], form="diagonal")
+    assert hasattr(cert, "bound") and cert.beta == 1.0
+    with pytest.raises(ContractError, match="defect-form"):
+        estimate_K_infinity(ex25.kernel, ex25.branch, [root], max_levels=6, certificate=cert)
+
+
+def test_estimate_refuses_diagonal_form_certificate_with_beta_below_one(ex25, root):
+    # A verified diagonal-form premise bounds the diagonal, not the defect,
+    # so it may not label a tail bound certified even when beta < 1.
+    diag = lambda s: ex25.kernel(s, s)
+    cert = lyapunov_verify(diag, ex25.branch, lambda s: 0.25 ** len(s), 2.0, 0.5,
+                           [root], form="diagonal")
+    assert hasattr(cert, "bound") and cert.beta == 0.5
+    with pytest.raises(ContractError, match="defect-form"):
+        estimate_K_infinity(ex25.kernel, ex25.branch, [root], max_levels=6, certificate=cert)
+    with pytest.raises(ContractError, match="defect-form"):
+        cert.bound(root, root, 6)
+
+
 def test_invariance_residual_oracle_is_tiny(ex25, small_base):
     F1 = orbit_closure(ex25.branch, small_base, 1)
     oracle = np.array([[ex25.oracle_limit(s, t) for t in F1] for s in F1])

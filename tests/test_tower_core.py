@@ -1,0 +1,158 @@
+"""The table-backed tower core against the Counter reference and the word route."""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from kerneltower import (
+    BranchSystem,
+    FiniteStateModel,
+    Kernel,
+    ResourceError,
+    WordTreeModel,
+    level_via_words,
+)
+from kerneltower.points import orbit_closure
+from kerneltower.tower import TELESCOPE_RTOL, _distinct, tower_gram_iter
+
+from oracles import reference_tower_gram_iter
+
+
+def _levels(gen, n):
+    return [next(gen) for _ in range(n + 1)]
+
+
+def _assert_core_equals_reference(K, branch, points, n):
+    core = _levels(tower_gram_iter(K, branch, points), n)
+    ref = _levels(reference_tower_gram_iter(K, branch, points), n)
+    for level, (a, b) in enumerate(zip(core, ref)):
+        assert np.array_equal(a, b), f"level {level}: max diff {np.max(np.abs(a - b))}"
+    return core
+
+
+def test_core_equals_reference_on_ex25(ex25, closure2):
+    _assert_core_equals_reference(ex25.kernel, ex25.branch, closure2, 8)
+
+
+def test_core_equals_reference_on_scalar_word_tree_parts(ex25, closure2):
+    # These kernels have no batch form: the per-pair scalar route.
+    for K in (ex25.strict_part, ex25.rank_one, ex25.majorant):
+        _assert_core_equals_reference(K, ex25.branch, closure2, 6)
+
+
+def test_core_equals_reference_on_word_tree_m3():
+    model = WordTreeModel(m=3, r=0.3, c=0.9, eta=2.0)
+    F = orbit_closure(model.branch, [model.point("")], 2)
+    _assert_core_equals_reference(model.kernel, model.branch, F, 5)
+
+
+def test_core_equals_reference_on_delta_model(delta2, closure2):
+    _assert_core_equals_reference(delta2.kernel, delta2.branch, closure2, 8)
+
+
+def test_core_equals_reference_on_feeder(feeder):
+    _assert_core_equals_reference(feeder.kernel, feeder.branch, feeder.all_states(), 10)
+
+
+def test_core_equals_reference_on_seeded_finite_state(sink_model):
+    _assert_core_equals_reference(
+        sink_model.kernel, sink_model.branch, sink_model.all_states(), 12
+    )
+
+
+def test_batched_and_scalar_kernels_agree_bitwise(ex25, closure2, sink_model):
+    for model, pts in ((ex25, closure2), (sink_model, sink_model.all_states())):
+        scalar = Kernel(model.kernel.raw(), name="scalar")
+        a = _levels(tower_gram_iter(model.kernel, model.branch, pts), 6)
+        b = _levels(tower_gram_iter(scalar, model.branch, pts), 6)
+        assert all(np.array_equal(x, y) for x, y in zip(a, b))
+
+
+def test_core_handles_points_that_do_not_compare():
+    # ints and strings do not order; the core merges their pairs unordered.
+    maps = [lambda s: "a" if s == 0 else 0, lambda s: s]
+    branch = BranchSystem(maps)
+    K = Kernel(lambda s, t: 2.0 if s == t else 0.5)
+    pts = [0, "a"]
+    core = _levels(tower_gram_iter(K, branch, pts), 6)
+    ref = _levels(reference_tower_gram_iter(K, branch, pts), 6)
+    for a, b in zip(core, ref):
+        assert np.max(np.abs(a - b)) <= 1e-12 * max(1.0, np.max(np.abs(b)))
+
+
+@pytest.mark.parametrize("m, n", [(2, 6), (3, 4)])
+def test_pair_cap_boundary(m, n):
+    # On the word tree one base point has exactly m^n pairs at level n.
+    model = WordTreeModel(m=m)
+    root = [model.point("")]
+    levels = _levels(tower_gram_iter(model.kernel, model.branch, root, pair_cap=m**n), n)
+    assert len(levels) == n + 1
+    for gen in (tower_gram_iter, reference_tower_gram_iter):
+        it = gen(model.kernel, model.branch, root, pair_cap=m**n - 1)
+        for _ in range(n):
+            next(it)
+        with pytest.raises(ResourceError, match=f"cap of {m**n - 1} pairs"):
+            next(it)
+
+
+def test_distinct_column_fallback_matches_packed_keys():
+    rng = np.random.default_rng(7)
+    cols = [rng.integers(0, 5, 200), rng.integers(0, 9, 200), rng.integers(0, 9, 200)]
+    packed, inv_packed = _distinct(cols, [5, 9, 9])
+    # A key space of 2^63 or more is compared column by column.
+    wide, inv_wide = _distinct(cols, [5, 2**31, 2**31])
+    assert all(np.array_equal(a, b) for a, b in zip(packed, wide))
+    assert np.array_equal(inv_packed, inv_wide)
+    rows = sorted(set(zip(*(c.tolist() for c in cols))))
+    assert [tuple(r) for r in zip(*(c.tolist() for c in packed))] == rows
+
+
+def test_numpy_integer_maps_give_the_same_tower(sink_model):
+    as_arrays = [np.array(row, dtype=np.int32) for row in sink_model.maps_table]
+    model = FiniteStateModel(as_arrays, sink_model.table, name="sink")
+    assert all(type(x) is int for row in model.maps_table for x in row)
+    pts = model.all_states()
+    a = _levels(tower_gram_iter(model.kernel, model.branch, pts), 8)
+    b = _levels(tower_gram_iter(sink_model.kernel, sink_model.branch, pts), 8)
+    assert all(np.array_equal(x, y) for x, y in zip(a, b))
+
+
+@st.composite
+def random_tables(draw):
+    """Random maps on S states with a random PSD kernel table.
+
+    The kernel need not be subinvariant: the properties below are about
+    tower_gram_iter, not about defect certification.  The table is
+    symmetric only to 1e-13, as the model allows, so the order in which a
+    pair is looked up shows in the bits.
+    """
+    S = draw(st.integers(1, 7))
+    m = draw(st.integers(1, 3))
+    maps = [draw(st.lists(st.integers(0, S - 1), min_size=S, max_size=S)) for _ in range(m)]
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    A = rng.standard_normal((S, draw(st.integers(1, S))))
+    table = A @ A.T + 1e-13 * np.triu(rng.random((S, S)), 1)
+    base = draw(st.lists(st.integers(0, S - 1), min_size=1, max_size=5))
+    return FiniteStateModel(maps, table), base
+
+
+@settings(max_examples=60, deadline=None)
+@given(random_tables(), st.integers(0, 6))
+def test_random_tables_core_matches_reference_and_words(case, n):
+    model, base = case
+    core = _assert_core_equals_reference(model.kernel, model.branch, base, n)
+    for level in range(n + 1):
+        W = level_via_words(model.kernel, model.branch, base, level).entries
+        scale = max(1.0, float(np.max(np.abs(W))))
+        assert np.max(np.abs(core[level] - W)) <= 1e-12 * scale
+    telescoped = core[0] + sum(core[k + 1] - core[k] for k in range(n))
+    scale = max(1.0, float(np.max(np.abs(core[-1]))))
+    assert np.max(np.abs(telescoped - core[-1])) <= TELESCOPE_RTOL * scale
+
+
+def test_multiplicities_count_the_words(sink_model):
+    # With K = 1 every entry of level n counts the m^n words.
+    it = tower_gram_iter(Kernel(lambda s, t: 1.0), sink_model.branch, sink_model.all_states())
+    for n in range(8):
+        assert np.all(next(it) == 2.0**n)
