@@ -278,6 +278,10 @@ def cmd_boundary(cfg: Config, model: Model, base, bundle: Bundle) -> dict:
                 cert.bound(s, s, cfg.horizon) for s in positive
             )
     chain = build_doob(gauge, model.branch, domain, cfg.tol)
+    for key in ("nu", "nu_alt"):
+        if len(cfg.boundary[key]) != model.branch.m:
+            raise InputError(f"config boundary.{key}: expected {model.branch.m} weights, "
+                             f"one per map, got {len(cfg.boundary[key])}")
     gauge_info["harmonicity_residual"] = chain.harmonicity_residual
     base = [s for s in base if chain.in_domain(s)]
     if not base:

@@ -20,11 +20,11 @@ Schema (all keys optional unless noted):
     pair_cap: 16777216
     certificate: auto       # auto | none | {C, beta, r: {kind: length-decay,
                             #   base} | {kind: table, values: {label: val}}}
-    boundary:
-      cylinder_levels: 12
-      feature_levels: 8
-      nu: [0.5, 0.5]
-      nu_alt: [0.3, 0.7]
+    boundary:               # no other keys
+      cylinder_levels: 12   # >= 0
+      feature_levels: 8     # >= 1
+      nu: [0.5, 0.5]        # positive weights summing to 1, one per map
+      nu_alt: [0.3, 0.7]    #   (the count is checked by ``boundary``)
     gaussian:
       export_samples: false
     output:
@@ -37,6 +37,7 @@ Schema violations raise input errors with the offending key path.
 from __future__ import annotations
 
 import csv as _csv
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Mapping
@@ -51,6 +52,12 @@ _TOP_KEYS = {
     "certificate", "boundary", "gaussian", "output", "fault_injection",
 }
 _MODEL_KINDS = ("word-tree", "delta", "feeder", "finite-state")
+_BOUNDARY_DEFAULTS = {
+    "cylinder_levels": 12,
+    "feature_levels": 8,
+    "nu": [0.5, 0.5],
+    "nu_alt": [0.3, 0.7],
+}
 
 _DEFAULT_BASE_POINTS = {
     "word-tree": ["", "1", "2"],
@@ -75,6 +82,18 @@ def _as_float(value, path: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise _type_error(path, "a number", value)
     return float(value)
+
+
+def _check_weights(value, path: str) -> None:
+    # The symbol weights of a product cylinder measure; their count must
+    # match the model's map count, which is checked where the model exists.
+    if not isinstance(value, list) or not value:
+        raise _type_error(path, "a nonempty list of weights", value)
+    q = [_as_float(x, f"{path}[{k}]") for k, x in enumerate(value)]
+    if not all(x > 0.0 for x in q):
+        raise InputError(f"config {path}: weights must be strictly positive, got {value!r}")
+    if abs(math.fsum(q) - 1.0) > 1e-9:
+        raise InputError(f"config {path}: weights must sum to 1, got {value!r}")
 
 
 def _as_int(value, path: str) -> int:
@@ -200,12 +219,20 @@ def parse_config(raw: Mapping, base_dir: Path | None = None) -> Config:
     boundary = raw.get("boundary", {})
     if not isinstance(boundary, Mapping):
         raise _type_error("boundary", "a mapping", boundary)
-    cfg.boundary = {
-        "cylinder_levels": _as_int(boundary.get("cylinder_levels", 12), "boundary.cylinder_levels"),
-        "feature_levels": _as_int(boundary.get("feature_levels", 8), "boundary.feature_levels"),
-        "nu": list(boundary.get("nu", [0.5, 0.5])),
-        "nu_alt": list(boundary.get("nu_alt", [0.3, 0.7])),
-    }
+    for key in boundary:
+        if key not in _BOUNDARY_DEFAULTS:
+            raise InputError(f"config boundary.{key}: unknown key "
+                             f"(expected one of {sorted(_BOUNDARY_DEFAULTS)})")
+    cfg.boundary = {}
+    for key, default in _BOUNDARY_DEFAULTS.items():
+        value, path = boundary.get(key, default), f"boundary.{key}"
+        if key.endswith("_levels"):
+            least = 1 if key == "feature_levels" else 0  # the feature Gram needs a defect
+            if _as_int(value, path) < least:
+                raise InputError(f"config {path}: must be at least {least}, got {value}")
+        else:
+            _check_weights(value, path)
+        cfg.boundary[key] = list(value) if isinstance(value, list) else value
 
     gaussian = raw.get("gaussian", {})
     if not isinstance(gaussian, Mapping):

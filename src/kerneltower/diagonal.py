@@ -7,6 +7,13 @@ diagonal traces two independent ways, verifies Lyapunov certificates,
 searches for branch-counting blow-up witnesses, and evaluates layer-cake
 identities and tail bounds.
 
+The word routes (the word sum of ``diagonal_trace``, layer-cake identities,
+level-set counts and blow-up witnesses) enumerate every length-n word in
+word order through :func:`points.word_levels`, evaluate the scalar kernel
+once per distinct point of a level (points that compare equal are one
+point), and gather the values back to one per word, so each sum is an
+exact ``math.fsum`` over all m^n per-word values.
+
 A finite trace can only ever classify heuristically; rigorous statements
 come from verified certificates (decay) or counting witnesses (blow-up).
 """
@@ -17,6 +24,8 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
+import numpy as np
+
 from .errors import ContractError, InputError, NumericalError
 from .kernels import Kernel
 from .points import (
@@ -24,8 +33,8 @@ from .points import (
     BranchSystem,
     Point,
     orbit_closure,
-    orbit_points_by_level,
     point_label,
+    word_levels,
 )
 from .tower import (
     DEFAULT_CEILING,
@@ -83,6 +92,24 @@ def classify_sequence(values: Sequence[float], eps: float, ceiling: float) -> st
     return INCONCLUSIVE
 
 
+def _word_diagonal(K: Kernel, level) -> np.ndarray:
+    """K(x, x) at each word of a :func:`word_levels` level, in word order.
+
+    The kernel is called once per distinct point of the level.
+    """
+    pts, idx = level
+    return np.array([K(x, x) for x in pts], dtype=float)[idx]
+
+
+def _count_words(level, hit: Callable[[Point], object]) -> int:
+    """Number of words of a :func:`word_levels` level whose point passes ``hit``.
+
+    ``hit`` is called once per distinct point of the level.
+    """
+    pts, idx = level
+    return int(np.count_nonzero(np.array([bool(hit(x)) for x in pts])[idx]))
+
+
 @dataclass
 class DiagonalTrace:
     """u_0(s)..u_N(s) with a finite-horizon verdict; u_N is an envelope lower bound."""
@@ -112,14 +139,17 @@ def diagonal_trace(
     """Diagonal values u_n(s) for n <= horizon, cross-checked two ways.
 
     Route one iterates the tower on the single point; route two sums the
-    kernel diagonal over all length-n branch words.  Disagreement beyond
-    1e-12 (relative) is a numerical failure.
+    kernel diagonal over all length-n branch words (the scalar kernel once
+    per distinct point of a level, an exact fsum over every word).
+    Disagreement beyond 1e-12 (relative) is a numerical failure.
     """
     it = tower_gram_iter(K, branch, [s], cap)
     tower_vals = [float(next(it)[0, 0]) for _ in range(horizon + 1)]
 
-    levels = orbit_points_by_level(branch, s, horizon, cap)
-    word_vals = [math.fsum(K(x, x) for x in level) for level in levels]
+    word_vals = [
+        math.fsum(_word_diagonal(K, level).tolist())
+        for level in word_levels(branch, s, horizon, cap)
+    ]
 
     for n, (a, b) in enumerate(zip(tower_vals, word_vals)):
         if abs(a - b) > 1e-12 * max(1.0, abs(a)):
@@ -234,9 +264,9 @@ def blowup_detect(
     levels = sorted(int(n) for n in levels)
     if not levels or levels[0] < 0:
         raise InputError("blow-up witness needs nonnegative levels")
-    by_level = orbit_points_by_level(branch, s, levels[-1], cap)
+    by_level = word_levels(branch, s, levels[-1], cap)
     counts = [
-        sum(1 for x in by_level[n] if region(x) and K(x, x) >= epsilon)
+        _count_words(by_level[n], lambda x: region(x) and K(x, x) >= epsilon)
         for n in levels
     ]
     return BlowupWitness(epsilon=epsilon, rho=rho, levels=levels, counts=counts)
@@ -251,8 +281,7 @@ def level_set_count(
     cap: int = DEFAULT_WORD_CAP,
 ) -> int:
     """#{words of length n with diagonal value at least theta}, by enumeration."""
-    level = orbit_points_by_level(branch, s, n, cap)[n]
-    return sum(1 for x in level if K(x, x) >= theta)
+    return _count_words(word_levels(branch, s, n, cap)[n], lambda x: K(x, x) >= theta)
 
 
 @dataclass
@@ -278,19 +307,19 @@ def layer_cake_check(
     the distinct diagonal values, so the integral is the finite
     summation-by-parts sum_j (v_j - v_{j-1}) * #{values >= v_j}.
     """
-    level = orbit_points_by_level(branch, s, n, cap)[n]
-    values = sorted(K(x, x) for x in level)
-    if values and values[0] < 0.0:
+    values = _word_diagonal(K, word_levels(branch, s, n, cap)[n])
+    if np.min(values) < 0.0:
         raise InputError("layer-cake identity needs a nonnegative diagonal")
-    total = len(values)
-    terms = []
-    prev = 0.0
-    for i, v in enumerate(values):
-        if v > prev:
-            terms.append((v - prev) * (total - i))
-            prev = v
-    integral = math.fsum(terms)
-    word_sum = math.fsum(values)
+    # Sorted, the values jump at each distinct positive v_j, and i_j values
+    # lie below it: the term is (v_j - v_{j-1}) * (total - i_j).
+    distinct, counts = np.unique(values, return_counts=True)
+    below = np.cumsum(counts) - counts
+    up = distinct > 0.0
+    jumps = distinct[up]
+    prev = np.concatenate(([0.0], jumps[:-1]))
+    terms = (jumps - prev) * (len(values) - below[up])
+    integral = math.fsum(terms.tolist())
+    word_sum = math.fsum(values.tolist())
     return LayerCakeResult(integral=integral, word_sum=word_sum)
 
 

@@ -173,8 +173,12 @@ def martingale_checks(
     if N < 1:
         raise InputError("martingale checks need at least one increment level")
     _, n, P = batch.fields.shape
-    # I[j, k*P + a]: level-k increment of sample j at point a.
-    I = np.diff(batch.fields, axis=0).transpose(1, 0, 2).reshape(n, N * P)
+    # I[j, k*P + a]: level-k increment of sample j at point a, subtracted
+    # straight into place: no level-major temporary of the same size.
+    values = batch.values
+    I = np.empty((n, N, P))
+    np.subtract(values[:, 1:], values[:, :-1], out=I)
+    I = I.reshape(n, N * P)
 
     mean_z = float(np.max(_z_scores(I.mean(axis=0), I.std(axis=0) / math.sqrt(n))))
 

@@ -8,13 +8,19 @@ composition applies the first symbol's map first.
 
 All enumerations are deterministic (lexicographic) and guarded by an
 explicit cap so that exponential blow-ups surface as resource errors
-instead of silent memory exhaustion.
+instead of silent memory exhaustion.  The word routes (the independent
+oracles of the tower and diagonal modules) read levels from
+:func:`word_levels`: every word in word order, stored as an index into the
+level's distinct points, so a kernel is evaluated once per distinct point
+while every word still contributes its own term to each sum.
 """
 
 from __future__ import annotations
 
 import itertools
 from typing import Callable, Hashable, Iterable, Sequence
+
+import numpy as np
 
 from .errors import InputError, ResourceError
 
@@ -98,22 +104,53 @@ def enumerate_words(m: int, n: int, cap: int = DEFAULT_WORD_CAP) -> list[Word]:
     return list(itertools.product(range(1, m + 1), repeat=n))
 
 
+def word_levels(
+    branch: BranchSystem, s: Point, n: int, cap: int = DEFAULT_WORD_CAP
+) -> list[tuple[list[Point], np.ndarray]]:
+    """Levels 0..n of the word tree of ``s``, each as (points, index).
+
+    ``points`` lists the distinct values phi_w(s), |w| = k; ``index`` is an
+    int64 array of length m^k whose entry j is the position in ``points``
+    of phi_w(s) for the j-th word of enumerate_words(m, k).  Every word is
+    enumerated, but each map is applied once per distinct point of a level:
+    the next index array is the concatenation over maps of image_i[index].
+    Points that compare equal are one point (the first one reached stands
+    for all of them).
+    """
+    if n < 0:
+        raise InputError("word length must be nonnegative")
+    check_word_cap(branch.m, n, cap)
+    pts, idx = [s], np.zeros(1, dtype=np.int64)
+    levels = [(pts, idx)]
+    for _ in range(n):
+        images = [f(p) for f in branch.maps for p in pts]
+        distinct = list(dict.fromkeys(images))
+        if len(distinct) == len(images):
+            codes = np.arange(len(images), dtype=np.int64)
+        else:
+            ids = {p: i for i, p in enumerate(distinct)}
+            codes = np.fromiter(map(ids.__getitem__, images), dtype=np.int64,
+                                count=len(images))
+        # phi_{(i,)+w}(s) = phi_i(phi_w(s)): new symbol outermost, so the
+        # lexicographic word order is preserved by taking symbols outermost.
+        nxt = np.empty(branch.m * len(idx), dtype=np.int64)
+        for i, image in enumerate(codes.reshape(branch.m, len(pts))):
+            np.take(image, idx, out=nxt[i * len(idx):(i + 1) * len(idx)])
+        pts, idx = distinct, nxt
+        levels.append((pts, idx))
+    return levels
+
+
 def orbit_points_by_level(
     branch: BranchSystem, s: Point, n: int, cap: int = DEFAULT_WORD_CAP
 ) -> list[list[Point]]:
     """Level k holds phi_w(s) for all words |w| = k, in word-lexicographic order.
 
     Duplicates are kept, so level k has exactly m^k entries and entry j of
-    level k corresponds to the j-th word of enumerate_words(m, k).
+    level k corresponds to the j-th word of enumerate_words(m, k).  This is
+    :func:`word_levels` with every index expanded to its point.
     """
-    check_word_cap(branch.m, n, cap)
-    levels = [[s]]
-    for _ in range(n):
-        prev = levels[-1]
-        # phi_{(i,)+w}(s) = phi_i(phi_w(s)): new symbol outermost, so the
-        # lexicographic word order is preserved by iterating symbols outermost.
-        levels.append([f(p) for f in branch.maps for p in prev])
-    return levels
+    return [[pts[j] for j in idx.tolist()] for pts, idx in word_levels(branch, s, n, cap)]
 
 
 def orbit_closure(

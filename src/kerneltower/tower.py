@@ -13,7 +13,10 @@ guarded by the pair cap.  Each Gram entry is the exactly rounded
 differences; their PSD margins are certified per level.
 
 Word-sum evaluation (one sum over all length-n words, with the scalar
-kernel) is kept as an independent second route to the same level Grams.
+kernel) is kept as an independent second route to the same level Grams:
+:func:`level_via_words` enumerates every word in word order, calls the
+scalar kernel once per distinct point pair of a level, and ``math.fsum``s
+all m^n per-word values.
 """
 
 from __future__ import annotations
@@ -47,8 +50,8 @@ from .points import (
     DEFAULT_WORD_CAP,
     BranchSystem,
     Point,
-    orbit_points_by_level,
     point_label,
+    word_levels,
 )
 
 DEFAULT_MAX_LEVELS = 40
@@ -315,17 +318,39 @@ def level_via_words(
     """Level-n Gram by direct word-sum expansion (independent of build_tower).
 
     Sums K over all length-n words applied synchronously to both arguments.
+    Each base point's level comes from :func:`points.word_levels` (distinct
+    points plus one index per word, points that compare equal being one
+    point).  The scalar kernel is called once per distinct synchronous pair
+    of a base pair, and each entry is the ``math.fsum`` of all m^n per-word
+    values gathered in word order.  Nothing is shared with the interned
+    tower core, and no batch form of the kernel is called.
     """
     pts = tuple(points)
     evaluate = K.raw() if isinstance(K, Kernel) else K
-    level_of = {s: orbit_points_by_level(branch, s, n, cap)[n] for s in set(pts)}
+    level_of = {s: word_levels(branch, s, n, cap)[n] for s in set(pts)}
     r = len(pts)
     G = np.empty((r, r), dtype=float)
     for a in range(r):
-        la = level_of[pts[a]]
+        pa, ia = level_of[pts[a]]
         for b in range(a, r):
-            lb = level_of[pts[b]]
-            v = math.fsum(map(evaluate, la, lb))
+            pb, ib = level_of[pts[b]]
+            if len(pa) == len(ia) and len(pb) == len(ib):
+                # Levels that repeat no point list their points in word
+                # order (index 0..m^n-1): one distinct pair per word.
+                v = math.fsum(map(evaluate, pa, pb))
+            else:
+                key, size = ia * len(pb) + ib, len(pa) * len(pb)
+                if size <= len(key):  # a dense mask is no larger than the index
+                    seen = np.zeros(size, dtype=bool)
+                    seen[key] = True
+                    pairs, which = np.flatnonzero(seen), (np.cumsum(seen) - 1)[key]
+                elif size < 2**63:
+                    pairs, which = np.unique(key, return_inverse=True)
+                else:
+                    raise ResourceError(f"level-{n} word pairs exceed the int64 pair key")
+                x, y = np.divmod(pairs, len(pb))
+                values = [evaluate(pa[i], pb[j]) for i, j in zip(x.tolist(), y.tolist())]
+                v = math.fsum(np.array(values, dtype=float)[which].tolist())
             G[a, b] = v
             G[b, a] = v
     return Gram(pts, G)

@@ -158,3 +158,61 @@ def reference_martingale_z(values, defects):
         se = np.sqrt(np.maximum(np.outer(var, var) + cov**2, 0.0) / n)
         qv_z.append(float(np.max(_z(cov - D, se))))
     return mean_z, cross_z, qv_z
+
+
+# --- the list-walking word routes the indexed word levels replaced -----------
+
+def reference_orbit_points_by_level(branch, s, n):
+    """Level k lists phi_w(s) for every |w| = k, in word order, one Python point per word."""
+    levels = [[s]]
+    for _ in range(n):
+        prev = levels[-1]
+        levels.append([f(p) for f in branch.maps for p in prev])
+    return levels
+
+
+def reference_level_via_words(K, branch, points, n):
+    """Level-n Gram: the scalar kernel on every word's synchronous pair, fsum per entry."""
+    pts = tuple(points)
+    evaluate = K.raw() if isinstance(K, Kernel) else K
+    level_of = {s: reference_orbit_points_by_level(branch, s, n)[n] for s in set(pts)}
+    r = len(pts)
+    G = np.empty((r, r), dtype=float)
+    for a in range(r):
+        for b in range(a, r):
+            G[a, b] = G[b, a] = math.fsum(map(evaluate, level_of[pts[a]], level_of[pts[b]]))
+    return G
+
+
+def reference_diagonal_word_sums(K, branch, s, horizon):
+    """u_n(s) for n <= horizon as the fsum of K(x, x) over every word's point."""
+    return [
+        math.fsum(K(x, x) for x in level)
+        for level in reference_orbit_points_by_level(branch, s, horizon)
+    ]
+
+
+def reference_layer_cake(K, branch, s, n):
+    """(integral, word_sum) of the layer-cake identity by a loop over the sorted values."""
+    values = sorted(K(x, x) for x in reference_orbit_points_by_level(branch, s, n)[n])
+    total = len(values)
+    terms = []
+    prev = 0.0
+    for i, v in enumerate(values):
+        if v > prev:
+            terms.append((v - prev) * (total - i))
+            prev = v
+    return math.fsum(terms), math.fsum(values)
+
+
+def reference_level_set_count(K, branch, s, n, theta):
+    level = reference_orbit_points_by_level(branch, s, n)[n]
+    return sum(1 for x in level if K(x, x) >= theta)
+
+
+def reference_blowup_counts(K, branch, s, region, epsilon, levels):
+    by_level = reference_orbit_points_by_level(branch, s, max(levels))
+    return [
+        sum(1 for x in by_level[n] if region(x) and K(x, x) >= epsilon)
+        for n in sorted(levels)
+    ]

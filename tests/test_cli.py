@@ -2,6 +2,8 @@ import filecmp
 import json
 from pathlib import Path
 
+import pytest
+
 from kerneltower.cli import main
 
 
@@ -240,6 +242,27 @@ def test_boundary_without_positive_gauge_is_input_error(tmp_path, capsys):
     err = capsys.readouterr().err
     assert code == 2
     assert err.startswith("error[input]")
+
+
+@pytest.mark.parametrize("boundary, key", [
+    ("{cylinder_levels: -1}", "cylinder_levels"),
+    ("{feature_levels: -1}", "feature_levels"),
+    ("{feature_levels: 0}", "feature_levels"),
+    ("{nu: 5}", "nu"),
+    ("{nu: [a, b]}", "nu[0]"),
+    ("{nu: []}", "nu"),
+    ("{nu: [0.5, 0.6]}", "nu"),
+    ("{nu_alt: [0, 1]}", "nu_alt"),
+    ("{nu: [0.2, 0.3, 0.5]}", "nu"),
+    ("{nu_alt: [1.0]}", "nu_alt"),
+    ("{cylinder_level: 3}", "cylinder_level"),
+])
+def test_bad_boundary_keys_are_input_errors(tmp_path, capsys, boundary, key):
+    cfg = write_config(tmp_path, EX25_YAML + f"boundary: {boundary}\n")
+    code = main(["boundary", "--config", cfg, "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith(f"error[input]: config boundary.{key}: ")
 
 
 def test_verbose_reports_each_pipeline(tmp_path, capsys):

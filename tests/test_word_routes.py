@@ -1,0 +1,260 @@
+"""The word routes over indexed word levels against the list-walking references.
+
+The word routes are the independent oracles of the tower (criterion 2) and
+of the diagonal module (criteria 5 and 6).  They must give the very same
+floats as the per-word Python walk they replaced, call the scalar kernel
+once per distinct point (or synchronous pair) of a level, and touch
+nothing of the interned tower core.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import kerneltower.diagonal as diagonal_module
+import kerneltower.tower as tower_module
+from kerneltower import (
+    BranchSystem,
+    FiniteStateModel,
+    InputError,
+    Kernel,
+    blowup_detect,
+    build_tower,
+    diagonal_trace,
+    layer_cake_check,
+    level_set_count,
+    level_via_words,
+)
+from kerneltower.kernels import KernelBatch
+from kerneltower.points import orbit_points_by_level, word_levels
+
+from oracles import (
+    reference_blowup_counts,
+    reference_diagonal_word_sums,
+    reference_layer_cake,
+    reference_level_set_count,
+    reference_level_via_words,
+    reference_orbit_points_by_level,
+    reference_tower_gram_iter,
+)
+
+
+def _region(x):
+    """A region that cuts most levels (hashes of ints and int tuples are fixed)."""
+    return hash(x) % 3 != 1
+
+
+def _assert_routes_match_reference(K, branch, base, n):
+    """Every word route equals its list-walking reference bit for bit, levels 0..n."""
+    for level in range(n + 1):
+        W = level_via_words(K, branch, base, level).entries
+        assert np.array_equal(W, reference_level_via_words(K, branch, base, level)), level
+    for s in set(base):
+        sums = reference_diagonal_word_sums(K, branch, s, n)
+        for level in range(n + 1):
+            lc = layer_cake_check(K, branch, s, level)
+            assert (lc.integral, lc.word_sum) == reference_layer_cake(K, branch, s, level)
+            assert lc.word_sum == sums[level]
+            words = reference_orbit_points_by_level(branch, s, level)[level]
+            values = sorted({K(x, x) for x in words})
+            for theta in values + [0.0, values[-1] * 2 + 1.0]:
+                assert level_set_count(K, branch, s, level, theta) == \
+                    reference_level_set_count(K, branch, s, level, theta)
+        levels = list(range(n + 1))
+        for eps in (1e-12, 0.5):
+            witness = blowup_detect(K, branch, s, _region, eps, 1.5, levels)
+            assert witness.counts == reference_blowup_counts(K, branch, s, _region, eps, levels)
+
+
+# --- the indexed levels ------------------------------------------------------
+
+def test_word_levels_expand_to_the_reference_enumeration(sink_model):
+    for s in sink_model.all_states():
+        levels = word_levels(sink_model.branch, s, 6)
+        ref = reference_orbit_points_by_level(sink_model.branch, s, 6)
+        for k, (pts, idx) in enumerate(levels):
+            assert idx.dtype == np.int64 and len(idx) == 2**k
+            assert len(pts) == len(set(pts)) <= sink_model.S
+            assert [pts[j] for j in idx.tolist()] == ref[k]
+        assert orbit_points_by_level(sink_model.branch, s, 6) == ref
+
+
+def test_word_levels_apply_each_map_once_per_distinct_point(sink_model):
+    calls = []
+    maps = [(lambda f: lambda s: calls.append(s) or f(s))(f) for f in sink_model.branch.maps]
+    levels = word_levels(BranchSystem(maps), 3, 7)
+    assert len(calls) == sum(len(maps) * len(pts) for pts, _ in levels[:-1])
+
+
+def test_word_tree_levels_repeat_no_point(ex25, root):
+    # The no-repeat case: points in word order, index 0..m^n - 1.
+    for k, (pts, idx) in enumerate(word_levels(ex25.branch, root, 8)):
+        assert len(pts) == len(idx) == 2**k
+        assert np.array_equal(idx, np.arange(2**k))
+
+
+def test_points_that_compare_equal_are_one_point():
+    branch = BranchSystem([lambda s: 1, lambda s: 1.0])
+    pts, idx = word_levels(branch, 0, 1)[1]
+    assert pts == [1] and idx.tolist() == [0, 0]
+
+
+def test_level_via_words_calls_the_kernel_once_per_distinct_pair(sink_model):
+    seen = []
+    K = Kernel(lambda s, t: seen.append((s, t)) or float(sink_model.table[s, t]))
+    base = [1, 2, 5]
+    for n in range(7):
+        seen.clear()
+        level_via_words(K, sink_model.branch, base, n)
+        level_of = {s: reference_orbit_points_by_level(sink_model.branch, s, n)[n] for s in base}
+        distinct = sum(
+            len(set(zip(level_of[a], level_of[b])))
+            for i, a in enumerate(base) for b in base[i:]
+        )
+        assert len(seen) == distinct
+
+
+def test_diagonal_routes_call_the_kernel_once_per_distinct_point(sink_model):
+    seen = []
+    K = Kernel(lambda s, t: seen.append(s) or float(sink_model.table[s, t]))
+    level_set_count(K, sink_model.branch, 3, 9, 0.5)
+    assert len(seen) == len(word_levels(sink_model.branch, 3, 9)[9][0]) < 2**9
+
+
+# --- bit-for-bit against the references --------------------------------------
+
+def test_routes_match_reference_on_ex25(ex25, small_base):
+    _assert_routes_match_reference(ex25.kernel, ex25.branch, small_base, 7)
+
+
+def test_routes_match_reference_on_delta_model(delta2, root):
+    _assert_routes_match_reference(delta2.kernel, delta2.branch, [root, (1,)], 7)
+
+
+def test_routes_match_reference_on_sink_model(sink_model):
+    _assert_routes_match_reference(
+        sink_model.kernel, sink_model.branch, sink_model.all_states(), 8)
+
+
+def test_routes_match_reference_with_collisions_and_a_scalar_kernel():
+    # Int points whose maps collide heavily, a kernel with no batch form,
+    # many tied diagonal values and a kernel-null point (0).
+    branch = BranchSystem([lambda x: x // 2, lambda x: (3 * x + 1) % 11, lambda x: x % 4])
+    K = Kernel(lambda s, t: 0.0 if 0 in (s, t) else 1.0 / (1 + abs(s - t)) + (s == t) * (s % 3))
+    _assert_routes_match_reference(K, branch, [0, 5, 7, 10], 6)
+
+
+@st.composite
+def finite_state_cases(draw):
+    """Random maps on a few states, so levels repeat points heavily.
+
+    K = diag(d) + u u^T with d and u drawn from a few values, so diagonal
+    values tie; with probability 1/2 state 0 is a kernel-null sink.
+    """
+    S = draw(st.integers(1, 6))
+    m = draw(st.integers(1, 3))
+    maps = [draw(st.lists(st.integers(0, S - 1), min_size=S, max_size=S)) for _ in range(m)]
+    d = np.array(draw(st.lists(st.sampled_from([0.0, 0.5, 1.0, 3.0]), min_size=S, max_size=S)))
+    u = np.array(draw(st.lists(st.sampled_from([0.0, 1.0, 0.1, 2.0]), min_size=S, max_size=S)))
+    if draw(st.booleans()):
+        d[0] = u[0] = 0.0
+        for row in maps:
+            row[0] = 0
+    base = draw(st.lists(st.integers(0, S - 1), min_size=1, max_size=4))
+    return FiniteStateModel(maps, np.diag(d) + np.outer(u, u)), base
+
+
+@settings(max_examples=40, deadline=None)
+@given(finite_state_cases(), st.integers(0, 6))
+def test_random_finite_state_routes_match_reference(case, n):
+    model, base = case
+    _assert_routes_match_reference(model.kernel, model.branch, base, n)
+
+
+# --- the oracles share nothing with the tower core ---------------------------
+
+def test_word_routes_do_not_touch_the_tower_core(monkeypatch, sink_model):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a word route reached the tower core")
+
+    monkeypatch.setattr(tower_module, "_PointIndex", refuse)
+    table = sink_model.table
+    K = Kernel(lambda s, t: float(table[s, t]), batch=KernelBatch(refuse, refuse))
+    base = sink_model.all_states()
+    with pytest.raises(AssertionError, match="tower core"):
+        next(tower_module.tower_gram_iter(K, sink_model.branch, base))
+    # Route one of diagonal_trace is the tower; swap in the Counter loop so
+    # that only the word route could reach the core.
+    monkeypatch.setattr(diagonal_module, "tower_gram_iter", reference_tower_gram_iter)
+
+    for n in range(6):
+        W = level_via_words(K, sink_model.branch, base, n).entries
+        assert np.array_equal(W, reference_level_via_words(K, sink_model.branch, base, n))
+    for s in base:
+        diagonal_trace(K, sink_model.branch, s, 6)  # raises if the two routes disagree
+        layer_cake_check(K, sink_model.branch, s, 6)
+        level_set_count(K, sink_model.branch, s, 6, 0.5)
+        blowup_detect(K, sink_model.branch, s, lambda x: True, 1.0, 2.0, [1, 4])
+
+
+# --- negative word lengths ---------------------------------------------------
+
+def test_negative_word_lengths_are_input_errors(ex25, root, small_base):
+    with pytest.raises(InputError, match="nonnegative"):
+        word_levels(ex25.branch, root, -1)
+    with pytest.raises(InputError, match="nonnegative"):
+        orbit_points_by_level(ex25.branch, root, -1)
+    with pytest.raises(InputError, match="nonnegative"):
+        level_via_words(ex25.kernel, ex25.branch, small_base, -1)
+    with pytest.raises(InputError, match="nonnegative"):
+        level_set_count(ex25.kernel, ex25.branch, root, -1, 0.5)
+    with pytest.raises(InputError, match="nonnegative"):
+        layer_cake_check(ex25.kernel, ex25.branch, root, -2)
+    with pytest.raises(InputError, match="nonnegative"):
+        diagonal_trace(ex25.kernel, ex25.branch, root, -1)
+
+
+# --- monotone levels on generated subinvariant models (ROADMAP 5) ------------
+
+@st.composite
+def subinvariant_models(draw):
+    """K = diag(d) + u u^T constant on the cycles of a permutation phi_1, zero at a sink.
+
+    phi_1 preserves K exactly, so LK - K is the sum of the pullbacks of K
+    along the other maps, which is PSD: K is subinvariant, and every
+    defect level L^n (LK - K) is PSD.  State 0 is the sink; the other maps
+    send each state to the sink or anywhere into the rest.
+    """
+    S = draw(st.integers(2, 7))
+    perm = [0] + list(draw(st.permutations(range(1, S))))
+    cycle = [0] * S
+    for start in range(1, S):
+        if cycle[start] == 0:
+            x = start
+            while cycle[x] == 0:
+                cycle[x] = start
+                x = perm[x]
+    weights = st.floats(0.0, 4.0, allow_nan=False, allow_infinity=False)
+    d_of = {c: draw(weights) for c in set(cycle[1:])}
+    u_of = {c: draw(st.floats(-2.0, 2.0)) for c in set(cycle[1:])}
+    d = np.array([0.0] + [d_of[cycle[x]] for x in range(1, S)])
+    u = np.array([0.0] + [u_of[cycle[x]] for x in range(1, S)])
+    others = [
+        [0] + draw(st.lists(st.integers(0, S - 1), min_size=S - 1, max_size=S - 1))
+        for _ in range(draw(st.integers(1, 2)))
+    ]
+    return FiniteStateModel([perm] + others, np.diag(d) + np.outer(u, u), name="subinvariant")
+
+
+@settings(max_examples=50, deadline=None)
+@given(subinvariant_models(), st.integers(1, 6))
+def test_generated_subinvariant_towers_are_monotone(model, n):
+    tower = build_tower(model.kernel, model.branch, model.all_states(), n)
+    assert tower.telescoping_residual <= 1e-12
+    for level, D in enumerate(tower.defects):
+        scale = max(1.0, float(np.max(np.abs(tower.levels[level + 1]))))
+        assert np.min(np.linalg.eigvalsh(D)) >= -1e-9 * scale, level
+        assert tower.defect_reports[level].psd
+    words = level_via_words(model.kernel, model.branch, model.all_states(), n).entries
+    assert np.max(np.abs(words - tower.levels[n])) <= 1e-12 * max(1.0, np.max(np.abs(words)))
