@@ -33,7 +33,7 @@ from .diagonal import (
     layer_cake_check,
     lyapunov_verify,
 )
-from .errors import EXIT_NUMERICAL, InputError, KernelTowerError
+from .errors import EXIT_NUMERICAL, EXIT_RESOURCE, InputError, KernelTowerError
 from .gaussian import (
     TowerSampler,
     empirical_covariance,
@@ -456,6 +456,9 @@ def main(argv=None) -> int:
     except KernelTowerError as exc:
         print(f"error[{exc.category}]: {exc}", file=sys.stderr)
         return exc.exit_code
+    except MemoryError:
+        print(f"error[resource]: {args.command} ran out of memory", file=sys.stderr)
+        return EXIT_RESOURCE
 
 
 if __name__ == "__main__":

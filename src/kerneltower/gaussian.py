@@ -10,13 +10,16 @@ throughout; all builtin kernels are real symmetric.
 RNG contract: Philox 4x64-10 counter-based bit generator
 (numpy.random.Philox) keyed by the 64-bit seed; identical seed and shape
 requests reproduce the sample stream bit for bit.  Sampling and the limit
-fields read the same draw g[j, k, a] (sample j, level k, point a).  The
-level-n field is the sum over k <= n of g[:, k, :] @ F_k^T; the sampler
-forms it bit for bit as a per-level product followed by a running sum.
-``limit_fields`` forms only Y and Z, in one product over all levels, so Y
-equals the level-0 field exactly and Z equals the top-level field to
-rounding.  Where a Gram diagonal is exactly zero its factor row is zero
-(``sqrt_factor``), so the field and its increments are exactly zero there.
+fields read the same draw g[j, k, a] (sample j, level k, point a).  numpy
+fills a draw in C order, so it is the flat prefix of any longer draw under
+the same seed (``TowerSampler.prefix``).  A sampler factors its tower
+once; the seed only keys the draw; ``sample(n)`` is ``fields(draw(n))``.
+The level-n field is the sum over k <= n of g[:, k, :] @ F_k^T, formed bit
+for bit as a per-level product followed by a running sum.  ``limit``
+forms only Y and Z, in one product over all levels, so Y equals the
+level-0 field exactly and Z equals the top-level field to rounding.  Where
+a Gram diagonal is exactly zero its factor row is zero (``sqrt_factor``),
+so the field and its increments are exactly zero there.
 """
 
 from __future__ import annotations
@@ -38,7 +41,7 @@ PASS_SIGMA = 5.0
 
 
 class TowerSampler:
-    """Draws centered Gaussian field levels with covariances K_0..K_N."""
+    """Draws centered Gaussian field levels with covariances K_0..K_N; factors once."""
 
     def __init__(self, tower: Tower, seed: int, tol: float = DEFAULT_PSD_TOL):
         self.tower = tower
@@ -57,23 +60,42 @@ class TowerSampler:
             raise NumericalError(f"factor reconstruction error {worst:.3e} too large")
         self.factors_t = np.stack([F.T for F in self.factors])  # (levels, P, P)
 
-    def _draw(self, nsamples: int) -> np.ndarray:
-        """The standard normal noise g[j, k, a] behind sample j, level k, point a."""
+    def draw(self, nsamples: int, seed: int | None = None) -> np.ndarray:
+        """The noise g[j, k, a] behind sample j, level k, point a; keyed by ``seed``."""
         if nsamples < 1:
             raise InputError("need at least one sample")
-        rng = make_rng(self.seed)
+        rng = make_rng(self.seed if seed is None else seed)
         return rng.standard_normal((nsamples, len(self.factors), len(self.points)))
 
-    def sample(self, nsamples: int) -> "FieldBatch":
-        """One batch: values[j, n, a] = level-n field of sample j at point a."""
-        g = self._draw(nsamples)
+    def prefix(self, g: np.ndarray) -> np.ndarray:
+        """This sampler's draw under the seed of the longer draw g: a view of its first normals."""
+        shape = (len(g), len(self.factors), len(self.points))
+        return g.reshape(-1)[: math.prod(shape)].reshape(shape)
+
+    def fields(self, g: np.ndarray, seed: int | None = None) -> "FieldBatch":
+        """The batch noise g gives: values[j, n, a] = level-n field of sample j at point a."""
         # Level-major: fields[k] = g[:, k, :] @ F_k^T in one batched product,
         # then the running sum over levels in place.  Adding one contiguous
         # level at a time does cumsum's additions several times faster.
         fields = np.matmul(g.transpose(1, 0, 2), self.factors_t)
         for k in range(1, len(fields)):
             np.add(fields[k - 1], fields[k], out=fields[k])
-        return FieldBatch(fields=fields, points=self.points, seed=self.seed)
+        return FieldBatch(fields, self.points, self.seed if seed is None else int(seed))
+
+    def limit(self, g: np.ndarray) -> "LimitFields":
+        """(Z, Y) from noise g: the top-level field and the level-0 component."""
+        # One product of the flattened noise against [F_0^T over zeros | F_0^T..F_N^T]:
+        # the first P columns are Y, the last P the top-level field Z.
+        L, P = len(self.factors), len(self.points)
+        W = np.zeros((L * P, 2 * P))
+        W[:P, :P] = self.factors_t[0]
+        W[:, P:] = self.factors_t.reshape(L * P, P)
+        YZ = g.reshape(len(g), L * P) @ W
+        return LimitFields(Z=YZ[:, P:], Y=YZ[:, :P], points=self.points, levels_used=L - 1)
+
+    def sample(self, nsamples: int) -> "FieldBatch":
+        """One batch of ``nsamples`` under the sampler's seed: ``fields(draw(nsamples))``."""
+        return self.fields(self.draw(nsamples))
 
 
 @dataclass
@@ -125,7 +147,7 @@ def sample_covariance(X: np.ndarray, Y: np.ndarray | None = None) -> tuple[np.nd
     n = X.shape[0]
     cov = X.T @ Y / n
     var_x = np.einsum("ja,ja->a", X, X) / n
-    var_y = np.einsum("ja,ja->a", Y, Y) / n
+    var_y = var_x if Y is X else np.einsum("ja,ja->a", Y, Y) / n
     se = np.sqrt(np.maximum(np.outer(var_x, var_y) + cov**2, 0.0) / n)
     return cov, se
 
@@ -238,19 +260,7 @@ def limit_fields(
             f"truncation tail bound {tail_bound:.3e} exceeds the requested "
             f"tolerance {tail_tol:.3e}; build the tower to a larger horizon"
         )
-    # One product of the flattened noise against [F_0^T over zeros | F_0^T..F_N^T]:
-    # the first P columns are Y, the last P the top-level field Z.
-    L, P = len(sampler.factors), len(sampler.points)
-    W = np.zeros((L * P, 2 * P))
-    W[:P, :P] = sampler.factors_t[0]
-    W[:, P:] = sampler.factors_t.reshape(L * P, P)
-    YZ = sampler._draw(nsamples).reshape(nsamples, L * P) @ W
-    return LimitFields(
-        Z=YZ[:, P:],
-        Y=YZ[:, :P],
-        points=sampler.points,
-        levels_used=L - 1,
-    )
+    return sampler.limit(sampler.draw(nsamples))
 
 
 def boundedness_probe(

@@ -15,7 +15,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import InputError, KernelTowerError, ModelError, NumericalError
+from .errors import InputError, KernelTowerError, ModelError, NumericalError, ResourceError
 from .points import BranchSystem, Point, point_label
 
 DEFAULT_PSD_TOL = 1e-9
@@ -148,7 +148,8 @@ def gram(J: Kernel, points: Sequence[Point]) -> Gram:
     """Assemble the symmetric Gram matrix, one evaluation per unordered pair.
 
     A kernel failure that is not a library error becomes a model error
-    naming the kernel and the pair, chained to the original exception.
+    naming the kernel and the pair (out of memory: a resource error naming
+    the point count), chained to the original exception.
     """
     pts = tuple(points)
     if not pts:
@@ -164,6 +165,8 @@ def gram(J: Kernel, points: Sequence[Point]) -> Gram:
             G[a, a:] = G[a:, a] = row
     except KernelTowerError:
         raise
+    except MemoryError as exc:
+        raise ResourceError(f"kernel {J.name}: out of memory assembling the Gram of {n} points") from exc
     except Exception as exc:
         b = a + len(row)
         raise ModelError(

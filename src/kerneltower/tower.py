@@ -105,6 +105,11 @@ class _PointIndex:
         return self.features
 
 
+def _ordered(a, b) -> list:
+    """Elementwise (min, max) of two id columns."""
+    return [np.minimum(a, b), np.maximum(a, b)]
+
+
 def _distinct(columns, sizes):
     """Distinct rows of int columns (column k below sizes[k]), sorted, and each row's rank.
 
@@ -114,9 +119,11 @@ def _distinct(columns, sizes):
     if math.prod(sizes) >= 2**63:
         rows, inverse = np.unique(np.column_stack(columns), axis=0, return_inverse=True)
         return list(rows.T), inverse.reshape(-1)
-    key = columns[0]
-    for col, size in zip(columns[1:], sizes[1:]):
-        key = key * size + col
+    key = columns[0].copy()
+    for k in range(1, len(columns)):
+        key *= sizes[k]
+        key += columns[k]
+    del columns  # frees the columns when the caller holds no other reference
     uniq, inverse = np.unique(key, return_inverse=True)
     out = []
     for size in reversed(sizes[1:]):
@@ -178,9 +185,10 @@ def tower_gram_iter(
                  for a, b in zip(plo.tolist(), phi.tolist())],
                 dtype=float,
             )[which]
-        terms = (cnt * values).tolist()
+        terms = cnt * values
         bounds = np.searchsorted(bp, np.arange(n_pairs + 1)).tolist()
-        sums = [math.fsum(terms[bounds[k]:bounds[k + 1]]) for k in range(n_pairs)]
+        sums = [math.fsum(terms[i:j].tolist()) for i, j in zip(bounds, bounds[1:])]
+        del values, terms
         G = np.empty((n, n), dtype=float)
         G[ia, ib] = sums
         G[ib, ia] = sums
@@ -189,9 +197,9 @@ def tower_gram_iter(
         succ = index.successors()
         size = len(index.points)
         m = len(succ)
-        a, b = succ[:, lo].ravel(), succ[:, hi].ravel()
+        # The merge gets the only references to the new columns and frees them.
         (bp, lo, hi), which = _distinct(
-            [np.tile(bp, m), np.minimum(a, b), np.maximum(a, b)],
+            [np.tile(bp, m), *_ordered(succ[:, lo].ravel(), succ[:, hi].ravel())],
             [n_pairs, size, size],
         )
         if len(bp) > pair_cap:
@@ -200,6 +208,7 @@ def tower_gram_iter(
                 "reduce the horizon or supply a tail certificate"
             )
         cnt = np.bincount(which, weights=np.tile(cnt, m), minlength=len(bp))
+        del which
 
 
 @dataclass

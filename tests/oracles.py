@@ -10,7 +10,18 @@ from collections import Counter
 
 import numpy as np
 
-from kerneltower import InputError, Kernel, ResourceError
+from kerneltower import (
+    InputError,
+    Kernel,
+    ResourceError,
+    TowerSampler,
+    WordTreeModel,
+    build_tower,
+    limit_fields,
+    martingale_checks,
+    verify,
+)
+from kerneltower.gaussian import sample_covariance
 
 
 def all_words(m, n):
@@ -216,3 +227,68 @@ def reference_blowup_counts(K, branch, s, region, epsilon, levels):
         sum(1 for x in by_level[n] if region(x) and K(x, x) >= epsilon)
         for n in sorted(levels)
     ]
+
+
+def reference_check_gaussian_covariance(ctx):
+    """Criterion 7 as its own loop: one sampler and one draw per protocol seed."""
+    model = WordTreeModel(m=2, r=0.5, c=0.5, eta=1.0)
+    F = [model.point(x) for x in ("", "1", "2")]
+    tower = build_tower(model.kernel, model.branch, F, 3, ctx.tol)
+    fault = ctx.fault_for("gaussian-covariance") or 0.0
+    passes = 0
+    worst_z = 0.0
+    for seed in [ctx.seed + k for k in range(verify.PROTOCOL_SEEDS)]:
+        batch = TowerSampler(tower, seed, ctx.tol).sample(ctx.nsamples)
+        if seed == ctx.seed:
+            base_batch = batch
+        ok = True
+        cov, se = sample_covariance(batch.level(3))
+        z = np.abs(cov - tower.levels[3] - fault) / se
+        worst_z = max(worst_z, float(np.max(z)))
+        ok &= bool(np.max(z) <= verify.PROTOCOL_SIGMA)
+        for n in range(3):
+            cov, se = sample_covariance(batch.increment(n))
+            mask = se > 0
+            z = np.zeros_like(cov)
+            z[mask] = np.abs(cov - tower.defects[n])[mask] / se[mask]
+            ok &= bool(np.max(z) <= verify.PROTOCOL_SIGMA)
+        passes += ok
+    mart = martingale_checks(base_batch, tower, verify.PROTOCOL_SIGMA)
+    passed = passes >= verify.PROTOCOL_MIN_PASS and mart.passed
+    return passed, {"seed_passes": passes, "martingale_max_z": mart.max_qv_z,
+                    "worst_level_z": worst_z}
+
+
+def reference_check_compression_fields(ctx):
+    """Criterion 8 as its own loop: one sampler and one draw per protocol seed."""
+    model = WordTreeModel(m=2, r=0.5, c=0.5, eta=1.0)
+    F = [model.point(x) for x in ("", "1", "2")]
+    N = 12
+    tower = build_tower(model.kernel, model.branch, F, N, ctx.tol)
+    target_Y = tower.levels[0]
+    target_D = tower.levels[N] - tower.levels[0]
+    passes = 0
+    for seed in [ctx.seed + k for k in range(verify.PROTOCOL_SEEDS)]:
+        fields = limit_fields(TowerSampler(tower, seed, ctx.tol), ctx.nsamples)
+        if seed == ctx.seed:
+            base_fields = fields
+        ok = True
+        cov, se = sample_covariance(fields.Y)
+        ok &= bool(np.max(np.abs(cov - target_Y) / se) <= verify.PROTOCOL_SIGMA)
+        cov, se = sample_covariance(fields.Z - fields.Y)
+        mask = se > 0
+        z = np.zeros_like(cov)
+        z[mask] = np.abs(cov - target_D)[mask] / se[mask]
+        ok &= bool(np.max(z) <= verify.PROTOCOL_SIGMA)
+        passes += ok
+    covZ, _ = sample_covariance(base_fields.Z)
+    covY, _ = sample_covariance(base_fields.Y)
+    covD, _ = sample_covariance(base_fields.Z - base_fields.Y)
+    spot = (
+        abs(covZ[0, 0] - 2.0) <= 0.05
+        and abs(covY[0, 0] - 1.5) <= 0.04
+        and abs(covD[0, 0] - 0.5) <= 0.05
+    )
+    passed = passes >= verify.PROTOCOL_MIN_PASS and spot
+    return passed, {"seed_passes": passes, "covZ_root": float(covZ[0, 0]),
+                    "covY_root": float(covY[0, 0]), "covD_root": float(covD[0, 0])}

@@ -178,6 +178,20 @@ def test_resource_cap_exit_code(tmp_path, capsys):
     assert "error[resource]" in captured.err
 
 
+def test_out_of_memory_is_a_resource_error(tmp_path, capsys, monkeypatch):
+    import kerneltower.cli
+
+    def exhausted(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(kerneltower.cli, "build_tower", exhausted)
+    cfg = write_config(tmp_path, EX25_YAML)
+    code = main(["tower", "--config", cfg, "--out", str(tmp_path / "o")])
+    captured = capsys.readouterr()
+    assert code == 5
+    assert captured.err == "error[resource]: tower ran out of memory\n"
+
+
 def test_format_flag_csv_only(tmp_path, capsys):
     cfg = write_config(tmp_path, EX25_YAML)
     out = tmp_path / "out"

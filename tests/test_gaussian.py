@@ -12,6 +12,7 @@ from kerneltower import (
     empirical_covariance,
     export_batch_csv,
     limit_fields,
+    make_rng,
     martingale_checks,
 )
 from kerneltower.gaussian import sample_covariance
@@ -209,3 +210,27 @@ def test_batch_csv_round_trip(tmp_path, ex_tower):
     j, n, a = 2, 3, 1
     row = lines[1 + j * 15 + n * 3 + a].split(",")
     assert float(row[-1]) == batch.values[j, n, a]
+
+
+@pytest.mark.parametrize("seed", [7, 301, 20250809])
+def test_draw_is_a_prefix_of_any_longer_draw(ex25, small_base, seed):
+    # RNG contract: numpy fills standard_normal in C order, so the draw of a
+    # 4-level sampler is the first normals of a 13-level draw, same seed.
+    short = TowerSampler(build_tower(ex25.kernel, ex25.branch, small_base, 3), seed=1)
+    long = TowerSampler(build_tower(ex25.kernel, ex25.branch, small_base, 12), seed=1)
+    g = long.draw(1_000, seed)
+    want = short.draw(1_000, seed)
+    assert np.array_equal(short.prefix(g), want)
+    # Drawing the prefix and then the rest from one generator gives the long draw.
+    rng = make_rng(seed)
+    head = rng.standard_normal(want.size)
+    tail = rng.standard_normal(g.size - want.size)
+    assert np.array_equal(np.concatenate([head, tail]), g.reshape(-1))
+
+
+def test_sample_is_fields_of_draw(ex_tower):
+    sampler = TowerSampler(ex_tower, seed=53)
+    assert np.array_equal(sampler.sample(300).values, sampler.fields(sampler.draw(300)).values)
+    other = sampler.fields(sampler.draw(300, seed=54), seed=54)
+    assert other.seed == 54
+    assert np.array_equal(other.values, TowerSampler(ex_tower, seed=54).sample(300).values)

@@ -7,6 +7,7 @@ from kerneltower import (
     Kernel,
     ModelError,
     NumericalError,
+    ResourceError,
     WordTreeModel,
     feeder_model,
     gram,
@@ -62,6 +63,15 @@ def test_gram_annotates_failures(small_base):
         gram(Kernel(bad, name="bad"), small_base)
     assert "kernel bad failed at (<>, <>)" in str(info.value)
     assert isinstance(info.value.__cause__, ValueError)
+
+
+def test_gram_out_of_memory_is_a_resource_error(small_base):
+    def exhausted(s, t):
+        raise MemoryError
+
+    with pytest.raises(ResourceError, match="kernel exhausted: out of memory .* of 3 points") as info:
+        gram(Kernel(exhausted), small_base)
+    assert isinstance(info.value.__cause__, MemoryError)
 
 
 def test_gram_failure_keeps_the_original_exception(small_base):
