@@ -16,30 +16,24 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import InputError, ModelError
-from .kernels import (
-    DEFAULT_PSD_TOL,
-    Gram,
-    Kernel,
-    apply_L_power,
-    defect_kernel,
-    gram,
-    sqrt_factor,
-)
+from .errors import InputError, ModelError, ResourceError
+from .kernels import DEFAULT_PSD_TOL, Kernel, apply_L_power, sqrt_factor
 from .points import (
     DEFAULT_WORD_CAP,
     BranchSystem,
     Point,
     Word,
     check_word_cap,
+    enumerate_words,
     point_label,
 )
 from .rngs import make_rng
-from .tower import Tower
+from .tower import Tower, defect_gram
 
 
 class DoobChain:
@@ -134,11 +128,21 @@ def gauge_from_tower(tower: Tower) -> tuple[Callable[[Point], float], list[Point
 
 @dataclass
 class CylinderTable:
-    """Cylinder masses p_w(s) for all words up to a horizon."""
+    """Cylinder masses p_w(s) for all words up to a horizon.
+
+    ``masses[k]`` holds the masses of the m^k words of length k, in word order.
+    """
 
     anchor: Point
     horizon: int
-    table: dict[Word, float]
+    m: int
+    masses: list[np.ndarray]
+
+    @cached_property
+    def table(self) -> dict[Word, float]:
+        """{word: mass}, level by level in word order."""
+        return {w: p for k, level in enumerate(self.masses)
+                for w, p in zip(enumerate_words(self.m, k), level.tolist())}
 
     def mass(self, w: Word) -> float:
         try:
@@ -147,36 +151,58 @@ class CylinderTable:
             raise InputError(f"word {w} beyond the table horizon {self.horizon}") from None
 
     def level_sum(self, k: int) -> float:
-        return math.fsum(p for w, p in self.table.items() if len(w) == k)
+        return math.fsum(self.masses[k].tolist())
+
+    def sorted_items(self) -> list[tuple[str, float]]:
+        """(word as its digit string, mass) in sorted word order, each word before its extensions."""
+        m, n = self.m, self.horizon
+        below = np.cumsum([m**d for d in range(n + 1)])  # below[d]: words of length <= d
+        labels, rank = [""], np.zeros(1, dtype=np.int64)
+        words, mass = np.empty(below[-1], dtype=object), np.empty(below[-1])
+        for k, level in enumerate(self.masses):
+            if k:  # child i of the word ranked r is ranked r + 1 + i * below[n - k]
+                labels = [w + str(i) for w in labels for i in range(1, m + 1)]
+                rank = (rank[:, None] + 1 + np.arange(m) * below[n - k]).ravel()
+            words[rank], mass[rank] = labels, level
+        return list(zip(words.tolist(), mass.tolist()))
 
 
-def _walk_levels(chain: DoobChain, s: Point, n: int, cap: int):
-    """Yield per level the list of (word, point, mass) in word-lexicographic order."""
-    check_word_cap(chain.branch.m, n, cap)
-    level = [((), s, 1.0)]
-    yield level
-    maps = chain.branch.maps
+def _live(index: np.ndarray, mass: np.ndarray) -> list[int]:
+    """Distinct entries of ``index`` at words of nonzero mass, in order of first appearance."""
+    live = index[mass != 0.0]
+    _, first = np.unique(live, return_index=True)
+    return live[np.sort(first)].tolist()
+
+
+def _walk_levels(chain: DoobChain, s: Point, n: int, cap: int) -> list:
+    """Levels 0..n of the Doob walk from s, each as (points, index, mass).
+
+    ``points`` lists the distinct points of the level; ``index`` and
+    ``mass`` give each word's point and cylinder mass in word order, so the
+    children of word j are words j*m .. j*m + m - 1.  Maps are applied once
+    per distinct point; the gauge is read at the points reached with
+    positive mass and their children, in the order of a word-by-word walk.
+    A child's mass is its parent's times h(phi_i x)/h(x) (0 where h(x) = 0).
+    """
+    maps, m = chain.branch.maps, chain.branch.m
+    check_word_cap(m, n, cap)
+    pts, idx, mass = [s], np.zeros(1, dtype=np.int64), np.ones(1)
+    levels = [(pts, idx, mass)]
     for _ in range(n):
-        nxt = []
-        for w, x, p in level:
-            if p == 0.0:
-                children = [0.0] * len(maps)
-            else:
-                hx = chain.h(x)
-                children = (
-                    [chain.h(f(x)) / hx for f in maps] if hx > 0.0 else [0.0] * len(maps)
-                )
-            for i, f in enumerate(maps, start=1):
-                nxt.append((w + (i,), f(x), p * children[i - 1]))
-        level = nxt
-        yield level
-
-
-def _final_level(chain: DoobChain, s: Point, n: int, cap: int):
-    level = None
-    for level in _walk_levels(chain, s, n, cap):
-        pass
-    return level
+        images = [f(x) for x in pts for f in maps]  # images[j*m + i] = phi_{i+1}(pts[j])
+        distinct = list(dict.fromkeys(images))
+        ids = {x: i for i, x in enumerate(distinct)}
+        codes = np.fromiter(map(ids.__getitem__, images), dtype=np.int64, count=len(images))
+        ratio = np.zeros((len(pts), m))
+        for j in _live(idx, mass):
+            hx = chain.h(pts[j])
+            if hx > 0.0:
+                ratio[j] = [chain.h(y) / hx for y in images[j * m:(j + 1) * m]]
+        mass = (mass[:, None] * ratio[idx]).ravel()
+        idx = codes.reshape(len(pts), m)[idx].ravel()
+        pts = distinct
+        levels.append((pts, idx, mass))
+    return levels
 
 
 def cylinder_measure(
@@ -189,11 +215,8 @@ def cylinder_measure(
     gauge's harmonicity residual.
     """
     chain.require_domain(s)
-    table: dict[Word, float] = {}
-    for level in _walk_levels(chain, s, n, cap):
-        for w, _x, p in level:
-            table[w] = p
-    return CylinderTable(anchor=s, horizon=n, table=table)
+    masses = [mass for _pts, _idx, mass in _walk_levels(chain, s, n, cap)]
+    return CylinderTable(anchor=s, horizon=n, m=chain.branch.m, masses=masses)
 
 
 @dataclass
@@ -292,8 +315,9 @@ def intertwining_check(
     r1 = abs(p_hf - chain.h(s) * apply_Q(chain, f, s))
 
     qn = iterate_Q(chain, f, s, n)
-    last = _final_level(chain, s, n, cap)
-    expectation = math.fsum(p * f(x) for _w, x, p in last)
+    pts, idx, mass = _walk_levels(chain, s, n, cap)[-1]
+    fx = np.array([f(x) for x in pts], dtype=float)
+    expectation = math.fsum((mass * fx[idx]).tolist())
     r2 = abs(qn - expectation)
     return IntertwiningResult(one_step_residual=r1, markov_residual=r2)
 
@@ -331,13 +355,6 @@ def apply_L_tilde(G: Kernel, chain: DoobChain, name: str = "") -> Kernel:
     return Kernel(fn, name=name or f"Lt[{G.name}]", memoize=True)
 
 
-def apply_L_tilde_power(G: Kernel, chain: DoobChain, n: int) -> Kernel:
-    K = G
-    for _ in range(n):
-        K = apply_L_tilde(K, chain)
-    return K
-
-
 def normalization_commutes(
     J: Kernel,
     chain: DoobChain,
@@ -352,7 +369,9 @@ def normalization_commutes(
     for s in points:
         chain.require_domain(s)
     lhs = h_normalize(apply_L_power(J, chain.branch, n), chain.h)
-    rhs = apply_L_tilde_power(h_normalize(J, chain.h), chain, n)
+    rhs = h_normalize(J, chain.h)
+    for _ in range(n):
+        rhs = apply_L_tilde(rhs, chain)
     pts = list(points)
     worst = 0.0
     for a, s in enumerate(pts):
@@ -372,11 +391,11 @@ def tilde_word_expansion(
     """Level-n word sum: sum over |w|=n of p_w(s) p_w(t) G at the reversed orbits."""
     chain.require_domain(s)
     chain.require_domain(t)
-    level_s = _final_level(chain, s, n, cap)
-    level_t = _final_level(chain, t, n, cap)
+    pts_s, idx_s, mass_s = _walk_levels(chain, s, n, cap)[-1]
+    pts_t, idx_t, mass_t = _walk_levels(chain, t, n, cap)[-1]
     return math.fsum(
-        ps * pt * G(xs, xt)
-        for (_ws, xs, ps), (_wt, xt, pt) in zip(level_s, level_t)
+        ps * pt * G(pts_s[i], pts_t[j])
+        for i, j, ps, pt in zip(idx_s.tolist(), idx_t.tolist(), mass_s.tolist(), mass_t.tolist())
         if ps != 0.0 and pt != 0.0
     )
 
@@ -418,8 +437,11 @@ class BoundarySections:
     """The reference-measure-free part of a boundary feature Gram.
 
     The Doob walks of the base points down to level N - 1 and the Gram of
-    the normalized one-step defect on every point those walks reach with
-    positive mass, rebuilt from its square-root factor.
+    the normalized one-step defect (LK - K)/(h x h) on every point those
+    walks reach with positive mass, rebuilt from its square-root factor.
+    LK - K is :func:`tower.defect_gram`: a scalar ``fsum`` over the maps bit
+    for bit, except in the last bit for kernels symmetric only up to rounding
+    and for pairs that three or more maps send to one pair next to others.
     """
 
     points: tuple
@@ -430,22 +452,26 @@ class BoundarySections:
 
 
 def _boundary_sections(K, base, chain, N, tol, cap) -> BoundarySections:
-    defect_h = h_normalize(defect_kernel(K, chain.branch), chain.h)
-
     # One synchronized walk per base point; word order is shared across them.
-    walks = [list(_walk_levels(chain, s, N - 1, cap)) for s in base]
+    walks = [_walk_levels(chain, s, N - 1, cap) for s in base]
 
     # Sections are only needed on cylinders with mass; zero-mass fibers
     # vanish and may sit at gauge zeros where the normalized defect is
     # undefined.
     section_points: dict[Point, None] = {}
     for walk in walks:
-        for level in walk:
-            for _w, x, p in level:
-                if p != 0.0:
-                    section_points.setdefault(x, None)
+        for pts, idx, mass in walk:
+            section_points.update((pts[j], None) for j in _live(idx, mass))
     section_list = list(section_points)
-    factor = sqrt_factor(gram(defect_h, section_list).entries, tol)
+    pairs = len(section_list) * (len(section_list) + 1) // 2 * chain.branch.m
+    if pairs > cap:
+        raise ResourceError(f"boundary section Gram: {len(section_list)} section points give {pairs} "
+                            f"level-1 pairs, over the cap of {cap}; lower config boundary.feature_levels")
+    h = np.array([chain.h(x) for x in section_list])
+    if not np.all(h):  # h >= 0, so its first minimum is the first gauge zero
+        raise InputError(f"h-normalization at gauge zero {point_label(section_list[np.argmin(h)])}")
+    defect_h = defect_gram(K, chain.branch, section_list, cap) / np.outer(h, h)
+    factor = sqrt_factor(defect_h, tol)
     return BoundarySections(
         points=base,
         levels=N,
@@ -463,15 +489,11 @@ class BoundaryGram:
     entries: np.ndarray
     reference: np.ndarray
     levels: int
-    weights_desc: str
     sections: BoundarySections
 
     @property
     def residual(self) -> float:
         return float(np.max(np.abs(self.entries - self.reference)))
-
-    def gram(self) -> Gram:
-        return Gram(self.points, self.entries)
 
 
 def boundary_feature_gram(
@@ -515,21 +537,18 @@ def boundary_feature_gram(
     r = len(base)
     entries = np.zeros((r, r))
     for n in range(N):
-        n_words = len(walks[0][n])
-        for j in range(n_words):
-            word = walks[0][n][j][0]
+        # Per base point (rows) and word (columns): cylinder mass and section index.
+        P = np.array([walk[n][2] for walk in walks])
+        S = np.array([np.array([section_index.get(x, 0) for x in walk[n][0]])[walk[n][1]]
+                      for walk in walks])
+        for j, word in enumerate(enumerate_words(chain.branch.m, n, cap)):
             mass = weights.mass(word)
             if mass <= 0.0:
                 raise InputError(f"reference measure vanishes on cylinder {word}")
             root = math.sqrt(mass)
-            coef = np.zeros(r)
-            idx = np.zeros(r, dtype=int)
-            for a, walk in enumerate(walks):
-                _w, x, p = walk[n][j]
-                if p != 0.0:
-                    coef[a] = root * (p / root)
-                    idx[a] = section_index[x]
+            coef = root * (P[:, j] / root)
             if np.any(coef != 0.0):
+                idx = S[:, j]
                 entries += np.outer(coef, coef) * section_gram[np.ix_(idx, idx)]
 
     h_vec = np.array([chain.h(s) for s in base])
@@ -539,6 +558,5 @@ def boundary_feature_gram(
         entries=entries,
         reference=reference,
         levels=N,
-        weights_desc=weights.describe(),
         sections=sections,
     )

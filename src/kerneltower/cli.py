@@ -41,12 +41,13 @@ from .gaussian import (
     martingale_checks,
     sample_covariance,
 )
-from .kernels import defect_kernel, gram, psd_check
+from .kernels import gram, psd_check
 from .models import FiniteStateModel, Model, WordTreeModel, build_model
 from .points import orbit_closure, point_label
 from .reports import Bundle, RunReport
 from .tower import (
     build_tower,
+    defect_gram,
     estimate_K_infinity,
     invariance_residual,
     level_via_words,
@@ -96,9 +97,8 @@ def _resolve_certificate(cfg: Config, model: Model, base):
             raise InputError(f"config certificate.r.kind: unknown {r_spec['kind']!r}")
     if getattr(model, "has_oracle", False) and hasattr(model, "oracle_defect"):
         d0 = lambda s: model.oracle_defect(0, s, s)
-    else:
-        defect = defect_kernel(model.kernel, model.branch)
-        d0 = lambda s: defect(s, s)
+    else:  # one point at a time: the domain may be large, and only its diagonal is read
+        d0 = lambda s: float(defect_gram(model.kernel, model.branch, [s], cfg.pair_cap)[0, 0])
     domain = orbit_closure(model.branch, base, min(cfg.horizon + 1, 8), cfg.pair_cap)
     outcome = lyapunov_verify(d0, model.branch, r_fn, C, beta, domain)
     if hasattr(outcome, "bound"):
@@ -250,12 +250,21 @@ def cmd_gaussian(cfg: Config, model: Model, base, bundle: Bundle) -> dict:
     }
 
 
+def _check_boundary_weights(cfg: Config, m: int) -> None:
+    for key in ("nu", "nu_alt"):
+        if len(cfg.boundary[key]) != m:
+            raise InputError(f"config boundary.{key}: expected {m} weights, "
+                             f"one per map, got {len(cfg.boundary[key])}")
+
+
 def cmd_boundary(cfg: Config, model: Model, base, bundle: Bundle) -> dict:
     cyl_levels = cfg.boundary["cylinder_levels"]
     feat_levels = cfg.boundary["feature_levels"]
 
     gauge_info = {}
-    if getattr(model, "has_oracle", False) and hasattr(model, "oracle_gauge"):
+    closed_form = getattr(model, "has_oracle", False) and hasattr(model, "oracle_gauge")
+    if closed_form:
+        _check_boundary_weights(cfg, model.branch.m)  # before the closure, which may be large
         gauge = model.oracle_gauge
         domain = orbit_closure(model.branch, base, max(cyl_levels, feat_levels), cfg.pair_cap)
         gauge_info["source"] = "closed-form"
@@ -278,10 +287,8 @@ def cmd_boundary(cfg: Config, model: Model, base, bundle: Bundle) -> dict:
                 cert.bound(s, s, cfg.horizon) for s in positive
             )
     chain = build_doob(gauge, model.branch, domain, cfg.tol)
-    for key in ("nu", "nu_alt"):
-        if len(cfg.boundary[key]) != model.branch.m:
-            raise InputError(f"config boundary.{key}: expected {model.branch.m} weights, "
-                             f"one per map, got {len(cfg.boundary[key])}")
+    if not closed_form:  # a gauge that is not harmonic is refused first
+        _check_boundary_weights(cfg, model.branch.m)
     gauge_info["harmonicity_residual"] = chain.harmonicity_residual
     base = [s for s in base if chain.in_domain(s)]
     if not base:
@@ -292,12 +299,9 @@ def cmd_boundary(cfg: Config, model: Model, base, bundle: Bundle) -> dict:
     for s in base:
         table = cylinder_measure(chain, s, cyl_levels, cfg.pair_cap)
         label = point_label(s)
-        for w, p in sorted(table.table.items()):
-            rows.append((label, "".join(map(str, w)) or "-", p))
-        level_sum_err = max(
-            level_sum_err,
-            max(abs(table.level_sum(k) - 1.0) for k in range(cyl_levels + 1)),
-        )
+        rows.extend((label, w or "-", p) for w, p in table.sorted_items())
+        level_sum_err = max([level_sum_err] + [abs(table.level_sum(k) - 1.0)
+                                               for k in range(cyl_levels + 1)])
     bundle.add_csv("cylinders.csv", ["anchor_label", "word", "probability"], rows)
 
     f = (lambda s: 0.5 ** len(s)) if isinstance(model, WordTreeModel) else (lambda s: float(s) + 1.0)

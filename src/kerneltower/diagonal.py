@@ -122,10 +122,6 @@ class DiagonalTrace:
     def envelope_lower_bound(self) -> float:
         return self.values[-1]
 
-    @property
-    def increments(self) -> list[float]:
-        return [self.values[k + 1] - self.values[k] for k in range(len(self.values) - 1)]
-
 
 def diagonal_trace(
     K: Kernel,

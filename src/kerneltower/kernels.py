@@ -94,12 +94,6 @@ def apply_L_power(J: Kernel, branch: BranchSystem, n: int) -> Kernel:
     return K
 
 
-def defect_kernel(K: Kernel, branch: BranchSystem) -> Kernel:
-    """The one-step defect LK - K; PSD on a set iff K is subinvariant there."""
-    LK = apply_L(K, branch)
-    return Kernel(lambda s, t: LK(s, t) - K(s, t), name=f"defect[{K.name}]")
-
-
 @dataclass
 class Gram:
     """Kernel values over an ordered finite point list."""
@@ -113,15 +107,6 @@ class Gram:
     @property
     def size(self) -> int:
         return len(self.points)
-
-    def index(self, s: Point) -> int:
-        try:
-            return self.points.index(s)
-        except ValueError:
-            raise InputError(f"point {point_label(s)} not in Gram point list") from None
-
-    def value(self, s: Point, t: Point) -> float:
-        return float(self.entries[self.index(s), self.index(t)])
 
     def scale(self) -> float:
         return float(np.max(np.abs(np.diag(self.entries)))) if self.size else 0.0

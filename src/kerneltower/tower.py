@@ -12,6 +12,12 @@ guarded by the pair cap.  Each Gram entry is the exactly rounded
 ``math.fsum`` of count * kernel-value terms.  Defects are exact level
 differences; their PSD margins are certified per level.
 
+:func:`defect_gram` is the one LK - K: level 1 minus level 0 of the core, so
+LK is the exactly rounded sum of the m terms K(phi_i s, phi_i t).  It may
+differ from a scalar ``fsum`` over the maps in the last bit only for kernels
+symmetric only up to rounding (tables are read as ``table[min, max]``) and
+for pairs that three or more maps send to one pair next to other terms.
+
 Word-sum evaluation (one sum over all length-n words, with the scalar
 kernel) is kept as an independent second route to the same level Grams:
 :func:`level_via_words` enumerates every word in word order, calls the
@@ -40,8 +46,6 @@ from .kernels import (
     Gram,
     Kernel,
     PsdReport,
-    apply_L,
-    defect_kernel,
     gram,
     psd_check,
     sqrt_factor,
@@ -285,6 +289,14 @@ class Tower:
         return out
 
 
+def defect_gram(K: Kernel, branch: BranchSystem, points: Sequence[Point],
+                pair_cap: int = DEFAULT_WORD_CAP) -> np.ndarray:
+    """Gram of the one-step defect LK - K on ``points``: level 1 minus level 0 of the core."""
+    levels = tower_gram_iter(K, branch, points, pair_cap)
+    K0 = next(levels)
+    return next(levels) - K0
+
+
 def subinvariance_check(
     K: Kernel, branch: BranchSystem, points: Sequence[Point],
     tol: float = DEFAULT_PSD_TOL,
@@ -294,7 +306,7 @@ def subinvariance_check(
     A PSD verdict certifies the subinvariance inequality LK >= K on the
     given finite set.
     """
-    return psd_check(gram(defect_kernel(K, branch), points), tol)
+    return psd_check(defect_gram(K, branch, points), tol)
 
 
 def build_tower(
@@ -420,12 +432,6 @@ class KInfinityEstimate:
     converged: bool
     trace_history: list[float]
     tower: Tower
-
-    def gram(self) -> Gram:
-        return Gram(self.points, self.entries)
-
-    def value(self, s: Point, t: Point) -> float:
-        return self.gram().value(s, t)
 
     @property
     def bound_label(self) -> str:
@@ -592,10 +598,7 @@ def minimality_check(
     """
     pts = tuple(points)
     G_cand = gram(candidate, pts)
-    LJ = apply_L(candidate, branch)
-    inv_residual = max(
-        abs(LJ(s, t) - candidate(s, t)) for s in pts for t in pts
-    )
+    inv_residual = float(np.max(np.abs(defect_gram(candidate, branch, pts))))
     scale = max(G_cand.scale(), 1.0)
     invariance_ok = inv_residual <= tol * scale
     majorant_report = psd_check(
@@ -610,7 +613,7 @@ def minimality_check(
             max(tol, float(np.max(estimate.bound)) if np.all(np.isfinite(estimate.bound)) else tol),
         )
     return MinimalityReport(
-        invariance_residual=float(inv_residual),
+        invariance_residual=inv_residual,
         invariance_ok=invariance_ok,
         majorant_report=majorant_report,
         conclusion=conclusion,

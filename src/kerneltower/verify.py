@@ -45,11 +45,10 @@ from .gaussian import (
     martingale_checks,
     sample_covariance,
 )
-from .kernels import defect_kernel
 from .models import DivergentDeltaModel, WordTreeModel, feeder_model
 from .points import orbit_closure
 from .reports import RunReport
-from .tower import build_tower, level_via_words
+from .tower import build_tower, defect_gram, level_via_words
 
 PROTOCOL_SEEDS = 100
 PROTOCOL_MIN_PASS = 99
@@ -165,10 +164,10 @@ def check_certified_tail_bound(ctx) -> CheckResult:
     # carries ~2 ulp of cancellation noise that a strict inequality would
     # mistake for a refutation.
     d0 = lambda s: model.oracle_defect(0, s, s)
-    defect = defect_kernel(K, B)
-    defect_drift = max(abs(defect(s, s) - d0(s)) for s in orbit_closure(B, F, 3))
+    domain = orbit_closure(B, F, 3)
+    defect_drift = max(abs(float(defect_gram(K, B, [s])[0, 0]) - d0(s)) for s in domain)
     r_fn, C, beta = model.defect_lyapunov()
-    cert = lyapunov_verify(d0, B, r_fn, C, beta, orbit_closure(B, F, 3))
+    cert = lyapunov_verify(d0, B, r_fn, C, beta, domain)
     if not hasattr(cert, "bound"):
         return CheckResult("certified-tail-bound", 4, False, f"premises refuted: {cert}")
 
@@ -332,14 +331,9 @@ def check_doob_cylinders(ctx) -> CheckResult:
     chain = build_doob(model.oracle_gauge, model.branch, dom, ctx.tol)
     table = cylinder_measure(chain, model.point(""), 12)
     worst_sum = max(abs(table.level_sum(k) - 1.0) for k in range(13))
-    exact = all(
-        p == 2.0 ** -len(w) for w, p in table.table.items()
-    )
-    consistent = 0.0
-    for w, p in table.table.items():
-        if len(w) < 12:
-            children = sum(table.table[w + (i,)] for i in (1, 2))
-            consistent = max(consistent, abs(children - p))
+    exact = all(np.all(p == 2.0**-k) for k, p in enumerate(table.masses))
+    consistent = max(float(np.max(np.abs(c.reshape(-1, 2).sum(axis=1) - p)))
+                     for p, c in zip(table.masses, table.masses[1:]))
 
     feeder = feeder_model()
     ftower = build_tower(feeder.kernel, feeder.branch, feeder.all_states(), 2, ctx.tol)

@@ -16,12 +16,18 @@ from kerneltower import (
     ResourceError,
     TowerSampler,
     WordTreeModel,
+    apply_L,
     build_tower,
+    gram,
+    h_normalize,
     limit_fields,
     martingale_checks,
+    psd_check,
+    sqrt_factor,
     verify,
 )
 from kerneltower.gaussian import sample_covariance
+from kerneltower.points import check_word_cap
 
 
 def all_words(m, n):
@@ -292,3 +298,57 @@ def reference_check_compression_fields(ctx):
     passed = passes >= verify.PROTOCOL_MIN_PASS and spot
     return passed, {"seed_passes": passes, "covZ_root": float(covZ[0, 0]),
                     "covY_root": float(covY[0, 0]), "covD_root": float(covD[0, 0])}
+
+
+def reference_defect_kernel(K, branch):
+    """The one-step defect LK - K as a composed scalar kernel over the apply_L memo."""
+    LK = apply_L(K, branch)
+    return Kernel(lambda s, t: LK(s, t) - K(s, t), name=f"defect[{K.name}]")
+
+
+def reference_subinvariance_check(K, branch, points, tol=1e-9):
+    return psd_check(gram(reference_defect_kernel(K, branch), points), tol)
+
+
+def reference_walk_levels(chain, s, n, cap=2**24):
+    """Yield per level the list of (word, point, mass) in word-lexicographic order.
+
+    The word-by-word Doob walk the indexed walk replaced: every word carries
+    its own point, and the gauge is read again at every word of positive mass.
+    """
+    check_word_cap(chain.branch.m, n, cap)
+    level = [((), s, 1.0)]
+    yield level
+    maps = chain.branch.maps
+    for _ in range(n):
+        nxt = []
+        for w, x, p in level:
+            if p == 0.0:
+                children = [0.0] * len(maps)
+            else:
+                hx = chain.h(x)
+                children = (
+                    [chain.h(f(x)) / hx for f in maps] if hx > 0.0 else [0.0] * len(maps)
+                )
+            for i, f in enumerate(maps, start=1):
+                nxt.append((w + (i,), f(x), p * children[i - 1]))
+        level = nxt
+        yield level
+
+
+def reference_section_points(chain, base, N):
+    """Points the walks of ``base`` reach with positive mass down to level N - 1, first-reached order."""
+    points = {}
+    for s in base:
+        for level in reference_walk_levels(chain, s, N - 1):
+            for _w, x, p in level:
+                if p != 0.0:
+                    points.setdefault(x, None)
+    return list(points)
+
+
+def reference_section_gram(K, chain, points, tol=1e-9):
+    """Section Gram of the normalized defect through three scalar kernel layers."""
+    defect_h = h_normalize(reference_defect_kernel(K, chain.branch), chain.h)
+    factor = sqrt_factor(gram(defect_h, points).entries, tol)
+    return factor @ factor.T

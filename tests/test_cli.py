@@ -244,6 +244,20 @@ def test_short_lyapunov_table_is_input_error(tmp_path, capsys):
     assert "lyapunov.r" in err
 
 
+def test_finite_state_certificate_reads_the_computed_defect_diagonal(tmp_path, capsys):
+    # The feeder tables: the one-step defect diagonal is (0, 0, 0.5), so
+    # C = 0.25 is refuted at state 2 with the computed value in the status.
+    cfg = write_config(
+        tmp_path,
+        "model:\n  kind: finite-state\n  maps: [[0, 1, 0], [1, 1, 0]]\n"
+        "  kernel: [[1.0, 0.0, 1.0], [0.0, 0.0, 0.0], [1.0, 0.0, 1.5]]\n"
+        "  lyapunov: {C: 0.25, beta: 0.5, r: [1, 1, 1]}\nhorizon: 2\n",
+    )
+    assert main(["diagonal", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+    status = read_summary(tmp_path / "out")["results"]["certificate"]["status"]
+    assert status == "refuted: premise diag <= C*r fails at 2: 0.5 > 0.25"
+
+
 def test_boundary_without_positive_gauge_is_input_error(tmp_path, capsys):
     cfg = write_config(
         tmp_path,
@@ -277,6 +291,50 @@ def test_bad_boundary_keys_are_input_errors(tmp_path, capsys, boundary, key):
     err = capsys.readouterr().err
     assert code == 2
     assert err.startswith(f"error[input]: config boundary.{key}: ")
+
+
+def test_boundary_weight_count_is_checked_before_the_closure(tmp_path, capsys):
+    # With a closed-form gauge the count is refused first: at this cap the
+    # depth-12 orbit closure would itself exit 5.
+    cfg = write_config(tmp_path, "model: {kind: word-tree, m: 3}\nbase_points: ['']\n"
+                                 "horizon: 4\npair_cap: 50\n")
+    code = main(["boundary", "--config", cfg, "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error[input]: config boundary.nu: expected 3 weights")
+
+
+def test_boundary_nonharmonic_tower_gauge_is_refused_before_the_weight_count(tmp_path, capsys):
+    # Three maps and the default two weights, but the doubling diagonal is
+    # not harmonic, which is reported first.
+    cfg = write_config(
+        tmp_path,
+        "model:\n  kind: finite-state\n  maps: [[0, 1, 2], [0, 1, 2], [0, 0, 0]]\n"
+        "  kernel: [[0, 0, 0], [0, 1, 0], [0, 0, 1]]\nhorizon: 2\n",
+    )
+    code = main(["boundary", "--config", cfg, "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert err.startswith("error[model]: gauge not harmonic")
+
+
+def test_boundary_section_pairs_are_capped(tmp_path, capsys):
+    # The closure, cylinders and tower fit under the cap; the 127 section
+    # points (16256 level-1 pairs) do not.
+    cfg = write_config(tmp_path, EX25_YAML + "pair_cap: 2000\n"
+                       "boundary: {cylinder_levels: 3, feature_levels: 6}\n")
+    code = main(["boundary", "--config", cfg, "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert code == 5
+    assert err.startswith("error[resource]: boundary section Gram: 127 section points")
+    assert "config boundary.feature_levels" in err
+
+
+def test_boundary_bundle_determinism(tmp_path, capsys):
+    cfg = write_config(tmp_path, EX25_YAML + "boundary: {cylinder_levels: 6, feature_levels: 5}\n")
+    for out in ("a", "b"):
+        assert main(["boundary", "--config", cfg, "--out", str(tmp_path / out)]) == 0
+    assert_dirs_byte_identical(tmp_path / "a", tmp_path / "b")
 
 
 def test_verbose_reports_each_pipeline(tmp_path, capsys):

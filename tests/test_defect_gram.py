@@ -1,0 +1,235 @@
+"""The batched defect Gram and the indexed Doob walk against their scalar references."""
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from kerneltower import (
+    DivergentDeltaModel,
+    FiniteStateModel,
+    WordTreeModel,
+    build_doob,
+    build_tower,
+    cylinder_measure,
+    enumerate_words,
+    feeder_model,
+    gauge_from_tower,
+    gram,
+    subinvariance_check,
+)
+from kerneltower.boundary import _boundary_sections, _walk_levels
+from kerneltower.points import orbit_closure
+from kerneltower.tower import defect_gram
+
+from oracles import (
+    reference_defect_kernel,
+    reference_section_gram,
+    reference_section_points,
+    reference_subinvariance_check,
+    reference_walk_levels,
+)
+
+
+def _prefix_chain(model, depth):
+    """Doob chain of a prefix-tree model under its harmonic gauge m^-|s|."""
+    dom = orbit_closure(model.branch, [model.point("")], depth)
+    return build_doob(lambda s: float(model.m) ** -len(s), model.branch, dom)
+
+
+def seeded_finite_state(seed, S=12, m=3):
+    """Subinvariant model with an exactly symmetric table and off-diagonal defects.
+
+    phi_1 permutes the states and fixes the kernel-null sink 0; the other maps
+    send about half the states to the sink and the rest anywhere.  K is
+    diag(d) + u u^T with d, u constant on the cycles of phi_1, so LK - K is a
+    sum of pullbacks of K and PSD.
+    """
+    rng = np.random.default_rng(seed)
+    perm = np.concatenate(([0], 1 + rng.permutation(S - 1)))
+    maps = [perm.tolist()] + [
+        [0] + [0 if rng.random() < 0.5 else int(rng.integers(1, S)) for _ in range(S - 1)]
+        for _ in range(m - 1)
+    ]
+    cycle = np.full(S, -1)
+    for s in range(1, S):
+        t, c = s, s
+        while cycle[t] < 0:
+            cycle[t] = c
+            t = perm[t]
+    d, u = rng.uniform(0.5, 1.5, S)[cycle], rng.uniform(0.1, 1.0, S)[cycle]
+    d[0] = u[0] = 0.0
+    return FiniteStateModel(maps, np.diag(d) + np.outer(u, u), name=f"seeded-{seed}")
+
+
+def _positive_chain(model):
+    # The section Gram and the walk do not use harmonicity, so a positive
+    # gauge accepted at any residual exercises them with off-diagonal defects.
+    gauge = lambda s: 0.0 if s == 0 else 1.0 + 0.25 * s
+    return build_doob(gauge, model.branch, range(1, model.S), tol=math.inf)
+
+
+def _cases():
+    ex25 = WordTreeModel(m=2, r=0.5, c=0.5, eta=1.0)
+    m3 = WordTreeModel(m=3, r=0.3, c=0.9, eta=2.0)
+    delta = DivergentDeltaModel(m=2)
+    feeder = feeder_model()
+    h, positive = gauge_from_tower(build_tower(feeder.kernel, feeder.branch, feeder.all_states(), 2))
+    fchain = build_doob(h, feeder.branch, positive)
+    fs = seeded_finite_state(5)
+    return {
+        "ex25": (ex25, build_doob(ex25.oracle_gauge, ex25.branch,
+                                  orbit_closure(ex25.branch, [ex25.point("")], 8)),
+                 [ex25.point(x) for x in ("", "1", "2")], 6),
+        "m3": (m3, build_doob(m3.oracle_gauge, m3.branch,
+                              orbit_closure(m3.branch, [m3.point("")], 5)),
+               [m3.point(x) for x in ("", "3")], 4),
+        "delta": (delta, _prefix_chain(delta, 6), [delta.point(x) for x in ("", "1")], 5),
+        "feeder": (feeder, fchain, [0, 2], 6),
+        "finite-state": (fs, _positive_chain(fs), [1, 2, 3], 5),
+    }
+
+
+CASES = _cases()
+
+
+@pytest.mark.parametrize("name", CASES)
+def test_defect_gram_equals_scalar_reference(name):
+    model, chain, base, N = CASES[name]
+    pts = orbit_closure(model.branch, base, 2)
+    D = defect_gram(model.kernel, model.branch, pts)
+    assert np.array_equal(D, gram(reference_defect_kernel(model.kernel, model.branch), pts).entries)
+    new = subinvariance_check(model.kernel, model.branch, pts)
+    ref = reference_subinvariance_check(model.kernel, model.branch, pts)
+    assert (new.min_eigenvalue, new.scale, new.psd) == (ref.min_eigenvalue, ref.scale, ref.psd)
+
+
+@pytest.mark.parametrize("name", CASES)
+def test_section_gram_equals_scalar_reference(name):
+    model, chain, base, N = CASES[name]
+    sections = _boundary_sections(model.kernel, tuple(base), chain, N, 1e-9, 2**24)
+    points = reference_section_points(chain, base, N)
+    assert list(sections.section_index) == points
+    ref = reference_section_gram(model.kernel, chain, points)
+    assert np.array_equal(sections.section_gram, ref)
+
+
+def test_section_gram_sees_off_diagonal_normalization():
+    # Guards the h(s) h(t) normalization: the seeded defects are not diagonal.
+    model, chain, base, N = CASES["finite-state"]
+    sections = _boundary_sections(model.kernel, tuple(base), chain, N, 1e-9, 2**24)
+    G = sections.section_gram
+    assert np.max(np.abs(G - np.diag(np.diag(G)))) > 1e-3
+
+
+@st.composite
+def asymmetric_tables(draw):
+    """Random maps and a PSD table whose transpose differs below 1e-13."""
+    S = draw(st.integers(2, 7))
+    m = draw(st.integers(1, 3))
+    maps = [draw(st.lists(st.integers(0, S - 1), min_size=S, max_size=S)) for _ in range(m)]
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    A = rng.standard_normal((S, S))
+    K = A @ A.T + S * np.eye(S) + rng.uniform(-1e-13, 1e-13, (S, S))
+    return FiniteStateModel(maps, K)
+
+
+@settings(max_examples=40, deadline=None)
+@given(asymmetric_tables())
+def test_defect_gram_matches_reference_on_asymmetric_tables(model):
+    pts = model.all_states()
+    D = defect_gram(model.kernel, model.branch, pts)
+    ref = gram(reference_defect_kernel(model.kernel, model.branch), pts).entries
+    assert np.max(np.abs(D - ref)) <= 1e-12
+    new = subinvariance_check(model.kernel, model.branch, pts)
+    old = reference_subinvariance_check(model.kernel, model.branch, pts)
+    assert abs(new.min_eigenvalue - old.min_eigenvalue) <= 1e-12 * max(old.scale, 1.0)
+
+
+# --- the indexed Doob walk -----------------------------------------------------
+
+
+def _assert_walk_equals_reference(chain, s, n):
+    levels = _walk_levels(chain, s, n, 2**24)
+    for k, (level, ref) in enumerate(zip(levels, reference_walk_levels(chain, s, n))):
+        pts, idx, mass = level
+        assert enumerate_words(chain.branch.m, k) == [w for w, _x, _p in ref]
+        assert [pts[j] for j in idx.tolist()] == [x for _w, x, _p in ref]
+        assert mass.tobytes() == np.array([p for _w, _x, p in ref]).tobytes()
+    assert len(levels) == n + 1
+
+
+@pytest.mark.parametrize("name", CASES)
+def test_walk_equals_reference(name):
+    model, chain, base, _N = CASES[name]
+    for s in base:
+        _assert_walk_equals_reference(chain, s, 6)
+
+
+def test_walk_equals_reference_on_uniform_chain(ex25):
+    chain = _prefix_chain(ex25, 10)
+    _assert_walk_equals_reference(chain, ex25.point("12"), 10)
+
+
+def test_walk_reads_points_in_the_order_of_the_scalar_walk():
+    # From anchor 4, the gauge-zero state 0 sends dead words to 2 and 3
+    # before the live words of state 1 reach 3 and 2: sections must follow
+    # the live words, not the first words.
+    model = FiniteStateModel([[2, 3, 2, 3, 0], [3, 2, 3, 2, 1]], np.zeros((5, 5)))
+    h = [0.0, 1.0, 1.5, 2.5, 3.0]
+    chain = build_doob(h.__getitem__, model.branch, [1, 2, 3, 4], tol=math.inf)
+    _assert_walk_equals_reference(chain, 4, 4)
+    sections = _boundary_sections(model.kernel, (4,), chain, 3, 1e-9, 2**24)
+    assert list(sections.section_index) == reference_section_points(chain, [4], 3) == [4, 1, 3, 2]
+
+
+def test_cylinder_table_equals_reference():
+    model, chain, base, _N = CASES["feeder"]
+    table = cylinder_measure(chain, 2, 8)
+    ref = {w: p for level in reference_walk_levels(chain, 2, 8) for w, _x, p in level}
+    assert table.table == ref
+    assert list(table.table) == list(ref)
+    assert table.sorted_items() == [("".join(map(str, w)), p) for w, p in sorted(ref.items())]
+
+
+@st.composite
+def harmonic_chains(draw):
+    """Random finite-state Doob chains whose gauge is harmonic by construction.
+
+    State 0 is a sink (gauge 0), states 1..P a spine that phi_1 permutes and
+    the other maps send to the sink, with a gauge constant on the cycles of
+    phi_1; every other state s maps below itself and takes as gauge the sum
+    over its images.
+    """
+    S = draw(st.integers(3, 9))
+    m = draw(st.integers(2, 3))
+    P = draw(st.integers(1, S - 1))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    perm = 1 + rng.permutation(P)
+    maps = [[0] * S for _ in range(m)]
+    h = [0.0] * S
+    for s in range(1, P + 1):
+        maps[0][s] = int(perm[s - 1])
+    for s in range(1, P + 1):  # constant on the cycles of the spine permutation
+        t, v = s, float(rng.uniform(0.5, 2.0))
+        while h[t] == 0.0:
+            h[t] = v
+            t = maps[0][t]
+    for s in range(P + 1, S):
+        for f in maps:
+            f[s] = int(rng.integers(0, s))
+        h[s] = math.fsum(h[f[s]] for f in maps)
+    model = FiniteStateModel(maps, np.eye(S), name="harmonic")
+    domain = [s for s in range(S) if h[s] > 0.0]
+    return build_doob(h.__getitem__, model.branch, domain), draw(st.sampled_from(domain))
+
+
+@settings(max_examples=40, deadline=None)
+@given(harmonic_chains(), st.integers(0, 7))
+def test_cylinder_level_sums_are_one(case, n):
+    chain, s = case
+    table = cylinder_measure(chain, s, n)
+    for k in range(n + 1):
+        assert abs(table.level_sum(k) - 1.0) <= 1e-12
