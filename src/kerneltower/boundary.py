@@ -439,9 +439,10 @@ class BoundarySections:
     The Doob walks of the base points down to level N - 1 and the Gram of
     the normalized one-step defect (LK - K)/(h x h) on every point those
     walks reach with positive mass, rebuilt from its square-root factor.
-    LK - K is :func:`tower.defect_gram`: a scalar ``fsum`` over the maps bit
-    for bit, except in the last bit for kernels symmetric only up to rounding
-    and for pairs that three or more maps send to one pair next to others.
+    LK - K is :func:`tower.defect_gram`.  For m = 2 it equals the scalar
+    ``fsum`` over the maps; otherwise it lies within m * 2^-53 * (L|K|)(s, t)
+    of it.  Kernels symmetric only up to rounding may also differ by their
+    asymmetry, since the core reads each pair in one order.
     """
 
     points: tuple

@@ -84,17 +84,13 @@ def _resolve_certificate(cfg: Config, model: Model, base):
             return None, "no certificate available for this model"
     else:
         C, beta = float(spec["C"]), float(spec["beta"])
-        r_spec = spec["r"]
-        if not isinstance(r_spec, dict) or "kind" not in r_spec:
-            raise InputError("config certificate.r: mapping with a 'kind' key required")
+        r_spec = spec["r"]  # checked by parse_config
         if r_spec["kind"] == "length-decay":
             bb = float(r_spec["base"])
             r_fn = lambda s: bb ** len(s)
-        elif r_spec["kind"] == "table":
+        else:
             values = {model.point(k): float(v) for k, v in r_spec["values"].items()}
             r_fn = lambda s: values[s]
-        else:
-            raise InputError(f"config certificate.r.kind: unknown {r_spec['kind']!r}")
     if getattr(model, "has_oracle", False) and hasattr(model, "oracle_defect"):
         d0 = lambda s: model.oracle_defect(0, s, s)
     else:  # one point at a time: the domain may be large, and only its diagonal is read

@@ -106,6 +106,27 @@ def _as_int(value, path: str) -> int:
     return value
 
 
+def _check_tail_weight(r, kind: str) -> None:
+    """The certificate's r: {kind: length-decay, base} or {kind: table, values}."""
+    if not isinstance(r, Mapping) or "kind" not in r:
+        raise InputError("config certificate.r: mapping with a 'kind' key required")
+    key = {"length-decay": "base", "table": "values"}.get(r["kind"])
+    if key is None:
+        raise InputError(f"config certificate.r.kind: unknown {r['kind']!r}")
+    if key == "base" and kind in ("feeder", "finite-state"):
+        raise InputError("config certificate.r.kind: length-decay needs word points, "
+                         f"not the integer states of a {kind} model")
+    if key not in r:
+        raise InputError(f"config certificate.r.{key}: required")
+    if key == "base":
+        _as_float(r["base"], "certificate.r.base")
+        return
+    if not isinstance(r["values"], Mapping):
+        raise _type_error("certificate.r.values", "a mapping of point label to number", r["values"])
+    for label, value in r["values"].items():
+        _as_float(value, f"certificate.r.values.{label}")
+
+
 @dataclass
 class Config:
     """Resolved experiment configuration (defaults applied, overrides merged)."""
@@ -130,7 +151,7 @@ class Config:
 
     def resolved(self) -> dict:
         """Plain mapping echo, stable under parse -> echo -> parse."""
-        out = {
+        return {
             "model": {"kind": self.model_kind, **self.model_params},
             "base_points": list(self.base_points),
             "closure_depth": self.closure_depth,
@@ -148,7 +169,6 @@ class Config:
             "output": {"formats": list(self.formats)},
             "fault_injection": self.fault_injection,
         }
-        return out
 
     def echo_yaml(self) -> str:
         return yaml.dump(self.resolved(), Dumper=_Dumper, sort_keys=True)
@@ -176,6 +196,9 @@ def parse_config(raw: Mapping, base_dir: Path | None = None) -> Config:
     if kind not in _MODEL_KINDS:
         raise InputError(f"config model.kind: {kind!r} not one of {_MODEL_KINDS}")
     params = {k: v for k, v in model.items() if k != "kind"}
+    for key in {"word-tree": ("m", "r", "c", "eta"), "delta": ("m",)}.get(kind, ()):
+        if key in params:
+            (_as_int if key == "m" else _as_float)(params[key], f"model.{key}")
     if kind == "finite-state" and base_dir is not None:
         for key in ("kernel", "maps"):
             csv_key = f"{key}_csv"
@@ -217,6 +240,9 @@ def parse_config(raw: Mapping, base_dir: Path | None = None) -> Config:
         for key in ("C", "beta", "r"):
             if key not in cert:
                 raise InputError(f"config certificate.{key}: required")
+        _as_float(cert["C"], "certificate.C")
+        _as_float(cert["beta"], "certificate.beta")
+        _check_tail_weight(cert["r"], kind)
         cert = dict(cert)
     cfg.certificate = cert
 
@@ -255,7 +281,8 @@ def parse_config(raw: Mapping, base_dir: Path | None = None) -> Config:
     if fault is not None:
         if not isinstance(fault, Mapping) or "check" not in fault or "delta" not in fault:
             raise InputError("config fault_injection: needs 'check' and 'delta'")
-        cfg.fault_injection = {"check": str(fault["check"]), "delta": float(fault["delta"])}
+        cfg.fault_injection = {"check": str(fault["check"]),
+                               "delta": _as_float(fault["delta"], "fault_injection.delta")}
     return cfg
 
 

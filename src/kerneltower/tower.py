@@ -1,22 +1,23 @@
 """The kernel tower: iterated branching, defects, and the invariant completion.
 
-Level n of the tower is K_n = L^n K: each entry K_n(s, t) sums K over the
-pair orbit {(phi_w s, phi_w t) : |w| = n}.  The core interns every point
-it reaches as an int id and turns each map into an int successor array,
-grown one level at a time.  A base pair's orbit is an array of
-(base pair, lo id, hi id) rows with float64 multiplicities; one branching
-step maps all rows through the m successor arrays at once and merges
-duplicate rows.  On finite-state systems the orbits saturate at S^2 pairs
-per base pair; on genuine trees they grow by a factor m per level and are
-guarded by the pair cap.  Each Gram entry is the exactly rounded
-``math.fsum`` of count * kernel-value terms.  Defects are exact level
-differences; their PSD margins are certified per level.
+Level n of the tower is K_n = L^n K, with (LJ)(s, t) = sum_i J(phi_i s, phi_i t).
+The core interns every point it reaches as an int id and turns each map
+into an int successor array, grown one level at a time.  It keeps a layered
+pair graph: layer d holds the distinct point pairs at depth d, merged
+across base pairs, with one child-position array per map into layer d+1.
+Level n evaluates K on layer n and sums it up the layers in map order, so
+an entry is n nested left-to-right sums of m children, within
+(n(m-1)+1) * 2^-53 * (L^n |K|)(s, t) of the exact word sum.  On
+finite-state systems a layer holds at most S(S+1)/2 pairs; on genuine
+trees layers grow by a factor m per level and are guarded by the pair cap.
+Defects are exact level differences; their PSD margins are certified per
+level.
 
 :func:`defect_gram` is the one LK - K: level 1 minus level 0 of the core, so
-LK is the exactly rounded sum of the m terms K(phi_i s, phi_i t).  It may
-differ from a scalar ``fsum`` over the maps in the last bit only for kernels
-symmetric only up to rounding (tables are read as ``table[min, max]``) and
-for pairs that three or more maps send to one pair next to other terms.
+LK is the left-to-right sum of the m terms K(phi_i s, phi_i t).  For m = 2
+it equals a scalar ``fsum`` over the maps; otherwise it lies within
+m * 2^-53 * (L|K|)(s, t) of it (kernels symmetric only up to rounding may
+also differ by their asymmetry: the core reads each pair in one order).
 
 Word-sum evaluation (one sum over all length-n words, with the scalar
 kernel) is kept as an independent second route to the same level Grams:
@@ -109,34 +110,6 @@ class _PointIndex:
         return self.features
 
 
-def _ordered(a, b) -> list:
-    """Elementwise (min, max) of two id columns."""
-    return [np.minimum(a, b), np.maximum(a, b)]
-
-
-def _distinct(columns, sizes):
-    """Distinct rows of int columns (column k below sizes[k]), sorted, and each row's rank.
-
-    Rows are packed into one exact int64 key when the key space fits in
-    63 bits; otherwise numpy compares them column by column.
-    """
-    if math.prod(sizes) >= 2**63:
-        rows, inverse = np.unique(np.column_stack(columns), axis=0, return_inverse=True)
-        return list(rows.T), inverse.reshape(-1)
-    key = columns[0].copy()
-    for k in range(1, len(columns)):
-        key *= sizes[k]
-        key += columns[k]
-    del columns  # frees the columns when the caller holds no other reference
-    uniq, inverse = np.unique(key, return_inverse=True)
-    out = []
-    for size in reversed(sizes[1:]):
-        uniq, col = np.divmod(uniq, size)
-        out.append(col)
-    out.append(uniq)
-    return out[::-1], inverse.reshape(-1)
-
-
 def tower_gram_iter(
     K: Kernel,
     branch: BranchSystem,
@@ -145,21 +118,19 @@ def tower_gram_iter(
 ) -> Iterator[np.ndarray]:
     """Yield the level-0, level-1, ... Gram matrices of the tower on ``points``.
 
-    Every point reached is interned once as an int id; each map becomes an
-    int successor array, extended by the points of each new level only when
-    the next level is requested, so callers may stop at any horizon.  Each
-    unordered base pair carries its pair orbit as rows (base pair, lo id,
-    hi id) with float64 multiplicities (exact below 2^53, never wrapping).
-    One step maps all rows through the successor arrays and merges
-    duplicates.  A level's pairs are evaluated in one call when the kernel
-    has a ``KernelBatch``; otherwise the scalar kernel is called once per
-    distinct pair, ordered by ``_canon_pair``.  Each entry is the
-    ``math.fsum`` of its rows' count * value terms: exactly rounded, so it
-    does not depend on the order of the rows.  Pairs of points that do not
-    compare are merged as unordered pairs.
+    Points are interned as int ids and each map becomes an int successor
+    array, grown only when the next level is requested, so callers may stop
+    at any horizon.  Layer d of the pair graph holds the distinct unordered
+    id pairs at depth d, merged across base pairs; each layer keeps one
+    child-position array per map into the next.  Level n evaluates K once
+    on layer n (in one call when the kernel has a ``KernelBatch``, else once
+    per pair in ``_canon_pair`` order) and sums up the layers in map order,
+    ``v_d = v_{d+1}[child_1] + ... + v_{d+1}[child_m]``.  These nested sums
+    lie within (n(m-1)+1) * 2^-53 * (L^n |K|)(s, t) of the exact word sum.
+    Pairs of points that do not compare are merged as unordered pairs.
 
-    ``pair_cap`` bounds the rows of a level (distinct pairs summed over the
-    base pairs); a level beyond it raises a resource error when requested.
+    ``pair_cap`` bounds the distinct pairs of one layer beyond layer 0; a
+    level beyond it raises a resource error when requested.
     """
     pts = tuple(points)
     n = len(pts)
@@ -170,49 +141,44 @@ def tower_gram_iter(
     index = _PointIndex(branch.maps)
     base = index.intern(pts)
     ia, ib = np.triu_indices(n)
-    n_pairs = len(ia)
-    bp = np.arange(n_pairs)
-    lo = np.minimum(base[ia], base[ib])
-    hi = np.maximum(base[ia], base[ib])
-    cnt = np.ones(n_pairs)
-
+    lo, hi = base[ia], base[ib]
+    children = []  # [0]: base pairs -> layer 0; [d]: layer d-1 -> layer d, one row per map
     while True:
-        if batch is not None:
-            feat = index.feature_array(batch.feature)
-            values = batch.evaluate(feat[lo], feat[hi], lo == hi)
-        else:
-            size = len(index.points)
-            (plo, phi), which = _distinct([lo, hi], [size, size])
-            pool = index.points
-            values = np.array(
-                [evaluate(*_canon_pair(pool[a], pool[b]))
-                 for a, b in zip(plo.tolist(), phi.tolist())],
-                dtype=float,
-            )[which]
-        terms = cnt * values
-        bounds = np.searchsorted(bp, np.arange(n_pairs + 1)).tolist()
-        sums = [math.fsum(terms[i:j].tolist()) for i, j in zip(bounds, bounds[1:])]
-        del values, terms
-        G = np.empty((n, n), dtype=float)
-        G[ia, ib] = sums
-        G[ib, ia] = sums
-        yield G
-
-        succ = index.successors()
         size = len(index.points)
-        m = len(succ)
-        # The merge gets the only references to the new columns and frees them.
-        (bp, lo, hi), which = _distinct(
-            [np.tile(bp, m), *_ordered(succ[:, lo].ravel(), succ[:, hi].ravel())],
-            [n_pairs, size, size],
-        )
-        if len(bp) > pair_cap:
+        if size * size >= 2**63:
+            raise ResourceError(f"tower pair keys of {size} points exceed int64")
+        key = np.minimum(lo, hi)
+        key *= size
+        key += np.maximum(lo, hi, out=hi)
+        del lo, hi  # the candidate columns, freed before the sort
+        key, at = np.unique(key, return_inverse=True)
+        if children and len(key) > pair_cap:
             raise ResourceError(
                 f"tower pair orbit exceeded the cap of {pair_cap} pairs; "
                 "reduce the horizon or supply a tail certificate"
             )
-        cnt = np.bincount(which, weights=np.tile(cnt, m), minlength=len(bp))
-        del which
+        lo, hi = np.divmod(key, size)
+        del key
+        at = at.astype(np.min_scalar_type(len(lo)))
+        children.append(at.reshape(len(branch.maps) if children else 1, -1))
+        if batch is not None:
+            feat = index.feature_array(batch.feature)
+            values = batch.evaluate(feat[lo], feat[hi], lo == hi)
+        else:
+            pool = index.points
+            values = np.array([evaluate(*_canon_pair(pool[a], pool[b]))
+                               for a, b in zip(lo.tolist(), hi.tolist())], dtype=float)
+        for kids in reversed(children):
+            total = values[kids[0]]
+            for k in kids[1:]:
+                total += values[k]
+            values = total
+        G = np.empty((n, n), dtype=float)
+        G[ia, ib] = G[ib, ia] = values + 0.0  # + 0.0: no entry is -0.0
+        yield G
+
+        succ = index.successors()
+        lo, hi = succ[:, lo].ravel(), succ[:, hi].ravel()
 
 
 @dataclass
@@ -291,7 +257,12 @@ class Tower:
 
 def defect_gram(K: Kernel, branch: BranchSystem, points: Sequence[Point],
                 pair_cap: int = DEFAULT_WORD_CAP) -> np.ndarray:
-    """Gram of the one-step defect LK - K on ``points``: level 1 minus level 0 of the core."""
+    """Gram of the one-step defect LK - K on ``points``: level 1 minus level 0 of the core.
+
+    LK(s, t) is the left-to-right sum of K(phi_i s, phi_i t) over the maps:
+    for m = 2 the exactly rounded sum, otherwise within m * 2^-53 *
+    (L|K|)(s, t) of it.  ``pair_cap`` bounds the distinct pairs of layer 1.
+    """
     levels = tower_gram_iter(K, branch, points, pair_cap)
     K0 = next(levels)
     return next(levels) - K0

@@ -86,11 +86,13 @@ def _canon_pair(x, y):
 
 
 def reference_tower_gram_iter(K, branch, points, pair_cap=2**24):
-    """Level Grams from one Counter of descendant pairs per base pair.
+    """Exactly rounded level Grams from one Counter of descendant pairs per base pair.
 
-    The pair-orbit loop the table-backed core replaced: every pair is
-    mapped through every map and re-ordered in Python, and each level's
-    distinct pairs are evaluated once with the scalar kernel.
+    Every pair is mapped through every map and re-ordered in Python, each
+    level's distinct pairs are evaluated once with the scalar kernel, and
+    each entry is the ``math.fsum`` of its count * value terms.  The layered
+    core's nested sums are checked against it at their rounding bound.
+    ``pair_cap`` bounds the pairs summed over the base pairs.
     """
     pts = tuple(points)
     n = len(pts)

@@ -293,6 +293,36 @@ def test_bad_boundary_keys_are_input_errors(tmp_path, capsys, boundary, key):
     assert err.startswith(f"error[input]: config boundary.{key}: ")
 
 
+_CERT = "certificate: {C: 1, beta: 0.5, r: %s}\n"
+
+
+@pytest.mark.parametrize("text, key", [
+    pytest.param(_CERT % "{kind: table}", "certificate.r.values", id="table-no-values"),
+    pytest.param(_CERT % "{kind: length-decay}", "certificate.r.base", id="decay-no-base"),
+    pytest.param("certificate: {C: abc, beta: 0.5, r: {kind: length-decay, base: 0.25}}\n",
+                 "certificate.C", id="C-not-number"),
+    pytest.param(_CERT % "{kind: length-decay, base: abc}", "certificate.r.base",
+                 id="base-not-number"),
+    pytest.param(_CERT % "{kind: table, values: [1, 2]}", "certificate.r.values",
+                 id="values-not-mapping"),
+    pytest.param("model: {kind: feeder}\n" + _CERT % "{kind: length-decay, base: 0.25}",
+                 "certificate.r.kind", id="decay-on-integer-states"),
+    pytest.param("model: {kind: word-tree, m: x}\n", "model.m", id="m-not-integer"),
+    pytest.param("model: {kind: word-tree, r: abc}\n", "model.r", id="r-not-number"),
+    pytest.param("fault_injection: {check: x, delta: abc}\n", "fault_injection.delta",
+                 id="delta-not-number"),
+    pytest.param("model: {kind: delta, m: 2.5}\n", "model.m", id="m-fractional"),
+])
+def test_bad_config_values_are_input_errors(tmp_path, capsys, text, key):
+    if not text.startswith("model:"):
+        text = "model: {kind: word-tree}\n" + text
+    cfg = write_config(tmp_path, text + "horizon: 2\n")
+    code = main(["tower", "--config", cfg, "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith(f"error[input]: config {key}: ")
+
+
 def test_boundary_weight_count_is_checked_before_the_closure(tmp_path, capsys):
     # With a closed-form gauge the count is refused first: at this cap the
     # depth-12 orbit closure would itself exit 5.

@@ -31,6 +31,7 @@ from oracles import (
     reference_subinvariance_check,
     reference_walk_levels,
 )
+from test_tower_core import _assert_core_within_rounding
 
 
 def _prefix_chain(model, depth):
@@ -100,9 +101,14 @@ def test_defect_gram_equals_scalar_reference(name):
     model, chain, base, N = CASES[name]
     pts = orbit_closure(model.branch, base, 2)
     D = defect_gram(model.kernel, model.branch, pts)
-    assert np.array_equal(D, gram(reference_defect_kernel(model.kernel, model.branch), pts).entries)
     new = subinvariance_check(model.kernel, model.branch, pts)
     ref = reference_subinvariance_check(model.kernel, model.branch, pts)
+    if name == "finite-state":  # merged pairs: nested sums, within rounding of the reference
+        _assert_core_within_rounding(model.kernel, model.branch, pts, 1)
+        assert abs(new.min_eigenvalue - ref.min_eigenvalue) <= 1e-12 * max(ref.scale, 1.0)
+        assert (new.scale, new.psd) == (ref.scale, ref.psd)
+        return
+    assert np.array_equal(D, gram(reference_defect_kernel(model.kernel, model.branch), pts).entries)
     assert (new.min_eigenvalue, new.scale, new.psd) == (ref.min_eigenvalue, ref.scale, ref.psd)
 
 
