@@ -7,6 +7,9 @@ diagonal growth, simulates the associated Gaussian defect martingale, and
 realizes the Doob-transformed boundary feature model.
 """
 
+# Before the submodules: reports (imported through gaussian) reads it.
+__version__ = "0.1.0"
+
 from .boundary import (
     BoundaryGram,
     BoundarySections,
@@ -106,5 +109,3 @@ from .tower import (
     minimality_check,
     subinvariance_check,
 )
-
-__version__ = "0.1.0"

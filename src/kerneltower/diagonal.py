@@ -9,10 +9,12 @@ identities and tail bounds.
 
 The word routes (the word sum of ``diagonal_trace``, layer-cake identities,
 level-set counts and blow-up witnesses) enumerate every length-n word in
-word order through :func:`points.word_levels`, evaluate the scalar kernel
-once per distinct point of a level (points that compare equal are one
-point), and gather the values back to one per word, so each sum is an
-exact ``math.fsum`` over all m^n per-word values.
+word order through :func:`points.word_levels` and evaluate the scalar
+kernel once per distinct point of a level (points that compare equal are
+one point).  Sums weight each point's value by its number of words
+(``np.bincount`` of the level's index) through :func:`points.fsum_counts`,
+the exactly rounded count-weighted sum, so each equals the ``math.fsum``
+over all m^n per-word values bit for bit.
 
 A finite trace can only ever classify heuristically; rigorous statements
 come from verified certificates (decay) or counting witnesses (blow-up).
@@ -32,6 +34,7 @@ from .points import (
     DEFAULT_WORD_CAP,
     BranchSystem,
     Point,
+    fsum_counts,
     orbit_closure,
     point_label,
     word_levels,
@@ -92,13 +95,13 @@ def classify_sequence(values: Sequence[float], eps: float, ceiling: float) -> st
     return INCONCLUSIVE
 
 
-def _word_diagonal(K: Kernel, level) -> np.ndarray:
-    """K(x, x) at each word of a :func:`word_levels` level, in word order.
+def _point_diagonal(K: Kernel, level) -> tuple[np.ndarray, np.ndarray]:
+    """K(x, x) at each distinct point of a :func:`word_levels` level, and its word count.
 
     The kernel is called once per distinct point of the level.
     """
     pts, idx = level
-    return np.array([K(x, x) for x in pts], dtype=float)[idx]
+    return np.array([K(x, x) for x in pts], dtype=float), np.bincount(idx, minlength=len(pts))
 
 
 def _count_words(level, hit: Callable[[Point], object]) -> int:
@@ -143,7 +146,7 @@ def diagonal_trace(
     tower_vals = [float(next(it)[0, 0]) for _ in range(horizon + 1)]
 
     word_vals = [
-        math.fsum(_word_diagonal(K, level).tolist())
+        fsum_counts(*_point_diagonal(K, level))
         for level in word_levels(branch, s, horizon, cap)
     ]
 
@@ -303,20 +306,21 @@ def layer_cake_check(
     the distinct diagonal values, so the integral is the finite
     summation-by-parts sum_j (v_j - v_{j-1}) * #{values >= v_j}.
     """
-    values = _word_diagonal(K, word_levels(branch, s, n, cap)[n])
+    values, words = _point_diagonal(K, word_levels(branch, s, n, cap)[n])
     if np.min(values) < 0.0:
         raise InputError("layer-cake identity needs a nonnegative diagonal")
-    # Sorted, the values jump at each distinct positive v_j, and i_j values
+    # Sorted, the values jump at each distinct positive v_j, and i_j words
     # lie below it: the term is (v_j - v_{j-1}) * (total - i_j).
-    distinct, counts = np.unique(values, return_counts=True)
+    distinct, which = np.unique(values, return_inverse=True)
+    counts = np.zeros(len(distinct), dtype=np.int64)
+    np.add.at(counts, which, words)
     below = np.cumsum(counts) - counts
     up = distinct > 0.0
     jumps = distinct[up]
     prev = np.concatenate(([0.0], jumps[:-1]))
-    terms = (jumps - prev) * (len(values) - below[up])
+    terms = (jumps - prev) * (int(words.sum()) - below[up])
     integral = math.fsum(terms.tolist())
-    word_sum = math.fsum(values.tolist())
-    return LayerCakeResult(integral=integral, word_sum=word_sum)
+    return LayerCakeResult(integral=integral, word_sum=fsum_counts(values, words))
 
 
 @dataclass

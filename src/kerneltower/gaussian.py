@@ -24,7 +24,6 @@ so the field and its increments are exactly zero there.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -34,6 +33,7 @@ import numpy as np
 from .errors import ContractError, InputError, NumericalError
 from .kernels import DEFAULT_PSD_TOL, Kernel
 from .points import BranchSystem, Point, point_label
+from .reports import write_csv
 from .rngs import make_rng
 from .tower import DEFAULT_CEILING, Tower, build_tower
 
@@ -296,11 +296,11 @@ def boundedness_probe(
 
 def export_batch_csv(batch: FieldBatch, path) -> None:
     """Rows (seed, sample, level, point_label, value); shortest round-trip floats."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["seed", "sample", "level", "point_label", "value"])
-        labels = [point_label(s) for s in batch.points]
-        for j in range(batch.nsamples):
-            for n in range(batch.top_level + 1):
-                for a, lab in enumerate(labels):
-                    writer.writerow([batch.seed, j, n, lab, repr(float(batch.values[j, n, a]))])
+    labels = [point_label(s) for s in batch.points]
+    rows = (
+        (batch.seed, j, n, lab, v)
+        for j in range(batch.nsamples)
+        for n, level in enumerate(batch.values[j].tolist())
+        for lab, v in zip(labels, level)
+    )
+    write_csv(path, ["seed", "sample", "level", "point_label", "value"], rows)

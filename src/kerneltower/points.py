@@ -11,13 +11,16 @@ explicit cap so that exponential blow-ups surface as resource errors
 instead of silent memory exhaustion.  The word routes (the independent
 oracles of the tower and diagonal modules) read levels from
 :func:`word_levels`: every word in word order, stored as an index into the
-level's distinct points, so a kernel is evaluated once per distinct point
-while every word still contributes its own term to each sum.
+level's distinct points, so a kernel is evaluated once per distinct point.
+Their sums weight each value by its number of words through
+:func:`fsum_counts`, which is exactly rounded: every word still counts as
+its own term, and each sum equals ``math.fsum`` over all m^n word values.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from typing import Callable, Hashable, Iterable, Sequence
 
 import numpy as np
@@ -139,6 +142,55 @@ def word_levels(
         pts, idx = distinct, nxt
         levels.append((pts, idx))
     return levels
+
+
+# Veltkamp's constant 2^27 + 1 splits a float into two halves of at most 26
+# significant bits each, so a half times a count below 2^27 is exact.
+_SPLIT = 2.0**27 + 1.0
+_COUNT_BITS = 27
+
+
+def fsum_counts(values, counts) -> float:
+    """Exactly rounded sum of counts[i] * values[i]: math.fsum of the word values.
+
+    Equals ``math.fsum`` over every value repeated its (nonnegative integer)
+    count times.  Each finite value is split into two halves of at most 26
+    bits (Veltkamp; exact for subnormals too), each half times a count below
+    2^27 is an exact float, and ``math.fsum`` of those products is the
+    exactly rounded total (Dekker's split, Shewchuk's exact sum).  Where a
+    count reaches 2^27, or max |v| times the number of values times the
+    largest count could reach 2^995 (so that the split or a partial sum
+    might overflow), the sum is taken in exact integer arithmetic instead
+    and raises ``OverflowError`` when it does not fit a float.  The split
+    is kept beside the integer sum because it is the faster of the two on
+    the word routes' calls (about 19 against 24 us a call on the
+    finite-state example).  Non-finite values give what ``math.fsum`` gives
+    for them (inf, nan, or ``ValueError`` for inf - inf).
+    """
+    v = np.asarray(values, dtype=float)
+    c = np.asarray(counts, dtype=np.int64)
+    if len(c) and c.min() < 1:
+        v, c = v[c > 0], c[c > 0]
+    big = np.abs(v).max(initial=0.0)
+    if not big < math.inf:
+        return math.fsum(v[~np.isfinite(v)].tolist())
+    most = int(c.max(initial=0))
+    if big == 0.0 or most == 1:
+        # Only zeros, or one word per value: fsum decides (the sign of zero too).
+        return math.fsum(v.tolist())
+    if (most >> _COUNT_BITS
+            or math.frexp(big)[1] + (len(c) * most).bit_length() > 1022 - _COUNT_BITS):
+        # A product could round, or the split or a partial sum could
+        # overflow: sum exact integers.
+        mant, exp = np.frexp(v)
+        ints = np.ldexp(mant, 53).astype(np.int64).tolist()
+        shifts = (exp - 53).tolist()
+        low = min(shifts)
+        total = sum(k * i << (e - low) for k, i, e in zip(c.tolist(), ints, shifts))
+        return total / (1 << -low) if low < 0 else float(total << low)
+    t = v * _SPLIT
+    hi = t - (t - v)
+    return math.fsum(np.concatenate([hi * c, (v - hi) * c]).tolist())
 
 
 def orbit_points_by_level(

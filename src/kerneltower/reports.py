@@ -22,6 +22,11 @@ from .points import point_label
 
 def fmt(value):
     """Shortest round-trip text for a cell value."""
+    kind = type(value)  # the common cells first, without isinstance
+    if kind is float:
+        return repr(value)
+    if kind is str:
+        return value
     if isinstance(value, (float, np.floating)):
         return repr(float(value))
     if isinstance(value, (int, np.integer, np.bool_)):
@@ -74,15 +79,15 @@ def write_csv(path: Path, header, rows) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
-        for row in rows:
-            writer.writerow([fmt(x) for x in row])
+        writer.writerows([fmt(x) for x in row] for row in rows)
 
 
 def gram_rows(points, entries):
     labels = [point_label(s) for s in points]
-    for a, la in enumerate(labels):
-        for b, lb in enumerate(labels):
-            yield (la, lb, float(entries[a, b]))
+    values = np.asarray(entries, dtype=float).tolist()
+    for la, row in zip(labels, values):
+        for lb, v in zip(labels, row):
+            yield (la, lb, v)
 
 
 class Bundle:

@@ -22,12 +22,15 @@ also differ by their asymmetry: the core reads each pair in one order).
 Word-sum evaluation (one sum over all length-n words, with the scalar
 kernel) is kept as an independent second route to the same level Grams:
 :func:`level_via_words` enumerates every word in word order, calls the
-scalar kernel once per distinct point pair of a level, and ``math.fsum``s
-all m^n per-word values.
+scalar kernel once per distinct point pair of a level (memoized across
+base pairs), and sums the values weighted by their word counts with
+:func:`points.fsum_counts`.  That sum is exactly rounded, so it equals the
+``math.fsum`` of all m^n per-word values bit for bit.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable, Iterator, Sequence
@@ -55,6 +58,7 @@ from .points import (
     DEFAULT_WORD_CAP,
     BranchSystem,
     Point,
+    fsum_counts,
     point_label,
     word_levels,
 )
@@ -312,39 +316,53 @@ def level_via_words(
     Sums K over all length-n words applied synchronously to both arguments.
     Each base point's level comes from :func:`points.word_levels` (distinct
     points plus one index per word, points that compare equal being one
-    point).  The scalar kernel is called once per distinct synchronous pair
-    of a base pair, and each entry is the ``math.fsum`` of all m^n per-word
-    values gathered in word order.  Nothing is shared with the interned
-    tower core, and no batch form of the kernel is called.
+    point).  A level where no base point reaches a point twice (every word
+    tree) is summed word by word: one kernel call per word, ``math.fsum``
+    per entry.  Otherwise each entry counts the words of each distinct
+    synchronous pair, the scalar kernel is called once per distinct
+    oriented pair of the level (memoized across base pairs, the point of
+    ``a`` first for a <= b), and the entry is :func:`points.fsum_counts`
+    of the count-weighted values.  Both give the exactly rounded sum of
+    all m^n per-word values.  Nothing is shared with the interned tower
+    core, and no batch form of the kernel is called.
     """
     pts = tuple(points)
     evaluate = K.raw() if isinstance(K, Kernel) else K
     level_of = {s: word_levels(branch, s, n, cap)[n] for s in set(pts)}
     r = len(pts)
     G = np.empty((r, r), dtype=float)
+    if all(len(p) == len(idx) for p, idx in level_of.values()):
+        # No level repeats a point: points lie in word order, one pair per word.
+        for a in range(r):
+            pa = level_of[pts[a]][0]
+            for b in range(a, r):
+                G[a, b] = G[b, a] = math.fsum(map(evaluate, pa, level_of[pts[b]][0]))
+        return Gram(pts, G)
+    # One code per distinct point of the level, shared across base points;
+    # a pair's key x * D + y is its oriented (point of a, point of b) code.
+    P = list(dict.fromkeys(itertools.chain.from_iterable(p for p, _ in level_of.values())))
+    ids = {p: i for i, p in enumerate(P)}
+    D = len(P)
+    word_code = {
+        s: np.fromiter(map(ids.__getitem__, p), dtype=np.int64, count=len(p))[idx]
+        for s, (p, idx) in level_of.items()
+    }
+    memo = {}
     for a in range(r):
-        pa, ia = level_of[pts[a]]
+        wa = word_code[pts[a]] * D
         for b in range(a, r):
-            pb, ib = level_of[pts[b]]
-            if len(pa) == len(ia) and len(pb) == len(ib):
-                # Levels that repeat no point list their points in word
-                # order (index 0..m^n-1): one distinct pair per word.
-                v = math.fsum(map(evaluate, pa, pb))
+            key = wa + word_code[pts[b]]
+            if D * D <= len(key):  # a dense count is no larger than the index
+                counts = np.bincount(key, minlength=D * D)
+                pairs = np.flatnonzero(counts)
+                counts = counts[pairs]
             else:
-                key, size = ia * len(pb) + ib, len(pa) * len(pb)
-                if size <= len(key):  # a dense mask is no larger than the index
-                    seen = np.zeros(size, dtype=bool)
-                    seen[key] = True
-                    pairs, which = np.flatnonzero(seen), (np.cumsum(seen) - 1)[key]
-                elif size < 2**63:
-                    pairs, which = np.unique(key, return_inverse=True)
-                else:
-                    raise ResourceError(f"level-{n} word pairs exceed the int64 pair key")
-                x, y = np.divmod(pairs, len(pb))
-                values = [evaluate(pa[i], pb[j]) for i, j in zip(x.tolist(), y.tolist())]
-                v = math.fsum(np.array(values, dtype=float)[which].tolist())
-            G[a, b] = v
-            G[b, a] = v
+                pairs, counts = np.unique(key, return_counts=True)
+            values = [
+                memo[k] if k in memo else memo.setdefault(k, evaluate(P[k // D], P[k % D]))
+                for k in pairs.tolist()
+            ]
+            G[a, b] = G[b, a] = fsum_counts(values, counts)
     return Gram(pts, G)
 
 

@@ -1,5 +1,6 @@
 """The batched defect Gram and the indexed Doob walk against their scalar references."""
 
+import functools
 import math
 
 import numpy as np
@@ -72,33 +73,42 @@ def _positive_chain(model):
     return build_doob(gauge, model.branch, range(1, model.S), tol=math.inf)
 
 
-def _cases():
-    ex25 = WordTreeModel(m=2, r=0.5, c=0.5, eta=1.0)
-    m3 = WordTreeModel(m=3, r=0.3, c=0.9, eta=2.0)
-    delta = DivergentDeltaModel(m=2)
-    feeder = feeder_model()
-    h, positive = gauge_from_tower(build_tower(feeder.kernel, feeder.branch, feeder.all_states(), 2))
-    fchain = build_doob(h, feeder.branch, positive)
-    fs = seeded_finite_state(5)
-    return {
-        "ex25": (ex25, build_doob(ex25.oracle_gauge, ex25.branch,
-                                  orbit_closure(ex25.branch, [ex25.point("")], 8)),
-                 [ex25.point(x) for x in ("", "1", "2")], 6),
-        "m3": (m3, build_doob(m3.oracle_gauge, m3.branch,
-                              orbit_closure(m3.branch, [m3.point("")], 5)),
-               [m3.point(x) for x in ("", "3")], 4),
-        "delta": (delta, _prefix_chain(delta, 6), [delta.point(x) for x in ("", "1")], 5),
-        "feeder": (feeder, fchain, [0, 2], 6),
-        "finite-state": (fs, _positive_chain(fs), [1, 2, 3], 5),
-    }
+CASE_NAMES = ("ex25", "m3", "delta", "feeder", "finite-state")
 
 
-CASES = _cases()
+def _build_case(name):
+    """(model, Doob chain, base points, section depth) of one named case."""
+    if name == "ex25":
+        model = WordTreeModel(m=2, r=0.5, c=0.5, eta=1.0)
+        dom = orbit_closure(model.branch, [model.point("")], 8)
+        return (model, build_doob(model.oracle_gauge, model.branch, dom),
+                [model.point(x) for x in ("", "1", "2")], 6)
+    if name == "m3":
+        model = WordTreeModel(m=3, r=0.3, c=0.9, eta=2.0)
+        dom = orbit_closure(model.branch, [model.point("")], 5)
+        return (model, build_doob(model.oracle_gauge, model.branch, dom),
+                [model.point(x) for x in ("", "3")], 4)
+    if name == "delta":
+        model = DivergentDeltaModel(m=2)
+        return model, _prefix_chain(model, 6), [model.point(x) for x in ("", "1")], 5
+    if name == "feeder":
+        model = feeder_model()
+        tower = build_tower(model.kernel, model.branch, model.all_states(), 2)
+        h, positive = gauge_from_tower(tower)
+        return model, build_doob(h, model.branch, positive), [0, 2], 6
+    model = seeded_finite_state(5)
+    return model, _positive_chain(model), [1, 2, 3], 5
 
 
-@pytest.mark.parametrize("name", CASES)
-def test_defect_gram_equals_scalar_reference(name):
-    model, chain, base, N = CASES[name]
+@pytest.fixture(scope="session")
+def case():
+    """Builds each named case once, on first use: a fault fails only its own tests."""
+    return functools.cache(_build_case)
+
+
+@pytest.mark.parametrize("name", CASE_NAMES)
+def test_defect_gram_equals_scalar_reference(name, case):
+    model, chain, base, N = case(name)
     pts = orbit_closure(model.branch, base, 2)
     D = defect_gram(model.kernel, model.branch, pts)
     new = subinvariance_check(model.kernel, model.branch, pts)
@@ -112,9 +122,9 @@ def test_defect_gram_equals_scalar_reference(name):
     assert (new.min_eigenvalue, new.scale, new.psd) == (ref.min_eigenvalue, ref.scale, ref.psd)
 
 
-@pytest.mark.parametrize("name", CASES)
-def test_section_gram_equals_scalar_reference(name):
-    model, chain, base, N = CASES[name]
+@pytest.mark.parametrize("name", CASE_NAMES)
+def test_section_gram_equals_scalar_reference(name, case):
+    model, chain, base, N = case(name)
     sections = _boundary_sections(model.kernel, tuple(base), chain, N, 1e-9, 2**24)
     points = reference_section_points(chain, base, N)
     assert list(sections.section_index) == points
@@ -122,9 +132,9 @@ def test_section_gram_equals_scalar_reference(name):
     assert np.array_equal(sections.section_gram, ref)
 
 
-def test_section_gram_sees_off_diagonal_normalization():
+def test_section_gram_sees_off_diagonal_normalization(case):
     # Guards the h(s) h(t) normalization: the seeded defects are not diagonal.
-    model, chain, base, N = CASES["finite-state"]
+    model, chain, base, N = case("finite-state")
     sections = _boundary_sections(model.kernel, tuple(base), chain, N, 1e-9, 2**24)
     G = sections.section_gram
     assert np.max(np.abs(G - np.diag(np.diag(G)))) > 1e-3
@@ -167,9 +177,9 @@ def _assert_walk_equals_reference(chain, s, n):
     assert len(levels) == n + 1
 
 
-@pytest.mark.parametrize("name", CASES)
-def test_walk_equals_reference(name):
-    model, chain, base, _N = CASES[name]
+@pytest.mark.parametrize("name", CASE_NAMES)
+def test_walk_equals_reference(name, case):
+    model, chain, base, _N = case(name)
     for s in base:
         _assert_walk_equals_reference(chain, s, 6)
 
@@ -191,8 +201,8 @@ def test_walk_reads_points_in_the_order_of_the_scalar_walk():
     assert list(sections.section_index) == reference_section_points(chain, [4], 3) == [4, 1, 3, 2]
 
 
-def test_cylinder_table_equals_reference():
-    model, chain, base, _N = CASES["feeder"]
+def test_cylinder_table_equals_reference(case):
+    model, chain, base, _N = case("feeder")
     table = cylinder_measure(chain, 2, 8)
     ref = {w: p for level in reference_walk_levels(chain, 2, 8) for w, _x, p in level}
     assert table.table == ref

@@ -1,4 +1,11 @@
+import math
+import sys
+from fractions import Fraction
+
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kerneltower import (
     BranchSystem,
@@ -10,7 +17,7 @@ from kerneltower import (
     orbit_closure,
 )
 from kerneltower.models import FiniteStateModel
-from kerneltower.points import orbit_points_by_level, point_label
+from kerneltower.points import fsum_counts, orbit_points_by_level, point_label
 
 from oracles import all_words, word_forward
 
@@ -157,3 +164,125 @@ def test_point_label():
 def test_branch_system_needs_a_map():
     with pytest.raises(InputError):
         BranchSystem([])
+
+
+# --- the exact count-weighted sum --------------------------------------------
+
+MAX = sys.float_info.max
+TINY = 5e-324  # the smallest subnormal
+
+
+def exact_count_sum(values, counts):
+    """sum(c * v) in rationals, correctly rounded (OverflowError past the maximum)."""
+    return float(sum((Fraction(v) * c for v, c in zip(values, counts)), Fraction(0)))
+
+
+def assert_exact(values, counts):
+    try:
+        want = exact_count_sum(values, counts)
+    except OverflowError:
+        with pytest.raises(OverflowError):
+            fsum_counts(values, counts)
+        return
+    got = fsum_counts(values, counts)
+    assert got == want and math.copysign(1.0, got) == math.copysign(1.0, want), (got, want)
+
+
+def full_mantissas(rng, k, low=-20, high=20):
+    """k floats with random 53-bit mantissas, signs and exponents."""
+    mant = rng.integers(2**52, 2**53, k).astype(float) / 2.0**53
+    return np.ldexp(mant * rng.choice([-1.0, 1.0], k), rng.integers(low, high, k))
+
+
+def test_fsum_counts_equals_fsum_of_the_repeated_values():
+    rng = np.random.default_rng(11)
+    for k in (1, 2, 5, 40):
+        values = full_mantissas(rng, k).tolist()
+        counts = rng.integers(0, 60, k)
+        words = [v for v, c in zip(values, counts.tolist()) for _ in range(c)]
+        assert fsum_counts(values, counts) == math.fsum(words) == exact_count_sum(values, counts)
+
+
+def test_fsum_counts_is_exact_where_products_round():
+    # 3 * v rounds for most full-mantissa v: a rounded sum of products
+    # would miss these exact totals.
+    rng = np.random.default_rng(12)
+    misses = 0
+    for _ in range(200):
+        values = full_mantissas(rng, 6, -2, 2).tolist()
+        counts = rng.integers(2, 2**20, 6)
+        assert_exact(values, counts)
+        misses += math.fsum((np.array(values) * counts).tolist()) != exact_count_sum(values, counts)
+    assert misses > 50
+
+
+def test_fsum_counts_cancellation_and_mixed_signs():
+    eps = 2.0**-52
+    assert_exact([1.0 + eps, -1.0, 2.0**-80], [3, 3, 1])
+    assert_exact([1.0 + eps, -(1.0 + 2 * eps), 1e-300], [2**26 + 1, 2**25, 7])
+    assert_exact([0.1, -0.3, 0.2], [3, 1, 0])
+    assert fsum_counts([0.1, -0.1], [5, 5]) == 0.0
+    rng = np.random.default_rng(13)
+    for _ in range(100):
+        v = full_mantissas(rng, 4).tolist()
+        assert_exact(v + [-x for x in v], rng.integers(1, 1000, 8))
+
+
+def test_fsum_counts_subnormals():
+    sub = [TINY, 3 * TINY, 2.0**-1030 + TINY, -(2.0**-1023 - 5 * TINY), 2.0**-1022]
+    assert_exact(sub, [1, 2**40, 3, 7, 2**27 + 5])
+    assert_exact([TINY, -TINY], [2**27, 2**27 - 1])
+    rng = np.random.default_rng(14)
+    for _ in range(100):
+        assert_exact(full_mantissas(rng, 5, -1074, -1015).tolist(), rng.integers(1, 2**30, 5))
+
+
+def test_fsum_counts_near_the_float_maximum():
+    assert_exact([MAX, -MAX, 1.0], [3, 3, 1])
+    assert_exact([MAX, -MAX, TINY], [2**40, 2**40, 5])
+    assert_exact([MAX / 3, -MAX / 4], [5, 6])
+    assert_exact([MAX * 0.75, -MAX * 0.5], [4, 5])
+    with pytest.raises(OverflowError):
+        fsum_counts([MAX], [2])
+    with pytest.raises(OverflowError):
+        fsum_counts([MAX, -1.0], [3, 1])
+    rng = np.random.default_rng(15)
+    for _ in range(100):
+        v = full_mantissas(rng, 4, 1000, 1025).tolist()
+        assert_exact(v + [-x for x in v], rng.integers(1, 2**35, 8))
+
+
+def test_fsum_counts_large_counts():
+    rng = np.random.default_rng(16)
+    counts = np.array([2**27, 2**27 + 1, 2**40 + 12345, 2**53 - 1, 2**62 + 2**35 + 3])
+    # Counts just below 2^27 keep the split: a half times such a count is
+    # the widest product that must still be exact.
+    below = np.array([2**27 - 1, 2**27 - 3, 2**26 + 1, 2**27 - 2**13 - 1, 3])
+    for _ in range(50):
+        for c in (counts, below):
+            assert_exact(full_mantissas(rng, 5).tolist(), c)
+            assert_exact(full_mantissas(rng, 5, -1074, -1000).tolist(), c)
+
+
+def test_fsum_counts_zeros_and_nonfinite_values():
+    for counts in ([3], [1]):
+        assert math.copysign(1.0, fsum_counts([-0.0], counts)) == \
+            math.copysign(1.0, math.fsum([-0.0] * counts[0]))
+    assert fsum_counts([], []) == 0.0
+    assert fsum_counts([2.5, 7.0], [0, 0]) == 0.0
+    assert fsum_counts([2.5, math.nan], [4, 0]) == 10.0
+    assert fsum_counts([math.inf, 1.0], [2, 3]) == math.inf
+    assert math.isnan(fsum_counts([math.nan, 1.0], [2, 3]))
+    with pytest.raises(ValueError):
+        fsum_counts([math.inf, -math.inf], [2, 1])
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(
+        st.tuples(st.floats(allow_nan=False, allow_infinity=False), st.integers(0, 2**45)),
+        max_size=8,
+    )
+)
+def test_fsum_counts_is_exactly_rounded(pairs):
+    assert_exact([v for v, _ in pairs], [c for _, c in pairs])

@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 
-from kerneltower.reports import Bundle, RunReport, fmt, jsonable
+from kerneltower.reports import Bundle, RunReport, fmt, gram_rows, jsonable, write_csv
 
 
 def test_fmt_shortest_round_trip():
@@ -14,6 +14,19 @@ def test_fmt_shortest_round_trip():
     assert fmt(np.True_) == fmt(True) == "1"
     assert fmt(np.False_) == fmt(False) == "0"
     assert fmt("<>") == "<>"
+    assert fmt(np.str_("12")) == "12"
+    assert fmt(None) == "None"
+
+
+def test_csv_cells_keep_the_text_of_fmt(tmp_path):
+    # Grams of any dtype are written as float cells, one row per entry.
+    rows = list(gram_rows(["", "1"], np.array([[1, 2], [3, 4]])))
+    assert rows == [("<>", "<>", 1.0), ("<>", "1", 2.0), ("1", "<>", 3.0), ("1", "1", 4.0)]
+    assert all(type(v) is float for _, _, v in rows)
+    cells = [0.1, np.float64(1 / 3), 7, np.int64(-2), True, np.True_, "a,b", "<>", 2.0**-1074]
+    write_csv(tmp_path / "t.csv", ["x"] * len(cells), [cells])
+    text = (tmp_path / "t.csv").read_text().splitlines()[1]
+    assert text == "0.1,0.3333333333333333,7,-2,1,1,\"a,b\",<>,5e-324"
 
 
 def test_jsonable_handles_numpy_and_nonfinite():
