@@ -1,15 +1,18 @@
 """Doob-transformed boundary machinery on the symbolic path space.
 
 A positive harmonic gauge turns the branch counts into transition
-probabilities p_i(s) = h(phi_i(s))/h(s); cylinder masses extend them
-multiplicatively along reversed compositions, the averaging operator Q is
-intertwined with the branch-sum operator through the gauge, and the
-gauge-normalized kernel operator admits a word expansion whose accumulated
-defects are realized as an explicit boundary feature Gram.
+probabilities p_i(s) = h(phi_i(s))/h(s), held as one Doob table row per
+domain point; cylinder masses extend them multiplicatively along reversed
+compositions, the averaging operator Q is intertwined with the branch-sum
+operator through the gauge, and the gauge-normalized kernel operator admits
+a word expansion whose accumulated defects are realized as an explicit
+boundary feature Gram.
 
 Path convention: the chain applies the newest symbol's map to the current
 point, s_{k+1} = phi_{w_{k+1}}(s_k), matching the reversed composition.
-All shipped identities are level sums, which are convention independent.
+The walk reads :func:`points.word_levels`, the one word enumeration, in
+reversed-word order.  All shipped identities are level sums, which are
+convention independent.
 """
 
 from __future__ import annotations
@@ -28,9 +31,9 @@ from .points import (
     BranchSystem,
     Point,
     Word,
-    check_word_cap,
     enumerate_words,
     point_label,
+    word_levels,
 )
 from .rngs import make_rng
 from .tower import Tower, defect_gram
@@ -41,7 +44,8 @@ class DoobChain:
 
     The domain is the point set where the gauge is strictly positive and
     harmonicity has been verified; probabilities at domain points may push
-    mass onto gauge-zero points, which then carry zero cylinder mass.
+    mass onto gauge-zero points, which then carry zero cylinder mass.  The
+    harmonicity pass reads every gauge value of the Doob table.
     """
 
     def __init__(
@@ -55,24 +59,36 @@ class DoobChain:
         self.tol = tol
         self._gauge = gauge
         self.domain = tuple(domain)
-        self._domain_set = set(self.domain)
         if not self.domain:
             raise InputError("Doob chain needs a nonempty domain")
-        worst = 0.0
-        worst_point = None
+        self._index = {s: i for i, s in enumerate(self.domain)}
+        values: list[float] = []
+        worst, worst_point = 0.0, None
         for s in self.domain:
             hs = gauge(s)
             if not hs > 0.0:
                 raise InputError(f"gauge not positive at {point_label(s)}: {hs!r}")
-            residual = abs(math.fsum(gauge(f(s)) for f in branch.maps) - hs) / hs
+            images = [gauge(f(s)) for f in branch.maps]
+            try:
+                residual = abs(math.fsum(images) - hs) / hs
+            except (OverflowError, ValueError):  # fsum of infinite or overflowing values
+                residual = math.nan
+            if not math.isfinite(residual):  # no comparison with tol would catch it
+                raise ModelError(f"gauge not harmonic: relative residual {residual} at {point_label(s)}")
             if residual > worst:
                 worst, worst_point = residual, s
+            values += [hs, *images]
         if worst > tol:
             raise ModelError(
                 f"gauge not harmonic: relative residual {worst:.3e} at "
                 f"{point_label(worst_point)} exceeds {tol:.1e}"
             )
         self.harmonicity_residual = worst
+        # nan rows are read from the gauge: a row with a negative image, which
+        # it refuses, and the last row, standing for all points off the domain.
+        table = np.array(values + [math.nan] * (branch.m + 1)).reshape(-1, branch.m + 1)
+        self._table = table[:, 1:] / table[:, :1]
+        self._table[np.any(table[:, 1:] < 0.0, axis=1)] = math.nan
 
     def h(self, s: Point) -> float:
         v = self._gauge(s)
@@ -81,18 +97,26 @@ class DoobChain:
         return v
 
     def in_domain(self, s: Point) -> bool:
-        return s in self._domain_set
+        return s in self._index
 
     def require_domain(self, s: Point) -> None:
         if not self.in_domain(s):
             raise InputError(f"point {point_label(s)} outside the Doob domain")
 
+    def rows(self, points: Sequence[Point]) -> np.ndarray:
+        """Rows [p_1(x), ..., p_m(x)] of ``points``: the Doob table's, or off the domain, the gauge's."""
+        rows = self._table[[self._index.get(x, -1) for x in points]]
+        for j in np.flatnonzero(np.isnan(rows[:, 0])).tolist():
+            hx = self.h(points[j])
+            if hx == 0.0:
+                raise InputError(
+                    f"transition probabilities undefined at gauge zero {point_label(points[j])}")
+            rows[j] = [self.h(f(points[j])) / hx for f in self.branch.maps]
+        return rows
+
     def probs(self, s: Point) -> list[float]:
         """[p_1(s), ..., p_m(s)]; needs h(s) > 0."""
-        hs = self.h(s)
-        if hs == 0.0:
-            raise InputError(f"transition probabilities undefined at gauge zero {point_label(s)}")
-        return [self.h(f(s)) / hs for f in self.branch.maps]
+        return self.rows([s])[0].tolist()
 
 
 def build_doob(
@@ -177,32 +201,20 @@ def _live(index: np.ndarray, mass: np.ndarray) -> list[int]:
 def _walk_levels(chain: DoobChain, s: Point, n: int, cap: int) -> list:
     """Levels 0..n of the Doob walk from s, each as (points, index, mass).
 
-    ``points`` lists the distinct points of the level; ``index`` and
-    ``mass`` give each word's point and cylinder mass in word order, so the
-    children of word j are words j*m .. j*m + m - 1.  Maps are applied once
-    per distinct point; the gauge is read at the points reached with
-    positive mass and their children, in the order of a word-by-word walk.
-    A child's mass is its parent's times h(phi_i x)/h(x) (0 where h(x) = 0).
+    The :func:`points.word_levels` index permuted over its word digits, so word
+    j's children are words j*m .. j*m + m - 1; a child's mass is its parent's
+    times the parent point's Doob table row, read where the mass is positive.
     """
-    maps, m = chain.branch.maps, chain.branch.m
-    check_word_cap(m, n, cap)
-    pts, idx, mass = [s], np.zeros(1, dtype=np.int64), np.ones(1)
-    levels = [(pts, idx, mass)]
-    for _ in range(n):
-        images = [f(x) for x in pts for f in maps]  # images[j*m + i] = phi_{i+1}(pts[j])
-        distinct = list(dict.fromkeys(images))
-        ids = {x: i for i, x in enumerate(distinct)}
-        codes = np.fromiter(map(ids.__getitem__, images), dtype=np.int64, count=len(images))
-        ratio = np.zeros((len(pts), m))
-        for j in _live(idx, mass):
-            hx = chain.h(pts[j])
-            if hx > 0.0:
-                ratio[j] = [chain.h(y) / hx for y in images[j * m:(j + 1) * m]]
-        mass = (mass[:, None] * ratio[idx]).ravel()
-        idx = codes.reshape(len(pts), m)[idx].ravel()
-        pts = distinct
-        levels.append((pts, idx, mass))
-    return levels
+    m = chain.branch.m
+    levels = [(pts, index.reshape((m,) * k).T.ravel())
+              for k, (pts, index) in enumerate(word_levels(chain.branch, s, n, cap))]
+    masses = [np.ones(1)]
+    for pts, idx in levels[:-1]:
+        live = _live(idx, masses[-1])
+        rows = np.zeros((len(pts), m))
+        rows[live] = chain.rows([pts[j] for j in live])
+        masses.append((masses[-1][:, None] * rows[idx]).ravel())
+    return [(pts, idx, mass) for (pts, idx), mass in zip(levels, masses)]
 
 
 def cylinder_measure(
@@ -256,11 +268,7 @@ def apply_Q(chain: DoobChain, f: Callable[[Point], float], s: Point) -> float:
     Zero-probability branches (gauge-zero targets) are skipped, so f need
     only be defined where the chain can actually go.
     """
-    chain.require_domain(s)
-    probs = chain.probs(s)
-    return math.fsum(
-        p * f(g(s)) for p, g in zip(probs, chain.branch.maps) if p != 0.0
-    )
+    return iterate_Q(chain, f, s, 1)
 
 
 def iterate_Q(chain: DoobChain, f: Callable[[Point], float], s: Point, n: int) -> float:
@@ -274,17 +282,9 @@ def iterate_Q(chain: DoobChain, f: Callable[[Point], float], s: Point, n: int) -
         key = (k, x)
         v = memo.get(key)
         if v is None:
-            hx = chain.h(x)
-            if hx == 0.0:
-                raise InputError(f"chain left the gauge-positive region at {point_label(x)}")
-            terms = []
-            for g in maps:
-                y = g(x)
-                hy = chain.h(y)
-                if hy != 0.0:  # zero-probability branches contribute nothing
-                    terms.append(hy / hx * q(k - 1, y))
-            v = math.fsum(terms)
-            memo[key] = v
+            v = memo[key] = math.fsum(
+                p * q(k - 1, g(x)) for p, g in zip(chain.probs(x), maps) if p != 0.0
+            )
         return v
 
     chain.require_domain(s)

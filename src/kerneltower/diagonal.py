@@ -34,10 +34,10 @@ from .points import (
     DEFAULT_WORD_CAP,
     BranchSystem,
     Point,
-    fsum_counts,
     orbit_closure,
     point_label,
     word_levels,
+    word_sum,
 )
 from .tower import (
     DEFAULT_CEILING,
@@ -146,8 +146,8 @@ def diagonal_trace(
     tower_vals = [float(next(it)[0, 0]) for _ in range(horizon + 1)]
 
     word_vals = [
-        fsum_counts(*_point_diagonal(K, level))
-        for level in word_levels(branch, s, horizon, cap)
+        word_sum(*_point_diagonal(K, level), n, s)
+        for n, level in enumerate(word_levels(branch, s, horizon, cap))
     ]
 
     for n, (a, b) in enumerate(zip(tower_vals, word_vals)):
@@ -320,7 +320,7 @@ def layer_cake_check(
     prev = np.concatenate(([0.0], jumps[:-1]))
     terms = (jumps - prev) * (int(words.sum()) - below[up])
     integral = math.fsum(terms.tolist())
-    return LayerCakeResult(integral=integral, word_sum=fsum_counts(values, words))
+    return LayerCakeResult(integral=integral, word_sum=word_sum(values, words, n, s))
 
 
 @dataclass

@@ -8,13 +8,14 @@ composition applies the first symbol's map first.
 
 All enumerations are deterministic (lexicographic) and guarded by an
 explicit cap so that exponential blow-ups surface as resource errors
-instead of silent memory exhaustion.  The word routes (the independent
-oracles of the tower and diagonal modules) read levels from
-:func:`word_levels`: every word in word order, stored as an index into the
-level's distinct points, so a kernel is evaluated once per distinct point.
-Their sums weight each value by its number of words through
-:func:`fsum_counts`, which is exactly rounded: every word still counts as
-its own term, and each sum equals ``math.fsum`` over all m^n word values.
+instead of silent memory exhaustion.  :func:`word_levels` is the one word
+enumeration, read by the word routes (the independent oracles of the tower
+and diagonal modules) and by the boundary module's Doob walk: every word in
+word order, stored as an index into the level's distinct points, so a
+kernel is evaluated once per distinct point.  The word routes' sums weight
+each value by its number of words through :func:`fsum_counts`, which is
+exactly rounded: every word still counts as its own term, and each sum
+equals ``math.fsum`` over all m^n word values.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from typing import Callable, Hashable, Iterable, Sequence
 
 import numpy as np
 
-from .errors import InputError, ResourceError
+from .errors import InputError, NumericalError, ResourceError
 
 Point = Hashable
 Word = tuple[int, ...]
@@ -191,6 +192,16 @@ def fsum_counts(values, counts) -> float:
     t = v * _SPLIT
     hi = t - (t - v)
     return math.fsum(np.concatenate([hi * c, (v - hi) * c]).tolist())
+
+
+def word_sum(values, counts, level: int, *at: Point) -> float:
+    """:func:`fsum_counts` (``math.fsum`` when ``counts`` is None) for a word route:
+    a sum past the float range is a numerical error naming the level and points ``at``."""
+    try:
+        return math.fsum(values) if counts is None else fsum_counts(values, counts)
+    except OverflowError:
+        where = ", ".join(point_label(p) for p in at)
+        raise NumericalError(f"level {level} word sum at {where} overflows a float") from None
 
 
 def orbit_points_by_level(

@@ -58,9 +58,9 @@ from .points import (
     DEFAULT_WORD_CAP,
     BranchSystem,
     Point,
-    fsum_counts,
     point_label,
     word_levels,
+    word_sum,
 )
 
 DEFAULT_MAX_LEVELS = 40
@@ -336,7 +336,8 @@ def level_via_words(
         for a in range(r):
             pa = level_of[pts[a]][0]
             for b in range(a, r):
-                G[a, b] = G[b, a] = math.fsum(map(evaluate, pa, level_of[pts[b]][0]))
+                G[a, b] = G[b, a] = word_sum(map(evaluate, pa, level_of[pts[b]][0]), None,
+                                             n, pts[a], pts[b])
         return Gram(pts, G)
     # One code per distinct point of the level, shared across base points;
     # a pair's key x * D + y is its oriented (point of a, point of b) code.
@@ -362,7 +363,7 @@ def level_via_words(
                 memo[k] if k in memo else memo.setdefault(k, evaluate(P[k // D], P[k % D]))
                 for k in pairs.tolist()
             ]
-            G[a, b] = G[b, a] = fsum_counts(values, counts)
+            G[a, b] = G[b, a] = word_sum(values, counts, n, pts[a], pts[b])
     return Gram(pts, G)
 
 

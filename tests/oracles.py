@@ -27,7 +27,7 @@ from kerneltower import (
     verify,
 )
 from kerneltower.gaussian import sample_covariance
-from kerneltower.points import check_word_cap
+from kerneltower.points import check_word_cap, point_label
 
 
 def all_words(m, n):
@@ -336,6 +336,38 @@ def reference_walk_levels(chain, s, n, cap=2**24):
                 nxt.append((w + (i,), f(x), p * children[i - 1]))
         level = nxt
         yield level
+
+
+def reference_iterate_Q(chain, f, s, n):
+    """(Q^n f)(s) by memoized recursion, reading p_i(x) = h(phi_i x)/h(x) from the gauge.
+
+    The scalar route the Doob table replaced: every step reads the gauge at
+    the point and at its images.
+    """
+    maps = chain.branch.maps
+    memo = {}
+
+    def q(k, x):
+        if k == 0:
+            return f(x)
+        key = (k, x)
+        v = memo.get(key)
+        if v is None:
+            hx = chain.h(x)
+            if hx == 0.0:
+                raise InputError(f"chain left the gauge-positive region at {point_label(x)}")
+            terms = []
+            for g in maps:
+                y = g(x)
+                hy = chain.h(y)
+                if hy != 0.0:  # zero-probability branches contribute nothing
+                    terms.append(hy / hx * q(k - 1, y))
+            v = math.fsum(terms)
+            memo[key] = v
+        return v
+
+    chain.require_domain(s)
+    return q(n, s)
 
 
 def reference_section_points(chain, base, N):

@@ -5,6 +5,7 @@ import pytest
 
 from kerneltower import (
     BranchSystem,
+    FiniteStateModel,
     InputError,
     Kernel,
     ModelError,
@@ -75,6 +76,38 @@ def test_build_doob_rejects_nonharmonic_gauge(ex25):
     # a constant is not harmonic for two branches: the branch sum doubles it
     with pytest.raises(ModelError, match="not harmonic"):
         build_doob(lambda s: 1.0, ex25.branch, [ex25.point("")])
+
+
+def test_build_doob_rejects_nonfinite_residuals():
+    # nan and inf residuals fail every comparison with tol, so they are refused by name
+    model = FiniteStateModel([[1, 2, 2], [2, 2, 2]], np.eye(3))
+    with pytest.raises(ModelError, match="not harmonic: relative residual nan at 0"):
+        build_doob([2.0, 1.0, math.nan].__getitem__, model.branch, [0, 1])
+    with pytest.raises(ModelError, match="not harmonic: relative residual nan at 0"):
+        build_doob([math.inf, 1.0, 1.0].__getitem__, model.branch, [0])
+    with pytest.raises(ModelError, match="not harmonic: relative residual inf at 0"):
+        build_doob([1.0, 1.0, math.inf].__getitem__, model.branch, [0], tol=math.inf)
+    # images whose fsum overflows, or that are inf and -inf, make fsum raise
+    for gauge in ([1.0, 1e308, 1e308], [1.0, math.inf, -math.inf]):
+        with pytest.raises(ModelError, match="not harmonic: relative residual nan at 0"):
+            build_doob(gauge.__getitem__, model.branch, [0], tol=math.inf)
+
+
+def test_doob_chain_messages(feeder, fchain):
+    # A negative image passes the pass at tol=inf; reading its row refuses it.
+    model = FiniteStateModel([[1, 1, 1], [2, 2, 2]], np.eye(3))
+    chain = build_doob([1.0, 1.0, -1.0].__getitem__, model.branch, [0], tol=math.inf)
+    for read in (lambda: cylinder_measure(chain, 0, 2), lambda: chain.probs(0),
+                 lambda: apply_Q(chain, lambda s: 1.0, 0)):
+        with pytest.raises(InputError, match="gauge negative at 2: -1.0"):
+            read()
+    with pytest.raises(InputError, match="transition probabilities undefined at gauge zero 1"):
+        fchain.probs(1)
+    with pytest.raises(InputError, match="point 1 outside the Doob domain"):
+        cylinder_measure(fchain, 1, 3)
+    h, _positive = gauge_from_tower(build_tower(feeder.kernel, feeder.branch, [0, 2], 2))
+    with pytest.raises(InputError, match="surrogate gauge not computed at 1"):
+        build_doob(h, feeder.branch, [0, 2])
 
 
 def test_gauge_from_tower_matches_oracle(ex25, small_base):

@@ -1,5 +1,6 @@
 import filecmp
 import json
+import warnings
 from pathlib import Path
 
 import pytest
@@ -377,3 +378,24 @@ def test_verbose_reports_each_pipeline(tmp_path, capsys):
         assert main(args) == 0
         err = capsys.readouterr().err
         assert err.startswith(f"{command}: wrote {out} in ")
+
+
+OVERFLOW_YAML = """\
+model: {kind: finite-state, maps: [[0, 1], [0, 1]], kernel: [[1.0e308, 0.0], [0.0, 1.0e308]]}
+horizon: 2
+seed: 1
+"""
+
+
+@pytest.mark.parametrize("command", ["tower", "diagonal", "gaussian", "boundary"])
+def test_overflowing_kernel_exits_by_the_contract(tmp_path, capsys, command):
+    # Level 1 overflows: a named error with an exit code, no traceback and no
+    # numpy warning.
+    cfg = write_config(tmp_path, OVERFLOW_YAML)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main([command, "--config", cfg, "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert code in (2, 3, 4, 5)
+    assert err.startswith("error[")
+    assert not caught

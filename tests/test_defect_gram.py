@@ -19,6 +19,7 @@ from kerneltower import (
     feeder_model,
     gauge_from_tower,
     gram,
+    iterate_Q,
     subinvariance_check,
 )
 from kerneltower.boundary import _boundary_sections, _walk_levels
@@ -27,6 +28,7 @@ from kerneltower.tower import defect_gram
 
 from oracles import (
     reference_defect_kernel,
+    reference_iterate_Q,
     reference_section_gram,
     reference_section_points,
     reference_subinvariance_check,
@@ -249,3 +251,54 @@ def test_cylinder_level_sums_are_one(case, n):
     table = cylinder_measure(chain, s, n)
     for k in range(n + 1):
         assert abs(table.level_sum(k) - 1.0) <= 1e-12
+
+
+@settings(max_examples=40, deadline=None)
+@given(harmonic_chains(), st.integers(0, 7))
+def test_walk_equals_reference_on_harmonic_chains(case, n):
+    chain, s = case
+    _assert_walk_equals_reference(chain, s, n)
+
+
+@settings(max_examples=40, deadline=None)
+@given(harmonic_chains(), st.integers(0, 7))
+def test_iterate_Q_equals_reference_on_harmonic_chains(case, n):
+    chain, s = case
+    f = lambda x: math.sin(x + 0.5)  # noqa: E731
+    assert iterate_Q(chain, f, s, n) == reference_iterate_Q(chain, f, s, n)
+
+
+# --- the Doob table -------------------------------------------------------------
+
+
+@pytest.mark.parametrize("name", CASE_NAMES)
+def test_doob_table_rows_are_the_scalar_ratios(name, case):
+    _model, chain, _base, _N = case(name)
+    maps = chain.branch.maps
+    ref = np.array([[chain.h(f(s)) / chain.h(s) for f in maps] for s in chain.domain])
+    assert chain.rows(list(chain.domain)).tobytes() == ref.tobytes()
+    assert [chain.probs(s) for s in chain.domain] == ref.tolist()
+
+
+class _CountingGauge:
+    def __init__(self, gauge):
+        self.gauge, self.calls = gauge, 0
+
+    def __call__(self, s):
+        self.calls += 1
+        return self.gauge(s)
+
+
+def test_walk_inside_the_domain_reads_no_gauge(ex25, feeder):
+    gauge = _CountingGauge(ex25.oracle_gauge)
+    chain = build_doob(gauge, ex25.branch, orbit_closure(ex25.branch, [ex25.point("")], 8))
+    assert gauge.calls == 3 * len(chain.domain)  # the harmonicity pass: h(s) and two images
+    gauge.calls = 0
+    cylinder_measure(chain, ex25.point(""), 9)  # live points down to level 8 only
+    _walk_levels(chain, ex25.point("1"), 8, 2**24)
+    assert gauge.calls == 0
+    gauge = _CountingGauge([1.0, 0.0, 2.0].__getitem__)  # the feeder's harmonic gauge
+    chain = build_doob(gauge, feeder.branch, [0, 2])
+    gauge.calls = 0
+    assert cylinder_measure(chain, 2, 10).level_sum(10) == 1.0
+    assert gauge.calls == 0

@@ -19,6 +19,7 @@ from kerneltower import (
     FiniteStateModel,
     InputError,
     Kernel,
+    NumericalError,
     blowup_detect,
     build_tower,
     diagonal_trace,
@@ -245,6 +246,26 @@ def test_negative_word_lengths_are_input_errors(ex25, root, small_base):
         layer_cake_check(ex25.kernel, ex25.branch, root, -2)
     with pytest.raises(InputError, match="nonnegative"):
         diagonal_trace(ex25.kernel, ex25.branch, root, -1)
+
+
+# --- word sums past the float range --------------------------------------------
+
+def test_word_sums_past_the_float_range_are_numerical_errors():
+    # Two words of 1e308 each: the counted sum, and the word-by-word fsum of a
+    # level that repeats no point, name the level and the point(s).  The tower
+    # route and the layer-cake integral overflow to inf first, quietly here.
+    model = FiniteStateModel([[0, 1], [0, 1]], np.diag([1e308, 1e308]))
+    with np.errstate(over="ignore"):
+        with pytest.raises(NumericalError, match="level 1 word sum at 0, 0 overflows"):
+            level_via_words(model.kernel, model.branch, [0, 1], 1)
+        with pytest.raises(NumericalError, match="level 1 word sum at 1 overflows"):
+            layer_cake_check(model.kernel, model.branch, 1, 1)
+        with pytest.raises(NumericalError, match="level 1 word sum at 0 overflows"):
+            diagonal_trace(model.kernel, model.branch, 0, 2)
+    tree = BranchSystem([lambda s: 2 * s, lambda s: 2 * s + 1])
+    K = Kernel(lambda s, t: 1e308, name="huge")
+    with pytest.raises(NumericalError, match="level 1 word sum at 1, 1 overflows"):
+        level_via_words(K, tree, [1], 1)
 
 
 # --- monotone levels on generated subinvariant models (ROADMAP 5) ------------
