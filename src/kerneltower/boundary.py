@@ -273,6 +273,8 @@ def apply_Q(chain: DoobChain, f: Callable[[Point], float], s: Point) -> float:
 
 def iterate_Q(chain: DoobChain, f: Callable[[Point], float], s: Point, n: int) -> float:
     """(Q^n f)(s) by memoized recursion over the branch tree."""
+    if n < 0:
+        raise InputError("word length must be nonnegative")
     maps = chain.branch.maps
     memo: dict = {}
 

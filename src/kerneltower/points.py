@@ -13,9 +13,10 @@ enumeration, read by the word routes (the independent oracles of the tower
 and diagonal modules) and by the boundary module's Doob walk: every word in
 word order, stored as an index into the level's distinct points, so a
 kernel is evaluated once per distinct point.  The word routes' sums weight
-each value by its number of words through :func:`fsum_counts`, which is
-exactly rounded: every word still counts as its own term, and each sum
-equals ``math.fsum`` over all m^n word values.
+each value by its number of words through :func:`fsum_rows` or its one-row
+case :func:`fsum_counts`, which are exactly rounded: every word still
+counts as its own term, and each sum equals ``math.fsum`` over all m^n
+word values.
 """
 
 from __future__ import annotations
@@ -145,53 +146,92 @@ def word_levels(
     return levels
 
 
-# Veltkamp's constant 2^27 + 1 splits a float into two halves of at most 26
-# significant bits each, so a half times a count below 2^27 is exact.
-_SPLIT = 2.0**27 + 1.0
-_COUNT_BITS = 27
+# Halves of a value's mantissa below 2^26 and 2^27 keep every partial sum
+# of a row below 2^26 words an integer below 2^53; on [2^-1022, 2^997) the
+# scaled halves are exact floats and a row's terms cannot overflow.
+_ROW_COUNT_LIMIT = 2**26
+_TINY, _HUGE = 2.0**-1022, 2.0**997
+
+
+def fsum_rows(values, counts) -> np.ndarray:
+    """Exactly rounded sums counts[i] @ values: math.fsum of each row's word values.
+
+    Each value v = M * 2^(e-53) (``np.frexp``) is split as M = H * 2^27 + L,
+    and H and L fill one column pair per binade e: ``counts @ halves`` is
+    exact in any summation order (Ozaki, Ogita, Oishi and Rump 2012), and
+    ``math.fsum`` of a row's scaled terms is its exactly rounded total.
+    Rows that count a non-finite value (giving what ``math.fsum`` gives), a
+    nonzero value outside [2^-1022, 2^997) or 2^26 words or more, and rows
+    whose total is zero (fsum decides the sign of zero), are summed in
+    exact integers; ``OverflowError(i)`` names the first such row i whose
+    total does not fit a float.
+    """
+    v = np.asarray(values, dtype=float)
+    C = np.asarray(counts, dtype=np.int64)
+    size = np.abs(v)
+    fast = (size >= _TINY) & (size < _HUGE)
+    ok = ~C[:, ~(fast | (v == 0.0))].any(axis=1)
+    mant, exp = np.frexp(np.where(fast, v, 0.0))  # the other values add nothing here
+    H = np.trunc(mant * 2.0**26)
+    low = exp.min(initial=0)
+    present = np.bincount(exp - low) > 0
+    col = 2 * np.cumsum(present)[exp - low] - 1  # column 0 counts the row's words
+    halves = np.zeros((len(v), 2 * np.count_nonzero(present) + 1))
+    halves[:, 0] = 1.0
+    at = np.arange(len(v))
+    halves[at, col] = H
+    halves[at, col + 1] = mant * 2.0**53 - H * 2.0**27
+    T = C @ halves
+    ok &= T[:, 0] < _ROW_COUNT_LIMIT
+    scale = np.ldexp(1.0, ((np.flatnonzero(present) + low)[:, None] - [26, 53]).ravel())
+    out = np.zeros(len(C))
+    out[ok] = [math.fsum(terms) for terms in (T[ok, 1:] * scale).tolist()]
+    for i in np.flatnonzero(out == 0.0).tolist():
+        try:
+            out[i] = _exact_sum(v, C[i])
+        except OverflowError:
+            raise OverflowError(i) from None
+    return out
 
 
 def fsum_counts(values, counts) -> float:
-    """Exactly rounded sum of counts[i] * values[i]: math.fsum of the word values.
+    """Exactly rounded sum of counts[i] * values[i]: the one-row :func:`fsum_rows`.
 
-    Equals ``math.fsum`` over every value repeated its (nonnegative integer)
-    count times.  Each finite value is split into two halves of at most 26
-    bits (Veltkamp; exact for subnormals too), each half times a count below
-    2^27 is an exact float, and ``math.fsum`` of those products is the
-    exactly rounded total (Dekker's split, Shewchuk's exact sum).  Where a
-    count reaches 2^27, or max |v| times the number of values times the
-    largest count could reach 2^995 (so that the split or a partial sum
-    might overflow), the sum is taken in exact integer arithmetic instead
-    and raises ``OverflowError`` when it does not fit a float.  The split
-    is kept beside the integer sum because it is the faster of the two on
-    the word routes' calls (about 19 against 24 us a call on the
-    finite-state example).  Non-finite values give what ``math.fsum`` gives
-    for them (inf, nan, or ``ValueError`` for inf - inf).
+    One row needs no binade columns: each half of a value times its count
+    is exact already.  Raises ``OverflowError`` past the float range.
     """
     v = np.asarray(values, dtype=float)
     c = np.asarray(counts, dtype=np.int64)
-    if len(c) and c.min() < 1:
-        v, c = v[c > 0], c[c > 0]
-    big = np.abs(v).max(initial=0.0)
-    if not big < math.inf:
-        return math.fsum(v[~np.isfinite(v)].tolist())
-    most = int(c.max(initial=0))
-    if big == 0.0 or most == 1:
-        # Only zeros, or one word per value: fsum decides (the sign of zero too).
-        return math.fsum(v.tolist())
-    if (most >> _COUNT_BITS
-            or math.frexp(big)[1] + (len(c) * most).bit_length() > 1022 - _COUNT_BITS):
-        # A product could round, or the split or a partial sum could
-        # overflow: sum exact integers.
-        mant, exp = np.frexp(v)
-        ints = np.ldexp(mant, 53).astype(np.int64).tolist()
-        shifts = (exp - 53).tolist()
-        low = min(shifts)
-        total = sum(k * i << (e - low) for k, i, e in zip(c.tolist(), ints, shifts))
-        return total / (1 << -low) if low < 0 else float(total << low)
-    t = v * _SPLIT
-    hi = t - (t - v)
-    return math.fsum(np.concatenate([hi * c, (v - hi) * c]).tolist())
+    mant, exp = np.frexp(v)
+    total = 0.0
+    if (np.abs(v).max(initial=0.0) < _HUGE and exp.min(initial=0) >= -1021
+            and c.sum(dtype=float) < _ROW_COUNT_LIMIT):
+        hi = np.ldexp(np.trunc(mant * 2.0**26), exp - 26)  # H * 2^(e-26); v - hi = L * 2^(e-53)
+        total = math.fsum(np.concatenate([hi * c, (v - hi) * c]).tolist())
+    return total or _exact_sum(v, c)
+
+
+def _exact_sum(v: np.ndarray, c: np.ndarray) -> float:
+    """c @ v exactly rounded, by exact integers (``OverflowError`` past the float range)."""
+    used = c > 0
+    v, c = v[used], c[used]
+    finite = np.isfinite(v)
+    if not finite.all():
+        return math.fsum(v[~finite].tolist())
+    if not v.any():
+        return math.fsum(v.tolist())  # only zeros: fsum decides the sign
+    mant, exp = np.frexp(v)
+    ints = np.ldexp(mant, 53).astype(np.int64).tolist()
+    shifts = (exp - 53).tolist()
+    low = min(shifts)
+    total = sum(k * i << (e - low) for k, i, e in zip(c.tolist(), ints, shifts))
+    return total / (1 << -low) if low < 0 else float(total << low)
+
+
+def word_overflow(level: int, *at: Point) -> NumericalError:
+    """The error of a word-route sum past the float range, naming the level and points."""
+    where = ", ".join(point_label(p) for p in at)
+    return NumericalError(f"level {level} word sum at {where} overflows a float")
 
 
 def word_sum(values, counts, level: int, *at: Point) -> float:
@@ -200,8 +240,7 @@ def word_sum(values, counts, level: int, *at: Point) -> float:
     try:
         return math.fsum(values) if counts is None else fsum_counts(values, counts)
     except OverflowError:
-        where = ", ".join(point_label(p) for p in at)
-        raise NumericalError(f"level {level} word sum at {where} overflows a float") from None
+        raise word_overflow(level, *at) from None
 
 
 def orbit_points_by_level(

@@ -10,6 +10,7 @@ the console instead).
 from __future__ import annotations
 
 import csv
+import io
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -82,12 +83,11 @@ def write_csv(path: Path, header, rows) -> None:
         writer.writerows([fmt(x) for x in row] for row in rows)
 
 
-def gram_rows(points, entries):
-    labels = [point_label(s) for s in points]
-    values = np.asarray(entries, dtype=float).tolist()
-    for la, row in zip(labels, values):
-        for lb, v in zip(labels, row):
-            yield (la, lb, v)
+def _csv_field(text: str) -> str:
+    """``text`` as the csv module writes it between other fields of a row."""
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerow([text, ""])
+    return buf.getvalue()[:-2]
 
 
 class Bundle:
@@ -103,7 +103,14 @@ class Bundle:
             write_csv(self.outdir / name, header, rows)
 
     def add_gram_csv(self, name, points, entries) -> None:
-        self.add_csv(name, ["point_a", "point_b", "value"], gram_rows(points, entries))
+        """One row per entry, in row-major order: the two point labels and the value."""
+        if "csv" not in self.formats:
+            return
+        labels = [_csv_field(point_label(s)) for s in points]
+        rows = np.asarray(entries, dtype=float).tolist()
+        text = "".join(f"{la},{lb},{v!r}\n" for la, row in zip(labels, rows)
+                       for lb, v in zip(labels, row))
+        (self.outdir / name).write_text("point_a,point_b,value\n" + text, newline="")
 
     def finish(self, report: RunReport, config_yaml: str) -> None:
         if "json" in self.formats:

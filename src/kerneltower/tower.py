@@ -22,10 +22,10 @@ also differ by their asymmetry: the core reads each pair in one order).
 Word-sum evaluation (one sum over all length-n words, with the scalar
 kernel) is kept as an independent second route to the same level Grams:
 :func:`level_via_words` enumerates every word in word order, calls the
-scalar kernel once per distinct point pair of a level (memoized across
-base pairs), and sums the values weighted by their word counts with
-:func:`points.fsum_counts`.  That sum is exactly rounded, so it equals the
-``math.fsum`` of all m^n per-word values bit for bit.
+scalar kernel once per distinct point pair of a level, and sums a block
+of entries by word counts in one exact product, :func:`points.fsum_rows`.
+Each entry is exactly rounded, so it equals the ``math.fsum`` of all m^n
+per-word values bit for bit.
 """
 
 from __future__ import annotations
@@ -58,14 +58,17 @@ from .points import (
     DEFAULT_WORD_CAP,
     BranchSystem,
     Point,
+    fsum_rows,
     point_label,
     word_levels,
+    word_overflow,
     word_sum,
 )
 
 DEFAULT_MAX_LEVELS = 40
 DEFAULT_CEILING = 1e12
 TELESCOPE_RTOL = 1e-12
+_WORD_BLOCK = 2**16  # word codes and counts of one block in level_via_words
 
 
 def _canon_pair(x, y):
@@ -134,7 +137,8 @@ def tower_gram_iter(
     Pairs of points that do not compare are merged as unordered pairs.
 
     ``pair_cap`` bounds the distinct pairs of one layer beyond layer 0; a
-    level beyond it raises a resource error when requested.
+    level beyond it raises a resource error when requested.  A level with a
+    non-finite entry raises a numerical error naming the level and a pair.
     """
     pts = tuple(points)
     n = len(pts)
@@ -177,6 +181,11 @@ def tower_gram_iter(
             for k in kids[1:]:
                 total += values[k]
             values = total
+        bad = np.flatnonzero(~np.isfinite(values))
+        if len(bad):
+            a, b = pts[ia[bad[0]]], pts[ib[bad[0]]]
+            raise NumericalError(f"level {len(children) - 1} tower entry at "
+                                 f"{point_label(a)}, {point_label(b)} is not finite")
         G = np.empty((n, n), dtype=float)
         G[ia, ib] = G[ib, ia] = values + 0.0  # + 0.0: no entry is -0.0
         yield G
@@ -316,14 +325,14 @@ def level_via_words(
     Sums K over all length-n words applied synchronously to both arguments.
     Each base point's level comes from :func:`points.word_levels` (distinct
     points plus one index per word, points that compare equal being one
-    point).  A level where no base point reaches a point twice (every word
-    tree) is summed word by word: one kernel call per word, ``math.fsum``
-    per entry.  Otherwise each entry counts the words of each distinct
-    synchronous pair, the scalar kernel is called once per distinct
-    oriented pair of the level (memoized across base pairs, the point of
-    ``a`` first for a <= b), and the entry is :func:`points.fsum_counts`
-    of the count-weighted values.  Both give the exactly rounded sum of
-    all m^n per-word values.  Nothing is shared with the interned tower
+    point).  Where a level repeats a point, a block of entries of one Gram
+    row counts the words of each oriented pair (point of ``a``, point of
+    ``b``) in one ``np.bincount``, the scalar kernel is called once per
+    distinct oriented pair of the level, and :func:`points.fsum_rows` sums
+    the block.  A level that repeats no point (every word tree), or whose
+    D^2 pair codes exceed ``cap``, is summed word by word: one kernel call
+    per word, ``math.fsum`` per entry.  Both give the exactly rounded sum
+    of all m^n per-word values.  Nothing is shared with the interned tower
     core, and no batch form of the kernel is called.
     """
     pts = tuple(points)
@@ -331,39 +340,47 @@ def level_via_words(
     level_of = {s: word_levels(branch, s, n, cap)[n] for s in set(pts)}
     r = len(pts)
     G = np.empty((r, r), dtype=float)
-    if all(len(p) == len(idx) for p, idx in level_of.values()):
-        # No level repeats a point: points lie in word order, one pair per word.
+    # One code per distinct point of the level, shared across base points;
+    # a pair's code x * D + y is its oriented (point of a, point of b) code.
+    P = list(dict.fromkeys(itertools.chain.from_iterable(p for p, _ in level_of.values())))
+    D = len(P)
+    if D * D > cap or all(len(p) == len(idx) for p, idx in level_of.values()):
+        words = {s: p if len(p) == len(idx) else [p[j] for j in idx.tolist()]
+                 for s, (p, idx) in level_of.items()}
         for a in range(r):
-            pa = level_of[pts[a]][0]
+            pa = words[pts[a]]
             for b in range(a, r):
-                G[a, b] = G[b, a] = word_sum(map(evaluate, pa, level_of[pts[b]][0]), None,
+                G[a, b] = G[b, a] = word_sum(map(evaluate, pa, words[pts[b]]), None,
                                              n, pts[a], pts[b])
         return Gram(pts, G)
-    # One code per distinct point of the level, shared across base points;
-    # a pair's key x * D + y is its oriented (point of a, point of b) code.
-    P = list(dict.fromkeys(itertools.chain.from_iterable(p for p, _ in level_of.values())))
     ids = {p: i for i, p in enumerate(P)}
-    D = len(P)
-    word_code = {
-        s: np.fromiter(map(ids.__getitem__, p), dtype=np.int64, count=len(p))[idx]
-        for s, (p, idx) in level_of.items()
-    }
-    memo = {}
+    point_code = {s: np.fromiter(map(ids.__getitem__, p), dtype=np.int64, count=len(p))
+                  for s, (p, _) in level_of.items()}
+    codes = np.empty((r, len(level_of[pts[0]][1])), dtype=np.int64)  # r x m^n
+    for row, s in zip(codes, pts):
+        np.take(point_code[s], level_of[s][1], out=row)
+    values = np.zeros(D * D)
+    done = np.zeros(D * D, dtype=bool)
     for a in range(r):
-        wa = word_code[pts[a]] * D
-        for b in range(a, r):
-            key = wa + word_code[pts[b]]
-            if D * D <= len(key):  # a dense count is no larger than the index
-                counts = np.bincount(key, minlength=D * D)
-                pairs = np.flatnonzero(counts)
-                counts = counts[pairs]
-            else:
-                pairs, counts = np.unique(key, return_counts=True)
-            values = [
-                memo[k] if k in memo else memo.setdefault(k, evaluate(P[k // D], P[k % D]))
-                for k in pairs.tolist()
-            ]
-            G[a, b] = G[b, a] = word_sum(values, counts, n, pts[a], pts[b])
+        # Entry (a, b) counts its words by x * D + y: x indexes the points
+        # of a's level, y codes the point of b; one code range per entry.
+        xa = point_code[pts[a]]
+        span = len(xa) * D
+        rows = max(1, _WORD_BLOCK // max(codes.shape[1], span))  # entries per block
+        for lo in range(a, r, rows):
+            hi = min(r, lo + rows)
+            keys = level_of[pts[a]][1] * D + codes[lo:hi]
+            keys += np.arange(0, (hi - lo) * span, span)[:, None]
+            counts = np.bincount(keys.ravel(), minlength=(hi - lo) * span).reshape(hi - lo, span)
+            local = np.flatnonzero(counts.any(axis=0))
+            pairs = xa[local // D] * D + local % D
+            new = pairs[~done[pairs]]
+            done[new] = True
+            values[new] = [evaluate(P[k // D], P[k % D]) for k in new.tolist()]
+            try:
+                G[a, lo:hi] = G[lo:hi, a] = fsum_rows(values[pairs], counts[:, local])
+            except OverflowError as exc:
+                raise word_overflow(n, pts[a], pts[lo + exc.args[0]]) from None
     return Gram(pts, G)
 
 

@@ -215,6 +215,14 @@ def test_iterate_Q_level_zero(chain, ex25):
     assert iterate_Q(chain, f, s, 0) == f(s)
 
 
+def test_negative_word_lengths_are_input_errors(chain, ex25):
+    f = lambda s: 1.0
+    with pytest.raises(InputError, match="word length must be nonnegative"):
+        iterate_Q(chain, f, ex25.point(""), -1)
+    with pytest.raises(InputError, match="word length must be nonnegative"):
+        intertwining_check(chain, f, ex25.point(""), -3)
+
+
 def test_intertwining_residuals(chain, ex25):
     f = lambda s: 0.5 ** len(s)
     for n in range(7):

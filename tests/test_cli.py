@@ -389,13 +389,13 @@ seed: 1
 
 @pytest.mark.parametrize("command", ["tower", "diagonal", "gaussian", "boundary"])
 def test_overflowing_kernel_exits_by_the_contract(tmp_path, capsys, command):
-    # Level 1 overflows: a named error with an exit code, no traceback and no
-    # numpy warning.
+    # Level 1 overflows: a numerical error naming the level, no traceback and
+    # no numpy warning.
     cfg = write_config(tmp_path, OVERFLOW_YAML)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         code = main([command, "--config", cfg, "--out", str(tmp_path / "out")])
     err = capsys.readouterr().err
-    assert code in (2, 3, 4, 5)
-    assert err.startswith("error[")
+    assert code == 4
+    assert err.startswith("error[numerical]: level 1 ")
     assert not caught

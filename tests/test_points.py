@@ -17,7 +17,7 @@ from kerneltower import (
     orbit_closure,
 )
 from kerneltower.models import FiniteStateModel
-from kerneltower.points import fsum_counts, orbit_points_by_level, point_label
+from kerneltower.points import fsum_counts, fsum_rows, orbit_points_by_level, point_label
 
 from oracles import all_words, word_forward
 
@@ -286,3 +286,88 @@ def test_fsum_counts_zeros_and_nonfinite_values():
 )
 def test_fsum_counts_is_exactly_rounded(pairs):
     assert_exact([v for v, _ in pairs], [c for _, c in pairs])
+
+
+# --- many rows in one exact product ------------------------------------------
+
+def _wide_floats():
+    """Floats over every binade: full mantissas, subnormals, signed zeros, the edges."""
+    full = st.builds(
+        lambda k, e, sign: sign * math.ldexp(k, e),
+        st.integers(2**52, 2**53 - 1), st.integers(-1074 - 52, 1023 - 52), st.sampled_from([-1, 1]),
+    )
+    edges = st.sampled_from([0.0, -0.0, TINY, -TINY, 2.0**-1022, 2.0**-1022 - TINY, MAX, -MAX,
+                             2.0**997, -(2.0**997 - 2.0**944), 1e300, 1.0])
+    return st.one_of(full, edges, st.floats(allow_nan=False, allow_infinity=False))
+
+
+@st.composite
+def count_matrices(draw):
+    """Values over many binades, small count rows, and one row of 2^26 words or more."""
+    k = draw(st.integers(1, 8))
+    values = draw(st.lists(_wide_floats(), min_size=k, max_size=k))
+    rows = draw(st.lists(st.lists(st.integers(0, 40), min_size=k, max_size=k),
+                         min_size=1, max_size=5))
+    large = draw(st.lists(st.integers(0, 2**40), min_size=k, max_size=k))
+    large[draw(st.integers(0, k - 1))] = draw(st.integers(2**26, 2**45))
+    at = draw(st.integers(0, len(rows)))
+    return values, rows[:at] + [large] + rows[at:], at
+
+
+@settings(max_examples=300, deadline=None)
+@given(count_matrices())
+def test_fsum_rows_equals_the_word_fsum_and_the_exact_sum(case):
+    # Each small row against math.fsum of its words, one by one (where no
+    # partial sum of fsum overflows), and against the exact rational sum;
+    # the large row (no words allocated) against the exact sum alone.
+    values, rows, large = case
+    want = []
+    for i, row in enumerate(rows):
+        try:
+            total = exact_count_sum(values, row)
+        except OverflowError:
+            total = None
+        if i != large:
+            words = [v for v, c in zip(values, row) for _ in range(c)]
+            try:
+                fsum = math.fsum(words)
+            except OverflowError:  # a partial sum past the float range
+                fsum = None
+            if fsum is not None:
+                assert fsum == total
+                total = fsum  # fsum's own sign of zero
+        want.append(total)
+    overflow = [i for i, w in enumerate(want) if w is None]
+    if overflow:
+        with pytest.raises(OverflowError) as info:
+            fsum_rows(values, np.array(rows))
+        assert info.value.args == (overflow[0],)
+        return
+    got = fsum_rows(values, np.array(rows))
+    assert got.tolist() == want
+    assert np.signbit(got).tolist() == [math.copysign(1.0, w) < 0 for w in want]
+    assert [fsum_counts(values, row) for row in rows] == want
+
+
+def test_fsum_rows_does_not_depend_on_the_column_order():
+    # The product's partial sums are integers below 2^53: any summation
+    # order gives the same floats, so permuted columns change no bit.
+    rng = np.random.default_rng(17)
+    values = full_mantissas(rng, 300, -60, 60)
+    counts = rng.integers(0, 2**17, (25, 300))
+    got = fsum_rows(values, counts)
+    for _ in range(5):
+        perm = rng.permutation(300)
+        assert np.array_equal(fsum_rows(values[perm], counts[:, perm]), got)
+    assert got.tolist() == [exact_count_sum(values, row) for row in counts]
+
+
+def test_fsum_rows_near_the_float_maximum():
+    # Binades 999 and 1000 with counts just below 2^26 words: scaled by
+    # 2^(e-26), their column sums would pass the float maximum with opposite
+    # signs, though the row total is 1.99 * 2^998.  Such rows take the
+    # exact integer sum; the row beside them stays in the product.
+    c = 2**24 + 2**22
+    values = [1.99 * 2.0**999, -1.99 * 2.0**998, 0.75]
+    counts = np.array([[c, 2 * c - 1, 0], [0, 0, 7], [3, 1, 2**25]])
+    assert fsum_rows(values, counts).tolist() == [exact_count_sum(values, row) for row in counts]

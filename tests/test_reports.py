@@ -3,7 +3,8 @@ import math
 
 import numpy as np
 
-from kerneltower.reports import Bundle, RunReport, fmt, gram_rows, jsonable, write_csv
+from kerneltower.points import point_label
+from kerneltower.reports import Bundle, RunReport, fmt, jsonable, write_csv
 
 
 def test_fmt_shortest_round_trip():
@@ -18,11 +19,31 @@ def test_fmt_shortest_round_trip():
     assert fmt(None) == "None"
 
 
-def test_csv_cells_keep_the_text_of_fmt(tmp_path):
+def test_gram_csv_bytes(tmp_path):
     # Grams of any dtype are written as float cells, one row per entry.
-    rows = list(gram_rows(["", "1"], np.array([[1, 2], [3, 4]])))
-    assert rows == [("<>", "<>", 1.0), ("<>", "1", 2.0), ("1", "<>", 3.0), ("1", "1", 4.0)]
-    assert all(type(v) is float for _, _, v in rows)
+    Bundle(tmp_path).add_gram_csv("g.csv", ["", "1"], np.array([[1, 2], [3, 4]]))
+    assert (tmp_path / "g.csv").read_bytes() == \
+        b"point_a,point_b,value\n<>,<>,1.0\n<>,1,2.0\n1,<>,3.0\n1,1,4.0\n"
+
+
+def test_gram_csv_matches_the_csv_module(tmp_path):
+    # Labels quoted by the csv module's rules, and every float cell (nan,
+    # inf, -0.0, subnormals) as fmt writes it through csv.writer.
+    points = ["", "a,b", 'say "x"', "line\nbreak", (1, 2), 7, " pad "]
+    rng = np.random.default_rng(3)
+    G = rng.standard_normal((len(points), len(points))) * 10.0 ** rng.integers(-300, 300)
+    G.flat[:6] = [np.nan, np.inf, -np.inf, -0.0, 5e-324, 1.7976931348623157e308]
+    Bundle(tmp_path).add_gram_csv("g.csv", points, G)
+    labels = [point_label(s) for s in points]
+    rows = [(la, lb, v) for la, row in zip(labels, G.tolist()) for lb, v in zip(labels, row)]
+    write_csv(tmp_path / "ref.csv", ["point_a", "point_b", "value"], rows)
+    assert (tmp_path / "g.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+    assert not (tmp_path / "json-only").exists()
+    Bundle(tmp_path / "json-only", formats=("json",)).add_gram_csv("g.csv", points, G)
+    assert not (tmp_path / "json-only" / "g.csv").exists()
+
+
+def test_csv_cells_keep_the_text_of_fmt(tmp_path):
     cells = [0.1, np.float64(1 / 3), 7, np.int64(-2), True, np.True_, "a,b", "<>", 2.0**-1074]
     write_csv(tmp_path / "t.csv", ["x"] * len(cells), [cells])
     text = (tmp_path / "t.csv").read_text().splitlines()[1]

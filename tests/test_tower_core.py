@@ -9,6 +9,7 @@ from kerneltower import (
     BranchSystem,
     FiniteStateModel,
     Kernel,
+    NumericalError,
     ResourceError,
     WordTreeModel,
     level_via_words,
@@ -186,3 +187,17 @@ def test_all_pairs_of_160_states_for_40_levels_at_one_layer_cap():
     telescoped = levels[0] + sum(levels[k + 1] - levels[k] for k in range(40))
     scale = max(1.0, float(np.max(np.abs(levels[-1]))))
     assert np.max(np.abs(telescoped - levels[-1])) <= TELESCOPE_RTOL * scale
+
+
+def test_a_level_past_the_float_range_is_a_numerical_error_naming_the_level():
+    # Both maps fix each state and K(s, s) = 1e308: level 1 is inf on the diagonal.
+    model = FiniteStateModel([[0, 1], [0, 1]], np.diag([1e308, 1e308]))
+    levels = tower_gram_iter(model.kernel, model.branch, [1, 0])
+    assert np.isfinite(next(levels)).all()
+    with np.errstate(over="ignore"):
+        with pytest.raises(NumericalError, match="level 1 tower entry at 1, 1 is not finite"):
+            next(levels)
+    nan = Kernel(lambda s, t: float("nan") if s == t == 2 else 1.0)
+    branch = BranchSystem([lambda x: x + 1])
+    with pytest.raises(NumericalError, match="level 2 tower entry at 0, 0 is not finite"):
+        _levels(tower_gram_iter(nan, branch, [0]), 2)

@@ -130,6 +130,19 @@ def test_level_via_words_calls_the_kernel_once_per_distinct_pair(sink_model):
     assert shared >= 5
 
 
+def test_level_via_words_past_the_pair_cap_sums_word_by_word(sink_model):
+    # D^2 pair codes beyond the cap: one kernel call per word, same floats.
+    seen = []
+    K = Kernel(lambda s, t: seen.append((s, t)) or float(sink_model.table[s, t]))
+    base = [1, 2, 5]
+    for n in (2, 3):
+        seen.clear()
+        D = len(set().union(*(word_levels(sink_model.branch, s, n)[n][0] for s in base)))
+        W = level_via_words(K, sink_model.branch, base, n, cap=D * D - 1).entries
+        assert len(seen) == 6 * 2**n
+        assert np.array_equal(W, reference_level_via_words(K, sink_model.branch, base, n))
+
+
 def test_diagonal_routes_call_the_kernel_once_per_distinct_point(sink_model):
     seen = []
     K = Kernel(lambda s, t: seen.append(s) or float(sink_model.table[s, t]))
@@ -169,6 +182,26 @@ def test_routes_match_reference_with_full_mantissas():
     A = rng.uniform(0.1, 1.0, (5, 5))
     model = FiniteStateModel(maps, A @ A.T + np.diag(rng.uniform(0.1, 1.0, 5)))
     _assert_routes_match_reference(model.kernel, model.branch, model.all_states(), 6)
+
+
+def test_level_via_words_matches_reference_at_the_float_edges():
+    # Table entries -0.0, a subnormal, 1e300 (the product's top binade) and
+    # 2e300 (beyond it): level sums mix the exact product with the exact
+    # integer sum, and every bit, the sign of zero included, must match.
+    T = np.array([
+        [-0.0, -0.0, 5e-324, 1.0, -0.0],
+        [-0.0, 1e300, -0.0, 2e300, 0.0],
+        [5e-324, -0.0, 3 * 5e-324, -2.5, 1e-310],
+        [1.0, 2e300, -2.5, 0.1, 1e300],
+        [-0.0, 0.0, 1e-310, 1e300, -0.0],
+    ])
+    branch = BranchSystem([lambda x: [0, 2, 4, 4, 0][x], lambda x: [1, 0, 0, 3, 2][x],
+                           lambda x: [4, 4, 2, 1, 0][x]])
+    K = Kernel(lambda s, t: float(T[s, t]))
+    for n in range(6):
+        W = level_via_words(K, branch, [0, 1, 2, 3, 4, 0], n).entries
+        ref = reference_level_via_words(K, branch, [0, 1, 2, 3, 4, 0], n)
+        assert np.array_equal(W, ref) and np.array_equal(np.signbit(W), np.signbit(ref)), n
 
 
 def _weights(tied):
@@ -252,15 +285,17 @@ def test_negative_word_lengths_are_input_errors(ex25, root, small_base):
 
 def test_word_sums_past_the_float_range_are_numerical_errors():
     # Two words of 1e308 each: the counted sum, and the word-by-word fsum of a
-    # level that repeats no point, name the level and the point(s).  The tower
-    # route and the layer-cake integral overflow to inf first, quietly here.
+    # level that repeats no point, name the level and the point(s).  The
+    # layer-cake integral overflows to inf first, quietly here; route one of
+    # diagonal_trace, the tower, refuses the non-finite level before the
+    # word route runs.
     model = FiniteStateModel([[0, 1], [0, 1]], np.diag([1e308, 1e308]))
     with np.errstate(over="ignore"):
         with pytest.raises(NumericalError, match="level 1 word sum at 0, 0 overflows"):
             level_via_words(model.kernel, model.branch, [0, 1], 1)
         with pytest.raises(NumericalError, match="level 1 word sum at 1 overflows"):
             layer_cake_check(model.kernel, model.branch, 1, 1)
-        with pytest.raises(NumericalError, match="level 1 word sum at 0 overflows"):
+        with pytest.raises(NumericalError, match="level 1 tower entry at 0, 0 is not finite"):
             diagonal_trace(model.kernel, model.branch, 0, 2)
     tree = BranchSystem([lambda s: 2 * s, lambda s: 2 * s + 1])
     K = Kernel(lambda s, t: 1e308, name="huge")
