@@ -19,13 +19,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import InputError, ModelError, ResourceError
-from .kernels import DEFAULT_PSD_TOL, Kernel, apply_L_power, sqrt_factor
+from .errors import InputError, ModelError, NumericalError, ResourceError
+from .kernels import DEFAULT_PSD_TOL, Kernel, apply_L_power, psd_check
 from .points import (
     DEFAULT_WORD_CAP,
     BranchSystem,
@@ -177,18 +177,21 @@ class CylinderTable:
     def level_sum(self, k: int) -> float:
         return math.fsum(self.masses[k].tolist())
 
-    def sorted_items(self) -> list[tuple[str, float]]:
-        """(word as its digit string, mass) in sorted word order, each word before its extensions."""
-        m, n = self.m, self.horizon
-        below = np.cumsum([m**d for d in range(n + 1)])  # below[d]: words of length <= d
-        labels, rank = [""], np.zeros(1, dtype=np.int64)
-        words, mass = np.empty(below[-1], dtype=object), np.empty(below[-1])
-        for k, level in enumerate(self.masses):
-            if k:  # child i of the word ranked r is ranked r + 1 + i * below[n - k]
-                labels = [w + str(i) for w in labels for i in range(1, m + 1)]
-                rank = (rank[:, None] + 1 + np.arange(m) * below[n - k]).ravel()
-            words[rank], mass[rank] = labels, level
-        return list(zip(words.tolist(), mass.tolist()))
+
+@lru_cache(maxsize=4)
+def sorted_words(m: int, n: int) -> tuple[tuple[str, ...], np.ndarray]:
+    """The words of length <= n as digit strings in sorted order, each before its extensions,
+    and the (read-only) permutation that takes masses concatenated level by level to it."""
+    below = np.cumsum([m**d for d in range(n + 1)])  # below[d]: words of length <= d
+    labels, rank = [""], np.zeros(1, dtype=np.int64)
+    words, order = np.empty(below[-1], dtype=object), np.empty(below[-1], dtype=np.int64)
+    for k in range(n + 1):
+        if k:  # child i of the word ranked r is ranked r + 1 + i * below[n - k]
+            labels = [w + str(i) for w in labels for i in range(1, m + 1)]
+            rank = (rank[:, None] + 1 + np.arange(m) * below[n - k]).ravel()
+        words[rank], order[rank] = labels, np.arange(below[k] - len(rank), below[k])
+    order.flags.writeable = False
+    return tuple(words.tolist()), order
 
 
 def _live(index: np.ndarray, mass: np.ndarray) -> list[int]:
@@ -440,7 +443,8 @@ class BoundarySections:
 
     The Doob walks of the base points down to level N - 1 and the Gram of
     the normalized one-step defect (LK - K)/(h x h) on every point those
-    walks reach with positive mass, rebuilt from its square-root factor.
+    walks reach with positive mass: by the reproducing property the Gram of
+    the sections, kept with a PSD verdict and not factored.
     LK - K is :func:`tower.defect_gram`.  For m = 2 it equals the scalar
     ``fsum`` over the maps; otherwise it lies within m * 2^-53 * (L|K|)(s, t)
     of it.  Kernels symmetric only up to rounding may also differ by their
@@ -474,13 +478,17 @@ def _boundary_sections(K, base, chain, N, tol, cap) -> BoundarySections:
     if not np.all(h):  # h >= 0, so its first minimum is the first gauge zero
         raise InputError(f"h-normalization at gauge zero {point_label(section_list[np.argmin(h)])}")
     defect_h = defect_gram(K, chain.branch, section_list, cap) / np.outer(h, h)
-    factor = sqrt_factor(defect_h, tol)
+    if not np.all(np.isfinite(defect_h)):
+        raise NumericalError("boundary section Gram has non-finite entries")
+    report = psd_check(defect_h, tol)
+    if not report.psd:
+        raise NumericalError(f"boundary section Gram is not PSD ({report.summary()})")
     return BoundarySections(
         points=base,
         levels=N,
         walks=walks,
         section_index={x: i for i, x in enumerate(section_list)},
-        section_gram=factor @ factor.T,
+        section_gram=defect_h,
     )
 
 

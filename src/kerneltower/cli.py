@@ -25,6 +25,7 @@ from .boundary import (
     intertwining_check,
     normalization_commutes,
     sample_path,
+    sorted_words,
 )
 from .config import Config, load_config, parse_config
 from .diagonal import (
@@ -290,15 +291,16 @@ def cmd_boundary(cfg: Config, model: Model, base, bundle: Bundle) -> dict:
     if not base:
         raise InputError("no base points inside the gauge-positive domain")
 
-    rows = []
+    words, order = sorted_words(model.branch.m, cyl_levels)
+    masses = np.empty((len(base), len(order)))
     level_sum_err = 0.0
-    for s in base:
+    for row, s in zip(masses, base):
         table = cylinder_measure(chain, s, cyl_levels, cfg.pair_cap)
-        label = point_label(s)
-        rows.extend((label, w or "-", p) for w, p in table.sorted_items())
+        row[:] = np.concatenate(table.masses)[order]
         level_sum_err = max([level_sum_err] + [abs(table.level_sum(k) - 1.0)
                                                for k in range(cyl_levels + 1)])
-    bundle.add_csv("cylinders.csv", ["anchor_label", "word", "probability"], rows)
+    bundle.add_gram_csv("cylinders.csv", base, masses, columns=[w or "-" for w in words],
+                        header="anchor_label,word,probability")
 
     f = (lambda s: 0.5 ** len(s)) if isinstance(model, WordTreeModel) else (lambda s: float(s) + 1.0)
     inter = intertwining_check(chain, f, base[0], min(cyl_levels, 5), cfg.pair_cap)

@@ -236,9 +236,15 @@ def word_overflow(level: int, *at: Point) -> NumericalError:
 
 def word_sum(values, counts, level: int, *at: Point) -> float:
     """:func:`fsum_counts` (``math.fsum`` when ``counts`` is None) for a word route:
-    a sum past the float range is a numerical error naming the level and points ``at``."""
+    a total past the float range is a numerical error naming the level and points ``at``."""
     try:
-        return math.fsum(values) if counts is None else fsum_counts(values, counts)
+        if counts is not None:
+            return fsum_counts(values, counts)
+        values = list(values)
+        try:
+            return math.fsum(values)
+        except OverflowError:  # a partial sum overflowed: the exact sum decides
+            return _exact_sum(np.array(values, dtype=float), np.ones(len(values), dtype=np.int64))
     except OverflowError:
         raise word_overflow(level, *at) from None
 

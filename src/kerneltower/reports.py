@@ -23,11 +23,6 @@ from .points import point_label
 
 def fmt(value):
     """Shortest round-trip text for a cell value."""
-    kind = type(value)  # the common cells first, without isinstance
-    if kind is float:
-        return repr(value)
-    if kind is str:
-        return value
     if isinstance(value, (float, np.floating)):
         return repr(float(value))
     if isinstance(value, (int, np.integer, np.bool_)):
@@ -102,15 +97,17 @@ class Bundle:
         if "csv" in self.formats:
             write_csv(self.outdir / name, header, rows)
 
-    def add_gram_csv(self, name, points, entries) -> None:
-        """One row per entry, in row-major order: the two point labels and the value."""
+    def add_gram_csv(self, name, points, entries, columns=None, header="point_a,point_b,value"):
+        """One row per entry, in row-major order: the two point labels and the value.
+
+        ``columns``, csv fields already, stand for the column points' labels."""
         if "csv" not in self.formats:
             return
         labels = [_csv_field(point_label(s)) for s in points]
         rows = np.asarray(entries, dtype=float).tolist()
         text = "".join(f"{la},{lb},{v!r}\n" for la, row in zip(labels, rows)
-                       for lb, v in zip(labels, row))
-        (self.outdir / name).write_text("point_a,point_b,value\n" + text, newline="")
+                       for lb, v in zip(columns or labels, row))
+        (self.outdir / name).write_text(header + "\n" + text, newline="")
 
     def finish(self, report: RunReport, config_yaml: str) -> None:
         if "json" in self.formats:

@@ -23,7 +23,6 @@ from kerneltower import (
     limit_fields,
     martingale_checks,
     psd_check,
-    sqrt_factor,
     verify,
 )
 from kerneltower.gaussian import sample_covariance
@@ -381,8 +380,6 @@ def reference_section_points(chain, base, N):
     return list(points)
 
 
-def reference_section_gram(K, chain, points, tol=1e-9):
-    """Section Gram of the normalized defect through three scalar kernel layers."""
-    defect_h = h_normalize(reference_defect_kernel(K, chain.branch), chain.h)
-    factor = sqrt_factor(gram(defect_h, points).entries, tol)
-    return factor @ factor.T
+def reference_section_gram(K, chain, points):
+    """Section Gram through three scalar kernel layers: the normalized defect itself."""
+    return gram(h_normalize(reference_defect_kernel(K, chain.branch), chain.h), points).entries

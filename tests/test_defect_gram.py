@@ -11,7 +11,10 @@ from hypothesis import strategies as st
 from kerneltower import (
     DivergentDeltaModel,
     FiniteStateModel,
+    Kernel,
+    NumericalError,
     WordTreeModel,
+    apply_L,
     build_doob,
     build_tower,
     cylinder_measure,
@@ -22,7 +25,7 @@ from kerneltower import (
     iterate_Q,
     subinvariance_check,
 )
-from kerneltower.boundary import _boundary_sections, _walk_levels
+from kerneltower.boundary import _boundary_sections, _walk_levels, sorted_words
 from kerneltower.points import orbit_closure
 from kerneltower.tower import defect_gram
 
@@ -131,6 +134,16 @@ def test_section_gram_equals_scalar_reference(name, case):
     points = reference_section_points(chain, base, N)
     assert list(sections.section_index) == points
     ref = reference_section_gram(model.kernel, chain, points)
+    if name == "finite-state":
+        # Merged pairs: the core's LK lies within m * 2^-53 * (L|K|) of the exact
+        # sum and the reference's fsum within 2^-53 * (L|K|); subtracting K and
+        # dividing by h(s) h(t) round each side twice more.
+        absLK = gram(apply_L(Kernel(lambda s, t: abs(model.kernel(s, t))), model.branch), points)
+        h = np.array([chain.h(x) for x in points])
+        m = len(model.branch.maps)
+        bound = 2.0**-53 * ((m + 1) * absLK.entries / np.outer(h, h) + 4 * np.abs(ref))
+        assert np.all(np.abs(sections.section_gram - ref) <= bound)
+        return
     assert np.array_equal(sections.section_gram, ref)
 
 
@@ -140,6 +153,19 @@ def test_section_gram_sees_off_diagonal_normalization(case):
     sections = _boundary_sections(model.kernel, tuple(base), chain, N, 1e-9, 2**24)
     G = sections.section_gram
     assert np.max(np.abs(G - np.diag(np.diag(G)))) > 1e-3
+
+
+def test_section_gram_failing_the_psd_verdict_is_a_numerical_error():
+    # Both states map to state 1: on the section points 0 and 1, LK - K with
+    # K = I is [[0, 1], [1, 0]] (eigenvalue -1); with K = 1 it is 0, and the
+    # gauge 1e-200 underflows h(s) h(t) to 0.
+    for K, h, match in ((np.eye(2), 1.0, "is not PSD"), (np.ones((2, 2)), 1e-200, "has non-finite")):
+        model = FiniteStateModel([[1, 1]], K)
+        chain = build_doob(lambda s: h, model.branch, [0, 1])
+        with np.errstate(invalid="ignore"), \
+                pytest.raises(NumericalError, match=f"^boundary section Gram {match}") as exc:
+            _boundary_sections(model.kernel, (0,), chain, 2, 1e-9, 2**24)
+        assert exc.value.exit_code == 4
 
 
 @st.composite
@@ -209,7 +235,19 @@ def test_cylinder_table_equals_reference(case):
     ref = {w: p for level in reference_walk_levels(chain, 2, 8) for w, _x, p in level}
     assert table.table == ref
     assert list(table.table) == list(ref)
-    assert table.sorted_items() == [("".join(map(str, w)), p) for w, p in sorted(ref.items())]
+    words, order = sorted_words(chain.branch.m, 8)
+    assert list(zip(words, np.concatenate(table.masses)[order].tolist())) == \
+        [("".join(map(str, w)), p) for w, p in sorted(ref.items())]
+
+
+@pytest.mark.parametrize("m", [2, 3])
+def test_sorted_words_are_the_sorted_words(m):
+    for n in range(7):
+        words, order = sorted_words(m, n)
+        ref = sorted(w for k in range(n + 1) for w in enumerate_words(m, k))
+        assert list(words) == ["".join(map(str, w)) for w in ref]
+        concatenated = [w for k in range(n + 1) for w in enumerate_words(m, k)]
+        assert [concatenated[i] for i in order.tolist()] == ref
 
 
 @st.composite

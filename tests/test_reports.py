@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 
+from kerneltower.boundary import sorted_words
 from kerneltower.points import point_label
 from kerneltower.reports import Bundle, RunReport, fmt, jsonable, write_csv
 
@@ -41,6 +42,22 @@ def test_gram_csv_matches_the_csv_module(tmp_path):
     assert not (tmp_path / "json-only").exists()
     Bundle(tmp_path / "json-only", formats=("json",)).add_gram_csv("g.csv", points, G)
     assert not (tmp_path / "json-only" / "g.csv").exists()
+
+
+def test_cylinder_csv_matches_the_csv_module(tmp_path):
+    # cylinders.csv as cmd_boundary writes it: the shared sorted words as
+    # columns, one text; against csv.writer rows with fmt on every cell.
+    anchors = ["a,b", 'say "x"', "line\nbreak"]
+    words = sorted_words(2, 3)[0]
+    rng = np.random.default_rng(5)
+    masses = rng.random((len(anchors), len(words)))
+    masses[:, :3] = [0.0, 5e-324, 1.0]
+    Bundle(tmp_path).add_gram_csv("c.csv", anchors, masses, columns=[w or "-" for w in words],
+                                  header="anchor_label,word,probability")
+    rows = [(point_label(s), w or "-", p) for s, row in zip(anchors, masses.tolist())
+            for w, p in zip(words, row)]
+    write_csv(tmp_path / "ref.csv", ["anchor_label", "word", "probability"], rows)
+    assert (tmp_path / "c.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
 
 
 def test_csv_cells_keep_the_text_of_fmt(tmp_path):

@@ -7,6 +7,8 @@ once per distinct point (or oriented synchronous pair, across base pairs)
 of a level, and touch nothing of the interned tower core.
 """
 
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -28,7 +30,7 @@ from kerneltower import (
     level_via_words,
 )
 from kerneltower.kernels import KernelBatch
-from kerneltower.points import orbit_points_by_level, word_levels
+from kerneltower.points import orbit_points_by_level, word_levels, word_sum
 
 from oracles import (
     reference_blowup_counts,
@@ -301,6 +303,25 @@ def test_word_sums_past_the_float_range_are_numerical_errors():
     K = Kernel(lambda s, t: 1e308, name="huge")
     with pytest.raises(NumericalError, match="level 1 word sum at 1, 1 overflows"):
         level_via_words(K, tree, [1], 1)
+
+
+def test_word_sum_branches_agree_where_a_partial_sum_overflows():
+    # MAX + MAX overflows in math.fsum, yet the exact total of the words
+    # MAX, MAX, -MAX is MAX: both branches return it, word by word (a tree
+    # that repeats no point) and counted (a level that repeats point 1).
+    MAX = sys.float_info.max
+    assert word_sum([MAX, MAX, -MAX], None, 1, 0) == word_sum([MAX, -MAX], [2, 1], 1, 0) == MAX
+    tree = BranchSystem([lambda s, i=i: 3 * s + i for i in (1, 2, 3)])
+    K = Kernel(lambda s, t: -MAX if s % 3 == 0 else MAX, name="edge")
+    assert level_via_words(K, tree, [1], 1).entries.tolist() == [[MAX]]
+    merging = BranchSystem([lambda s: 1, lambda s: 1, lambda s: 2])
+    K = Kernel(lambda s, t: MAX if s == 1 else -MAX, name="edge")
+    assert level_via_words(K, merging, [0], 1).entries.tolist() == [[MAX]]
+    # A total that lies past the float range is still refused, naming the level and point.
+    for values, counts in (([MAX, MAX], None), ([MAX, MAX, -MAX / 2], None), ([MAX], [2])):
+        with pytest.raises(NumericalError, match="^level 1 word sum at 1 overflows a float$") as exc:
+            word_sum(values, counts, 1, 1)
+        assert exc.value.exit_code == 4
 
 
 # --- monotone levels on generated subinvariant models (ROADMAP 5) ------------
