@@ -87,8 +87,6 @@ from .models import (
 )
 from .points import (
     BranchSystem,
-    compose_forward,
-    compose_reversed,
     enumerate_words,
     orbit_closure,
     orbit_points_by_level,

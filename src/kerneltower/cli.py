@@ -132,8 +132,8 @@ def cmd_tower(cfg: Config, model: Model, base, bundle: Bundle) -> dict:
 
     word_n = min(cfg.horizon, 8)
     worst_word = 0.0
-    for n in range(word_n + 1):
-        W = level_via_words(model.kernel, model.branch, base, n, cfg.pair_cap)
+    words = level_via_words(model.kernel, model.branch, base, word_n, cfg.pair_cap)
+    for n, W in enumerate(words):
         worst_word = max(worst_word, float(np.max(np.abs(W.entries - tower.levels[n]))))
     results["word_expansion"] = {
         "levels_checked": word_n,
@@ -181,8 +181,8 @@ def cmd_diagonal(cfg: Config, model: Model, base, bundle: Bundle) -> dict:
 
     worst_cake = 0.0
     for s in base:
-        for n in range(min(cfg.horizon, 8) + 1):
-            lc = layer_cake_check(model.kernel, model.branch, s, n, cfg.pair_cap)
+        cakes = layer_cake_check(model.kernel, model.branch, s, min(cfg.horizon, 8), cfg.pair_cap)
+        for lc in cakes:
             worst_cake = max(worst_cake, lc.residual / max(1.0, abs(lc.word_sum)))
     results["layer_cake"] = {"max_rel_residual": worst_cake, "tolerance": 1e-12}
 

@@ -34,6 +34,7 @@ from .points import (
     DEFAULT_WORD_CAP,
     BranchSystem,
     Point,
+    check_word_cap,
     orbit_closure,
     point_label,
     word_levels,
@@ -299,28 +300,35 @@ def layer_cake_check(
     s: Point,
     n: int,
     cap: int = DEFAULT_WORD_CAP,
-) -> LayerCakeResult:
+) -> list[LayerCakeResult]:
     """Exact layer-cake integral of the level-set counts vs the direct word sum.
 
+    One result per level 0..n, from one :func:`points.word_levels` walk.
     The count function is a right-continuous step function with jumps at
     the distinct diagonal values, so the integral is the finite
-    summation-by-parts sum_j (v_j - v_{j-1}) * #{values >= v_j}.
+    summation-by-parts sum_j (v_j - v_{j-1}) * #{values >= v_j}.  Past
+    ``cap`` words, the first level over it names the error.
     """
-    values, words = _point_diagonal(K, word_levels(branch, s, n, cap)[n])
-    if np.min(values) < 0.0:
-        raise InputError("layer-cake identity needs a nonnegative diagonal")
-    # Sorted, the values jump at each distinct positive v_j, and i_j words
-    # lie below it: the term is (v_j - v_{j-1}) * (total - i_j).
-    distinct, which = np.unique(values, return_inverse=True)
-    counts = np.zeros(len(distinct), dtype=np.int64)
-    np.add.at(counts, which, words)
-    below = np.cumsum(counts) - counts
-    up = distinct > 0.0
-    jumps = distinct[up]
-    prev = np.concatenate(([0.0], jumps[:-1]))
-    terms = (jumps - prev) * (int(words.sum()) - below[up])
-    integral = math.fsum(terms.tolist())
-    return LayerCakeResult(integral=integral, word_sum=word_sum(values, words, n, s))
+    for k in range(n + 1):
+        check_word_cap(branch.m, k, cap)
+    results = []
+    for k, level in enumerate(word_levels(branch, s, n, cap)):
+        values, words = _point_diagonal(K, level)
+        if np.min(values) < 0.0:
+            raise InputError("layer-cake identity needs a nonnegative diagonal")
+        # Sorted, the values jump at each distinct positive v_j, and i_j words
+        # lie below it: the term is (v_j - v_{j-1}) * (total - i_j).
+        distinct, which = np.unique(values, return_inverse=True)
+        counts = np.zeros(len(distinct), dtype=np.int64)
+        np.add.at(counts, which, words)
+        below = np.cumsum(counts) - counts
+        up = distinct > 0.0
+        jumps = distinct[up]
+        prev = np.concatenate(([0.0], jumps[:-1]))
+        terms = (jumps - prev) * (int(words.sum()) - below[up])
+        results.append(LayerCakeResult(integral=math.fsum(terms.tolist()),
+                                       word_sum=word_sum(values, words, k, s)))
+    return results
 
 
 @dataclass

@@ -51,13 +51,6 @@ class TowerSampler:
             self.factors = tower.factors(tol)
         except NumericalError as exc:
             raise NumericalError(f"sampler factorization failed: {exc}") from exc
-        scale = max(float(np.max(np.abs(tower.levels[-1]))), 1.0)
-        targets = [tower.levels[0]] + tower.defects
-        worst = max(
-            float(np.max(np.abs(F @ F.T - T))) for F, T in zip(self.factors, targets)
-        )
-        if worst > 1e-10 * scale:
-            raise NumericalError(f"factor reconstruction error {worst:.3e} too large")
         self.factors_t = np.stack([F.T for F in self.factors])  # (levels, P, P)
 
     def draw(self, nsamples: int, seed: int | None = None) -> np.ndarray:

@@ -185,36 +185,25 @@ def psd_leq(G1: Gram, G2: Gram, tol: float = DEFAULT_PSD_TOL) -> PsdReport:
     return psd_check(Gram(G1.points, G2.entries - G1.entries), tol)
 
 
-def sqrt_factor(A: np.ndarray, tol: float = DEFAULT_PSD_TOL,
-                jitter: float = 1e-12) -> np.ndarray:
+def sqrt_factor(A: np.ndarray, tol: float = DEFAULT_PSD_TOL) -> np.ndarray:
     """Symmetric square-root factor R with R @ R.T ~= A.
 
     Eigendecomposition with small negative eigenvalues clipped at zero;
-    eigenvalues below -tol*scale are a genuine PSD failure.  If the clipped
-    factor fails to reconstruct A, one diagonal jitter of jitter*scale is
-    attempted before giving up.  Rows at indices where A has an exactly zero
-    diagonal are zero: for a PSD matrix that row of any factor is zero, and
-    the eigendecomposition would otherwise leave rounding noise there.
+    eigenvalues below -tol*scale are a genuine PSD failure, and so is a
+    factor that fails to reconstruct A within 1e-10*scale.  Rows at indices
+    where A has an exactly zero diagonal are zero: for a PSD matrix that row
+    of any factor is zero, and the eigendecomposition would otherwise leave
+    rounding noise there.
     """
     A = np.asarray(A, dtype=float)
-    n = A.shape[0]
-    scale = max(float(np.max(np.abs(np.diag(A)))), 1.0) if n else 1.0
-    null = np.diag(A) == 0.0
-
-    def factor(M):
-        w, U = np.linalg.eigh(M)
-        if w[0] < -tol * scale:
-            raise NumericalError(
-                f"square-root factorization: eigenvalue {w[0]:.3e} below -tol*scale"
-            )
-        R = U * np.sqrt(np.clip(w, 0.0, None))
-        R[null] = 0.0
-        return R
-
-    R = factor(A)
-    if np.max(np.abs(R @ R.T - A)) <= 1e-10 * scale:
-        return R
-    R = factor(A + jitter * scale * np.eye(n))
-    if np.max(np.abs(R @ R.T - A)) <= 1e-10 * scale:
-        return R
-    raise NumericalError("square-root factor failed to reconstruct input after jitter")
+    scale = max(float(np.max(np.abs(np.diag(A)))), 1.0) if A.shape[0] else 1.0
+    w, U = np.linalg.eigh(A)
+    if w[0] < -tol * scale:
+        raise NumericalError(
+            f"square-root factorization: eigenvalue {w[0]:.3e} below -tol*scale"
+        )
+    R = U * np.sqrt(np.clip(w, 0.0, None))
+    R[np.diag(A) == 0.0] = 0.0
+    if np.max(np.abs(R @ R.T - A)) > 1e-10 * scale:
+        raise NumericalError("square-root factor failed to reconstruct its input")
+    return R

@@ -83,14 +83,6 @@ class BranchSystem:
         return s
 
 
-def compose_forward(branch: BranchSystem, w: Word, s: Point) -> Point:
-    return branch.forward(w, s)
-
-
-def compose_reversed(branch: BranchSystem, w: Word, s: Point) -> Point:
-    return branch.reversed(w, s)
-
-
 def check_word_cap(m: int, n: int, cap: int = DEFAULT_WORD_CAP) -> int:
     """Number of length-n words, or a resource error when it exceeds the cap."""
     count = m**n

@@ -21,9 +21,10 @@ also differ by their asymmetry: the core reads each pair in one order).
 
 Word-sum evaluation (one sum over all length-n words, with the scalar
 kernel) is kept as an independent second route to the same level Grams:
-:func:`level_via_words` enumerates every word in word order, calls the
-scalar kernel once per distinct point pair of a level, and sums a block
-of entries by word counts in one exact product, :func:`points.fsum_rows`.
+:func:`level_via_words` walks each base point's words once for levels
+0..n, calls the scalar kernel once per distinct point pair of a level, and
+sums a block of entries by word counts in one exact product,
+:func:`points.fsum_rows`.
 Each entry is exactly rounded, so it equals the ``math.fsum`` of all m^n
 per-word values bit for bit.
 """
@@ -58,6 +59,7 @@ from .points import (
     DEFAULT_WORD_CAP,
     BranchSystem,
     Point,
+    check_word_cap,
     fsum_rows,
     point_label,
     word_levels,
@@ -319,25 +321,34 @@ def level_via_words(
     points: Sequence[Point],
     n: int,
     cap: int = DEFAULT_WORD_CAP,
-) -> Gram:
-    """Level-n Gram by direct word-sum expansion (independent of build_tower).
+) -> list[Gram]:
+    """Level Grams 0..n by direct word-sum expansion (independent of build_tower).
 
-    Sums K over all length-n words applied synchronously to both arguments.
-    Each base point's level comes from :func:`points.word_levels` (distinct
-    points plus one index per word, points that compare equal being one
-    point).  Where a level repeats a point, a block of entries of one Gram
-    row counts the words of each oriented pair (point of ``a``, point of
-    ``b``) in one ``np.bincount``, the scalar kernel is called once per
-    distinct oriented pair of the level, and :func:`points.fsum_rows` sums
-    the block.  A level that repeats no point (every word tree), or whose
-    D^2 pair codes exceed ``cap``, is summed word by word: one kernel call
-    per word, ``math.fsum`` per entry.  Both give the exactly rounded sum
-    of all m^n per-word values.  Nothing is shared with the interned tower
-    core, and no batch form of the kernel is called.
+    Level k sums K over all length-k words applied synchronously to both
+    arguments.  One :func:`points.word_levels` walk per distinct base point
+    gives its levels 0..n (distinct points plus one index per word, points
+    that compare equal being one point).  Where a level repeats a point, a
+    block of entries of one Gram row counts the words of each oriented pair
+    (point of ``a``, point of ``b``) in one ``np.bincount``, the scalar
+    kernel is called once per distinct oriented pair of the level, and
+    :func:`points.fsum_rows` sums the block.  A level that repeats no point
+    (every word tree), or whose D^2 pair codes exceed ``cap``, is summed
+    word by word: one kernel call per word, ``math.fsum`` per entry.  Both
+    give the exactly rounded sum of all m^k per-word values.  Nothing is
+    shared with the interned tower core, and no batch form of the kernel is
+    called.  Past ``cap`` words, the first level over it names the error.
     """
     pts = tuple(points)
     evaluate = K.raw() if isinstance(K, Kernel) else K
-    level_of = {s: word_levels(branch, s, n, cap)[n] for s in set(pts)}
+    for k in range(n + 1):
+        check_word_cap(branch.m, k, cap)
+    walks = {s: word_levels(branch, s, n, cap) for s in set(pts)}
+    return [_words_level(evaluate, pts, {s: walk[k] for s, walk in walks.items()}, k, cap)
+            for k in range(n + 1)]
+
+
+def _words_level(evaluate, pts: tuple, level_of: dict, n: int, cap: int) -> Gram:
+    """The level-n Gram of :func:`level_via_words` from each base point's level n."""
     r = len(pts)
     G = np.empty((r, r), dtype=float)
     # One code per distinct point of the level, shared across base points;

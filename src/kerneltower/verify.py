@@ -108,8 +108,7 @@ def check_word_expansion(ctx) -> CheckResult:
         model = WordTreeModel(m=m, r=0.5, c=0.5, eta=1.0)
         F = orbit_closure(model.branch, [model.point("")], 1)
         tower = build_tower(model.kernel, model.branch, F, 8, ctx.tol)
-        for n in range(9):
-            W = level_via_words(model.kernel, model.branch, F, n)
+        for n, W in enumerate(level_via_words(model.kernel, model.branch, F, 8)):
             worst = max(worst, float(np.max(np.abs(W.entries - tower.levels[n]))))
     elapsed = time.perf_counter() - t0
     passed = worst <= 1e-12 and elapsed < 5.0
@@ -200,8 +199,7 @@ def check_layer_cake(ctx) -> CheckResult:
     for model in (_example_model(), DivergentDeltaModel(m=2)):
         s = model.point("")
         trace = diagonal_trace(model.kernel, model.branch, s, 8, ceiling=ctx.ceiling)
-        for n in range(9):
-            lc = layer_cake_check(model.kernel, model.branch, s, n)
+        for n, lc in enumerate(layer_cake_check(model.kernel, model.branch, s, 8)):
             scale = max(1.0, abs(lc.word_sum))
             worst = max(worst, lc.residual / scale)
             worst = max(worst, abs(lc.integral - trace.values[n]) / scale)

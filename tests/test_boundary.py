@@ -173,12 +173,10 @@ def test_sample_path_chain_rule(chain, ex25):
 
 
 def test_sample_path_visits_reversed_compositions(chain, ex25):
-    from kerneltower import compose_reversed
-
     s = ex25.point("1")
     path = sample_path(chain, s, 6, seed=5)
     for k in range(7):
-        assert path.points[k] == compose_reversed(ex25.branch, path.word[:k], s)
+        assert path.points[k] == ex25.branch.reversed(path.word[:k], s)
 
 
 def test_sample_path_empirical_frequencies(chain, ex25):

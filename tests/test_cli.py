@@ -179,6 +179,26 @@ def test_resource_cap_exit_code(tmp_path, capsys):
     assert "error[resource]" in captured.err
 
 
+FINITE_STATE_YAML = """\
+model:
+  kind: finite-state
+  maps: [[0, 1, 2, 3], [1, 0, 3, 3], [2, 2, 0, 1]]
+  kernel: [[2.0, 1.0, 0.0, 0.5], [1.0, 2.0, 0.5, 0.0], [0.0, 0.5, 2.0, 1.0], [0.5, 0.0, 1.0, 2.0]]
+horizon: 10
+"""
+
+
+@pytest.mark.parametrize("cap, named", [(1000, "3^7 = 2187"), (3000, "3^8 = 6561")])
+def test_tower_word_cap_names_the_first_level_past_it(tmp_path, capsys, cap, named):
+    # The tower fits the pair cap; the word expansion (levels 0..8) does not,
+    # and the error names its first level past the cap.
+    cfg = write_config(tmp_path, FINITE_STATE_YAML + f"pair_cap: {cap}\n")
+    code = main(["tower", "--config", cfg, "--out", str(tmp_path / "o")])
+    assert code == 5
+    assert capsys.readouterr().err == (
+        f"error[resource]: enumerating {named} words exceeds the cap {cap}\n")
+
+
 def test_out_of_memory_is_a_resource_error(tmp_path, capsys, monkeypatch):
     import kerneltower.cli
 

@@ -11,8 +11,6 @@ from kerneltower import (
     BranchSystem,
     InputError,
     ResourceError,
-    compose_forward,
-    compose_reversed,
     enumerate_words,
     orbit_closure,
 )
@@ -49,29 +47,29 @@ def test_apply_map_symbol_out_of_range(ex25):
 
 def test_compose_forward_empty_word_is_identity(ex25):
     s = ex25.point("21")
-    assert compose_forward(ex25.branch, (), s) == s
+    assert ex25.branch.forward((), s) == s
 
 
 def test_compose_forward_example(ex25):
     # phi_1(phi_2(root)) = "12"
-    assert compose_forward(ex25.branch, (1, 2), ex25.point("")) == ex25.point("12")
+    assert ex25.branch.forward((1, 2), ex25.point("")) == ex25.point("12")
 
 
 def test_compose_forward_single_symbol_matches_apply(ex25):
     s = ex25.point("2")
     for i in (1, 2):
-        assert compose_forward(ex25.branch, (i,), s) == ex25.branch.apply(i, s)
+        assert ex25.branch.forward((i,), s) == ex25.branch.apply(i, s)
 
 
 def test_compose_reversed_example(ex25):
-    assert compose_reversed(ex25.branch, (1, 2), ex25.point("")) == ex25.point("21")
-    assert compose_reversed(ex25.branch, (), ex25.point("1")) == ex25.point("1")
+    assert ex25.branch.reversed((1, 2), ex25.point("")) == ex25.point("21")
+    assert ex25.branch.reversed((), ex25.point("1")) == ex25.point("1")
 
 
 def test_compose_reversed_length_one_equals_forward(ex25):
     s = ex25.point("12")
     for i in (1, 2):
-        assert compose_reversed(ex25.branch, (i,), s) == compose_forward(ex25.branch, (i,), s)
+        assert ex25.branch.reversed((i,), s) == ex25.branch.forward((i,), s)
 
 
 def test_forward_concatenation_exhaustive(ex25):
@@ -81,8 +79,8 @@ def test_forward_concatenation_exhaustive(ex25):
         for lv in range(4):
             for w in all_words(2, lw):
                 for v in all_words(2, lv):
-                    via_concat = compose_forward(ex25.branch, w + v, s)
-                    via_steps = compose_forward(ex25.branch, w, compose_forward(ex25.branch, v, s))
+                    via_concat = ex25.branch.forward(w + v, s)
+                    via_steps = ex25.branch.forward(w, ex25.branch.forward(v, s))
                     assert via_concat == via_steps
 
 
@@ -90,9 +88,7 @@ def test_reversed_equals_forward_of_reversed_word(ex25):
     s = ex25.point("1")
     for n in range(7):
         for w in all_words(2, n):
-            assert compose_reversed(ex25.branch, w, s) == compose_forward(
-                ex25.branch, tuple(reversed(w)), s
-            )
+            assert ex25.branch.reversed(w, s) == ex25.branch.forward(tuple(reversed(w)), s)
 
 
 def test_enumerate_words_basics():

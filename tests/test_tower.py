@@ -145,26 +145,25 @@ def test_tower_resource_cap(ex25, small_base):
 # --- word expansion ---------------------------------------------------------
 
 def test_level_via_words_level_zero_is_gram(ex25, small_base):
-    W = level_via_words(ex25.kernel, ex25.branch, small_base, 0)
+    (W,) = level_via_words(ex25.kernel, ex25.branch, small_base, 0)
     assert np.array_equal(W.entries, gram(ex25.kernel, small_base).entries)
 
 
 def test_level_via_words_matches_tower(ex25):
     F = [ex25.point(""), ex25.point("1")]
     tower = build_tower(ex25.kernel, ex25.branch, F, 3)
-    W = level_via_words(ex25.kernel, ex25.branch, F, 3)
+    W = level_via_words(ex25.kernel, ex25.branch, F, 3)[3]
     assert np.max(np.abs(W.entries - tower.levels[3])) <= 1e-12
 
 
 def test_level_via_words_delta_diagonal(delta2, root):
     W = level_via_words(delta2.kernel, delta2.branch, [root], 5)
-    assert W.entries[0, 0] == 32.0
+    assert [G.entries[0, 0] for G in W] == [1.0, 2.0, 4.0, 8.0, 16.0, 32.0]
 
 
 def test_level_via_words_matches_flat_oracle(ex25):
     F = [ex25.point(""), ex25.point("21")]
-    for n in range(5):
-        W = level_via_words(ex25.kernel, ex25.branch, F, n)
+    for n, W in enumerate(level_via_words(ex25.kernel, ex25.branch, F, 4)):
         for a, s in enumerate(F):
             for b, t in enumerate(F):
                 ref = word_sum(ex25.kernel.raw(), ex25.branch.maps, s, t, n)
@@ -176,8 +175,7 @@ def test_defect_recursion_via_words(ex25, small_base):
     LK = apply_L(ex25.kernel, ex25.branch)
     defect = Kernel(lambda s, t: LK(s, t) - ex25.kernel(s, t), name="defect")
     tower = build_tower(ex25.kernel, ex25.branch, small_base, 8)
-    for n in range(8):
-        W = level_via_words(defect, ex25.branch, small_base, n)
+    for n, W in enumerate(level_via_words(defect, ex25.branch, small_base, 7)):
         assert np.max(np.abs(W.entries - tower.defects[n])) <= 1e-12
 
 

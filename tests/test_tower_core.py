@@ -152,10 +152,9 @@ def random_tables(draw):
 def test_random_tables_core_matches_reference_and_words(case, n):
     model, base = case
     core = _assert_core_within_rounding(model.kernel, model.branch, base, n)
-    for level in range(n + 1):
-        W = level_via_words(model.kernel, model.branch, base, level).entries
-        scale = max(1.0, float(np.max(np.abs(W))))
-        assert np.max(np.abs(core[level] - W)) <= 1e-12 * scale
+    for level, W in enumerate(level_via_words(model.kernel, model.branch, base, n)):
+        scale = max(1.0, float(np.max(np.abs(W.entries))))
+        assert np.max(np.abs(core[level] - W.entries)) <= 1e-12 * scale
     telescoped = core[0] + sum(core[k + 1] - core[k] for k in range(n))
     scale = max(1.0, float(np.max(np.abs(core[-1]))))
     assert np.max(np.abs(telescoped - core[-1])) <= TELESCOPE_RTOL * scale
@@ -180,10 +179,9 @@ def test_all_pairs_of_160_states_for_40_levels_at_one_layer_cap():
     pts = model.all_states()
     levels = _levels(tower_gram_iter(model.kernel, model.branch, pts, pair_cap=S * (S + 1) // 2), 40)
     assert len(levels) == 41
-    for level in range(3):
-        W = level_via_words(model.kernel, model.branch, pts, level).entries
-        scale = max(1.0, float(np.max(np.abs(W))))
-        assert np.max(np.abs(levels[level] - W)) <= 1e-12 * scale
+    for level, W in enumerate(level_via_words(model.kernel, model.branch, pts, 2)):
+        scale = max(1.0, float(np.max(np.abs(W.entries))))
+        assert np.max(np.abs(levels[level] - W.entries)) <= 1e-12 * scale
     telescoped = levels[0] + sum(levels[k + 1] - levels[k] for k in range(40))
     scale = max(1.0, float(np.max(np.abs(levels[-1]))))
     assert np.max(np.abs(telescoped - levels[-1])) <= TELESCOPE_RTOL * scale

@@ -7,6 +7,7 @@ once per distinct point (or oriented synchronous pair, across base pairs)
 of a level, and touch nothing of the interned tower core.
 """
 
+import re
 import sys
 
 import numpy as np
@@ -22,6 +23,7 @@ from kerneltower import (
     InputError,
     Kernel,
     NumericalError,
+    ResourceError,
     blowup_detect,
     build_tower,
     diagonal_trace,
@@ -48,17 +50,29 @@ def _region(x):
     return hash(x) % 3 != 1
 
 
+def _bits(x) -> bytes:
+    """The float64 bytes of x: equal bits, the sign of zero included."""
+    return np.asarray(x, dtype=float).tobytes()
+
+
 def _assert_routes_match_reference(K, branch, base, n):
-    """Every word route equals its list-walking reference bit for bit, levels 0..n."""
-    for level in range(n + 1):
-        W = level_via_words(K, branch, base, level).entries
-        assert np.array_equal(W, reference_level_via_words(K, branch, base, level)), level
+    """Every word route equals its list-walking reference bit for bit, levels 0..n.
+
+    Each list route answers levels 0..n from one call; every level is
+    compared with the reference computed for that level alone.
+    """
+    grams = level_via_words(K, branch, base, n)
+    assert len(grams) == n + 1
+    for level, W in enumerate(grams):
+        assert _bits(W.entries) == _bits(reference_level_via_words(K, branch, base, level)), level
     for s in set(base):
         sums = reference_diagonal_word_sums(K, branch, s, n)
-        for level in range(n + 1):
-            lc = layer_cake_check(K, branch, s, level)
-            assert (lc.integral, lc.word_sum) == reference_layer_cake(K, branch, s, level)
-            assert lc.word_sum == sums[level]
+        cakes = layer_cake_check(K, branch, s, n)
+        assert len(cakes) == n + 1
+        for level, lc in enumerate(cakes):
+            ref = reference_layer_cake(K, branch, s, level)
+            assert _bits([lc.integral, lc.word_sum]) == _bits(ref), level
+            assert _bits(lc.word_sum) == _bits(sums[level]), level
             words = reference_orbit_points_by_level(branch, s, level)[level]
             values = sorted({K(x, x) for x in words})
             for theta in values + [0.0, values[-1] * 2 + 1.0]:
@@ -103,17 +117,31 @@ def test_points_that_compare_equal_are_one_point():
     assert pts == [1] and idx.tolist() == [0, 0]
 
 
+def _level_calls(route, n):
+    """The kernel calls of level n alone: route(k) covers levels 0..k in
+    order and records its calls, so level n's are the calls of route(n)
+    after those of route(n - 1), which it repeats first."""
+    before = route(n - 1) if n else []
+    calls = route(n)
+    assert calls[:len(before)] == before
+    return calls[len(before):]
+
+
 def test_level_via_words_calls_the_kernel_once_per_distinct_pair(sink_model):
     # Once per distinct oriented pair (point of a, point of b), a <= b, of
-    # the whole level: pairs shared by several base pairs are evaluated once.
-    # A level that repeats no point is summed word by word instead.
-    seen = []
-    K = Kernel(lambda s, t: seen.append((s, t)) or float(sink_model.table[s, t]))
+    # each level: pairs shared by several base pairs are evaluated once.  A
+    # level that repeats no point is summed word by word instead.
     base = [1, 2, 5, 6]
+
+    def route(n):
+        seen = []
+        K = Kernel(lambda s, t: seen.append((s, t)) or float(sink_model.table[s, t]))
+        level_via_words(K, sink_model.branch, base, n)
+        return seen
+
     shared = 0
     for n in range(7):
-        seen.clear()
-        level_via_words(K, sink_model.branch, base, n)
+        seen = _level_calls(route, n)
         level_of = {s: reference_orbit_points_by_level(sink_model.branch, s, n)[n] for s in base}
         words = [
             pair
@@ -133,16 +161,22 @@ def test_level_via_words_calls_the_kernel_once_per_distinct_pair(sink_model):
 
 
 def test_level_via_words_past_the_pair_cap_sums_word_by_word(sink_model):
-    # D^2 pair codes beyond the cap: one kernel call per word, same floats.
-    seen = []
-    K = Kernel(lambda s, t: seen.append((s, t)) or float(sink_model.table[s, t]))
+    # D^2 pair codes of level n beyond the cap: one kernel call per word of
+    # that level, same floats.
     base = [1, 2, 5]
     for n in (2, 3):
-        seen.clear()
         D = len(set().union(*(word_levels(sink_model.branch, s, n)[n][0] for s in base)))
-        W = level_via_words(K, sink_model.branch, base, n, cap=D * D - 1).entries
-        assert len(seen) == 6 * 2**n
-        assert np.array_equal(W, reference_level_via_words(K, sink_model.branch, base, n))
+        grams = {}
+
+        def route(k):
+            seen = []
+            K = Kernel(lambda s, t: seen.append((s, t)) or float(sink_model.table[s, t]))
+            grams[k] = level_via_words(K, sink_model.branch, base, k, cap=D * D - 1)
+            return seen
+
+        assert len(_level_calls(route, n)) == 6 * 2**n
+        ref = reference_level_via_words(sink_model.kernel, sink_model.branch, base, n)
+        assert np.array_equal(grams[n][n].entries, ref)
 
 
 def test_diagonal_routes_call_the_kernel_once_per_distinct_point(sink_model):
@@ -150,6 +184,38 @@ def test_diagonal_routes_call_the_kernel_once_per_distinct_point(sink_model):
     K = Kernel(lambda s, t: seen.append(s) or float(sink_model.table[s, t]))
     level_set_count(K, sink_model.branch, 3, 9, 0.5)
     assert len(seen) == len(word_levels(sink_model.branch, 3, 9)[9][0]) < 2**9
+
+
+# --- one walk per base point --------------------------------------------------
+
+def test_list_routes_walk_each_distinct_base_point_once(sink_model, monkeypatch):
+    walked = []
+
+    def counted(branch, s, n, cap):
+        walked.append((s, n))
+        return word_levels(branch, s, n, cap)
+
+    monkeypatch.setattr(tower_module, "word_levels", counted)
+    monkeypatch.setattr(diagonal_module, "word_levels", counted)
+    grams = level_via_words(sink_model.kernel, sink_model.branch, [1, 2, 5, 6, 2, 1], 8)
+    assert len(grams) == 9
+    assert sorted(walked) == [(1, 8), (2, 8), (5, 8), (6, 8)]
+    walked.clear()
+    cakes = layer_cake_check(sink_model.kernel, sink_model.branch, 3, 8)
+    assert len(cakes) == 9
+    assert walked == [(3, 8)]
+
+
+@pytest.mark.parametrize("cap, named", [(1000, "3^7 = 2187"), (3000, "3^8 = 6561")])
+def test_list_routes_name_the_first_level_past_the_word_cap(cap, named):
+    # Levels 0..8 come from one walk, yet the error names the first level
+    # whose words exceed the cap, not level 8.
+    model = FiniteStateModel([[0, 1, 2], [1, 2, 0], [0, 0, 1]], np.eye(3))
+    message = f"^{re.escape(f'enumerating {named} words exceeds the cap {cap}')}$"
+    with pytest.raises(ResourceError, match=message):
+        level_via_words(model.kernel, model.branch, [0, 1], 8, cap)
+    with pytest.raises(ResourceError, match=message):
+        layer_cake_check(model.kernel, model.branch, 0, 8, cap)
 
 
 # --- bit-for-bit against the references --------------------------------------
@@ -200,8 +266,8 @@ def test_level_via_words_matches_reference_at_the_float_edges():
     branch = BranchSystem([lambda x: [0, 2, 4, 4, 0][x], lambda x: [1, 0, 0, 3, 2][x],
                            lambda x: [4, 4, 2, 1, 0][x]])
     K = Kernel(lambda s, t: float(T[s, t]))
-    for n in range(6):
-        W = level_via_words(K, branch, [0, 1, 2, 3, 4, 0], n).entries
+    for n, W in enumerate(level_via_words(K, branch, [0, 1, 2, 3, 4, 0], 5)):
+        W = W.entries
         ref = reference_level_via_words(K, branch, [0, 1, 2, 3, 4, 0], n)
         assert np.array_equal(W, ref) and np.array_equal(np.signbit(W), np.signbit(ref)), n
 
@@ -256,9 +322,8 @@ def test_word_routes_do_not_touch_the_tower_core(monkeypatch, sink_model):
     # that only the word route could reach the core.
     monkeypatch.setattr(diagonal_module, "tower_gram_iter", reference_tower_gram_iter)
 
-    for n in range(6):
-        W = level_via_words(K, sink_model.branch, base, n).entries
-        assert np.array_equal(W, reference_level_via_words(K, sink_model.branch, base, n))
+    for n, W in enumerate(level_via_words(K, sink_model.branch, base, 5)):
+        assert np.array_equal(W.entries, reference_level_via_words(K, sink_model.branch, base, n))
     for s in base:
         diagonal_trace(K, sink_model.branch, s, 6)  # raises if the two routes disagree
         layer_cake_check(K, sink_model.branch, s, 6)
@@ -313,10 +378,10 @@ def test_word_sum_branches_agree_where_a_partial_sum_overflows():
     assert word_sum([MAX, MAX, -MAX], None, 1, 0) == word_sum([MAX, -MAX], [2, 1], 1, 0) == MAX
     tree = BranchSystem([lambda s, i=i: 3 * s + i for i in (1, 2, 3)])
     K = Kernel(lambda s, t: -MAX if s % 3 == 0 else MAX, name="edge")
-    assert level_via_words(K, tree, [1], 1).entries.tolist() == [[MAX]]
+    assert level_via_words(K, tree, [1], 1)[1].entries.tolist() == [[MAX]]
     merging = BranchSystem([lambda s: 1, lambda s: 1, lambda s: 2])
     K = Kernel(lambda s, t: MAX if s == 1 else -MAX, name="edge")
-    assert level_via_words(K, merging, [0], 1).entries.tolist() == [[MAX]]
+    assert level_via_words(K, merging, [0], 1)[1].entries.tolist() == [[MAX]]
     # A total that lies past the float range is still refused, naming the level and point.
     for values, counts in (([MAX, MAX], None), ([MAX, MAX, -MAX / 2], None), ([MAX], [2])):
         with pytest.raises(NumericalError, match="^level 1 word sum at 1 overflows a float$") as exc:
@@ -365,5 +430,5 @@ def test_generated_subinvariant_towers_are_monotone(model, n):
         scale = max(1.0, float(np.max(np.abs(tower.levels[level + 1]))))
         assert np.min(np.linalg.eigvalsh(D)) >= -1e-9 * scale, level
         assert tower.defect_reports[level].psd
-    words = level_via_words(model.kernel, model.branch, model.all_states(), n).entries
+    words = level_via_words(model.kernel, model.branch, model.all_states(), n)[n].entries
     assert np.max(np.abs(words - tower.levels[n])) <= 1e-12 * max(1.0, np.max(np.abs(words)))
