@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
@@ -178,10 +178,9 @@ class CylinderTable:
         return math.fsum(self.masses[k].tolist())
 
 
-@lru_cache(maxsize=4)
 def sorted_words(m: int, n: int) -> tuple[tuple[str, ...], np.ndarray]:
     """The words of length <= n as digit strings in sorted order, each before its extensions,
-    and the (read-only) permutation that takes masses concatenated level by level to it."""
+    and the permutation that takes masses concatenated level by level to it."""
     below = np.cumsum([m**d for d in range(n + 1)])  # below[d]: words of length <= d
     labels, rank = [""], np.zeros(1, dtype=np.int64)
     words, order = np.empty(below[-1], dtype=object), np.empty(below[-1], dtype=np.int64)
@@ -190,7 +189,6 @@ def sorted_words(m: int, n: int) -> tuple[tuple[str, ...], np.ndarray]:
             labels = [w + str(i) for w in labels for i in range(1, m + 1)]
             rank = (rank[:, None] + 1 + np.arange(m) * below[n - k]).ravel()
         words[rank], order[rank] = labels, np.arange(below[k] - len(rank), below[k])
-    order.flags.writeable = False
     return tuple(words.tolist()), order
 
 

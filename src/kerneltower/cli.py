@@ -10,6 +10,7 @@ output directory, and exits with a category code on failure: 2 input,
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 import time
 from pathlib import Path
@@ -31,7 +32,6 @@ from .config import Config, load_config, parse_config
 from .diagonal import (
     blowup_detect,
     diagonal_trace,
-    layer_cake_check,
     lyapunov_verify,
 )
 from .errors import EXIT_NUMERICAL, EXIT_RESOURCE, InputError, KernelTowerError
@@ -167,6 +167,7 @@ def cmd_diagonal(cfg: Config, model: Model, base, bundle: Bundle) -> dict:
 
     rows = []
     verdicts = {}
+    worst_cake = 0.0
     for s in base:
         trace = diagonal_trace(
             model.kernel, model.branch, s, cfg.horizon,
@@ -177,13 +178,9 @@ def cmd_diagonal(cfg: Config, model: Model, base, bundle: Bundle) -> dict:
         results["traces"][label] = {"verdict": trace.verdict, "values": trace.values}
         for n, u in enumerate(trace.values):
             rows.append((label, n, u))
-    bundle.add_csv("diagonal_traces.csv", ["point", "level", "u_n"], rows)
-
-    worst_cake = 0.0
-    for s in base:
-        cakes = layer_cake_check(model.kernel, model.branch, s, min(cfg.horizon, 8), cfg.pair_cap)
-        for lc in cakes:
+        for lc in trace.layer_cake[:9]:  # levels 0..min(horizon, 8)
             worst_cake = max(worst_cake, lc.residual / max(1.0, abs(lc.word_sum)))
+    bundle.add_csv("diagonal_traces.csv", ["point", "level", "u_n"], rows)
     results["layer_cake"] = {"max_rel_residual": worst_cake, "tolerance": 1e-12}
 
     cert, cert_status = _resolve_certificate(cfg, model, base)
@@ -440,8 +437,8 @@ def main(argv=None) -> int:
         if args.seed is not None:
             cfg.seed = args.seed
         if args.tol is not None:
-            if args.tol <= 0:
-                raise InputError("--tol must be positive")
+            if not 0.0 < args.tol < math.inf:
+                raise InputError("--tol must be finite and positive")
             cfg.tol = args.tol
         if args.max_level is not None:
             if args.max_level < 0:

@@ -77,14 +77,17 @@ def _type_error(path: str, expected: str, value) -> InputError:
 
 def _as_float(value, path: str) -> float:
     # YAML 1.1 reads exponents without a sign ("1.0e4") as strings, so
-    # numeric strings are accepted here.
+    # numeric strings are accepted here.  NaN passes no range check that
+    # follows (every comparison with it is false), so it is refused here.
     if isinstance(value, str):
         try:
-            return float(value)
+            value = float(value)
         except ValueError:
             raise _type_error(path, "a number", value) from None
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise _type_error(path, "a number", value)
+    if math.isnan(value):
+        raise _type_error(path, "a number, not NaN", value)
     return float(value)
 
 
@@ -220,8 +223,8 @@ def parse_config(raw: Mapping, base_dir: Path | None = None) -> Config:
     if cfg.horizon < 0:
         raise InputError("config horizon: must be nonnegative")
     cfg.tol = _as_float(raw.get("tol", 1e-9), "tol")
-    if cfg.tol <= 0:
-        raise InputError("config tol: must be positive")
+    if not 0.0 < cfg.tol < math.inf:
+        raise InputError("config tol: must be finite and positive")
     if raw.get("seed") is not None:
         cfg.seed = _as_int(raw["seed"], "seed")
     cfg.nsamples = _as_int(raw.get("nsamples", 100_000), "nsamples")

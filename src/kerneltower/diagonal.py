@@ -7,14 +7,15 @@ diagonal traces two independent ways, verifies Lyapunov certificates,
 searches for branch-counting blow-up witnesses, and evaluates layer-cake
 identities and tail bounds.
 
-The word routes (the word sum of ``diagonal_trace``, layer-cake identities,
-level-set counts and blow-up witnesses) enumerate every length-n word in
-word order through :func:`points.word_levels` and evaluate the scalar
-kernel once per distinct point of a level (points that compare equal are
-one point).  Sums weight each point's value by its number of words
-(``np.bincount`` of the level's index) through :func:`points.fsum_counts`,
-the exactly rounded count-weighted sum, so each equals the ``math.fsum``
-over all m^n per-word values bit for bit.
+The word routes (layer-cake identities, whose word sums are the second
+route of ``diagonal_trace``, level-set counts and blow-up witnesses)
+enumerate every length-n word in word order through
+:func:`points.word_levels` and evaluate the scalar kernel once per
+distinct point of a level (points that compare equal are one point).  The
+word sums of levels 0..n weight each point's value by its number of words
+(``np.bincount`` of the level's index) in one :func:`points.fsum_rows`
+product, exactly rounded, so each equals the ``math.fsum`` over all m^n
+per-word values bit for bit.
 
 A finite trace can only ever classify heuristically; rigorous statements
 come from verified certificates (decay) or counting witnesses (blow-up).
@@ -34,11 +35,11 @@ from .points import (
     DEFAULT_WORD_CAP,
     BranchSystem,
     Point,
-    check_word_cap,
+    fsum_rows,
     orbit_closure,
     point_label,
     word_levels,
-    word_sum,
+    word_overflow,
 )
 from .tower import (
     DEFAULT_CEILING,
@@ -96,15 +97,6 @@ def classify_sequence(values: Sequence[float], eps: float, ceiling: float) -> st
     return INCONCLUSIVE
 
 
-def _point_diagonal(K: Kernel, level) -> tuple[np.ndarray, np.ndarray]:
-    """K(x, x) at each distinct point of a :func:`word_levels` level, and its word count.
-
-    The kernel is called once per distinct point of the level.
-    """
-    pts, idx = level
-    return np.array([K(x, x) for x in pts], dtype=float), np.bincount(idx, minlength=len(pts))
-
-
 def _count_words(level, hit: Callable[[Point], object]) -> int:
     """Number of words of a :func:`word_levels` level whose point passes ``hit``.
 
@@ -116,11 +108,16 @@ def _count_words(level, hit: Callable[[Point], object]) -> int:
 
 @dataclass
 class DiagonalTrace:
-    """u_0(s)..u_N(s) with a finite-horizon verdict; u_N is an envelope lower bound."""
+    """u_0(s)..u_N(s) with a finite-horizon verdict; u_N is an envelope lower bound.
+
+    ``layer_cake`` holds the :func:`layer_cake_check` results of levels
+    0..N: their word sums are the second route that checked ``values``.
+    """
 
     point: Point
     values: list[float]
     verdict: str
+    layer_cake: list[LayerCakeResult]
 
     @property
     def envelope_lower_bound(self) -> float:
@@ -138,20 +135,18 @@ def diagonal_trace(
 ) -> DiagonalTrace:
     """Diagonal values u_n(s) for n <= horizon, cross-checked two ways.
 
-    Route one iterates the tower on the single point; route two sums the
-    kernel diagonal over all length-n branch words (the scalar kernel once
-    per distinct point of a level, an exact fsum over every word).
-    Disagreement beyond 1e-12 (relative) is a numerical failure.
+    Route one iterates the tower on the single point; route two is
+    :func:`layer_cake_check`, whose word sums add the kernel diagonal over
+    all length-n branch words (the scalar kernel once per distinct point of
+    a level, an exact fsum over every word), so the trace walks the word
+    tree of ``s`` once and carries its layer-cake levels.  Disagreement
+    beyond 1e-12 (relative) is a numerical failure.
     """
     it = tower_gram_iter(K, branch, [s], cap)
     tower_vals = [float(next(it)[0, 0]) for _ in range(horizon + 1)]
+    cakes = layer_cake_check(K, branch, s, horizon, cap)
 
-    word_vals = [
-        word_sum(*_point_diagonal(K, level), n, s)
-        for n, level in enumerate(word_levels(branch, s, horizon, cap))
-    ]
-
-    for n, (a, b) in enumerate(zip(tower_vals, word_vals)):
+    for n, (a, b) in enumerate(zip(tower_vals, (lc.word_sum for lc in cakes))):
         if abs(a - b) > 1e-12 * max(1.0, abs(a)):
             raise NumericalError(
                 f"diagonal routes disagree at level {n} for {point_label(s)}: "
@@ -160,7 +155,7 @@ def diagonal_trace(
     if trace_eps is None:
         trace_eps = 1e-10 * max(tower_vals[0], 1.0)
     verdict = classify_sequence(tower_vals, trace_eps, ceiling)
-    return DiagonalTrace(point=s, values=tower_vals, verdict=verdict)
+    return DiagonalTrace(point=s, values=tower_vals, verdict=verdict, layer_cake=cakes)
 
 
 @dataclass
@@ -193,7 +188,8 @@ def lyapunov_verify(
     ``form="defect"`` (beta < 1) certifies geometric tail bounds for the
     one-step defect diagonal; ``form="diagonal"`` (beta <= 1) certifies
     plain finiteness for the kernel diagonal.  Returns the certificate with
-    the verification domain recorded, or the first violating point.
+    the verification domain recorded, or the first violating point (a NaN
+    side violates its premise).
     """
     if form not in ("defect", "diagonal"):
         raise InputError(f"unknown certificate form {form!r}")
@@ -201,7 +197,7 @@ def lyapunov_verify(
         raise InputError("defect-form certificates need 0 < beta < 1")
     if form == "diagonal" and not 0.0 < beta <= 1.0:
         raise InputError("diagonal-form certificates need 0 < beta <= 1")
-    if C < 0.0:
+    if not C >= 0.0:
         raise InputError("certificate constant C must be nonnegative")
     pts = tuple(domain)
     if not pts:
@@ -212,12 +208,12 @@ def lyapunov_verify(
     for s in pts:
         lhs = diag(s)
         rhs = C * r_fn(s)
-        if lhs > rhs:
+        if not lhs <= rhs:
             return LyapunovRefutation(point=s, premise="diag <= C*r", lhs=lhs, rhs=rhs)
     for s in pts:
         lhs = math.fsum(r_fn(f(s)) for f in branch.maps)
         rhs = beta * r_fn(s)
-        if lhs > rhs:
+        if not lhs <= rhs:
             return LyapunovRefutation(point=s, premise="Pr <= beta*r", lhs=lhs, rhs=rhs)
     return TailCertificate(r_fn=r_fn, C=C, beta=beta, domain=pts, form=form)
 
@@ -306,16 +302,27 @@ def layer_cake_check(
     One result per level 0..n, from one :func:`points.word_levels` walk.
     The count function is a right-continuous step function with jumps at
     the distinct diagonal values, so the integral is the finite
-    summation-by-parts sum_j (v_j - v_{j-1}) * #{values >= v_j}.  Past
-    ``cap`` words, the first level over it names the error.
+    summation-by-parts sum_j (v_j - v_{j-1}) * #{values >= v_j}.  The word
+    sums of all levels are one :func:`points.fsum_rows` product, with one
+    row of word counts per level over the distinct points of every level.
     """
-    for k in range(n + 1):
-        check_word_cap(branch.m, k, cap)
+    levels = word_levels(branch, s, n, cap)
+    level_values = [np.array([K(x, x) for x in pts], dtype=float) for pts, _ in levels]
+    level_words = [np.bincount(idx, minlength=len(pts)) for pts, idx in levels]
+    diag = np.concatenate(level_values)
+    if (diag < 0.0).any():
+        raise InputError("layer-cake identity needs a nonnegative diagonal")
+    rows = np.zeros((n + 1, len(diag)), dtype=np.int64)
+    end = 0
+    for row, words in zip(rows, level_words):
+        row[end:end + len(words)] = words
+        end += len(words)
+    try:
+        sums = fsum_rows(diag, rows)
+    except OverflowError as exc:
+        raise word_overflow(exc.args[0], s) from None
     results = []
-    for k, level in enumerate(word_levels(branch, s, n, cap)):
-        values, words = _point_diagonal(K, level)
-        if np.min(values) < 0.0:
-            raise InputError("layer-cake identity needs a nonnegative diagonal")
+    for values, words, total in zip(level_values, level_words, sums.tolist()):
         # Sorted, the values jump at each distinct positive v_j, and i_j words
         # lie below it: the term is (v_j - v_{j-1}) * (total - i_j).
         distinct, which = np.unique(values, return_inverse=True)
@@ -326,8 +333,7 @@ def layer_cake_check(
         jumps = distinct[up]
         prev = np.concatenate(([0.0], jumps[:-1]))
         terms = (jumps - prev) * (int(words.sum()) - below[up])
-        results.append(LayerCakeResult(integral=math.fsum(terms.tolist()),
-                                       word_sum=word_sum(values, words, k, s)))
+        results.append(LayerCakeResult(integral=math.fsum(terms.tolist()), word_sum=total))
     return results
 
 

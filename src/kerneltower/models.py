@@ -84,7 +84,7 @@ class WordTreeModel(Model):
             raise InputError("word-tree model needs 0 < r < 1")
         if not 0.0 < c < 1.0:
             raise InputError("word-tree model needs 0 < c < 1")
-        if eta < 0.0:
+        if not eta >= 0.0:
             raise InputError("word-tree model needs eta >= 0")
         self.m, self.r, self.c, self.eta = m, float(r), float(c), float(eta)
         self.name = f"word-tree(m={m},r={r},c={c},eta={eta})"

@@ -12,11 +12,11 @@ instead of silent memory exhaustion.  :func:`word_levels` is the one word
 enumeration, read by the word routes (the independent oracles of the tower
 and diagonal modules) and by the boundary module's Doob walk: every word in
 word order, stored as an index into the level's distinct points, so a
-kernel is evaluated once per distinct point.  The word routes' sums weight
-each value by its number of words through :func:`fsum_rows` or its one-row
-case :func:`fsum_counts`, which are exactly rounded: every word still
-counts as its own term, and each sum equals ``math.fsum`` over all m^n
-word values.
+kernel is evaluated once per distinct point; it also owns the word cap,
+naming the first level past it.  The word routes' sums weight each value
+by its number of words through :func:`fsum_rows`, which is exactly
+rounded: every word still counts as its own term, and each sum equals
+``math.fsum`` over all m^n word values.
 """
 
 from __future__ import annotations
@@ -66,10 +66,6 @@ class BranchSystem:
             raise InputError(f"symbol {i} out of range 1..{self.m}")
         return self.maps[i - 1](s)
 
-    def children(self, s: Point) -> list[Point]:
-        """[phi_1(s), ..., phi_m(s)]."""
-        return [f(s) for f in self.maps]
-
     def forward(self, w: Word, s: Point) -> Point:
         """phi_w(s) = phi_{i1}(phi_{i2}(...phi_{in}(s)...)); empty word is identity."""
         for i in reversed(w):
@@ -112,11 +108,13 @@ def word_levels(
     enumerated, but each map is applied once per distinct point of a level:
     the next index array is the concatenation over maps of image_i[index].
     Points that compare equal are one point (the first one reached stands
-    for all of them).
+    for all of them).  Past ``cap`` words, the first level over it names
+    the error, before any map is applied.
     """
     if n < 0:
         raise InputError("word length must be nonnegative")
-    check_word_cap(branch.m, n, cap)
+    for k in range(n + 1):
+        check_word_cap(branch.m, k, cap)
     pts, idx = [s], np.zeros(1, dtype=np.int64)
     levels = [(pts, idx)]
     for _ in range(n):
@@ -186,23 +184,6 @@ def fsum_rows(values, counts) -> np.ndarray:
     return out
 
 
-def fsum_counts(values, counts) -> float:
-    """Exactly rounded sum of counts[i] * values[i]: the one-row :func:`fsum_rows`.
-
-    One row needs no binade columns: each half of a value times its count
-    is exact already.  Raises ``OverflowError`` past the float range.
-    """
-    v = np.asarray(values, dtype=float)
-    c = np.asarray(counts, dtype=np.int64)
-    mant, exp = np.frexp(v)
-    total = 0.0
-    if (np.abs(v).max(initial=0.0) < _HUGE and exp.min(initial=0) >= -1021
-            and c.sum(dtype=float) < _ROW_COUNT_LIMIT):
-        hi = np.ldexp(np.trunc(mant * 2.0**26), exp - 26)  # H * 2^(e-26); v - hi = L * 2^(e-53)
-        total = math.fsum(np.concatenate([hi * c, (v - hi) * c]).tolist())
-    return total or _exact_sum(v, c)
-
-
 def _exact_sum(v: np.ndarray, c: np.ndarray) -> float:
     """c @ v exactly rounded, by exact integers (``OverflowError`` past the float range)."""
     used = c > 0
@@ -226,13 +207,11 @@ def word_overflow(level: int, *at: Point) -> NumericalError:
     return NumericalError(f"level {level} word sum at {where} overflows a float")
 
 
-def word_sum(values, counts, level: int, *at: Point) -> float:
-    """:func:`fsum_counts` (``math.fsum`` when ``counts`` is None) for a word route:
-    a total past the float range is a numerical error naming the level and points ``at``."""
+def word_sum(values, level: int, *at: Point) -> float:
+    """``math.fsum`` of a word route's per-word values: a total past the float
+    range is a numerical error naming the level and points ``at``."""
+    values = list(values)
     try:
-        if counts is not None:
-            return fsum_counts(values, counts)
-        values = list(values)
         try:
             return math.fsum(values)
         except OverflowError:  # a partial sum overflowed: the exact sum decides

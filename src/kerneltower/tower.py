@@ -59,7 +59,6 @@ from .points import (
     DEFAULT_WORD_CAP,
     BranchSystem,
     Point,
-    check_word_cap,
     fsum_rows,
     point_label,
     word_levels,
@@ -340,8 +339,6 @@ def level_via_words(
     """
     pts = tuple(points)
     evaluate = K.raw() if isinstance(K, Kernel) else K
-    for k in range(n + 1):
-        check_word_cap(branch.m, k, cap)
     walks = {s: word_levels(branch, s, n, cap) for s in set(pts)}
     return [_words_level(evaluate, pts, {s: walk[k] for s, walk in walks.items()}, k, cap)
             for k in range(n + 1)]
@@ -361,8 +358,7 @@ def _words_level(evaluate, pts: tuple, level_of: dict, n: int, cap: int) -> Gram
         for a in range(r):
             pa = words[pts[a]]
             for b in range(a, r):
-                G[a, b] = G[b, a] = word_sum(map(evaluate, pa, words[pts[b]]), None,
-                                             n, pts[a], pts[b])
+                G[a, b] = G[b, a] = word_sum(map(evaluate, pa, words[pts[b]]), n, pts[a], pts[b])
         return Gram(pts, G)
     ids = {p: i for i, p in enumerate(P)}
     point_code = {s: np.fromiter(map(ids.__getitem__, p), dtype=np.int64, count=len(p))

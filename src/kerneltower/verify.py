@@ -36,7 +36,6 @@ from .diagonal import (
     DIVERGING,
     blowup_detect,
     diagonal_trace,
-    layer_cake_check,
     lyapunov_verify,
 )
 from .gaussian import (
@@ -199,7 +198,7 @@ def check_layer_cake(ctx) -> CheckResult:
     for model in (_example_model(), DivergentDeltaModel(m=2)):
         s = model.point("")
         trace = diagonal_trace(model.kernel, model.branch, s, 8, ceiling=ctx.ceiling)
-        for n, lc in enumerate(layer_cake_check(model.kernel, model.branch, s, 8)):
+        for n, lc in enumerate(trace.layer_cake):
             scale = max(1.0, abs(lc.word_sum))
             worst = max(worst, lc.residual / scale)
             worst = max(worst, abs(lc.integral - trace.values[n]) / scale)

@@ -166,9 +166,10 @@ def test_nonexistent_config_file(tmp_path, capsys):
 
 def test_bad_tol_flag(tmp_path, capsys):
     cfg = write_config(tmp_path, EX25_YAML)
-    code = main(["tower", "--config", cfg, "--tol", "-1", "--out", str(tmp_path / "o")])
-    capsys.readouterr()
-    assert code == 2
+    for tol in ("-1", "nan", "inf"):  # NaN fails every comparison, so it is named too
+        code = main(["tower", "--config", cfg, "--tol", tol, "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert capsys.readouterr().err == "error[input]: --tol must be finite and positive\n"
 
 
 def test_resource_cap_exit_code(tmp_path, capsys):
@@ -333,6 +334,14 @@ _CERT = "certificate: {C: 1, beta: 0.5, r: %s}\n"
     pytest.param("fault_injection: {check: x, delta: abc}\n", "fault_injection.delta",
                  id="delta-not-number"),
     pytest.param("model: {kind: delta, m: 2.5}\n", "model.m", id="m-fractional"),
+    # NaN passes every later range check unless the number parse refuses it.
+    pytest.param("tol: .nan\n", "tol", id="tol-nan"),
+    pytest.param("tol: .inf\n", "tol", id="tol-inf"),
+    pytest.param("certificate: {C: .nan, beta: 0.5, r: {kind: length-decay, base: 0.25}}\n"
+                 "max_levels: 8\n", "certificate.C", id="C-nan"),
+    pytest.param("model: {kind: delta}\nceiling: .nan\nmax_levels: 30\n", "ceiling",
+                 id="ceiling-nan"),
+    pytest.param("model: {kind: word-tree, eta: .nan}\n", "model.eta", id="eta-nan"),
 ])
 def test_bad_config_values_are_input_errors(tmp_path, capsys, text, key):
     if not text.startswith("model:"):

@@ -133,6 +133,21 @@ def test_lyapunov_input_validation(ex25, root):
         lyapunov_verify(lambda s: 1.0, ex25.branch, lambda s: 1.0, 1.0, 0.5, [])
 
 
+def test_lyapunov_nan_verifies_nothing(ex25, root):
+    # NaN fails every comparison: a NaN constant is refused, and a NaN on
+    # either side of a premise refutes it instead of passing it.
+    nan = float("nan")
+    r_fn, C, beta = ex25.defect_lyapunov()
+    d0 = lambda s: ex25.oracle_defect(0, s, s)
+    with pytest.raises(InputError, match="C must be nonnegative"):
+        lyapunov_verify(d0, ex25.branch, r_fn, nan, beta, [root])
+    outcome = lyapunov_verify(lambda s: nan, ex25.branch, r_fn, C, beta, [root])
+    assert isinstance(outcome, LyapunovRefutation) and outcome.premise == "diag <= C*r"
+    # C * r = 0 * inf is NaN on the right-hand side.
+    outcome = lyapunov_verify(lambda s: 0.0, ex25.branch, lambda s: math.inf, 0.0, beta, [root])
+    assert isinstance(outcome, LyapunovRefutation) and outcome.premise == "diag <= C*r"
+
+
 def test_certificate_domain_is_forward_invariant(ex25, root):
     # the default verification domain contains the one-step orbit of its interior
     depth = 4

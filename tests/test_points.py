@@ -15,7 +15,7 @@ from kerneltower import (
     orbit_closure,
 )
 from kerneltower.models import FiniteStateModel
-from kerneltower.points import fsum_counts, fsum_rows, orbit_points_by_level, point_label
+from kerneltower.points import fsum_rows, orbit_points_by_level, point_label
 
 from oracles import all_words, word_forward
 
@@ -162,10 +162,15 @@ def test_branch_system_needs_a_map():
         BranchSystem([])
 
 
-# --- the exact count-weighted sum --------------------------------------------
+# --- the exact count-weighted sum of one row ----------------------------------
 
 MAX = sys.float_info.max
 TINY = 5e-324  # the smallest subnormal
+
+
+def fsum_row(values, counts) -> float:
+    """One row of :func:`fsum_rows`: counts @ values, exactly rounded."""
+    return float(fsum_rows(values, np.array([counts], dtype=np.int64))[0])
 
 
 def exact_count_sum(values, counts):
@@ -178,9 +183,9 @@ def assert_exact(values, counts):
         want = exact_count_sum(values, counts)
     except OverflowError:
         with pytest.raises(OverflowError):
-            fsum_counts(values, counts)
+            fsum_row(values, counts)
         return
-    got = fsum_counts(values, counts)
+    got = fsum_row(values, counts)
     assert got == want and math.copysign(1.0, got) == math.copysign(1.0, want), (got, want)
 
 
@@ -196,7 +201,7 @@ def test_fsum_counts_equals_fsum_of_the_repeated_values():
         values = full_mantissas(rng, k).tolist()
         counts = rng.integers(0, 60, k)
         words = [v for v, c in zip(values, counts.tolist()) for _ in range(c)]
-        assert fsum_counts(values, counts) == math.fsum(words) == exact_count_sum(values, counts)
+        assert fsum_row(values, counts) == math.fsum(words) == exact_count_sum(values, counts)
 
 
 def test_fsum_counts_is_exact_where_products_round():
@@ -217,7 +222,7 @@ def test_fsum_counts_cancellation_and_mixed_signs():
     assert_exact([1.0 + eps, -1.0, 2.0**-80], [3, 3, 1])
     assert_exact([1.0 + eps, -(1.0 + 2 * eps), 1e-300], [2**26 + 1, 2**25, 7])
     assert_exact([0.1, -0.3, 0.2], [3, 1, 0])
-    assert fsum_counts([0.1, -0.1], [5, 5]) == 0.0
+    assert fsum_row([0.1, -0.1], [5, 5]) == 0.0
     rng = np.random.default_rng(13)
     for _ in range(100):
         v = full_mantissas(rng, 4).tolist()
@@ -239,9 +244,9 @@ def test_fsum_counts_near_the_float_maximum():
     assert_exact([MAX / 3, -MAX / 4], [5, 6])
     assert_exact([MAX * 0.75, -MAX * 0.5], [4, 5])
     with pytest.raises(OverflowError):
-        fsum_counts([MAX], [2])
+        fsum_row([MAX], [2])
     with pytest.raises(OverflowError):
-        fsum_counts([MAX, -1.0], [3, 1])
+        fsum_row([MAX, -1.0], [3, 1])
     rng = np.random.default_rng(15)
     for _ in range(100):
         v = full_mantissas(rng, 4, 1000, 1025).tolist()
@@ -262,15 +267,15 @@ def test_fsum_counts_large_counts():
 
 def test_fsum_counts_zeros_and_nonfinite_values():
     for counts in ([3], [1]):
-        assert math.copysign(1.0, fsum_counts([-0.0], counts)) == \
+        assert math.copysign(1.0, fsum_row([-0.0], counts)) == \
             math.copysign(1.0, math.fsum([-0.0] * counts[0]))
-    assert fsum_counts([], []) == 0.0
-    assert fsum_counts([2.5, 7.0], [0, 0]) == 0.0
-    assert fsum_counts([2.5, math.nan], [4, 0]) == 10.0
-    assert fsum_counts([math.inf, 1.0], [2, 3]) == math.inf
-    assert math.isnan(fsum_counts([math.nan, 1.0], [2, 3]))
+    assert fsum_row([], []) == 0.0
+    assert fsum_row([2.5, 7.0], [0, 0]) == 0.0
+    assert fsum_row([2.5, math.nan], [4, 0]) == 10.0
+    assert fsum_row([math.inf, 1.0], [2, 3]) == math.inf
+    assert math.isnan(fsum_row([math.nan, 1.0], [2, 3]))
     with pytest.raises(ValueError):
-        fsum_counts([math.inf, -math.inf], [2, 1])
+        fsum_row([math.inf, -math.inf], [2, 1])
 
 
 @settings(max_examples=200, deadline=None)
@@ -342,7 +347,7 @@ def test_fsum_rows_equals_the_word_fsum_and_the_exact_sum(case):
     got = fsum_rows(values, np.array(rows))
     assert got.tolist() == want
     assert np.signbit(got).tolist() == [math.copysign(1.0, w) < 0 for w in want]
-    assert [fsum_counts(values, row) for row in rows] == want
+    assert [fsum_row(values, row) for row in rows] == want
 
 
 def test_fsum_rows_does_not_depend_on_the_column_order():

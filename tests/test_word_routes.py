@@ -31,8 +31,9 @@ from kerneltower import (
     level_set_count,
     level_via_words,
 )
+from kerneltower.cli import main
 from kerneltower.kernels import KernelBatch
-from kerneltower.points import orbit_points_by_level, word_levels, word_sum
+from kerneltower.points import fsum_rows, orbit_points_by_level, word_levels, word_sum
 
 from oracles import (
     reference_blowup_counts,
@@ -188,7 +189,8 @@ def test_diagonal_routes_call_the_kernel_once_per_distinct_point(sink_model):
 
 # --- one walk per base point --------------------------------------------------
 
-def test_list_routes_walk_each_distinct_base_point_once(sink_model, monkeypatch):
+def _count_walks(monkeypatch) -> list:
+    """Record the (point, depth) of every word walk the tower and diagonal modules make."""
     walked = []
 
     def counted(branch, s, n, cap):
@@ -197,6 +199,11 @@ def test_list_routes_walk_each_distinct_base_point_once(sink_model, monkeypatch)
 
     monkeypatch.setattr(tower_module, "word_levels", counted)
     monkeypatch.setattr(diagonal_module, "word_levels", counted)
+    return walked
+
+
+def test_list_routes_walk_each_distinct_base_point_once(sink_model, monkeypatch):
+    walked = _count_walks(monkeypatch)
     grams = level_via_words(sink_model.kernel, sink_model.branch, [1, 2, 5, 6, 2, 1], 8)
     assert len(grams) == 9
     assert sorted(walked) == [(1, 8), (2, 8), (5, 8), (6, 8)]
@@ -204,18 +211,55 @@ def test_list_routes_walk_each_distinct_base_point_once(sink_model, monkeypatch)
     cakes = layer_cake_check(sink_model.kernel, sink_model.branch, 3, 8)
     assert len(cakes) == 9
     assert walked == [(3, 8)]
+    # The trace's word route is the layer cake: one walk, the same results.
+    walked.clear()
+    trace = diagonal_trace(sink_model.kernel, sink_model.branch, 3, 8)
+    assert walked == [(3, 8)]
+    assert _bits([[lc.integral, lc.word_sum] for lc in trace.layer_cake]) == \
+        _bits([[lc.integral, lc.word_sum] for lc in cakes])
+
+
+DIVERGING_YAML = """\
+model:
+  kind: finite-state
+  maps: [[0, 1, 2], [1, 2, 0], [0, 0, 1]]
+  kernel: [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]
+horizon: 10
+"""
+
+
+@pytest.mark.parametrize("text, walks", [
+    # No certificate and a diverging diagonal: the blow-up witness walks
+    # base point 0 once more, to level 8.
+    pytest.param(DIVERGING_YAML, [(0, 10), (1, 10), (2, 10), (0, 8)], id="witness"),
+    # The word tree's certificate verifies: no witness.
+    pytest.param("model: {kind: word-tree}\nbase_points: ['', '1', '2']\nhorizon: 9\n",
+                 [((), 9), ((1,), 9), ((2,), 9)], id="certificate"),
+])
+def test_cmd_diagonal_walks_each_base_point_once(tmp_path, capsys, monkeypatch, text, walks):
+    walked = _count_walks(monkeypatch)
+    cfg = tmp_path / "c.yaml"
+    cfg.write_text(text)
+    assert main(["diagonal", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+    capsys.readouterr()
+    assert walked == walks
 
 
 @pytest.mark.parametrize("cap, named", [(1000, "3^7 = 2187"), (3000, "3^8 = 6561")])
 def test_list_routes_name_the_first_level_past_the_word_cap(cap, named):
     # Levels 0..8 come from one walk, yet the error names the first level
-    # whose words exceed the cap, not level 8.
+    # whose words exceed the cap, not level 8; word_levels owns the rule.
     model = FiniteStateModel([[0, 1, 2], [1, 2, 0], [0, 0, 1]], np.eye(3))
+    K, branch = model.kernel, model.branch
     message = f"^{re.escape(f'enumerating {named} words exceeds the cap {cap}')}$"
-    with pytest.raises(ResourceError, match=message):
-        level_via_words(model.kernel, model.branch, [0, 1], 8, cap)
-    with pytest.raises(ResourceError, match=message):
-        layer_cake_check(model.kernel, model.branch, 0, 8, cap)
+    for route in (lambda: word_levels(branch, 0, 8, cap),
+                  lambda: level_via_words(K, branch, [0, 1], 8, cap),
+                  lambda: layer_cake_check(K, branch, 0, 8, cap),
+                  lambda: diagonal_trace(K, branch, 0, 8, cap=cap),
+                  lambda: level_set_count(K, branch, 0, 8, 0.5, cap),
+                  lambda: blowup_detect(K, branch, 0, _region, 0.5, 1.5, [2, 8], cap)):
+        with pytest.raises(ResourceError, match=message):
+            route()
 
 
 # --- bit-for-bit against the references --------------------------------------
@@ -375,17 +419,20 @@ def test_word_sum_branches_agree_where_a_partial_sum_overflows():
     # MAX, MAX, -MAX is MAX: both branches return it, word by word (a tree
     # that repeats no point) and counted (a level that repeats point 1).
     MAX = sys.float_info.max
-    assert word_sum([MAX, MAX, -MAX], None, 1, 0) == word_sum([MAX, -MAX], [2, 1], 1, 0) == MAX
+    assert word_sum([MAX, MAX, -MAX], 1, 0) == fsum_rows([MAX, -MAX], [[2, 1]])[0] == MAX
     tree = BranchSystem([lambda s, i=i: 3 * s + i for i in (1, 2, 3)])
     K = Kernel(lambda s, t: -MAX if s % 3 == 0 else MAX, name="edge")
     assert level_via_words(K, tree, [1], 1)[1].entries.tolist() == [[MAX]]
     merging = BranchSystem([lambda s: 1, lambda s: 1, lambda s: 2])
     K = Kernel(lambda s, t: MAX if s == 1 else -MAX, name="edge")
     assert level_via_words(K, merging, [0], 1)[1].entries.tolist() == [[MAX]]
-    # A total that lies past the float range is still refused, naming the level and point.
-    for values, counts in (([MAX, MAX], None), ([MAX, MAX, -MAX / 2], None), ([MAX], [2])):
+    # A total that lies past the float range is still refused, naming the level and point:
+    # word by word, and counted (two words at a point of diagonal MAX).
+    looping = FiniteStateModel([[0, 1], [0, 1]], np.diag([1.0, MAX]))
+    for route in (lambda: word_sum([MAX, MAX], 1, 1), lambda: word_sum([MAX, MAX, -MAX / 2], 1, 1),
+                  lambda: layer_cake_check(looping.kernel, looping.branch, 1, 1)):
         with pytest.raises(NumericalError, match="^level 1 word sum at 1 overflows a float$") as exc:
-            word_sum(values, counts, 1, 1)
+            route()
         assert exc.value.exit_code == 4
 
 
