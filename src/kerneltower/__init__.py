@@ -35,7 +35,6 @@ from .diagonal import (
     LayerCakeResult,
     LyapunovRefutation,
     TailBound,
-    apply_P,
     blowup_detect,
     diagonal_trace,
     layer_cake_check,
@@ -81,7 +80,6 @@ from .models import (
     WordTreeModel,
     build_model,
     feeder_model,
-    load_finite_state,
     oracle_defect,
     oracle_level,
 )

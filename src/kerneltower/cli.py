@@ -10,7 +10,6 @@ output directory, and exits with a category code on failure: 2 input,
 from __future__ import annotations
 
 import argparse
-import math
 import sys
 import time
 from pathlib import Path
@@ -28,7 +27,7 @@ from .boundary import (
     sample_path,
     sorted_words,
 )
-from .config import Config, load_config, parse_config
+from .config import Config, load_config, override, parse_config
 from .diagonal import (
     blowup_detect,
     diagonal_trace,
@@ -84,14 +83,16 @@ def _resolve_certificate(cfg: Config, model: Model, base):
         else:
             return None, "no certificate available for this model"
     else:
-        C, beta = float(spec["C"]), float(spec["beta"])
-        r_spec = spec["r"]  # checked by parse_config
+        C, beta, r_spec = spec["C"], spec["beta"], spec["r"]
         if r_spec["kind"] == "length-decay":
-            bb = float(r_spec["base"])
+            bb = r_spec["base"]
             r_fn = lambda s: bb ** len(s)
         else:
-            values = {model.point(k): float(v) for k, v in r_spec["values"].items()}
-            r_fn = lambda s: values[s]
+            values = {model.point(k): v for k, v in r_spec["values"].items()}
+            def r_fn(s):  # the table must cover the certificate's domain
+                if s not in values:
+                    raise InputError(f"config certificate.r.values: no value at point {point_label(s)}")
+                return values[s]
     if getattr(model, "has_oracle", False) and hasattr(model, "oracle_defect"):
         d0 = lambda s: model.oracle_defect(0, s, s)
     else:  # one point at a time: the domain may be large, and only its diagonal is read
@@ -288,11 +289,12 @@ def cmd_boundary(cfg: Config, model: Model, base, bundle: Bundle) -> dict:
     if not base:
         raise InputError("no base points inside the gauge-positive domain")
 
+    # The walks apply the word cap before the words are listed.
+    tables = [cylinder_measure(chain, s, cyl_levels, cfg.pair_cap) for s in base]
     words, order = sorted_words(model.branch.m, cyl_levels)
     masses = np.empty((len(base), len(order)))
     level_sum_err = 0.0
-    for row, s in zip(masses, base):
-        table = cylinder_measure(chain, s, cyl_levels, cfg.pair_cap)
+    for row, table in zip(masses, tables):
         row[:] = np.concatenate(table.masses)[order]
         level_sum_err = max([level_sum_err] + [abs(table.level_sum(k) - 1.0)
                                                for k in range(cyl_levels + 1)])
@@ -434,16 +436,10 @@ def main(argv=None) -> int:
             cfg = parse_config({"model": {"kind": "word-tree"}})
         else:
             raise InputError("--config is required for this subcommand")
-        if args.seed is not None:
-            cfg.seed = args.seed
-        if args.tol is not None:
-            if not 0.0 < args.tol < math.inf:
-                raise InputError("--tol must be finite and positive")
-            cfg.tol = args.tol
-        if args.max_level is not None:
-            if args.max_level < 0:
-                raise InputError("--max-level must be nonnegative")
-            cfg.horizon = args.max_level
+        for key, flag, value in (("seed", "--seed", args.seed), ("tol", "--tol", args.tol),
+                                 ("horizon", "--max-level", args.max_level)):
+            if value is not None:
+                override(cfg, key, value, flag)
         if args.format:
             cfg.formats = ["csv", "json"] if args.format == "both" else [args.format]
         if args.command == "gaussian" and cfg.seed is None:

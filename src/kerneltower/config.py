@@ -1,46 +1,23 @@
 """Experiment configuration: one YAML key-tree per run.
 
-Schema (all keys optional unless noted):
-
-    model:                  # required
-      kind: word-tree | delta | feeder | finite-state
-      m, r, c, eta          # word-tree / delta parameters
-      maps, kernel, name    # finite-state tables (kernel may be a CSV path
-      kernel_csv, maps_csv  #   via the *_csv variants)
-      lyapunov: {C, beta, r: [per-state values]}
-    base_points: ["", "1"]  # model point labels; default model-specific
-    closure_depth: 0        # base set = orbit closure of base_points
-    horizon: 8
-    tol: 1.0e-9
-    seed: 1                 # required by stochastic subcommands
-    nsamples: 100000
-    max_levels: 40          # completion-estimate stop
-    trace_eps: null         # absolute trace stop (default 1e-10 * trace K0)
-    ceiling: 1.0e12
-    pair_cap: 16777216
-    certificate: auto       # auto | none | {C, beta, r: {kind: length-decay,
-                            #   base} | {kind: table, values: {label: val}}}
-    boundary:               # no other keys
-      cylinder_levels: 12   # >= 0
-      feature_levels: 8     # >= 1
-      nu: [0.5, 0.5]        # positive weights summing to 1, one per map
-      nu_alt: [0.3, 0.7]    #   (the count is checked by ``boundary``)
-    gaussian:
-      export_samples: false
-    output:
-      formats: [csv, json]
-    fault_injection: null   # {check: <name>, delta: <float>} (verify only)
-
-Schema violations raise input errors with the offending key path.
+``SCHEMA`` is the schema: for each key, the type, the default, the range
+and the message that names a value outside it.  A nested mapping is a
+sub-table, and ``model`` has one sub-table per ``kind``.  ``parse_config``
+walks it, and ``override`` checks a command-line flag by the same entry.
+Unknown keys are refused at every level, and every error names its key
+path (``config <path>: ...``) or its flag.  This module is the one place
+that decides whether a config value is valid.
 """
 
 from __future__ import annotations
 
 import csv as _csv
 import math
-from dataclasses import dataclass, field
+from contextlib import suppress
+from itertools import chain
 from pathlib import Path
-from typing import Any, Mapping
+from types import SimpleNamespace
+from typing import Any, Callable, Mapping, NamedTuple
 
 import yaml
 
@@ -50,243 +27,303 @@ from .errors import InputError
 _Loader = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
 _Dumper = getattr(yaml, "CSafeDumper", yaml.SafeDumper)
 
-_TOP_KEYS = {
-    "model", "base_points", "closure_depth", "horizon", "tol", "seed",
-    "nsamples", "max_levels", "trace_eps", "ceiling", "pair_cap",
-    "certificate", "boundary", "gaussian", "output", "fault_injection",
+# The verify checks that read ``fault_injection``; verify.py reads this tuple.
+FAULT_CHECKS = ("telescoping", "gaussian-covariance")
+
+_REQUIRED = object()
+
+
+def _error(path: str, message: str) -> InputError:
+    # A path is a config key path, or a command-line flag such as "--tol".
+    return InputError(f"{path} {message}" if path.startswith("--") else f"config {path}: {message}")
+
+
+def _type_error(path: str, expected: str, value) -> InputError:
+    return _error(path, f"expected {expected}, got {value!r}")
+
+
+def _exactly(kind: type, expected: str) -> Callable:
+    def check(value, path: str):
+        if type(value) is not kind:  # so a bool is not an integer
+            raise _type_error(path, expected, value)
+        return value
+
+    return check
+
+
+_as_int = _exactly(int, "an integer")
+_as_bool = _exactly(bool, "true or false")
+_as_str = _exactly(str, "a string")
+_as_list = _exactly(list, "a list")
+
+
+def _as_float(value, path: str) -> float:
+    # YAML 1.1 reads exponents without a sign ("1.0e4") as strings, so
+    # numeric strings are accepted.  NaN passes here; every range refuses it.
+    if isinstance(value, bool) or not isinstance(value, (int, float, str)):
+        raise _type_error(path, "a number", value)
+    try:
+        return float(value)
+    except (ValueError, OverflowError):
+        raise _type_error(path, "a number", value) from None
+
+
+def _as_numbers(value, path: str) -> list[float]:
+    if not isinstance(value, list) or not value:
+        raise _type_error(path, "a nonempty list of numbers", value)
+    return [_as_float(x, f"{path}[{k}]") for k, x in enumerate(value)]
+
+
+def _as_point_values(value, path: str) -> dict:
+    if not isinstance(value, Mapping):
+        raise _type_error(path, "a mapping of point label to number", value)
+    return {label: _as_float(x, f"{path}.{label}") for label, x in value.items()}
+
+
+def _one_of(choices: tuple) -> Callable:
+    def check(value, path: str):
+        if value not in choices:  # a tuple: unhashable values compare too
+            raise _error(path, f"{value!r} not one of {choices}")
+        return value
+
+    return check
+
+
+def _by_kind(tables: Mapping) -> Callable:
+    """A mapping whose ``kind`` names the sub-table its other keys follow."""
+    def check(value, path: str) -> dict:
+        if not isinstance(value, Mapping) or "kind" not in value:
+            raise _type_error(path, "a mapping with a 'kind' key", value)
+        kind = _one_of(tuple(tables))(value["kind"], f"{path}.kind")
+        rest = {key: x for key, x in value.items() if key != "kind"}
+        return {"kind": kind, **_walk(tables[kind], rest, path)}
+
+    return check
+
+
+def _as_certificate(value, path: str):
+    if value in ("auto", "none", None):
+        return value
+    if not isinstance(value, Mapping):
+        raise _type_error(path, "'auto', 'none' or a mapping", value)
+    return _walk(_CERTIFICATE, value, path)
+
+
+class Key(NamedTuple):
+    """One schema entry: ``type(value, path)`` checks the type and returns the
+    value as the program reads it; ``ok`` is the range, ``says`` its message.
+    A key whose default is null also accepts null."""
+
+    type: Callable
+    default: Any = _REQUIRED
+    ok: Callable = lambda x: x == x  # NaN is the one value unequal to itself
+    says: str = "must not be NaN"
+
+
+_NONNEGATIVE = (lambda n: n >= 0, "must be nonnegative")
+_POSITIVE = (lambda n: n >= 1, "must be positive")
+_BRANCHES = (lambda m: m >= 2, "must be at least 2")
+_UNIT = (lambda x: 0.0 < x < 1.0, "must lie strictly between 0 and 1")
+_WEIGHTS = (lambda q: all(x > 0.0 for x in q) and abs(math.fsum(q) - 1.0) <= 1e-9,
+            "must be positive weights summing to 1")
+
+_LYAPUNOV = {  # a per-state certificate of a finite-state model; r has one value per state
+    "C": Key(_as_float, _REQUIRED, math.isfinite, "must be finite"),
+    "beta": Key(_as_float, _REQUIRED, math.isfinite, "must be finite"),
+    "r": Key(_as_numbers, _REQUIRED, lambda r: all(map(math.isfinite, r)), "must be finite numbers"),
 }
-_MODEL_KINDS = ("word-tree", "delta", "feeder", "finite-state")
-_BOUNDARY_DEFAULTS = {
-    "cylinder_levels": 12,
-    "feature_levels": 8,
-    "nu": [0.5, 0.5],
-    "nu_alt": [0.3, 0.7],
+
+_MODELS = {
+    "word-tree": {
+        "m": Key(_as_int, 2, *_BRANCHES),
+        "r": Key(_as_float, 0.5, *_UNIT),
+        "c": Key(_as_float, 0.5, *_UNIT),
+        "eta": Key(_as_float, 1.0, lambda x: 0.0 <= x < math.inf, "must be finite and nonnegative"),
+    },
+    "delta": {"m": Key(_as_int, 2, *_BRANCHES)},
+    "feeder": {},
+    "finite-state": {
+        # Inline tables or CSV files relative to the config, one of each
+        # required; checked together by _finite_state_tables.
+        "kernel": Key(_as_list, None),
+        "maps": Key(_as_list, None),
+        "kernel_csv": Key(_as_str, None),
+        "maps_csv": Key(_as_str, None),
+        "name": Key(_as_str, "finite-state"),
+        "lyapunov": Key(lambda value, path: _walk(_LYAPUNOV, value, path), None),
+    },
 }
 
 _DEFAULT_BASE_POINTS = {
     "word-tree": ["", "1", "2"],
     "delta": [""],
     "feeder": [0, 2],
-    "finite-state": None,  # all states
+    "finite-state": [],  # all states
+}
+
+_FAULT = {"check": Key(_one_of(FAULT_CHECKS)), "delta": Key(_as_float)}
+
+_CERTIFICATE = {
+    "C": Key(_as_float),
+    "beta": Key(_as_float),
+    "r": Key(_by_kind({  # length-decay reads word lengths: word-tree and delta only
+        "length-decay": {"base": Key(_as_float)},
+        "table": {"values": Key(_as_point_values, _REQUIRED,
+                                lambda v: all(x == x for x in v.values()), "must not be NaN")},
+    })),
+}
+
+SCHEMA = {
+    "model": Key(_by_kind(_MODELS)),
+    "base_points": Key(_as_list, None),  # point labels; the default is the model kind's
+    "closure_depth": Key(_as_int, 0, *_NONNEGATIVE),
+    "horizon": Key(_as_int, 8, *_NONNEGATIVE),
+    "tol": Key(_as_float, 1e-9, lambda x: 0.0 < x < math.inf, "must be finite and positive"),
+    "seed": Key(_as_int, None, lambda s: 0 <= s < 2**128, "must be at least 0 and below 2**128"),
+    "nsamples": Key(_as_int, 100_000, *_POSITIVE),
+    "max_levels": Key(_as_int, 40, *_NONNEGATIVE),
+    "trace_eps": Key(_as_float, None, lambda x: x >= 0.0, "must be nonnegative"),
+    "ceiling": Key(_as_float, 1e12, lambda x: x > 0.0, "must be positive"),
+    "pair_cap": Key(_as_int, 2**24, *_POSITIVE),
+    "certificate": Key(_as_certificate, "auto"),
+    "boundary": {
+        "cylinder_levels": Key(_as_int, 12, *_NONNEGATIVE),
+        "feature_levels": Key(_as_int, 8, *_POSITIVE),  # the feature Gram needs a defect
+        # Product cylinder weights; the count, one per map, is checked where
+        # the model exists.
+        "nu": Key(_as_numbers, [0.5, 0.5], *_WEIGHTS),
+        "nu_alt": Key(_as_numbers, [0.3, 0.7], *_WEIGHTS),
+    },
+    "gaussian": {"export_samples": Key(_as_bool, False)},
+    "output": {"formats": Key(_as_list, ["csv", "json"], lambda f: all(x in ("csv", "json") for x in f),
+                              "must be a list drawn from ['csv', 'json']")},
+    "fault_injection": Key(lambda value, path: _walk(_FAULT, value, path), None),  # verify only
 }
 
 
-def _type_error(path: str, expected: str, value) -> InputError:
-    return InputError(f"config {path}: expected {expected}, got {value!r}")
-
-
-def _as_float(value, path: str) -> float:
-    # YAML 1.1 reads exponents without a sign ("1.0e4") as strings, so
-    # numeric strings are accepted here.  NaN passes no range check that
-    # follows (every comparison with it is false), so it is refused here.
-    if isinstance(value, str):
-        try:
-            value = float(value)
-        except ValueError:
-            raise _type_error(path, "a number", value) from None
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise _type_error(path, "a number", value)
-    if math.isnan(value):
-        raise _type_error(path, "a number, not NaN", value)
-    return float(value)
-
-
-def _check_weights(value, path: str) -> None:
-    # The symbol weights of a product cylinder measure; their count must
-    # match the model's map count, which is checked where the model exists.
-    if not isinstance(value, list) or not value:
-        raise _type_error(path, "a nonempty list of weights", value)
-    q = [_as_float(x, f"{path}[{k}]") for k, x in enumerate(value)]
-    if not all(x > 0.0 for x in q):
-        raise InputError(f"config {path}: weights must be strictly positive, got {value!r}")
-    if abs(math.fsum(q) - 1.0) > 1e-9:
-        raise InputError(f"config {path}: weights must sum to 1, got {value!r}")
-
-
-def _as_int(value, path: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise _type_error(path, "an integer", value)
+def _check(key: Key, value, path: str):
+    if value is None and key.default is None:
+        return None
+    value = key.type(value, path)
+    if not key.ok(value):
+        raise _error(path, key.says)
     return value
 
 
-def _check_tail_weight(r, kind: str) -> None:
-    """The certificate's r: {kind: length-decay, base} or {kind: table, values}."""
-    if not isinstance(r, Mapping) or "kind" not in r:
-        raise InputError("config certificate.r: mapping with a 'kind' key required")
-    key = {"length-decay": "base", "table": "values"}.get(r["kind"])
-    if key is None:
-        raise InputError(f"config certificate.r.kind: unknown {r['kind']!r}")
-    if key == "base" and kind in ("feeder", "finite-state"):
-        raise InputError("config certificate.r.kind: length-decay needs word points, "
-                         f"not the integer states of a {kind} model")
-    if key not in r:
-        raise InputError(f"config certificate.r.{key}: required")
-    if key == "base":
-        _as_float(r["base"], "certificate.r.base")
-        return
-    if not isinstance(r["values"], Mapping):
-        raise _type_error("certificate.r.values", "a mapping of point label to number", r["values"])
-    for label, value in r["values"].items():
-        _as_float(value, f"certificate.r.values.{label}")
+def _walk(table: Mapping, raw, path: str) -> dict:
+    """Check the mapping ``raw`` against ``table``; missing keys take their defaults."""
+    if not isinstance(raw, Mapping):
+        raise _type_error(path or "(top level)", "a mapping", raw)
+    for key in raw:
+        if key not in table:
+            raise _error(f"{path}.{key}" if path else str(key),
+                         f"unknown key (expected one of {sorted(table)})")
+    out = {}
+    for key, entry in table.items():
+        sub = f"{path}.{key}" if path else key
+        if isinstance(entry, Mapping):
+            out[key] = _walk(entry, raw.get(key, {}), sub)
+        elif key in raw:
+            out[key] = _check(entry, raw[key], sub)
+        elif entry.default is _REQUIRED:
+            raise _error(sub, "required")
+        else:
+            out[key] = list(entry.default) if isinstance(entry.default, list) else entry.default
+    return out
 
 
-@dataclass
-class Config:
-    """Resolved experiment configuration (defaults applied, overrides merged)."""
+def _number_table(rows, path: str, note: str = "") -> list[list[float]]:
+    """A rectangular table of finite numbers, as float rows, converted row by row."""
+    table = None
+    # Bools, nulls and nested lists are not numbers; numeric strings are.
+    if all(isinstance(row, list) for row in rows) and \
+            set(map(type, chain.from_iterable(rows))) <= {int, float, str}:
+        try:
+            table = [list(map(float, row)) for row in rows]
+        except (ValueError, OverflowError):
+            pass
+    if not table or len(set(map(len, table))) != 1 or not all(map(math.isfinite, chain.from_iterable(table))):
+        raise _error(path, f"{note}expected a rectangular table of finite numbers")
+    return table
 
-    model_kind: str
-    model_params: dict = field(default_factory=dict)
-    base_points: list = field(default_factory=list)
-    closure_depth: int = 0
-    horizon: int = 8
-    tol: float = 1e-9
-    seed: int | None = None
-    nsamples: int = 100_000
-    max_levels: int = 40
-    trace_eps: float | None = None
-    ceiling: float = 1e12
-    pair_cap: int = 2**24
-    certificate: Any = "auto"
-    boundary: dict = field(default_factory=dict)
-    gaussian: dict = field(default_factory=dict)
-    formats: list = field(default_factory=lambda: ["csv", "json"])
-    fault_injection: dict | None = None
+
+def _check_states(rows, path: str, note: str, S: int) -> None:
+    """Map tables: rows of S integer states in 0..S-1 (not bools, not floats)."""
+    if not rows or not all(isinstance(row, list) and len(row) == S for row in rows) or \
+            set(map(type, chain.from_iterable(rows))) - {int} or \
+            not all(0 <= s < S for s in chain.from_iterable(rows)):
+        raise _error(path, f"{note}expected map tables of {S} integer states in 0..{S - 1}")
+
+
+def _finite_state_tables(params: dict, written: dict, base_dir: Path) -> None:
+    """Read the ``*_csv`` tables, which echo as read, and check the kernel,
+    maps and lyapunov tables against the kernel's side S."""
+    at = {key: (f"model.{key}", "") for key in ("kernel", "maps")}  # key path, file
+    for key in at:
+        name = params.pop(f"{key}_csv")
+        if name is None and params[key] is None:
+            raise _error(f"model.{key}", f"required (or {key}_csv)")
+        if name is not None:
+            path = base_dir / name
+            at[key] = (f"model.{key}_csv", f"file {path}: ")
+            if not path.exists():
+                raise _error(at[key][0], f"file {path} not found")
+            with open(path, newline="") as fh:
+                params[key] = [row for row in _csv.reader(fh) if row]
+    if at["maps"][1]:
+        with suppress(ValueError):  # text cells: what is not an integer is refused below
+            params["maps"] = [list(map(int, row)) for row in params["maps"]]
+    params["kernel"] = _number_table(params["kernel"], *at["kernel"])
+    S = len(params["kernel"])
+    _check_states(params["maps"], *at["maps"], S)
+    for key in at:
+        if written.pop(f"{key}_csv", None) is not None:
+            written[key] = params[key]
+    lyapunov = params["lyapunov"]
+    if lyapunov is not None and len(lyapunov["r"]) != S:
+        raise _error("model.lyapunov.r", f"expected {S} per-state values, got {len(lyapunov['r'])}")
+
+
+class Config(SimpleNamespace):
+    """A checked experiment configuration: one attribute per top-level key of
+    ``SCHEMA`` (``model`` as model_kind and model_params, ``output`` as
+    formats), plus ``written``: model, certificate and boundary as written."""
 
     def resolved(self) -> dict:
-        """Plain mapping echo, stable under parse -> echo -> parse."""
-        return {
-            "model": {"kind": self.model_kind, **self.model_params},
-            "base_points": list(self.base_points),
-            "closure_depth": self.closure_depth,
-            "horizon": self.horizon,
-            "tol": self.tol,
-            "seed": self.seed,
-            "nsamples": self.nsamples,
-            "max_levels": self.max_levels,
-            "trace_eps": self.trace_eps,
-            "ceiling": self.ceiling,
-            "pair_cap": self.pair_cap,
-            "certificate": self.certificate,
-            "boundary": dict(self.boundary),
-            "gaussian": dict(self.gaussian),
-            "output": {"formats": list(self.formats)},
-            "fault_injection": self.fault_injection,
-        }
+        """Plain mapping echo, stable under parse -> echo -> parse: the values
+        under model, certificate and boundary as written, the rest as checked."""
+        echo = {key: getattr(self, key) for key in SCHEMA if hasattr(self, key)}
+        return {**echo, "output": {"formats": list(self.formats)}, **self.written}
 
     def echo_yaml(self) -> str:
         return yaml.dump(self.resolved(), Dumper=_Dumper, sort_keys=True)
 
 
-def _load_table_csv(path: Path, key: str):
-    if not path.exists():
-        raise InputError(f"config model.{key}: file {path} not found")
-    with open(path, newline="") as fh:
-        return [[float(x) for x in row] for row in _csv.reader(fh) if row]
-
-
 def parse_config(raw: Mapping, base_dir: Path | None = None) -> Config:
-    """Validate a raw mapping into a Config; errors carry the key path."""
-    if not isinstance(raw, Mapping):
-        raise _type_error("(top level)", "a mapping", raw)
-    unknown = set(raw) - _TOP_KEYS
-    if unknown:
-        raise InputError(f"config: unknown keys {sorted(unknown)}")
+    """Check a raw mapping against ``SCHEMA``; errors carry the key path."""
+    values = _walk(SCHEMA, raw, "")
+    params = values.pop("model")
+    kind = params.pop("kind")
+    cert = values["certificate"]
+    written = {  # the echo of these three: as written, defaults filled in for boundary
+        "model": dict(raw["model"]),
+        "certificate": dict(raw["certificate"]) if isinstance(cert, dict) else cert,
+        "boundary": {**values["boundary"], **raw.get("boundary", {})},
+    }
+    if kind == "finite-state":
+        _finite_state_tables(params, written["model"], Path(base_dir or "."))
+    if isinstance(cert, dict) and cert["r"]["kind"] == "length-decay" and kind in ("feeder", "finite-state"):
+        raise _error("certificate.r.kind", "length-decay needs word points, "
+                                           f"not the integer states of a {kind} model")
+    if "base_points" not in raw:
+        values["base_points"] = list(_DEFAULT_BASE_POINTS[kind])
+    return Config(model_kind=kind, model_params=params, base_points=values.pop("base_points") or [],
+                  formats=values.pop("output")["formats"], written=written, **values)
 
-    model = raw.get("model")
-    if not isinstance(model, Mapping) or "kind" not in model:
-        raise InputError("config model: required mapping with a 'kind' key")
-    kind = model["kind"]
-    if kind not in _MODEL_KINDS:
-        raise InputError(f"config model.kind: {kind!r} not one of {_MODEL_KINDS}")
-    params = {k: v for k, v in model.items() if k != "kind"}
-    for key in {"word-tree": ("m", "r", "c", "eta"), "delta": ("m",)}.get(kind, ()):
-        if key in params:
-            (_as_int if key == "m" else _as_float)(params[key], f"model.{key}")
-    if kind == "finite-state" and base_dir is not None:
-        for key in ("kernel", "maps"):
-            csv_key = f"{key}_csv"
-            if csv_key in params:
-                table = _load_table_csv(base_dir / params.pop(csv_key), csv_key)
-                if key == "maps":
-                    table = [[int(x) for x in row] for row in table]
-                params[key] = table
 
-    base_points = raw.get("base_points", _DEFAULT_BASE_POINTS[kind])
-    if base_points is not None and not isinstance(base_points, list):
-        raise _type_error("base_points", "a list", base_points)
-
-    cfg = Config(model_kind=kind, model_params=params)
-    if base_points is not None:
-        cfg.base_points = list(base_points)
-    cfg.closure_depth = _as_int(raw.get("closure_depth", 0), "closure_depth")
-    cfg.horizon = _as_int(raw.get("horizon", 8), "horizon")
-    if cfg.horizon < 0:
-        raise InputError("config horizon: must be nonnegative")
-    cfg.tol = _as_float(raw.get("tol", 1e-9), "tol")
-    if not 0.0 < cfg.tol < math.inf:
-        raise InputError("config tol: must be finite and positive")
-    if raw.get("seed") is not None:
-        cfg.seed = _as_int(raw["seed"], "seed")
-    cfg.nsamples = _as_int(raw.get("nsamples", 100_000), "nsamples")
-    if cfg.nsamples < 1:
-        raise InputError("config nsamples: must be positive")
-    cfg.max_levels = _as_int(raw.get("max_levels", 40), "max_levels")
-    if raw.get("trace_eps") is not None:
-        cfg.trace_eps = _as_float(raw["trace_eps"], "trace_eps")
-    cfg.ceiling = _as_float(raw.get("ceiling", 1e12), "ceiling")
-    cfg.pair_cap = _as_int(raw.get("pair_cap", 2**24), "pair_cap")
-
-    cert = raw.get("certificate", "auto")
-    if cert not in ("auto", "none", None) and not isinstance(cert, Mapping):
-        raise _type_error("certificate", "'auto', 'none', or a mapping", cert)
-    if isinstance(cert, Mapping):
-        for key in ("C", "beta", "r"):
-            if key not in cert:
-                raise InputError(f"config certificate.{key}: required")
-        _as_float(cert["C"], "certificate.C")
-        _as_float(cert["beta"], "certificate.beta")
-        _check_tail_weight(cert["r"], kind)
-        cert = dict(cert)
-    cfg.certificate = cert
-
-    boundary = raw.get("boundary", {})
-    if not isinstance(boundary, Mapping):
-        raise _type_error("boundary", "a mapping", boundary)
-    for key in boundary:
-        if key not in _BOUNDARY_DEFAULTS:
-            raise InputError(f"config boundary.{key}: unknown key "
-                             f"(expected one of {sorted(_BOUNDARY_DEFAULTS)})")
-    cfg.boundary = {}
-    for key, default in _BOUNDARY_DEFAULTS.items():
-        value, path = boundary.get(key, default), f"boundary.{key}"
-        if key.endswith("_levels"):
-            least = 1 if key == "feature_levels" else 0  # the feature Gram needs a defect
-            if _as_int(value, path) < least:
-                raise InputError(f"config {path}: must be at least {least}, got {value}")
-        else:
-            _check_weights(value, path)
-        cfg.boundary[key] = list(value) if isinstance(value, list) else value
-
-    gaussian = raw.get("gaussian", {})
-    if not isinstance(gaussian, Mapping):
-        raise _type_error("gaussian", "a mapping", gaussian)
-    cfg.gaussian = {"export_samples": bool(gaussian.get("export_samples", False))}
-
-    output = raw.get("output", {})
-    if not isinstance(output, Mapping):
-        raise _type_error("output", "a mapping", output)
-    formats = output.get("formats", ["csv", "json"])
-    if not isinstance(formats, list) or not set(formats) <= {"csv", "json"}:
-        raise InputError("config output.formats: must be a list drawn from ['csv', 'json']")
-    cfg.formats = list(formats)
-
-    fault = raw.get("fault_injection")
-    if fault is not None:
-        if not isinstance(fault, Mapping) or "check" not in fault or "delta" not in fault:
-            raise InputError("config fault_injection: needs 'check' and 'delta'")
-        cfg.fault_injection = {"check": str(fault["check"]),
-                               "delta": _as_float(fault["delta"], "fault_injection.delta")}
-    return cfg
+def override(cfg: Config, key: str, value, flag: str) -> None:
+    """Set the top-level ``key`` from a command-line ``flag``, checked by its entry."""
+    setattr(cfg, key, _check(SCHEMA[key], value, flag))
 
 
 def load_config(path) -> Config:
@@ -297,6 +334,4 @@ def load_config(path) -> Config:
         raw = yaml.load(path.read_text(), Loader=_Loader)
     except yaml.YAMLError as exc:
         raise InputError(f"config file {path}: invalid YAML ({exc})") from exc
-    if raw is None:
-        raw = {}
-    return parse_config(raw, base_dir=path.parent)
+    return parse_config({} if raw is None else raw, base_dir=path.parent)

@@ -58,16 +58,6 @@ _RATIO_CONVERGING = 1.0 - 1e-6
 _RATIO_WINDOW = 3
 
 
-def apply_P(u: Callable[[Point], float], branch: BranchSystem) -> Callable[[Point], float]:
-    """(Pu)(s) = sum_i u(phi_i(s))."""
-    maps = branch.maps
-
-    def Pu(s):
-        return math.fsum(u(f(s)) for f in maps)
-
-    return Pu
-
-
 def classify_sequence(values: Sequence[float], eps: float, ceiling: float) -> str:
     """Finite-horizon verdict for a nondecreasing diagonal sequence.
 

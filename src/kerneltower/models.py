@@ -53,8 +53,8 @@ def _parse_word(spec, m: int) -> tuple[int, ...]:
     else:
         raise InputError(f"cannot interpret {spec!r} as a word point")
     for i in word:
-        if not 1 <= i <= m:
-            raise InputError(f"symbol {i} in word {spec!r} out of range 1..{m}")
+        if isinstance(i, bool) or not isinstance(i, int) or not 1 <= i <= m:
+            raise InputError(f"symbol {i!r} in word {spec!r} out of range 1..{m}")
     return word
 
 
@@ -234,7 +234,10 @@ class FiniteStateModel(Model):
     def __init__(self, maps: Sequence[Sequence[int]], kernel: Sequence[Sequence[float]],
                  name: str = "finite-state", tol: float = DEFAULT_PSD_TOL,
                  lyapunov: Mapping | None = None):
-        table = np.asarray(kernel, dtype=float)
+        try:
+            table = np.asarray(kernel, dtype=float)
+        except (TypeError, ValueError):  # ragged, or not numbers
+            raise InputError("finite-state kernel table must be a rectangular table of numbers") from None
         if table.ndim != 2 or table.shape[0] != table.shape[1]:
             raise InputError("finite-state kernel table must be square")
         self.S = table.shape[0]
@@ -268,11 +271,11 @@ class FiniteStateModel(Model):
             # States are ints, so the core orders each pair as (min, max).
             batch=KernelBatch(int, lambda a, b, _same: table[np.minimum(a, b), np.maximum(a, b)]),
         )
-        self.lyapunov = _lyapunov_record(lyapunov, self.S) if lyapunov else None
+        self.lyapunov = lyapunov  # {C, beta, r: per-state values} or None
 
     def point(self, spec) -> Point:
-        try:
-            s = int(spec)
+        try:  # a label, or an integer (not a float, which would be truncated)
+            s = int(spec) if isinstance(spec, str) else operator.index(spec)
         except (TypeError, ValueError):
             raise InputError(f"finite-state point {spec!r} must be an integer state") from None
         if not 0 <= s < self.S:
@@ -281,19 +284,6 @@ class FiniteStateModel(Model):
 
     def all_states(self) -> list[int]:
         return list(range(self.S))
-
-
-def _lyapunov_record(lyap, S: int) -> dict:
-    """{C, beta, r} of a per-state Lyapunov certificate, checked and as floats."""
-    if not isinstance(lyap, Mapping) or not {"C", "beta", "r"} <= set(lyap):
-        raise InputError(f"lyapunov: expected a mapping with keys C, beta and r, got {lyap!r}")
-    r = lyap["r"]
-    if not isinstance(r, (list, tuple)) or len(r) != S:
-        raise InputError(f"lyapunov.r: expected {S} per-state values, got {r!r}")
-    try:
-        return {"C": float(lyap["C"]), "beta": float(lyap["beta"]), "r": [float(x) for x in r]}
-    except (TypeError, ValueError):
-        raise InputError(f"lyapunov: C, beta and r must be numbers, got {dict(lyap)!r}") from None
 
 
 def feeder_model() -> FiniteStateModel:
@@ -311,27 +301,9 @@ def feeder_model() -> FiniteStateModel:
     )
 
 
-def load_finite_state(record: Mapping) -> FiniteStateModel:
-    """Build a finite-state model from a config record, with path-qualified errors."""
-    if "maps" not in record:
-        raise InputError("finite-state config: missing 'maps'")
-    if "kernel" not in record:
-        raise InputError("finite-state config: missing 'kernel'")
-    maps = record["maps"]
-    try:
-        maps = [[int(x) for x in row] for row in maps]
-    except (TypeError, ValueError):
-        raise InputError("finite-state config: 'maps' must be lists of integers") from None
-    try:
-        kernel = [[float(x) for x in row] for row in record["kernel"]]
-    except (TypeError, ValueError):
-        raise InputError("finite-state config: 'kernel' must be lists of numbers") from None
-    name = str(record.get("name", "finite-state"))
-    lyap = record.get("lyapunov")
-    try:
-        return FiniteStateModel(maps, kernel, name=name, lyapunov=lyap)
-    except InputError as exc:
-        raise InputError(f"finite-state config: {exc}") from None
+def load_finite_state(params: Mapping) -> FiniteStateModel:
+    """The finite-state model of config params, as config.py checked them."""
+    return FiniteStateModel(**params)
 
 
 def oracle_level(model: Model, n: int, s, t) -> float:
@@ -347,16 +319,11 @@ def oracle_defect(model: Model, n: int, s, t) -> float:
 
 
 def build_model(kind: str, params: Mapping) -> Model:
-    """Registry used by config ingestion."""
+    """Registry used by config ingestion: ``params`` as config.py checked them."""
     if kind == "word-tree":
-        return WordTreeModel(
-            m=int(params.get("m", 2)),
-            r=float(params.get("r", 0.5)),
-            c=float(params.get("c", 0.5)),
-            eta=float(params.get("eta", 1.0)),
-        )
+        return WordTreeModel(**params)
     if kind == "delta":
-        return DivergentDeltaModel(m=int(params.get("m", 2)))
+        return DivergentDeltaModel(**params)
     if kind == "feeder":
         return feeder_model()
     if kind == "finite-state":

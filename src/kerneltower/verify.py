@@ -31,6 +31,7 @@ from .boundary import (
     intertwining_check,
     normalization_commutes,
 )
+from .config import FAULT_CHECKS
 from .diagonal import (
     CONVERGING,
     DIVERGING,
@@ -470,6 +471,8 @@ class VerifyContext:
         return _protocol_pass(self)
 
     def fault_for(self, check: str):
+        """The injected delta if the fault names ``check``, one of FAULT_CHECKS."""
+        assert check in FAULT_CHECKS, check
         if self.fault and self.fault.get("check") == check:
             return float(self.fault["delta"])
         return None

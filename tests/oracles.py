@@ -36,6 +36,11 @@ def all_words(m, n):
     return [w + (i,) for w in all_words(m, n - 1) for i in range(1, m + 1)]
 
 
+def apply_P(u, branch):
+    """The diagonal operator on functions: (Pu)(s) = sum_i u(phi_i(s))."""
+    return lambda s: math.fsum(u(f(s)) for f in branch.maps)
+
+
 def word_forward(maps, w, s):
     """phi_w(s) applying the last symbol first."""
     for i in reversed(w):

@@ -172,6 +172,16 @@ def test_bad_tol_flag(tmp_path, capsys):
         assert capsys.readouterr().err == "error[input]: --tol must be finite and positive\n"
 
 
+def test_bad_seed_flag(tmp_path, capsys):
+    # 2**128 is past the generator's key range: named, not a traceback.
+    cfg = write_config(tmp_path, EX25_YAML)
+    for seed in ("-1", str(2**128)):
+        code = main(["gaussian", "--config", cfg, "--seed", seed, "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "error[input]: --seed must be at least 0 and below 2**128\n")
+
+
 def test_resource_cap_exit_code(tmp_path, capsys):
     cfg = write_config(tmp_path, EX25_YAML + "pair_cap: 100\nhorizon: 12\n")
     code = main(["tower", "--config", cfg, "--out", str(tmp_path / "o")])
@@ -252,6 +262,17 @@ def test_verify_fault_injection_exit_and_naming(tmp_path, capsys):
     assert summary["results"]["all_passed"] is False
 
 
+def test_verify_unknown_fault_check_is_input_error(tmp_path, capsys):
+    # A fault no check reads would be a no-op that looks like success.
+    cfg = write_config(tmp_path, "model:\n  kind: word-tree\n"
+                                 "fault_injection: {check: nope, delta: 1}\n")
+    code = main(["verify", "--config", cfg, "--out", str(tmp_path / "out")])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith("error[input]: config fault_injection.check: 'nope' not one of ")
+    assert captured.out == ""
+
+
 def test_short_lyapunov_table_is_input_error(tmp_path, capsys):
     cfg = write_config(
         tmp_path,
@@ -318,36 +339,67 @@ def test_bad_boundary_keys_are_input_errors(tmp_path, capsys, boundary, key):
 _CERT = "certificate: {C: 1, beta: 0.5, r: %s}\n"
 
 
-@pytest.mark.parametrize("text, key", [
-    pytest.param(_CERT % "{kind: table}", "certificate.r.values", id="table-no-values"),
-    pytest.param(_CERT % "{kind: length-decay}", "certificate.r.base", id="decay-no-base"),
-    pytest.param("certificate: {C: abc, beta: 0.5, r: {kind: length-decay, base: 0.25}}\n",
-                 "certificate.C", id="C-not-number"),
-    pytest.param(_CERT % "{kind: length-decay, base: abc}", "certificate.r.base",
-                 id="base-not-number"),
-    pytest.param(_CERT % "{kind: table, values: [1, 2]}", "certificate.r.values",
-                 id="values-not-mapping"),
-    pytest.param("model: {kind: feeder}\n" + _CERT % "{kind: length-decay, base: 0.25}",
-                 "certificate.r.kind", id="decay-on-integer-states"),
-    pytest.param("model: {kind: word-tree, m: x}\n", "model.m", id="m-not-integer"),
-    pytest.param("model: {kind: word-tree, r: abc}\n", "model.r", id="r-not-number"),
-    pytest.param("fault_injection: {check: x, delta: abc}\n", "fault_injection.delta",
-                 id="delta-not-number"),
-    pytest.param("model: {kind: delta, m: 2.5}\n", "model.m", id="m-fractional"),
+def _bad(text, key, id, command="tower"):
+    return pytest.param(text, key, command, id=id)
+
+
+_FS = "model: {kind: finite-state, maps: %s, kernel: %s%s}\n"
+
+
+@pytest.mark.parametrize("text, key, command", [
+    _bad(_CERT % "{kind: table}", "certificate.r.values", "table-no-values"),
+    _bad(_CERT % "{kind: length-decay}", "certificate.r.base", "decay-no-base"),
+    _bad("certificate: {C: abc, beta: 0.5, r: {kind: length-decay, base: 0.25}}\n",
+                 "certificate.C", "C-not-number"),
+    _bad(_CERT % "{kind: length-decay, base: abc}", "certificate.r.base", "base-not-number"),
+    _bad(_CERT % "{kind: table, values: {'': 1}}", "certificate.r.values", "table-misses-a-point"),
+    _bad(_CERT % "{kind: table, values: [1, 2]}", "certificate.r.values", "values-not-mapping"),
+    _bad("model: {kind: feeder}\n" + _CERT % "{kind: length-decay, base: 0.25}",
+                 "certificate.r.kind", "decay-on-integer-states"),
+    _bad("model: {kind: word-tree, m: x}\n", "model.m", "m-not-integer"),
+    _bad("model: {kind: word-tree, r: abc}\n", "model.r", "r-not-number"),
+    _bad("fault_injection: {check: telescoping, delta: abc}\n", "fault_injection.delta", "delta-not-number"),
+    _bad("model: {kind: delta, m: 2.5}\n", "model.m", "m-fractional"),
     # NaN passes every later range check unless the number parse refuses it.
-    pytest.param("tol: .nan\n", "tol", id="tol-nan"),
-    pytest.param("tol: .inf\n", "tol", id="tol-inf"),
-    pytest.param("certificate: {C: .nan, beta: 0.5, r: {kind: length-decay, base: 0.25}}\n"
-                 "max_levels: 8\n", "certificate.C", id="C-nan"),
-    pytest.param("model: {kind: delta}\nceiling: .nan\nmax_levels: 30\n", "ceiling",
-                 id="ceiling-nan"),
-    pytest.param("model: {kind: word-tree, eta: .nan}\n", "model.eta", id="eta-nan"),
+    _bad("tol: .nan\n", "tol", "tol-nan"),
+    _bad("tol: .inf\n", "tol", "tol-inf"),
+    _bad("certificate: {C: .nan, beta: 0.5, r: {kind: length-decay, base: 0.25}}\n"
+                 "max_levels: 8\n", "certificate.C", "C-nan"),
+    _bad("model: {kind: delta}\nceiling: .nan\nmax_levels: 30\n", "ceiling", "ceiling-nan"),
+    _bad("model: {kind: word-tree, eta: .nan}\n", "model.eta", "eta-nan"),
+    # Values that were accepted, truncated, or failed with a traceback before the schema table.
+    _bad("seed: -1\n", "seed", "seed-negative", "gaussian"),
+    _bad(_FS % ("[[0, 1], [1, 0]]", "[[1.0], [0.0, 1.0]]", ""), "model.kernel", "kernel-ragged"),
+    _bad(_FS % ("[[0.5, 1], [1, 0]]", "[[1, 0], [0, 1]]", ""), "model.maps", "maps-fractional"),
+    _bad(_FS % ("[[0, true], [1, 0]]", "[[1, 0], [0, 1]]", ""), "model.maps", "maps-bool"),
+    _bad("max_levels: -1\n", "max_levels", "max-levels-negative"),
+    _bad("closure_depth: -1\n", "closure_depth", "closure-depth-negative"),
+    _bad("trace_eps: -1\n", "trace_eps", "trace-eps-negative"),
+    _bad("ceiling: -1\n", "ceiling", "ceiling-negative"),
+    _bad("pair_cap: 0\n", "pair_cap", "pair-cap-zero"),
+    _bad("pair_cap: -5\n", "pair_cap", "pair-cap-negative"),
+    _bad("gaussian: {export_samples: 'no'}\n", "gaussian.export_samples", "export-samples-string"),
+    _bad("model: {kind: word-tree, eta: .inf}\n", "model.eta", "eta-inf"),
+    _bad(_FS % ("[[0, 1], [1, 0]]", "[[1, 0], [0, 1]]", ", lyapunov: {C: .nan, beta: 0.5, r: [1, 1]}"),
+         "model.lyapunov.C", "lyapunov-C-nan"),
+    # Unknown keys are refused at every level.
+    _bad("model: {kind: word-tree, foo: 1}\n", "model.foo", "unknown-word-tree-key"),
+    _bad("model: {kind: delta, r: 0.5}\n", "model.r", "unknown-delta-key"),
+    _bad("model: {kind: feeder, m: 2}\n", "model.m", "unknown-feeder-key"),
+    _bad(_FS % ("[[0, 1], [1, 0]]", "[[1, 0], [0, 1]]", ", colour: red"), "model.colour",
+         "unknown-finite-state-key"),
+    _bad("gaussian: {export: true}\n", "gaussian.export", "unknown-gaussian-key"),
+    _bad("output: {format: [csv]}\n", "output.format", "unknown-output-key"),
+    _bad("certificate: {C: 1, beta: 0.5, r: {kind: length-decay, base: 0.25}, D: 1}\n",
+         "certificate.D", "unknown-certificate-key"),
+    _bad(_CERT % "{kind: length-decay, base: 0.25, step: 2}", "certificate.r.step",
+         "unknown-certificate-r-key"),
 ])
-def test_bad_config_values_are_input_errors(tmp_path, capsys, text, key):
+def test_bad_config_values_are_input_errors(tmp_path, capsys, text, key, command):
     if not text.startswith("model:"):
         text = "model: {kind: word-tree}\n" + text
     cfg = write_config(tmp_path, text + "horizon: 2\n")
-    code = main(["tower", "--config", cfg, "--out", str(tmp_path / "out")])
+    code = main([command, "--config", cfg, "--out", str(tmp_path / "out")])
     err = capsys.readouterr().err
     assert code == 2
     assert err.startswith(f"error[input]: config {key}: ")

@@ -1,3 +1,6 @@
+import inspect
+import re
+
 import pytest
 import yaml
 
@@ -32,7 +35,7 @@ def test_round_trip_is_identity():
 
 
 def test_unknown_top_key():
-    with pytest.raises(InputError, match="unknown keys"):
+    with pytest.raises(InputError, match="config horizont: unknown key"):
         parse_config({"model": {"kind": "delta"}, "horizont": 3})
 
 
@@ -107,3 +110,78 @@ def test_finite_state_csv_tables(tmp_path):
     cfg = load_config(path)
     assert cfg.model_params["kernel"] == [[1.0, 0.0], [0.0, 1.0]]
     assert cfg.model_params["maps"] == [[0, 0], [1, 1]]
+
+
+def _write_fs_csv(tmp_path, kernel, maps):
+    (tmp_path / "kernel.csv").write_text(kernel)
+    (tmp_path / "maps.csv").write_text(maps)
+    path = tmp_path / "run.yaml"
+    path.write_text("model:\n  kind: finite-state\n  kernel_csv: kernel.csv\n  maps_csv: maps.csv\n")
+    return path
+
+
+def test_finite_state_csv_bad_cell_names_the_key_and_file(tmp_path):
+    path = _write_fs_csv(tmp_path, "1.0,x\n0.0,1.0\n", "0,0\n1,1\n")
+    with pytest.raises(InputError, match=r"^config model\.kernel_csv: file .*kernel\.csv: "
+                                         r"expected a rectangular table of finite numbers$"):
+        load_config(path)
+
+
+def test_finite_state_maps_csv_cells_are_not_truncated(tmp_path):
+    # int(float("0.5")) would send state 0 to state 0; the cell is refused.
+    for cell in ("0.5", "1.0", "true"):
+        path = _write_fs_csv(tmp_path, "1.0,0.0\n0.0,1.0\n", f"{cell},1\n1,0\n")
+        with pytest.raises(InputError, match=r"^config model\.maps_csv: file .*maps\.csv: "
+                                             r"expected map tables of 2 integer states in 0\.\.1$"):
+            load_config(path)
+
+
+def test_echo_keeps_nested_values_as_written():
+    # Integer kernel cells, integer certificate constants and numeric
+    # strings under model, certificate and boundary echo as written; the
+    # top-level numbers echo as the floats they are read as.
+    raw = {
+        "model": {"kind": "finite-state", "maps": [[0, 1], [1, 1]], "kernel": [[1, 0], [0, 0]],
+                  "lyapunov": {"C": 1, "beta": 0.5, "r": [1, "1.0e0"]}},
+        "tol": 1,
+        "boundary": {"nu": [0.5, "5e-1"]},
+    }
+    cfg = parse_config(raw)
+    echoed = yaml.safe_load(cfg.echo_yaml())
+    assert echoed["model"] == {"kind": "finite-state", **{k: v for k, v in raw["model"].items()
+                                                          if k != "kind"}}
+    assert [type(x) for x in echoed["model"]["kernel"][0]] == [int, int]
+    assert echoed["boundary"]["nu"] == [0.5, "5e-1"]
+    assert echoed["tol"] == 1.0 and type(echoed["tol"]) is float
+    # The program reads the checked values.
+    assert cfg.model_params["kernel"] == [[1.0, 0.0], [0.0, 0.0]]
+    assert cfg.model_params["lyapunov"] == {"C": 1.0, "beta": 0.5, "r": [1.0, 1.0]}
+    assert cfg.boundary["nu"] == [0.5, 0.5]
+    assert parse_config(echoed).echo_yaml() == cfg.echo_yaml()
+
+
+@pytest.mark.parametrize("section", ["model", "gaussian", "output", "certificate", "boundary",
+                                     "fault_injection", "lyapunov", "certificate.r"])
+def test_unknown_keys_are_refused_at_every_level(section):
+    raw = {"model": {"kind": "finite-state", "maps": [[0]], "kernel": [[1.0]],
+                     "lyapunov": {"C": 1, "beta": 1, "r": [1]}},
+           "gaussian": {}, "output": {}, "boundary": {},
+           "certificate": {"C": 1, "beta": 1, "r": {"kind": "table", "values": {}}},
+           "fault_injection": {"check": "telescoping", "delta": 1.0}}
+    parse_config(raw)
+    node = raw["model"]["lyapunov"] if section == "lyapunov" else \
+        raw["certificate"]["r"] if section == "certificate.r" else raw[section]
+    node["extra"] = 1
+    path = {"lyapunov": "model.lyapunov", "certificate.r": "certificate.r"}.get(section, section)
+    with pytest.raises(InputError, match=rf"^config {path}\.extra: unknown key \(expected one of "):
+        parse_config(raw)
+
+
+def test_fault_checks_are_the_ones_verify_reads():
+    # Each name config accepts is read by one verify check, and fault_for
+    # refuses any other name.
+    from kerneltower import verify
+    from kerneltower.config import FAULT_CHECKS
+
+    read = re.findall(r'fault_for\("([^"]+)"\)', inspect.getsource(verify))
+    assert sorted(read) == sorted(FAULT_CHECKS)

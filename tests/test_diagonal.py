@@ -7,8 +7,8 @@ from kerneltower import (
     ContractError,
     FiniteStateModel,
     InputError,
+    Kernel,
     TailCertificate,
-    apply_P,
     blowup_detect,
     build_tower,
     diagonal_trace,
@@ -20,19 +20,27 @@ from kerneltower import (
 from kerneltower.diagonal import CONVERGING, DIVERGING, LyapunovRefutation
 from kerneltower.points import orbit_closure
 
-from oracles import diagonal_word_sum
+from oracles import apply_P, diagonal_word_sum
 
 
 # --- the induced operator on functions --------------------------------------
 
+def _level_one_diagonal(K, branch, s):
+    return build_tower(K, branch, [s], 1).levels[1][0, 0]
+
+
 def test_apply_P_zero_and_constants(ex25, root):
+    # P of a diagonal is the level-1 diagonal of the tower; the oracle P agrees.
     assert apply_P(lambda s: 0.0, ex25.branch)(root) == 0.0
     assert apply_P(lambda s: 1.0, ex25.branch)(root) == 2.0
+    assert _level_one_diagonal(Kernel(lambda u, v: 0.0), ex25.branch, root) == 0.0
+    assert _level_one_diagonal(Kernel(lambda u, v: 1.0), ex25.branch, root) == 2.0
 
 
 def test_apply_P_moves_diagonal_one_level(ex25, root):
     u0 = lambda s: ex25.kernel(s, s)
     assert apply_P(u0, ex25.branch)(root) == pytest.approx(1.75, abs=1e-14)
+    assert _level_one_diagonal(ex25.kernel, ex25.branch, root) == pytest.approx(1.75, abs=1e-14)
 
 
 def test_P_iterates_match_trace(ex25, root):

@@ -7,14 +7,15 @@ import pytest
 from kerneltower import (
     ContractError,
     InputError,
+    FiniteStateModel,
     WordTreeModel,
     build_model,
     build_tower,
-    load_finite_state,
     oracle_defect,
     oracle_level,
     subinvariance_check,
 )
+from kerneltower.config import parse_config
 from kerneltower.points import orbit_closure
 
 
@@ -110,8 +111,14 @@ def test_delta_defect_is_identity(delta2):
     assert report.min_eigenvalue == pytest.approx(1.0, abs=1e-12)
 
 
+def load_finite_state(**model):
+    """A finite-state model through the config path: parse_config, then build_model."""
+    cfg = parse_config({"model": {"kind": "finite-state", **model}})
+    return build_model(cfg.model_kind, cfg.model_params)
+
+
 def test_load_finite_state_minimal():
-    model = load_finite_state({"maps": [[0]], "kernel": [[1.0]]})
+    model = load_finite_state(maps=[[0]], kernel=[[1.0]])
     assert model.S == 1 and model.m == 1
     # single fixed point: the kernel is invariant
     report = subinvariance_check(model.kernel, model.branch, [0])
@@ -120,32 +127,44 @@ def test_load_finite_state_minimal():
 
 def test_load_finite_state_subinvariance_is_runtime_property():
     # valid tables; whether the kernel is subinvariant is decided at run time
-    model = load_finite_state(
-        {"maps": [[1, 1], [1, 1]], "kernel": [[2.0, 0.0], [0.0, 1.0]]}
-    )
+    model = load_finite_state(maps=[[1, 1], [1, 1]], kernel=[[2.0, 0.0], [0.0, 1.0]])
     report = subinvariance_check(model.kernel, model.branch, [0, 1])
     assert not report.psd
 
 
 def test_load_finite_state_rejects_non_psd_kernel():
     with pytest.raises(InputError, match="not PSD"):
-        load_finite_state({"maps": [[0, 1]], "kernel": [[1.0, 2.0], [2.0, 1.0]]})
+        load_finite_state(maps=[[0, 1]], kernel=[[1.0, 2.0], [2.0, 1.0]])
+    with pytest.raises(InputError, match="not PSD"):
+        FiniteStateModel([[0, 1]], [[1.0, 2.0], [2.0, 1.0]])
 
 
 def test_load_finite_state_rejects_bad_maps():
+    # The config names the key; the model keeps its own checks for library callers.
+    I2 = [[1.0, 0.0], [0.0, 1.0]]
+    for maps in ([[0, 5]], [[0]], [[0, 0.5]], [[0, True]]):
+        with pytest.raises(InputError, match=r"^config model\.maps: expected map tables of 2 "):
+            load_finite_state(maps=maps, kernel=I2)
     with pytest.raises(InputError, match="outside"):
-        load_finite_state({"maps": [[0, 5]], "kernel": [[1.0, 0.0], [0.0, 1.0]]})
+        FiniteStateModel([[0, 5]], I2)
+    with pytest.raises(InputError, match="outside"):
+        FiniteStateModel([[0, 0.5]], I2)
     with pytest.raises(InputError, match="entries"):
-        load_finite_state({"maps": [[0]], "kernel": [[1.0, 0.0], [0.0, 1.0]]})
+        FiniteStateModel([[0]], I2)
 
 
 def test_load_finite_state_rejects_malformed_tables():
-    with pytest.raises(InputError):
-        load_finite_state({"maps": [[0]], "kernel": [[1.0, 0.0]]})
-    with pytest.raises(InputError):
-        load_finite_state({"kernel": [[1.0]]})
-    with pytest.raises(InputError):
-        load_finite_state({"maps": [[0]]})
+    with pytest.raises(InputError, match="must be square"):
+        load_finite_state(maps=[[0]], kernel=[[1.0, 0.0]])
+    with pytest.raises(InputError, match=r"^config model\.maps: required"):
+        load_finite_state(kernel=[[1.0]])
+    with pytest.raises(InputError, match=r"^config model\.kernel: required"):
+        load_finite_state(maps=[[0]])
+    for kernel in ([[1.0], [0.0, 1.0]], [[1.0, "x"], [0.0, 1.0]], [[True]], [[None]], [1.0]):
+        with pytest.raises(InputError, match=r"^config model\.kernel: expected a rectangular"):
+            load_finite_state(maps=[[0]], kernel=kernel)
+    with pytest.raises(InputError, match="rectangular table of numbers"):
+        FiniteStateModel([[0, 1]], [[1.0], [0.0, 1.0]])
 
 
 def test_feeder_structure(feeder):
