@@ -80,8 +80,6 @@ from .models import (
     WordTreeModel,
     build_model,
     feeder_model,
-    oracle_defect,
-    oracle_level,
 )
 from .points import (
     BranchSystem,

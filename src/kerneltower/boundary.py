@@ -2,7 +2,7 @@
 
 A positive harmonic gauge turns the branch counts into transition
 probabilities p_i(s) = h(phi_i(s))/h(s), held as one Doob table row per
-domain point; cylinder masses extend them multiplicatively along reversed
+point read; cylinder masses extend them multiplicatively along reversed
 compositions, the averaging operator Q is intertwined with the branch-sum
 operator through the gauge, and the gauge-normalized kernel operator admits
 a word expansion whose accumulated defects are realized as an explicit
@@ -42,10 +42,13 @@ from .tower import Tower, defect_gram
 class DoobChain:
     """Transition probabilities from a positive harmonic gauge.
 
-    The domain is the point set where the gauge is strictly positive and
-    harmonicity has been verified; probabilities at domain points may push
-    mass onto gauge-zero points, which then carry zero cylinder mass.  The
-    harmonicity pass reads every gauge value of the Doob table.
+    One table holds a row p_i(s) = h(phi_i s)/h(s) per point read so far.
+    A point's row is built from the gauge the first time anything reads it,
+    and checked then: the gauge must be positive at s and harmonic there.
+    The constructor builds the domain's rows, so a bad gauge is refused
+    before any walk.  A row may push mass onto gauge-zero points, which then
+    carry zero cylinder mass.  ``harmonicity_residual`` is the worst
+    relative residual over every row built.
     """
 
     def __init__(
@@ -61,14 +64,21 @@ class DoobChain:
         self.domain = tuple(domain)
         if not self.domain:
             raise InputError("Doob chain needs a nonempty domain")
-        self._index = {s: i for i, s in enumerate(self.domain)}
+        self.harmonicity_residual = 0.0
+        self._index: dict[Point, int] = {}  # row of each point; the domain's rows come first
+        self._table = np.empty((0, branch.m))
+        self._add_rows(list(dict.fromkeys(self.domain)))
+        self._domain_rows = len(self._index)
+
+    def _add_rows(self, points: list) -> None:
+        """Build, check and append the rows of ``points``, none of them in the table yet."""
         values: list[float] = []
         worst, worst_point = 0.0, None
-        for s in self.domain:
-            hs = gauge(s)
+        for s in points:
+            hs = self._gauge(s)
             if not hs > 0.0:
                 raise InputError(f"gauge not positive at {point_label(s)}: {hs!r}")
-            images = [gauge(f(s)) for f in branch.maps]
+            images = [self._gauge(f(s)) for f in self.branch.maps]
             try:
                 residual = abs(math.fsum(images) - hs) / hs
             except (OverflowError, ValueError):  # fsum of infinite or overflowing values
@@ -78,17 +88,22 @@ class DoobChain:
             if residual > worst:
                 worst, worst_point = residual, s
             values += [hs, *images]
-        if worst > tol:
+        if worst > self.tol:
             raise ModelError(
                 f"gauge not harmonic: relative residual {worst:.3e} at "
-                f"{point_label(worst_point)} exceeds {tol:.1e}"
+                f"{point_label(worst_point)} exceeds {self.tol:.1e}"
             )
-        self.harmonicity_residual = worst
-        # nan rows are read from the gauge: a row with a negative image, which
-        # it refuses, and the last row, standing for all points off the domain.
-        table = np.array(values + [math.nan] * (branch.m + 1)).reshape(-1, branch.m + 1)
-        self._table = table[:, 1:] / table[:, :1]
-        self._table[np.any(table[:, 1:] < 0.0, axis=1)] = math.nan
+        self.harmonicity_residual = max(self.harmonicity_residual, worst)
+        table = np.array(values).reshape(-1, self.branch.m + 1)
+        rows = table[:, 1:] / table[:, :1]
+        rows[np.any(table[:, 1:] < 0.0, axis=1)] = math.nan  # a negative image: refused when read
+        n, k = len(self._index), len(points)
+        if n + k > len(self._table):  # grow geometrically: amortized O(1) copies per row
+            grown = np.empty((max(2 * len(self._table), n + k), self.branch.m))
+            grown[:n] = self._table[:n]
+            self._table = grown
+        self._table[n:n + k] = rows
+        self._index.update(zip(points, range(n, n + k)))
 
     def h(self, s: Point) -> float:
         v = self._gauge(s)
@@ -97,21 +112,23 @@ class DoobChain:
         return v
 
     def in_domain(self, s: Point) -> bool:
-        return s in self._index
+        return self._index.get(s, self._domain_rows) < self._domain_rows
 
     def require_domain(self, s: Point) -> None:
         if not self.in_domain(s):
             raise InputError(f"point {point_label(s)} outside the Doob domain")
 
     def rows(self, points: Sequence[Point]) -> np.ndarray:
-        """Rows [p_1(x), ..., p_m(x)] of ``points``: the Doob table's, or off the domain, the gauge's."""
-        rows = self._table[[self._index.get(x, -1) for x in points]]
+        """Rows [p_1(x), ..., p_m(x)] of ``points``, each built and checked when first read."""
+        index = self._index
+        at = [index.get(x, -1) for x in points]
+        if -1 in at:
+            self._add_rows(list(dict.fromkeys(x for x, i in zip(points, at) if i < 0)))
+            at = [index[x] for x in points]
+        rows = self._table[at]
         for j in np.flatnonzero(np.isnan(rows[:, 0])).tolist():
-            hx = self.h(points[j])
-            if hx == 0.0:
-                raise InputError(
-                    f"transition probabilities undefined at gauge zero {point_label(points[j])}")
-            rows[j] = [self.h(f(points[j])) / hx for f in self.branch.maps]
+            for f in self.branch.maps:  # the gauge names the negative image
+                self.h(f(points[j]))
         return rows
 
     def probs(self, s: Point) -> list[float]:

@@ -36,6 +36,7 @@ from .diagonal import (
 from .errors import EXIT_NUMERICAL, EXIT_RESOURCE, InputError, KernelTowerError
 from .gaussian import (
     TowerSampler,
+    _z_scores,
     empirical_covariance,
     export_batch_csv,
     martingale_checks,
@@ -93,7 +94,7 @@ def _resolve_certificate(cfg: Config, model: Model, base):
                 if s not in values:
                     raise InputError(f"config certificate.r.values: no value at point {point_label(s)}")
                 return values[s]
-    if getattr(model, "has_oracle", False) and hasattr(model, "oracle_defect"):
+    if hasattr(model, "oracle_defect"):
         d0 = lambda s: model.oracle_defect(0, s, s)
     else:  # one point at a time: the domain may be large, and only its diagonal is read
         d0 = lambda s: float(defect_gram(model.kernel, model.branch, [s], cfg.pair_cap)[0, 0])
@@ -211,9 +212,6 @@ def cmd_gaussian(cfg: Config, model: Model, base, bundle: Bundle) -> dict:
     batch = sampler.sample(cfg.nsamples)
 
     cov, se = empirical_covariance(batch, batch.top_level)
-    z_top = np.zeros_like(cov)
-    mask = se > 0
-    z_top[mask] = np.abs(cov - tower.levels[-1])[mask] / se[mask]
     mart = martingale_checks(batch, tower)
     # The limit fields of this seed are the batch's level 0 and top level.
     covY, _ = sample_covariance(batch.level(0))
@@ -228,7 +226,7 @@ def cmd_gaussian(cfg: Config, model: Model, base, bundle: Bundle) -> dict:
         "generator": "philox4x64-10",
         "seed": cfg.seed,
         "nsamples": cfg.nsamples,
-        "top_level_max_z": float(np.max(z_top)),
+        "top_level_max_z": float(np.max(_z_scores(cov - tower.levels[-1], se))),
         "martingale": {
             "max_mean_z": mart.max_mean_z,
             "max_cross_z": mart.max_cross_z,
@@ -257,11 +255,8 @@ def cmd_boundary(cfg: Config, model: Model, base, bundle: Bundle) -> dict:
     feat_levels = cfg.boundary["feature_levels"]
 
     gauge_info = {}
-    closed_form = getattr(model, "has_oracle", False) and hasattr(model, "oracle_gauge")
-    if closed_form:
-        _check_boundary_weights(cfg, model.branch.m)  # before the closure, which may be large
-        gauge = model.oracle_gauge
-        domain = orbit_closure(model.branch, base, max(cyl_levels, feat_levels), cfg.pair_cap)
+    if hasattr(model, "oracle_gauge"):
+        gauge, domain = model.oracle_gauge, base
         gauge_info["source"] = "closed-form"
     else:
         closure = orbit_closure(model.branch, base, 1, cfg.pair_cap)
@@ -281,10 +276,11 @@ def cmd_boundary(cfg: Config, model: Model, base, bundle: Bundle) -> dict:
             gauge_info["harmonicity_budget"] = max(
                 cert.bound(s, s, cfg.horizon) for s in positive
             )
+    # The chain checks the domain's rows now, and every other row when a walk
+    # first reads it; a gauge not harmonic on the domain is refused before
+    # the weight count.
     chain = build_doob(gauge, model.branch, domain, cfg.tol)
-    if not closed_form:  # a gauge that is not harmonic is refused first
-        _check_boundary_weights(cfg, model.branch.m)
-    gauge_info["harmonicity_residual"] = chain.harmonicity_residual
+    _check_boundary_weights(cfg, model.branch.m)
     base = [s for s in base if chain.in_domain(s)]
     if not base:
         raise InputError("no base points inside the gauge-positive domain")
@@ -342,6 +338,7 @@ def cmd_boundary(cfg: Config, model: Model, base, bundle: Bundle) -> dict:
             "word": "".join(map(str, path.word)),
             "points": [point_label(x) for x in path.points],
         }
+    gauge_info["harmonicity_residual"] = chain.harmonicity_residual  # over every row read
     return results
 
 
@@ -360,11 +357,11 @@ def run_pipeline(command: str, cfg: Config, outdir: Path, verbose: bool) -> int:
     base = _resolve_base(cfg, model)
     bundle = Bundle(outdir, cfg.formats)
     results = PIPELINES[command](cfg, model, base, bundle)
-    report = RunReport(command, cfg.resolved(), results)
-    bundle.finish(report, cfg.echo_yaml())
+    summary = RunReport(command, cfg.resolved(), results).summary_json()
+    bundle.finish(summary, cfg.echo_yaml())
     if verbose:
         print(f"{command}: wrote {outdir} in {time.perf_counter() - t0:.2f}s", file=sys.stderr)
-    print(report.summary_json(), end="")
+    print(summary, end="")
     return 0
 
 
@@ -394,7 +391,7 @@ def cmd_verify(cfg: Config, outdir: Path, verbose: bool) -> int:
             "all_passed": all(r.passed for r in results),
         },
     )
-    bundle.finish(report, cfg.echo_yaml())
+    bundle.finish(report.summary_json(), cfg.echo_yaml())
     failures = [r for r in results if not r.passed]
     if failures:
         first = failures[0]

@@ -4,7 +4,6 @@ Every error carries a category that maps onto a POSIX exit code:
 input 2, model 3, numerical 4, resource 5.
 """
 
-EXIT_OK = 0
 EXIT_INPUT = 2
 EXIT_MODEL = 3
 EXIT_NUMERICAL = 4

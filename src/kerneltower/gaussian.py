@@ -169,14 +169,12 @@ class MartingaleReport:
         return max(self.max_mean_z, self.max_cross_z, self.max_qv_z) <= self.threshold
 
 
-def martingale_checks(
-    batch: FieldBatch, tower: Tower, threshold: float = PASS_SIGMA
-) -> MartingaleReport:
+def martingale_checks(batch: FieldBatch, tower: Tower) -> MartingaleReport:
     """Verify the defect-martingale structure of a sampled batch.
 
     (i) increment means vanish, (ii) increments at different levels are
     uncorrelated, (iii) the level-n increment covariance matches the level-n
-    defect Gram; each within ``threshold`` plug-in standard errors.
+    defect Gram; each within PASS_SIGMA plug-in standard errors.
 
     All second moments come from two Gram products of the stacked
     increments I (nsamples x N*P): M2 = I^T I / n holds every cross-level
@@ -217,7 +215,7 @@ def martingale_checks(
         max_mean_z=mean_z,
         max_cross_z=cross_z,
         max_qv_z=max(qv_z_per_level),
-        threshold=threshold,
+        threshold=PASS_SIGMA,
         per_level_qv_z=qv_z_per_level,
     )
 

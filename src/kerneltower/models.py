@@ -17,7 +17,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .errors import ContractError, InputError
+from .errors import InputError
 from .kernels import DEFAULT_PSD_TOL, Kernel, KernelBatch, psd_check
 from .points import BranchSystem, Point
 
@@ -28,7 +28,6 @@ class Model:
     name: str = "model"
     branch: BranchSystem
     kernel: Kernel
-    has_oracle = False
 
     def point(self, spec) -> Point:
         raise NotImplementedError
@@ -74,8 +73,6 @@ class WordTreeModel(Model):
     by r.  Closed forms: level n kernel = limit - r^n * (strict term),
     defects r^n (1-r) * (strict term), gauge (1+eta) m^{-|s|}.
     """
-
-    has_oracle = True
 
     def __init__(self, m: int = 2, r: float = 0.5, c: float = 0.5, eta: float = 1.0):
         if m < 2:
@@ -208,8 +205,6 @@ class DivergentDeltaModel(Model):
     as the canonical blow-up witness model.
     """
 
-    has_oracle = True
-
     def __init__(self, m: int = 2):
         if m < 2:
             raise InputError("divergent delta model needs m >= 2")
@@ -304,18 +299,6 @@ def feeder_model() -> FiniteStateModel:
 def load_finite_state(params: Mapping) -> FiniteStateModel:
     """The finite-state model of config params, as config.py checked them."""
     return FiniteStateModel(**params)
-
-
-def oracle_level(model: Model, n: int, s, t) -> float:
-    if not model.has_oracle:
-        raise ContractError(f"model {model.name} has no closed-form level oracle")
-    return model.oracle_level(n, s, t)
-
-
-def oracle_defect(model: Model, n: int, s, t) -> float:
-    if not model.has_oracle:
-        raise ContractError(f"model {model.name} has no closed-form defect oracle")
-    return model.oracle_defect(n, s, t)
 
 
 def build_model(kind: str, params: Mapping) -> Model:

@@ -109,7 +109,8 @@ class Bundle:
                        for lb, v in zip(columns or labels, row))
         (self.outdir / name).write_text(header + "\n" + text, newline="")
 
-    def finish(self, report: RunReport, config_yaml: str) -> None:
+    def finish(self, summary_json: str, config_yaml: str) -> None:
+        """Write the run's serialized summary (``RunReport.summary_json``) and its config echo."""
         if "json" in self.formats:
-            (self.outdir / "summary.json").write_text(report.summary_json())
+            (self.outdir / "summary.json").write_text(summary_json)
         (self.outdir / "config_resolved.yaml").write_text(config_yaml)

@@ -206,7 +206,6 @@ class Tower:
     defect_reports: list[PsdReport]
     trace_increments: list[float]
     telescoping_residual: float
-    kernel_name: str = ""
 
     def level_gram(self, n: int) -> Gram:
         return Gram(self.points, self.levels[n])
@@ -218,8 +217,7 @@ class Tower:
             raise InputError(f"point {point_label(s)} not in tower base") from None
 
     @classmethod
-    def from_levels(cls, points, levels, tol: float = DEFAULT_PSD_TOL,
-                    kernel_name: str = "") -> "Tower":
+    def from_levels(cls, points, levels, tol: float = DEFAULT_PSD_TOL) -> "Tower":
         """Certify the defects of computed levels and check the telescoping identity.
 
         Raises a model error naming the level if any defect Gram fails the
@@ -254,7 +252,6 @@ class Tower:
             defect_reports=reports,
             trace_increments=[float(np.trace(D)) for D in defects],
             telescoping_residual=residual,
-            kernel_name=kernel_name,
         )
 
     def factors(self, tol: float = DEFAULT_PSD_TOL) -> list[np.ndarray]:
@@ -311,7 +308,7 @@ def build_tower(
         raise InputError("tower horizon must be nonnegative")
     it = tower_gram_iter(K, branch, points, pair_cap)
     levels = [next(it) for _ in range(horizon + 1)]
-    return Tower.from_levels(points, levels, tol, K.name)
+    return Tower.from_levels(points, levels, tol)
 
 
 def level_via_words(
@@ -502,7 +499,7 @@ def estimate_K_infinity(
         traces.append(float(np.trace(levels[-1])))
 
     N = len(levels) - 1
-    tower = Tower.from_levels(pts, levels, tol, K.name)
+    tower = Tower.from_levels(pts, levels, tol)
     if certificate is not None:
         bound = certificate.bound_matrix(pts, N)
     else:

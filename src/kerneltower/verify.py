@@ -40,7 +40,9 @@ from .diagonal import (
     lyapunov_verify,
 )
 from .gaussian import (
+    PASS_SIGMA,
     TowerSampler,
+    _z_scores,
     boundedness_probe,
     martingale_checks,
     sample_covariance,
@@ -52,7 +54,6 @@ from .tower import build_tower, defect_gram, level_via_words
 
 PROTOCOL_SEEDS = 100
 PROTOCOL_MIN_PASS = 99
-PROTOCOL_SIGMA = 5.0
 
 
 @dataclass
@@ -253,12 +254,6 @@ def _protocol_seeds(base: int) -> list[int]:
     return [base + k for k in range(PROTOCOL_SEEDS)]
 
 
-def _max_z(cov, se, target) -> float:
-    """Largest |cov - target| / se over the entries with se > 0 (0 if none)."""
-    mask = se > 0
-    return float(np.max(np.abs(cov - target)[mask] / se[mask], initial=0.0))
-
-
 def _protocol_pass(ctx) -> tuple[CheckResult, CheckResult]:
     """Criteria 7 and 8 in one pass: one draw per protocol seed, freed before the next."""
     t0 = time.perf_counter()
@@ -277,19 +272,20 @@ def _protocol_pass(ctx) -> tuple[CheckResult, CheckResult]:
         del g
         # Criterion 7: the level-3 covariance and the increment covariances.
         cov, se = sample_covariance(batch.level(3))
-        z = float(np.max(np.abs(cov - tower.levels[3] - fault) / se))
+        z = float(np.max(_z_scores(cov - tower.levels[3] - fault, se)))
         worst_z = max(worst_z, z)
-        passes += z <= PROTOCOL_SIGMA and all(
-            _max_z(*sample_covariance(batch.increment(n)), tower.defects[n]) <= PROTOCOL_SIGMA
-            for n in range(3)
+        increments = (sample_covariance(batch.increment(n)) for n in range(3))
+        passes += z <= PASS_SIGMA and all(
+            np.max(_z_scores(covI - D, seI)) <= PASS_SIGMA
+            for (covI, seI), D in zip(increments, tower.defects)
         )
         # Criterion 8: the level-0 component and the accumulated defects.
         covY, se = sample_covariance(fields.Y)
         covD, seD = sample_covariance(fields.Z - fields.Y)
-        passes8 += bool(np.max(np.abs(covY - limit_tower.levels[0]) / se) <= PROTOCOL_SIGMA
-                        and _max_z(covD, seD, target_D) <= PROTOCOL_SIGMA)
+        passes8 += bool(np.max(_z_scores(covY - limit_tower.levels[0], se)) <= PASS_SIGMA
+                        and np.max(_z_scores(covD - target_D, seD)) <= PASS_SIGMA)
         if seed == ctx.seed:  # the martingale structure and root spot values
-            mart = martingale_checks(batch, tower, PROTOCOL_SIGMA)
+            mart = martingale_checks(batch, tower)
             z_root, y_root, d_root = (float(C[0, 0]) for C in (sample_covariance(fields.Z)[0], covY, covD))
         del batch, fields
     elapsed = time.perf_counter() - t0
@@ -325,8 +321,7 @@ def check_compression_fields(ctx) -> CheckResult:
 def check_doob_cylinders(ctx) -> CheckResult:
     """Criterion 9: cylinder level sums are 1; uniform masses are exactly 2^-n."""
     model = _example_model()
-    dom = orbit_closure(model.branch, [model.point("")], 12)
-    chain = build_doob(model.oracle_gauge, model.branch, dom, ctx.tol)
+    chain = build_doob(model.oracle_gauge, model.branch, [model.point("")], ctx.tol)
     table = cylinder_measure(chain, model.point(""), 12)
     worst_sum = max(abs(table.level_sum(k) - 1.0) for k in range(13))
     exact = all(np.all(p == 2.0**-k) for k, p in enumerate(table.masses))
@@ -354,9 +349,8 @@ def check_intertwining(ctx) -> CheckResult:
     worst = 0.0
 
     model = _example_model()
-    dom = orbit_closure(model.branch, [model.point("")], 8)
-    chain = build_doob(model.oracle_gauge, model.branch, dom, ctx.tol)
     F = [model.point(x) for x in ("", "1", "2")]
+    chain = build_doob(model.oracle_gauge, model.branch, F, ctx.tol)
     f = lambda s: 0.5 ** len(s)
     for n in range(6):
         res = intertwining_check(chain, f, model.point(""), n)
@@ -387,8 +381,7 @@ def check_boundary_gram(ctx) -> CheckResult:
     K, B = model.kernel, model.branch
     F = orbit_closure(B, [model.point("")], 1)
     tower = build_tower(K, B, F, 8, ctx.tol)
-    dom = orbit_closure(B, F, 8)
-    chain = build_doob(model.oracle_gauge, B, dom, ctx.tol)
+    chain = build_doob(model.oracle_gauge, B, F, ctx.tol)
 
     bg_half = boundary_feature_gram(K, tower, chain, ProductCylinderWeights.bernoulli(0.5), 8, ctx.tol)
     bg_alt = boundary_feature_gram(K, tower, chain, ProductCylinderWeights.bernoulli(0.3), 8, ctx.tol,

@@ -25,7 +25,7 @@ from kerneltower import (
     psd_check,
     verify,
 )
-from kerneltower.gaussian import sample_covariance
+from kerneltower.gaussian import PASS_SIGMA, sample_covariance
 from kerneltower.points import check_word_cap, point_label
 
 
@@ -257,15 +257,15 @@ def reference_check_gaussian_covariance(ctx):
         cov, se = sample_covariance(batch.level(3))
         z = np.abs(cov - tower.levels[3] - fault) / se
         worst_z = max(worst_z, float(np.max(z)))
-        ok &= bool(np.max(z) <= verify.PROTOCOL_SIGMA)
+        ok &= bool(np.max(z) <= PASS_SIGMA)
         for n in range(3):
             cov, se = sample_covariance(batch.increment(n))
             mask = se > 0
             z = np.zeros_like(cov)
             z[mask] = np.abs(cov - tower.defects[n])[mask] / se[mask]
-            ok &= bool(np.max(z) <= verify.PROTOCOL_SIGMA)
+            ok &= bool(np.max(z) <= PASS_SIGMA)
         passes += ok
-    mart = martingale_checks(base_batch, tower, verify.PROTOCOL_SIGMA)
+    mart = martingale_checks(base_batch, tower)
     passed = passes >= verify.PROTOCOL_MIN_PASS and mart.passed
     return passed, {"seed_passes": passes, "martingale_max_z": mart.max_qv_z,
                     "worst_level_z": worst_z}
@@ -286,12 +286,12 @@ def reference_check_compression_fields(ctx):
             base_fields = fields
         ok = True
         cov, se = sample_covariance(fields.Y)
-        ok &= bool(np.max(np.abs(cov - target_Y) / se) <= verify.PROTOCOL_SIGMA)
+        ok &= bool(np.max(np.abs(cov - target_Y) / se) <= PASS_SIGMA)
         cov, se = sample_covariance(fields.Z - fields.Y)
         mask = se > 0
         z = np.zeros_like(cov)
         z[mask] = np.abs(cov - target_D)[mask] / se[mask]
-        ok &= bool(np.max(z) <= verify.PROTOCOL_SIGMA)
+        ok &= bool(np.max(z) <= PASS_SIGMA)
         passes += ok
     covZ, _ = sample_covariance(base_fields.Z)
     covY, _ = sample_covariance(base_fields.Y)

@@ -101,13 +101,27 @@ def test_doob_chain_messages(feeder, fchain):
                  lambda: apply_Q(chain, lambda s: 1.0, 0)):
         with pytest.raises(InputError, match="gauge negative at 2: -1.0"):
             read()
-    with pytest.raises(InputError, match="transition probabilities undefined at gauge zero 1"):
+    with pytest.raises(InputError, match="gauge not positive at 1: 0.0"):
         fchain.probs(1)
     with pytest.raises(InputError, match="point 1 outside the Doob domain"):
         cylinder_measure(fchain, 1, 3)
     h, _positive = gauge_from_tower(build_tower(feeder.kernel, feeder.branch, [0, 2], 2))
     with pytest.raises(InputError, match="surrogate gauge not computed at 1"):
         build_doob(h, feeder.branch, [0, 2])
+
+
+def test_rows_off_the_domain_are_checked_when_read():
+    # h is harmonic at 0, h(1) + h(2) = h(0), but at neither of the points
+    # 1 and 2 that the walk from 0 reaches: reading their rows refuses it.
+    model = FiniteStateModel([[1, 2, 2], [2, 2, 2]], np.eye(3))
+    chain = build_doob([2.0, 1.0, 1.0].__getitem__, model.branch, [0])
+    assert chain.probs(0) == [0.5, 0.5] and chain.harmonicity_residual == 0.0
+    assert cylinder_measure(chain, 0, 1).level_sum(1) == 1.0
+    with pytest.raises(ModelError, match=r"gauge not harmonic: relative residual 1\.000e\+00 at 1 "):
+        cylinder_measure(chain, 0, 2)
+    with pytest.raises(ModelError, match="gauge not harmonic"):
+        chain.probs(2)
+    assert not chain.in_domain(1) and not chain.in_domain(2)
 
 
 def test_gauge_from_tower_matches_oracle(ex25, small_base):

@@ -406,8 +406,8 @@ def test_bad_config_values_are_input_errors(tmp_path, capsys, text, key, command
 
 
 def test_boundary_weight_count_is_checked_before_the_closure(tmp_path, capsys):
-    # With a closed-form gauge the count is refused first: at this cap the
-    # depth-12 orbit closure would itself exit 5.
+    # With a closed-form gauge the count is refused before any walk: at this
+    # cap the depth-12 cylinder walk would itself exit 5.
     cfg = write_config(tmp_path, "model: {kind: word-tree, m: 3}\nbase_points: ['']\n"
                                  "horizon: 4\npair_cap: 50\n")
     code = main(["boundary", "--config", cfg, "--out", str(tmp_path / "out")])
@@ -431,8 +431,8 @@ def test_boundary_nonharmonic_tower_gauge_is_refused_before_the_weight_count(tmp
 
 
 def test_boundary_section_pairs_are_capped(tmp_path, capsys):
-    # The closure, cylinders and tower fit under the cap; the 127 section
-    # points (16256 level-1 pairs) do not.
+    # The cylinders and tower fit under the cap; the 127 section points
+    # (16256 level-1 pairs) do not.
     cfg = write_config(tmp_path, EX25_YAML + "pair_cap: 2000\n"
                        "boundary: {cylinder_levels: 3, feature_levels: 6}\n")
     code = main(["boundary", "--config", cfg, "--out", str(tmp_path / "out")])
@@ -440,6 +440,19 @@ def test_boundary_section_pairs_are_capped(tmp_path, capsys):
     assert code == 5
     assert err.startswith("error[resource]: boundary section Gram: 127 section points")
     assert "config boundary.feature_levels" in err
+
+
+def test_boundary_reads_only_the_rows_its_walks_reach(tmp_path, capsys):
+    # The benchmark tree config at a small cap: each depth-12 walk has 4096
+    # words, under the cap, though the 32767-point orbit closure of depth 12
+    # around the 7 base points would not be.
+    cfg = write_config(tmp_path, "model: {kind: word-tree}\nbase_points: ['', '1', '2']\n"
+                                 "closure_depth: 1\nhorizon: 10\nmax_levels: 12\npair_cap: 20000\n"
+                                 "boundary: {feature_levels: 3}\n")
+    assert main(["boundary", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+    res = read_summary(tmp_path / "out")["results"]
+    assert res["gauge"] == {"harmonicity_residual": 0.0, "source": "closed-form"}
+    assert res["cylinders"]["max_level_sum_error"] <= 1e-12
 
 
 def test_boundary_bundle_determinism(tmp_path, capsys):

@@ -23,6 +23,7 @@ from kerneltower import (
     gauge_from_tower,
     gram,
     iterate_Q,
+    sample_path,
     subinvariance_check,
 )
 from kerneltower.boundary import _boundary_sections, _walk_levels, sorted_words
@@ -340,3 +341,27 @@ def test_walk_inside_the_domain_reads_no_gauge(ex25, feeder):
     gauge.calls = 0
     assert cylinder_measure(chain, 2, 10).level_sum(10) == 1.0
     assert gauge.calls == 0
+
+
+def test_each_row_reads_the_gauge_once(ex25):
+    # A chain on one anchor builds the other rows as the walks first read them.
+    gauge = _CountingGauge(ex25.oracle_gauge)
+    root = ex25.point("")
+    chain = build_doob(gauge, ex25.branch, [root])
+    assert gauge.calls == 3
+    for _ in range(2):
+        cylinder_measure(chain, root, 6)  # rows of the live points of levels 0..5
+        _walk_levels(chain, ex25.point("1"), 5, 2**24)  # inside that subtree
+        sample_path(chain, root, 6, seed=1)
+    assert gauge.calls == 3 * (2**6 - 1)  # h(s) and two images, once per row
+
+
+def test_harmonicity_residual_is_the_worst_row_read():
+    model = WordTreeModel(m=3, r=0.5, c=0.5, eta=1.0)
+    h, root = model.oracle_gauge, model.point("")
+    chain = build_doob(h, model.branch, [root])
+    assert chain.harmonicity_residual == 0.0  # h(root) = 3 h(child) exactly
+    cylinder_measure(chain, root, 6)
+    read = orbit_closure(model.branch, [root], 5)  # levels 0..5, every word live
+    worst = max(abs(math.fsum(h(f(s)) for f in model.branch.maps) - h(s)) / h(s) for s in read)
+    assert chain.harmonicity_residual == worst > 0.0

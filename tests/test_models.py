@@ -5,14 +5,11 @@ import numpy as np
 import pytest
 
 from kerneltower import (
-    ContractError,
     InputError,
     FiniteStateModel,
     WordTreeModel,
     build_model,
     build_tower,
-    oracle_defect,
-    oracle_level,
     subinvariance_check,
 )
 from kerneltower.config import parse_config
@@ -57,14 +54,6 @@ def test_oracle_defect_examples(ex25, root):
     assert total == pytest.approx(
         ex25.oracle_limit(root, root) - ex25.kernel(root, root), abs=1e-14
     )
-
-
-def test_oracle_free_functions_require_oracle(feeder, ex25, root):
-    assert oracle_level(ex25, 1, root, root) == ex25.oracle_level(1, root, root)
-    with pytest.raises(ContractError):
-        oracle_level(feeder, 1, 0, 0)
-    with pytest.raises(ContractError):
-        oracle_defect(feeder, 1, 0, 0)
 
 
 def test_oracle_grid_matches_computed_tower():

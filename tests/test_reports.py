@@ -93,7 +93,7 @@ def test_run_report_summary_stable():
 def test_bundle_formats(tmp_path):
     bundle = Bundle(tmp_path / "csv-only", formats=("csv",))
     bundle.add_csv("t.csv", ["a"], [[1.0]])
-    bundle.finish(RunReport("demo", {}, {}), "x: 1\n")
+    bundle.finish(RunReport("demo", {}, {}).summary_json(), "x: 1\n")
     assert (tmp_path / "csv-only" / "t.csv").exists()
     assert not (tmp_path / "csv-only" / "summary.json").exists()
     assert (tmp_path / "csv-only" / "config_resolved.yaml").exists()
