@@ -174,7 +174,6 @@ class CylinderTable:
     ``masses[k]`` holds the masses of the m^k words of length k, in word order.
     """
 
-    anchor: Point
     horizon: int
     m: int
     masses: list[np.ndarray]
@@ -246,7 +245,7 @@ def cylinder_measure(
     """
     chain.require_domain(s)
     masses = [mass for _pts, _idx, mass in _walk_levels(chain, s, n, cap)]
-    return CylinderTable(anchor=s, horizon=n, m=chain.branch.m, masses=masses)
+    return CylinderTable(horizon=n, m=chain.branch.m, masses=masses)
 
 
 @dataclass
@@ -342,7 +341,7 @@ def intertwining_check(
     return IntertwiningResult(one_step_residual=r1, markov_residual=r2)
 
 
-def h_normalize(J: Kernel, gauge: Callable[[Point], float], name: str = "") -> Kernel:
+def h_normalize(J: Kernel, gauge: Callable[[Point], float]) -> Kernel:
     """J(s,t) / (h(s) h(t)); gauge zeros raise a domain error with the point."""
 
     def fn(s, t):
@@ -352,10 +351,10 @@ def h_normalize(J: Kernel, gauge: Callable[[Point], float], name: str = "") -> K
             raise InputError(f"h-normalization at gauge zero {point_label(bad)}")
         return J(s, t) / (hs * ht)
 
-    return Kernel(fn, name=name or f"{J.name}^(h)")
+    return Kernel(fn, name=f"{J.name}^(h)")
 
 
-def apply_L_tilde(G: Kernel, chain: DoobChain, name: str = "") -> Kernel:
+def apply_L_tilde(G: Kernel, chain: DoobChain) -> Kernel:
     """Normalized branching: sum_i p_i(s) p_i(t) G(phi_i(s), phi_i(t)); memoized.
 
     Branches with zero probability in either argument are skipped (their
@@ -372,7 +371,7 @@ def apply_L_tilde(G: Kernel, chain: DoobChain, name: str = "") -> Kernel:
             if a != 0.0 and b != 0.0
         )
 
-    return Kernel(fn, name=name or f"Lt[{G.name}]", memoize=True)
+    return Kernel(fn, name=f"Lt[{G.name}]", memoize=True)
 
 
 def normalization_commutes(
@@ -436,11 +435,8 @@ class ProductCylinderWeights:
         self.symbol_weights = tuple(q)
 
     @classmethod
-    def bernoulli(cls, p: float, m: int = 2) -> "ProductCylinderWeights":
-        if m == 2:
-            return cls([p, 1.0 - p])
-        rest = (1.0 - p) / (m - 1)
-        return cls([p] + [rest] * (m - 1))
+    def bernoulli(cls, p: float) -> "ProductCylinderWeights":
+        return cls([p, 1.0 - p])
 
     def mass(self, w: Word) -> float:
         out = 1.0

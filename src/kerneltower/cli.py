@@ -46,6 +46,7 @@ from .kernels import gram, psd_check
 from .models import FiniteStateModel, Model, WordTreeModel, build_model
 from .points import orbit_closure, point_label
 from .reports import Bundle, RunReport
+from .rngs import GENERATOR_NAME
 from .tower import (
     build_tower,
     defect_gram,
@@ -223,7 +224,7 @@ def cmd_gaussian(cfg: Config, model: Model, base, bundle: Bundle) -> dict:
         export_batch_csv(batch, bundle.outdir / "samples.csv")
 
     return {
-        "generator": "philox4x64-10",
+        "generator": GENERATOR_NAME,
         "seed": cfg.seed,
         "nsamples": cfg.nsamples,
         "top_level_max_z": float(np.max(_z_scores(cov - tower.levels[-1], se))),
@@ -285,6 +286,17 @@ def cmd_boundary(cfg: Config, model: Model, base, bundle: Bundle) -> dict:
     if not base:
         raise InputError("no base points inside the gauge-positive domain")
 
+    # The feature Gram comes first: its section pair cap refuses before any
+    # depth-cylinder_levels walk.
+    tower = build_tower(model.kernel, model.branch, base, feat_levels, cfg.tol, cfg.pair_cap)
+    nu = ProductCylinderWeights(cfg.boundary["nu"])
+    nu_alt = ProductCylinderWeights(cfg.boundary["nu_alt"])
+    bg = boundary_feature_gram(model.kernel, tower, chain, nu, feat_levels, cfg.tol, cfg.pair_cap)
+    bg_alt = boundary_feature_gram(model.kernel, tower, chain, nu_alt, feat_levels, cfg.tol,
+                                   cfg.pair_cap, sections=bg.sections)
+    nu_shift = float(np.max(np.abs(bg.entries - bg_alt.entries)))
+    bundle.add_gram_csv("boundary_gram.csv", bg.points, bg.entries)
+
     # The walks apply the word cap before the words are listed.
     tables = [cylinder_measure(chain, s, cyl_levels, cfg.pair_cap) for s in base]
     words, order = sorted_words(model.branch.m, cyl_levels)
@@ -300,15 +312,6 @@ def cmd_boundary(cfg: Config, model: Model, base, bundle: Bundle) -> dict:
     f = (lambda s: 0.5 ** len(s)) if isinstance(model, WordTreeModel) else (lambda s: float(s) + 1.0)
     inter = intertwining_check(chain, f, base[0], min(cyl_levels, 5), cfg.pair_cap)
     norm_res = normalization_commutes(model.kernel, chain, base, min(feat_levels, 5))
-
-    tower = build_tower(model.kernel, model.branch, base, feat_levels, cfg.tol, cfg.pair_cap)
-    nu = ProductCylinderWeights(cfg.boundary["nu"])
-    nu_alt = ProductCylinderWeights(cfg.boundary["nu_alt"])
-    bg = boundary_feature_gram(model.kernel, tower, chain, nu, feat_levels, cfg.tol, cfg.pair_cap)
-    bg_alt = boundary_feature_gram(model.kernel, tower, chain, nu_alt, feat_levels, cfg.tol,
-                                   cfg.pair_cap, sections=bg.sections)
-    nu_shift = float(np.max(np.abs(bg.entries - bg_alt.entries)))
-    bundle.add_gram_csv("boundary_gram.csv", bg.points, bg.entries)
 
     results = {
         "gauge": gauge_info,
@@ -367,7 +370,7 @@ def run_pipeline(command: str, cfg: Config, outdir: Path, verbose: bool) -> int:
 
 def cmd_verify(cfg: Config, outdir: Path, verbose: bool) -> int:
     ctx = VerifyContext(
-        seed=cfg.seed if cfg.seed is not None else 20250809,
+        seed=VerifyContext.seed if cfg.seed is None else cfg.seed,
         nsamples=cfg.nsamples,
         tol=cfg.tol,
         ceiling=cfg.ceiling,

@@ -331,7 +331,6 @@ def layer_cake_check(
 class TailBound:
     value: float
     certified: bool
-    method: str
 
 
 def tail_bound(
@@ -340,14 +339,11 @@ def tail_bound(
     t: Point,
     N: int,
     certificate: TailCertificate | None = None,
-    oracle_diag: Callable[[Point], float] | None = None,
-    require_certified: bool = False,
 ) -> TailBound:
     """Bound |K_inf(s,t) - K_N(s,t)|.
 
-    With a certificate: the closed geometric form (certified).  Without: a
-    Cauchy-Schwarz bound from the limit diagonal when a closed-form one is
-    supplied, else the tower's extrapolated Cauchy-Schwarz bound at level N
+    With a certificate: the closed geometric form (certified).  Without: the
+    tower's extrapolated Cauchy-Schwarz bound at level N
     (:func:`extrapolated_tail_bound`), flagged uncertified.
     """
     if N > tower.horizon:
@@ -355,13 +351,6 @@ def tail_bound(
     if certificate is not None:
         if not certificate.covers([s, t]):
             raise ContractError("certificate domain does not cover the requested points")
-        return TailBound(certificate.bound(s, t, N), certified=True, method="certificate")
-    if require_certified:
-        raise ContractError("certified bound requested but no certificate supplied")
-    a, b = tower.index(s), tower.index(t)
-    if oracle_diag is not None:
-        gap_s = max(oracle_diag(s) - tower.levels[N][a, a], 0.0)
-        gap_t = max(oracle_diag(t) - tower.levels[N][b, b], 0.0)
-        return TailBound(math.sqrt(gap_s * gap_t), certified=False, method="oracle-diagonal")
-    bound = extrapolated_tail_bound(tower.levels[: N + 1])[a, b]
-    return TailBound(float(bound), certified=False, method="extrapolated")
+        return TailBound(certificate.bound(s, t, N), certified=True)
+    bound = extrapolated_tail_bound(tower.levels[: N + 1])[tower.index(s), tower.index(t)]
+    return TailBound(float(bound), certified=False)

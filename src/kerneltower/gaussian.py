@@ -30,7 +30,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ContractError, InputError, NumericalError
+from .diagonal import classify_sequence
+from .errors import InputError, NumericalError
 from .kernels import DEFAULT_PSD_TOL, Kernel
 from .points import BranchSystem, Point, point_label
 from .reports import write_csv
@@ -44,7 +45,6 @@ class TowerSampler:
     """Draws centered Gaussian field levels with covariances K_0..K_N; factors once."""
 
     def __init__(self, tower: Tower, seed: int, tol: float = DEFAULT_PSD_TOL):
-        self.tower = tower
         self.seed = int(seed)
         self.points = tower.points
         try:
@@ -133,15 +133,12 @@ def empirical_covariance(batch: FieldBatch, level: int) -> tuple[np.ndarray, np.
     return sample_covariance(X)
 
 
-def sample_covariance(X: np.ndarray, Y: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+def sample_covariance(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Covariance of exactly-centered samples with plug-in standard errors."""
-    if Y is None:
-        Y = X
     n = X.shape[0]
-    cov = X.T @ Y / n
-    var_x = np.einsum("ja,ja->a", X, X) / n
-    var_y = var_x if Y is X else np.einsum("ja,ja->a", Y, Y) / n
-    se = np.sqrt(np.maximum(np.outer(var_x, var_y) + cov**2, 0.0) / n)
+    cov = X.T @ X / n
+    var = np.einsum("ja,ja->a", X, X) / n
+    se = np.sqrt(np.maximum(np.outer(var, var) + cov**2, 0.0) / n)
     return cov, se
 
 
@@ -235,22 +232,8 @@ class LimitFields:
     levels_used: int
 
 
-def limit_fields(
-    sampler: TowerSampler,
-    nsamples: int,
-    tail_bound: float | None = None,
-    tail_tol: float | None = None,
-) -> LimitFields:
-    """Sample (Z, Y) = (top-level field, level-0 component).
-
-    When a truncation tail bound and a tolerance are supplied, refuse to
-    pretend Z has converged if the bound exceeds the tolerance.
-    """
-    if tail_bound is not None and tail_tol is not None and tail_bound > tail_tol:
-        raise ContractError(
-            f"truncation tail bound {tail_bound:.3e} exceeds the requested "
-            f"tolerance {tail_tol:.3e}; build the tower to a larger horizon"
-        )
+def limit_fields(sampler: TowerSampler, nsamples: int) -> LimitFields:
+    """Sample (Z, Y) = (top-level field, level-0 component)."""
     return sampler.limit(sampler.draw(nsamples))
 
 
@@ -270,8 +253,6 @@ def boundedness_probe(
     and applies the same finite-horizon verdict heuristic as the diagonal
     trace, with a noise floor of PASS_SIGMA standard errors.
     """
-    from .diagonal import classify_sequence  # local import avoids a cycle
-
     tower = build_tower(K, branch, points, horizon, tol)
     batch = TowerSampler(tower, seed, tol).sample(nsamples)
     traces = []

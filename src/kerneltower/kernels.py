@@ -73,7 +73,7 @@ class Kernel:
         return self._fn if self._memo is None else self.__call__
 
 
-def apply_L(J: Kernel, branch: BranchSystem, name: str = "") -> Kernel:
+def apply_L(J: Kernel, branch: BranchSystem) -> Kernel:
     """The branching operator: (LJ)(s,t) = sum_i J(phi_i(s), phi_i(t)).
 
     Lazy and memoized per point pair; preserves symmetry and positive
@@ -84,7 +84,7 @@ def apply_L(J: Kernel, branch: BranchSystem, name: str = "") -> Kernel:
     def fn(s, t):
         return math.fsum(J(f(s), f(t)) for f in maps)
 
-    return Kernel(fn, name=name or f"L[{J.name}]", memoize=True)
+    return Kernel(fn, name=f"L[{J.name}]", memoize=True)
 
 
 def apply_L_power(J: Kernel, branch: BranchSystem, n: int) -> Kernel:
@@ -189,21 +189,22 @@ def sqrt_factor(A: np.ndarray, tol: float = DEFAULT_PSD_TOL) -> np.ndarray:
     """Symmetric square-root factor R with R @ R.T ~= A.
 
     Eigendecomposition with small negative eigenvalues clipped at zero;
-    eigenvalues below -tol*scale are a genuine PSD failure, and so is a
+    a smallest eigenvalue that fails :class:`PsdReport`'s threshold
+    (-tol * max(scale, 1)) is a genuine PSD failure, and so is a
     factor that fails to reconstruct A within 1e-10*scale.  Rows at indices
     where A has an exactly zero diagonal are zero: for a PSD matrix that row
     of any factor is zero, and the eigendecomposition would otherwise leave
     rounding noise there.
     """
     A = np.asarray(A, dtype=float)
-    scale = max(float(np.max(np.abs(np.diag(A)))), 1.0) if A.shape[0] else 1.0
     w, U = np.linalg.eigh(A)
-    if w[0] < -tol * scale:
+    report = PsdReport(float(w[0]), float(np.max(np.abs(np.diag(A)))), tol)
+    if not report.psd:
         raise NumericalError(
             f"square-root factorization: eigenvalue {w[0]:.3e} below -tol*scale"
         )
     R = U * np.sqrt(np.clip(w, 0.0, None))
     R[np.diag(A) == 0.0] = 0.0
-    if np.max(np.abs(R @ R.T - A)) > 1e-10 * scale:
+    if np.max(np.abs(R @ R.T - A)) > 1e-10 * max(report.scale, 1.0):
         raise NumericalError("square-root factor failed to reconstruct its input")
     return R

@@ -35,8 +35,6 @@ Word = tuple[int, ...]
 # Default ceiling on enumerated words / orbit applications.
 DEFAULT_WORD_CAP = 2**24
 
-EMPTY_WORD: Word = ()
-
 
 def point_label(s: Point) -> str:
     """Human-readable label; word-tuples render as digit strings."""

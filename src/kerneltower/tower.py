@@ -207,9 +207,6 @@ class Tower:
     trace_increments: list[float]
     telescoping_residual: float
 
-    def level_gram(self, n: int) -> Gram:
-        return Gram(self.points, self.levels[n])
-
     def index(self, s: Point) -> int:
         try:
             return self.points.index(s)
@@ -441,7 +438,6 @@ class KInfinityEstimate:
     certified: bool
     levels_used: int
     converged: bool
-    trace_history: list[float]
     tower: Tower
 
     @property
@@ -511,7 +507,6 @@ def estimate_K_infinity(
         certified=certificate is not None,
         levels_used=N,
         converged=converged,
-        trace_history=traces,
         tower=tower,
     )
 

@@ -221,13 +221,13 @@ def check_blowup_classification(ctx) -> CheckResult:
 
     w_delta = blowup_detect(delta.kernel, delta.branch, delta.point(""), everywhere, 1.0, delta.m, levels)
     w_tree = blowup_detect(tree.kernel, tree.branch, tree.point(""), everywhere, 1.0, tree.m, levels)
-    v_delta = diagonal_trace(delta.kernel, delta.branch, delta.point(""), 8).verdict
-    v_tree = diagonal_trace(tree.kernel, tree.branch, tree.point(""), 8).verdict
+    v_delta = diagonal_trace(delta.kernel, delta.branch, delta.point(""), 8, ceiling=ctx.ceiling).verdict
+    v_tree = diagonal_trace(tree.kernel, tree.branch, tree.point(""), 8, ceiling=ctx.ceiling).verdict
 
-    probe_delta = boundedness_probe(delta.kernel, delta.branch, [delta.point("")], 20_000, 8, ctx.seed)
-    probe_tree = boundedness_probe(
-        tree.kernel, tree.branch, [tree.point(x) for x in ("", "1", "2")], 20_000, 8, ctx.seed
-    )
+    probe_delta = boundedness_probe(delta.kernel, delta.branch, [delta.point("")], 20_000, 8, ctx.seed,
+                                    ceiling=ctx.ceiling, tol=ctx.tol)
+    probe_tree = boundedness_probe(tree.kernel, tree.branch, [tree.point(x) for x in ("", "1", "2")],
+                                   20_000, 8, ctx.seed, ceiling=ctx.ceiling, tol=ctx.tol)
     ok = (
         w_delta.valid
         and not w_tree.valid

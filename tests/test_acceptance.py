@@ -10,6 +10,7 @@ verify command twice and comparing the output directories byte for byte.
 import csv
 import filecmp
 import json
+from types import SimpleNamespace
 
 import pytest
 
@@ -62,3 +63,21 @@ def test_fault_injection_fails_named_check(tmp_path, capsys):
     print(result.line())
     assert not result.passed
     assert result.criterion == 3
+
+
+def test_blowup_classification_reads_the_context(monkeypatch):
+    """Criterion 6 passes the context's ceiling and tolerance on, as criterion 5 does."""
+    import kerneltower.verify as verify
+
+    calls = []
+
+    def record(name, result):
+        def fn(*args, **kwargs):
+            calls.append((name, kwargs))
+            return result
+        return fn
+
+    monkeypatch.setattr(verify, "diagonal_trace", record("trace", SimpleNamespace(verdict="converging")))
+    monkeypatch.setattr(verify, "boundedness_probe", record("probe", "converging"))
+    verify.check_blowup_classification(VerifyContext(ceiling=123.0, tol=1e-7))
+    assert calls == [("trace", {"ceiling": 123.0})] * 2 + [("probe", {"ceiling": 123.0, "tol": 1e-7})] * 2

@@ -343,8 +343,6 @@ def test_weights_validation():
         ProductCylinderWeights([0.4, 0.4])
     w = ProductCylinderWeights.bernoulli(0.3)
     assert w.mass((1, 2, 1)) == pytest.approx(0.3 * 0.7 * 0.3, abs=1e-15)
-    w3 = ProductCylinderWeights.bernoulli(0.5, m=3)
-    assert w3.mass((2,)) == pytest.approx(0.25, abs=1e-15)
 
 
 def test_boundary_gram_single_level_is_defect(chain, ex25, small_base):

@@ -442,6 +442,25 @@ def test_boundary_section_pairs_are_capped(tmp_path, capsys):
     assert "config boundary.feature_levels" in err
 
 
+def test_boundary_section_cap_refuses_before_any_cylinder_walk(tmp_path, capsys, monkeypatch):
+    # Three maps at the default cylinder_levels (12): the section pair cap
+    # refuses first, so no depth-12 walk runs and no cylinders.csv is written.
+    import kerneltower.cli
+
+    def walk(*args, **kwargs):
+        raise AssertionError("cylinder walk before the section pair cap")
+
+    monkeypatch.setattr(kerneltower.cli, "cylinder_measure", walk)
+    cfg = write_config(tmp_path, "model: {kind: word-tree, m: 3}\nbase_points: ['', '1', '2']\n"
+                                 "horizon: 4\nboundary: {nu: [0.2, 0.3, 0.5], nu_alt: [0.5, 0.25, 0.25]}\n")
+    code = main(["boundary", "--config", cfg, "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert code == 5
+    assert err.startswith("error[resource]: boundary section Gram: ")
+    assert "config boundary.feature_levels" in err
+    assert not (tmp_path / "out" / "cylinders.csv").exists()
+
+
 def test_boundary_reads_only_the_rows_its_walks_reach(tmp_path, capsys):
     # The benchmark tree config at a small cap: each depth-12 walk has 4096
     # words, under the cap, though the 32767-point orbit closure of depth 12

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from kerneltower import (
-    ContractError,
     TowerSampler,
     boundedness_probe,
     build_tower,
@@ -177,15 +176,6 @@ def test_limit_fields_invariant_kernel_is_level_zero(ex25, small_base):
     tower = build_tower(ex25.diag_invariant, ex25.branch, small_base, 5)
     fields = limit_fields(TowerSampler(tower, seed=29), 1_000)
     assert np.array_equal(fields.Z, fields.Y)
-
-
-def test_limit_fields_tail_contract(ex25, small_base):
-    tower = build_tower(ex25.kernel, ex25.branch, small_base, 3)
-    sampler = TowerSampler(tower, seed=31)
-    with pytest.raises(ContractError):
-        limit_fields(sampler, 100, tail_bound=1e-2, tail_tol=1e-3)
-    fields = limit_fields(sampler, 100, tail_bound=1e-4, tail_tol=1e-3)
-    assert fields.levels_used == 3
 
 
 def test_boundedness_probe_agrees_with_traces(ex25, delta2, feeder, small_base):

@@ -6,6 +6,7 @@ import pytest
 from kerneltower import (
     ContractError,
     DivergenceError,
+    Gram,
     InputError,
     Kernel,
     KInfinityEstimate,
@@ -117,7 +118,8 @@ def test_tower_monotone_in_psd_order(ex25, feeder, small_base):
     for K, B, F in cases:
         tower = build_tower(K, B, F, 6)
         for n in range(6):
-            assert psd_leq(tower.level_gram(n), tower.level_gram(n + 1)).psd
+            lower, upper = (Gram(tower.points, tower.levels[k]) for k in (n, n + 1))
+            assert psd_leq(lower, upper).psd
 
 
 def test_tower_telescoping_all_builtins(ex25, delta2, feeder):
@@ -273,7 +275,7 @@ def test_invariance_residual_oracle_is_tiny(ex25, small_base):
     oracle = np.array([[ex25.oracle_limit(s, t) for t in F1] for s in F1])
     est = KInfinityEstimate(
         points=tuple(F1), entries=oracle, bound=np.zeros_like(oracle),
-        certified=True, levels_used=0, converged=True, trace_history=[], tower=None,
+        certified=True, levels_used=0, converged=True, tower=None,
     )
     assert invariance_residual(est, ex25.branch, small_base) <= 1e-12
 
@@ -346,7 +348,7 @@ def test_minimality_estimate_as_its_own_candidate(ex25, small_base):
     oracle = np.array([[ex25.oracle_limit(s, t) for t in F1] for s in F1])
     est = KInfinityEstimate(
         points=tuple(F1), entries=oracle, bound=np.zeros_like(oracle),
-        certified=True, levels_used=0, converged=True, trace_history=[], tower=None,
+        certified=True, levels_used=0, converged=True, tower=None,
     )
     candidate = Kernel(lambda s, t: ex25.oracle_limit(s, t), name="limit")
     report = minimality_check(est, candidate, ex25.kernel, ex25.branch, small_base)
