@@ -56,7 +56,7 @@ class DoobChain:
         gauge: Callable[[Point], float],
         branch: BranchSystem,
         domain: Sequence[Point],
-        tol: float = 1e-9,
+        tol: float = DEFAULT_PSD_TOL,
     ):
         self.branch = branch
         self.tol = tol
@@ -140,7 +140,7 @@ def build_doob(
     gauge: Callable[[Point], float],
     branch: BranchSystem,
     domain: Sequence[Point],
-    tol: float = 1e-9,
+    tol: float = DEFAULT_PSD_TOL,
 ) -> DoobChain:
     return DoobChain(gauge, branch, domain, tol)
 
@@ -192,6 +192,10 @@ class CylinderTable:
 
     def level_sum(self, k: int) -> float:
         return math.fsum(self.masses[k].tolist())
+
+    def level_sum_error(self) -> float:
+        """max |level sum - 1| over levels 0..horizon: the gauge's harmonicity defect."""
+        return max(abs(self.level_sum(k) - 1.0) for k in range(self.horizon + 1))
 
 
 def sorted_words(m: int, n: int) -> tuple[tuple[str, ...], np.ndarray]:
@@ -419,6 +423,11 @@ def tilde_word_expansion(
     )
 
 
+def symbol_weights_ok(q: Sequence[float]) -> bool:
+    """Cylinder symbol weights: each positive, summing to 1 within 1e-9."""
+    return all(x > 0.0 for x in q) and abs(math.fsum(q) - 1.0) <= 1e-9
+
+
 class ProductCylinderWeights:
     """Product reference measure on the path space: mass of [w] = prod q_{w_k}.
 
@@ -428,10 +437,9 @@ class ProductCylinderWeights:
 
     def __init__(self, symbol_weights: Sequence[float]):
         q = [float(x) for x in symbol_weights]
-        if any(x <= 0.0 for x in q):
-            raise InputError("cylinder weights must be strictly positive")
-        if abs(math.fsum(q) - 1.0) > 1e-9:
-            raise InputError("cylinder symbol weights must sum to 1")
+        if not symbol_weights_ok(q):
+            raise InputError("cylinder weights must be strictly positive" if any(x <= 0.0 for x in q)
+                             else "cylinder symbol weights must sum to 1")
         self.symbol_weights = tuple(q)
 
     @classmethod
@@ -516,6 +524,10 @@ class BoundaryGram:
     @property
     def residual(self) -> float:
         return float(np.max(np.abs(self.entries - self.reference)))
+
+    def nu_shift(self, other: "BoundaryGram") -> float:
+        """max |entries - other.entries|: the move under another reference measure."""
+        return float(np.max(np.abs(self.entries - other.entries)))
 
 
 def boundary_feature_gram(

@@ -16,46 +16,26 @@ from pathlib import Path
 
 import numpy as np
 
-from .boundary import (
-    ProductCylinderWeights,
-    boundary_feature_gram,
-    build_doob,
-    cylinder_measure,
-    gauge_from_tower,
-    intertwining_check,
-    normalization_commutes,
-    sample_path,
-    sorted_words,
-)
+from .boundary import (ProductCylinderWeights, boundary_feature_gram, build_doob, cylinder_measure,
+                       gauge_from_tower, intertwining_check, normalization_commutes, sample_path,
+                       sorted_words)
 from .config import Config, load_config, override, parse_config
-from .diagonal import (
-    blowup_detect,
-    diagonal_trace,
-    lyapunov_verify,
-)
+from .diagonal import blowup_detect, diagonal_trace, lyapunov_verify
 from .errors import EXIT_NUMERICAL, EXIT_RESOURCE, InputError, KernelTowerError
-from .gaussian import (
-    TowerSampler,
-    _z_scores,
-    empirical_covariance,
-    export_batch_csv,
-    martingale_checks,
-    sample_covariance,
-)
+from .gaussian import (TowerSampler, _z_scores, empirical_covariance, export_batch_csv,
+                       martingale_checks, sample_covariance)
 from .kernels import gram, psd_check
 from .models import FiniteStateModel, Model, WordTreeModel, build_model
 from .points import orbit_closure, point_label
 from .reports import Bundle, RunReport
 from .rngs import GENERATOR_NAME
-from .tower import (
-    build_tower,
-    defect_gram,
-    estimate_K_infinity,
-    invariance_residual,
-    level_via_words,
-    subinvariance_check,
-)
-from .verify import VerifyContext, run_checks
+from .tower import (TELESCOPE_RTOL, build_tower, defect_gram, estimate_K_infinity,
+                    invariance_residual, level_via_words, subinvariance_check)
+from .verify import (BOUNDARY_RESIDUAL_TOL, CYLINDER_SUM_TOL, INTERTWINING_TOL, LAYER_CAKE_TOL,
+                     NU_INVARIANCE_TOL, WORD_ROUTE_TOL, VerifyContext, run_checks)
+
+WORD_CHECK_LEVELS = 8  # the deepest level the word routes re-check
+STEP_CHECK_LEVELS = 5  # the steps of the intertwining and normalization checks
 
 
 def _resolve_base(cfg: Config, model: Model):
@@ -128,12 +108,12 @@ def cmd_tower(cfg: Config, model: Model, base, bundle: Bundle) -> dict:
     results["tower"] = {
         "horizon": cfg.horizon,
         "telescoping_rel_residual": tower.telescoping_residual,
-        "telescoping_tolerance": 1e-12,
+        "telescoping_tolerance": TELESCOPE_RTOL,
         "defect_min_eigs": [r.min_eigenvalue for r in tower.defect_reports],
         "trace_increments": tower.trace_increments,
     }
 
-    word_n = min(cfg.horizon, 8)
+    word_n = min(cfg.horizon, WORD_CHECK_LEVELS)
     worst_word = 0.0
     words = level_via_words(model.kernel, model.branch, base, word_n, cfg.pair_cap)
     for n, W in enumerate(words):
@@ -141,7 +121,7 @@ def cmd_tower(cfg: Config, model: Model, base, bundle: Bundle) -> dict:
     results["word_expansion"] = {
         "levels_checked": word_n,
         "max_abs_residual": worst_word,
-        "tolerance": 1e-12,
+        "tolerance": WORD_ROUTE_TOL,
     }
 
     cert, cert_status = _resolve_certificate(cfg, model, base)
@@ -181,10 +161,10 @@ def cmd_diagonal(cfg: Config, model: Model, base, bundle: Bundle) -> dict:
         results["traces"][label] = {"verdict": trace.verdict, "values": trace.values}
         for n, u in enumerate(trace.values):
             rows.append((label, n, u))
-        for lc in trace.layer_cake[:9]:  # levels 0..min(horizon, 8)
+        for lc in trace.layer_cake[:WORD_CHECK_LEVELS + 1]:
             worst_cake = max(worst_cake, lc.residual / max(1.0, abs(lc.word_sum)))
     bundle.add_csv("diagonal_traces.csv", ["point", "level", "u_n"], rows)
-    results["layer_cake"] = {"max_rel_residual": worst_cake, "tolerance": 1e-12}
+    results["layer_cake"] = {"max_rel_residual": worst_cake, "tolerance": LAYER_CAKE_TOL}
 
     cert, cert_status = _resolve_certificate(cfg, model, base)
     results["certificate"] = {"status": cert_status}
@@ -192,7 +172,7 @@ def cmd_diagonal(cfg: Config, model: Model, base, bundle: Bundle) -> dict:
         results["certificate"].update({"C": cert.C, "beta": cert.beta,
                                        "domain_size": len(cert.domain)})
     elif any(v != "converging" for v in verdicts.values()):
-        levels = list(range(1, min(cfg.horizon, 8) + 1))
+        levels = list(range(1, min(cfg.horizon, WORD_CHECK_LEVELS) + 1))
         witness = blowup_detect(
             model.kernel, model.branch, base[0], lambda x: True,
             1.0, float(model.branch.m), levels, cfg.pair_cap,
@@ -294,45 +274,41 @@ def cmd_boundary(cfg: Config, model: Model, base, bundle: Bundle) -> dict:
     bg = boundary_feature_gram(model.kernel, tower, chain, nu, feat_levels, cfg.tol, cfg.pair_cap)
     bg_alt = boundary_feature_gram(model.kernel, tower, chain, nu_alt, feat_levels, cfg.tol,
                                    cfg.pair_cap, sections=bg.sections)
-    nu_shift = float(np.max(np.abs(bg.entries - bg_alt.entries)))
     bundle.add_gram_csv("boundary_gram.csv", bg.points, bg.entries)
 
     # The walks apply the word cap before the words are listed.
     tables = [cylinder_measure(chain, s, cyl_levels, cfg.pair_cap) for s in base]
     words, order = sorted_words(model.branch.m, cyl_levels)
     masses = np.empty((len(base), len(order)))
-    level_sum_err = 0.0
     for row, table in zip(masses, tables):
         row[:] = np.concatenate(table.masses)[order]
-        level_sum_err = max([level_sum_err] + [abs(table.level_sum(k) - 1.0)
-                                               for k in range(cyl_levels + 1)])
     bundle.add_gram_csv("cylinders.csv", base, masses, columns=[w or "-" for w in words],
                         header="anchor_label,word,probability")
 
     f = (lambda s: 0.5 ** len(s)) if isinstance(model, WordTreeModel) else (lambda s: float(s) + 1.0)
-    inter = intertwining_check(chain, f, base[0], min(cyl_levels, 5), cfg.pair_cap)
-    norm_res = normalization_commutes(model.kernel, chain, base, min(feat_levels, 5))
+    inter = intertwining_check(chain, f, base[0], min(cyl_levels, STEP_CHECK_LEVELS), cfg.pair_cap)
+    norm_res = normalization_commutes(model.kernel, chain, base, min(feat_levels, STEP_CHECK_LEVELS))
 
     results = {
         "gauge": gauge_info,
         "cylinders": {
             "levels": cyl_levels,
-            "max_level_sum_error": level_sum_err,
-            "tolerance": 1e-12,
+            "max_level_sum_error": max(table.level_sum_error() for table in tables),
+            "tolerance": CYLINDER_SUM_TOL,
         },
         "intertwining": {
             "one_step_residual": inter.one_step_residual,
             "markov_residual": inter.markov_residual,
             "normalization_residual": norm_res,
-            "tolerance": 1e-12,
+            "tolerance": INTERTWINING_TOL,
         },
         "boundary_gram": {
             "levels": feat_levels,
             "residual": bg.residual,
             "nu": nu.describe(),
             "nu_alt": nu_alt.describe(),
-            "nu_invariance": nu_shift,
-            "tolerances": {"residual": 1e-10, "nu_invariance": 1e-12},
+            "nu_invariance": bg.nu_shift(bg_alt),
+            "tolerances": {"residual": BOUNDARY_RESIDUAL_TOL, "nu_invariance": NU_INVARIANCE_TOL},
         },
     }
     if cfg.seed is not None:

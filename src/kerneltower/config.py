@@ -6,7 +6,8 @@ sub-table, and ``model`` has one sub-table per ``kind``.  ``parse_config``
 walks it, and ``override`` checks a command-line flag by the same entry.
 Unknown keys are refused at every level, and every error names its key
 path (``config <path>: ...``) or its flag.  This module is the one place
-that decides whether a config value is valid.
+that decides whether a config value is valid; each library default it
+restates is read from the module that owns it.
 """
 
 from __future__ import annotations
@@ -21,7 +22,12 @@ from typing import Any, Callable, Mapping, NamedTuple
 
 import yaml
 
+from .boundary import symbol_weights_ok
 from .errors import InputError
+from .gaussian import DEFAULT_NSAMPLES
+from .kernels import DEFAULT_PSD_TOL
+from .points import DEFAULT_WORD_CAP
+from .tower import DEFAULT_CEILING, DEFAULT_MAX_LEVELS
 
 # libyaml where PyYAML has it: the same data and text, several times faster.
 _Loader = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
@@ -124,8 +130,7 @@ _NONNEGATIVE = (lambda n: n >= 0, "must be nonnegative")
 _POSITIVE = (lambda n: n >= 1, "must be positive")
 _BRANCHES = (lambda m: m >= 2, "must be at least 2")
 _UNIT = (lambda x: 0.0 < x < 1.0, "must lie strictly between 0 and 1")
-_WEIGHTS = (lambda q: all(x > 0.0 for x in q) and abs(math.fsum(q) - 1.0) <= 1e-9,
-            "must be positive weights summing to 1")
+_WEIGHTS = (symbol_weights_ok, "must be positive weights summing to 1")
 
 _LYAPUNOV = {  # a per-state certificate of a finite-state model; r has one value per state
     "C": Key(_as_float, _REQUIRED, math.isfinite, "must be finite"),
@@ -178,13 +183,13 @@ SCHEMA = {
     "base_points": Key(_as_list, None),  # point labels; the default is the model kind's
     "closure_depth": Key(_as_int, 0, *_NONNEGATIVE),
     "horizon": Key(_as_int, 8, *_NONNEGATIVE),
-    "tol": Key(_as_float, 1e-9, lambda x: 0.0 < x < math.inf, "must be finite and positive"),
+    "tol": Key(_as_float, DEFAULT_PSD_TOL, lambda x: 0.0 < x < math.inf, "must be finite and positive"),
     "seed": Key(_as_int, None, lambda s: 0 <= s < 2**128, "must be at least 0 and below 2**128"),
-    "nsamples": Key(_as_int, 100_000, *_POSITIVE),
-    "max_levels": Key(_as_int, 40, *_NONNEGATIVE),
+    "nsamples": Key(_as_int, DEFAULT_NSAMPLES, *_POSITIVE),
+    "max_levels": Key(_as_int, DEFAULT_MAX_LEVELS, *_NONNEGATIVE),
     "trace_eps": Key(_as_float, None, lambda x: x >= 0.0, "must be nonnegative"),
-    "ceiling": Key(_as_float, 1e12, lambda x: x > 0.0, "must be positive"),
-    "pair_cap": Key(_as_int, 2**24, *_POSITIVE),
+    "ceiling": Key(_as_float, DEFAULT_CEILING, lambda x: x > 0.0, "must be positive"),
+    "pair_cap": Key(_as_int, DEFAULT_WORD_CAP, *_POSITIVE),
     "certificate": Key(_as_certificate, "auto"),
     "boundary": {
         "cylinder_levels": Key(_as_int, 12, *_NONNEGATIVE),

@@ -31,23 +31,10 @@ import numpy as np
 
 from .errors import ContractError, InputError, NumericalError
 from .kernels import Kernel
-from .points import (
-    DEFAULT_WORD_CAP,
-    BranchSystem,
-    Point,
-    fsum_rows,
-    orbit_closure,
-    point_label,
-    word_levels,
-    word_overflow,
-)
-from .tower import (
-    DEFAULT_CEILING,
-    TailCertificate,
-    Tower,
-    extrapolated_tail_bound,
-    tower_gram_iter,
-)
+from .points import (DEFAULT_WORD_CAP, BranchSystem, Point, check_word_levels, fsum_rows,
+                     orbit_closure, point_label, word_levels, word_overflow)
+from .tower import (DEFAULT_CEILING, TailCertificate, Tower, extrapolated_tail_bound,
+                    tower_gram_iter, trace_stall_eps)
 
 CONVERGING = "converging"
 DIVERGING = "diverging"
@@ -130,8 +117,10 @@ def diagonal_trace(
     all length-n branch words (the scalar kernel once per distinct point of
     a level, an exact fsum over every word), so the trace walks the word
     tree of ``s`` once and carries its layer-cake levels.  Disagreement
-    beyond 1e-12 (relative) is a numerical failure.
+    beyond 1e-12 (relative) is a numerical failure.  A horizon past the
+    word cap is refused before either route runs.
     """
+    check_word_levels(branch.m, horizon, cap)
     it = tower_gram_iter(K, branch, [s], cap)
     tower_vals = [float(next(it)[0, 0]) for _ in range(horizon + 1)]
     cakes = layer_cake_check(K, branch, s, horizon, cap)
@@ -142,9 +131,7 @@ def diagonal_trace(
                 f"diagonal routes disagree at level {n} for {point_label(s)}: "
                 f"{a!r} vs {b!r}"
             )
-    if trace_eps is None:
-        trace_eps = 1e-10 * max(tower_vals[0], 1.0)
-    verdict = classify_sequence(tower_vals, trace_eps, ceiling)
+    verdict = classify_sequence(tower_vals, trace_stall_eps(trace_eps, tower_vals[0]), ceiling)
     return DiagonalTrace(point=s, values=tower_vals, verdict=verdict, layer_cake=cakes)
 
 

@@ -39,6 +39,7 @@ from .rngs import make_rng
 from .tower import DEFAULT_CEILING, Tower, build_tower
 
 PASS_SIGMA = 5.0
+DEFAULT_NSAMPLES = 100_000
 
 
 class TowerSampler:
@@ -137,9 +138,13 @@ def sample_covariance(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Covariance of exactly-centered samples with plug-in standard errors."""
     n = X.shape[0]
     cov = X.T @ X / n
-    var = np.einsum("ja,ja->a", X, X) / n
-    se = np.sqrt(np.maximum(np.outer(var, var) + cov**2, 0.0) / n)
-    return cov, se
+    return cov, _plugin_se(cov, np.einsum("ja,ja->a", X, X) / n, n)
+
+
+def _plugin_se(cov: np.ndarray, var: np.ndarray, n: int) -> np.ndarray:
+    """Standard errors of a centered covariance from n samples: the Gaussian
+    fourth-moment formula with the estimate ``cov`` (diagonal ``var``) plugged in."""
+    return np.sqrt(np.maximum(np.outer(var, var) + cov**2, 0.0) / n)
 
 
 def _z_scores(delta: np.ndarray, se: np.ndarray) -> np.ndarray:
@@ -204,8 +209,7 @@ def martingale_checks(batch: FieldBatch, tower: Tower) -> MartingaleReport:
             z = _z_scores(M2[a, :, b, :], cross_se[a, :, b, :])
             cross_z = max(cross_z, float(np.max(z)))
         cov = M2[a, :, a, :]
-        var = np.diag(cov)
-        se = np.sqrt(np.maximum(np.outer(var, var) + cov**2, 0.0) / n)
+        se = _plugin_se(cov, np.diag(cov), n)
         qv_z_per_level.append(float(np.max(_z_scores(cov - tower.defects[a], se))))
 
     return MartingaleReport(

@@ -19,6 +19,7 @@ from .errors import InputError, KernelTowerError, ModelError, NumericalError, Re
 from .points import BranchSystem, Point, point_label
 
 DEFAULT_PSD_TOL = 1e-9
+FACTOR_RTOL = 1e-10  # how closely, relative to the scale, a factor reproduces its Gram
 
 
 @dataclass(frozen=True)
@@ -190,11 +191,11 @@ def sqrt_factor(A: np.ndarray, tol: float = DEFAULT_PSD_TOL) -> np.ndarray:
 
     Eigendecomposition with small negative eigenvalues clipped at zero;
     a smallest eigenvalue that fails :class:`PsdReport`'s threshold
-    (-tol * max(scale, 1)) is a genuine PSD failure, and so is a
-    factor that fails to reconstruct A within 1e-10*scale.  Rows at indices
-    where A has an exactly zero diagonal are zero: for a PSD matrix that row
-    of any factor is zero, and the eigendecomposition would otherwise leave
-    rounding noise there.
+    (-tol * max(scale, 1)) is a genuine PSD failure, and so is a factor
+    that fails to reconstruct A within FACTOR_RTOL * max(scale, 1).  Rows at
+    indices where A has an exactly zero diagonal are zero: for a PSD matrix
+    that row of any factor is zero, and the eigendecomposition would
+    otherwise leave rounding noise there.
     """
     A = np.asarray(A, dtype=float)
     w, U = np.linalg.eigh(A)
@@ -205,6 +206,6 @@ def sqrt_factor(A: np.ndarray, tol: float = DEFAULT_PSD_TOL) -> np.ndarray:
         )
     R = U * np.sqrt(np.clip(w, 0.0, None))
     R[np.diag(A) == 0.0] = 0.0
-    if np.max(np.abs(R @ R.T - A)) > 1e-10 * max(report.scale, 1.0):
+    if np.max(np.abs(R @ R.T - A)) > FACTOR_RTOL * max(report.scale, 1.0):
         raise NumericalError("square-root factor failed to reconstruct its input")
     return R

@@ -87,6 +87,12 @@ def check_word_cap(m: int, n: int, cap: int = DEFAULT_WORD_CAP) -> int:
     return count
 
 
+def check_word_levels(m: int, n: int, cap: int = DEFAULT_WORD_CAP) -> None:
+    """Refuse word levels 0..n at the first one past the cap; m**n is never formed."""
+    for k in range(n + 1 if m > 1 else min(n + 1, 1)):  # m = 1: one word per level
+        check_word_cap(m, k, cap)
+
+
 def enumerate_words(m: int, n: int, cap: int = DEFAULT_WORD_CAP) -> list[Word]:
     """All m^n words of length n, lexicographically ordered."""
     if n < 0:
@@ -111,8 +117,7 @@ def word_levels(
     """
     if n < 0:
         raise InputError("word length must be nonnegative")
-    for k in range(n + 1):
-        check_word_cap(branch.m, k, cap)
+    check_word_levels(branch.m, n, cap)
     pts, idx = [s], np.zeros(1, dtype=np.int64)
     levels = [(pts, idx)]
     for _ in range(n):

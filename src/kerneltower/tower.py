@@ -48,6 +48,7 @@ from .errors import (
 )
 from .kernels import (
     DEFAULT_PSD_TOL,
+    FACTOR_RTOL,
     Gram,
     Kernel,
     PsdReport,
@@ -235,8 +236,7 @@ class Tower:
             reports.append(report)
 
         reconstructed = levels[0] + sum(defects) if defects else levels[0]
-        scale = max(float(np.max(np.abs(levels[-1]))), 1.0)
-        residual = float(np.max(np.abs(reconstructed - levels[-1]))) / scale
+        residual = relative_residual(reconstructed - levels[-1], levels[-1])
         if residual > TELESCOPE_RTOL:
             raise NumericalError(
                 f"telescoping residual {residual:.3e} exceeds {TELESCOPE_RTOL:.1e}"
@@ -261,6 +261,16 @@ class Tower:
                 what = "base kernel" if n == 0 else f"defect level {n - 1}"
                 raise NumericalError(f"{what} factor failed: {exc}") from exc
         return out
+
+
+def relative_residual(diff: np.ndarray, ref: np.ndarray) -> float:
+    """max |diff| over max(max |ref|, 1): the telescoping identity's residual."""
+    return float(np.max(np.abs(diff))) / max(float(np.max(np.abs(ref))), 1.0)
+
+
+def trace_stall_eps(trace_eps: float | None, level0: float) -> float:
+    """``trace_eps``, by default 1e-10 * max(level-0 value, 1): an increment below it is a stall."""
+    return 1e-10 * max(level0, 1.0) if trace_eps is None else trace_eps
 
 
 def defect_gram(K: Kernel, branch: BranchSystem, points: Sequence[Point],
@@ -458,10 +468,10 @@ def estimate_K_infinity(
 ) -> KInfinityEstimate:
     """Iterate the tower until the trace stalls, then attach an error bound.
 
-    Stopping: trace increment below ``trace_eps`` (default 1e-10 times the
-    level-0 trace) or ``max_levels``.  Any diagonal beyond ``ceiling``
-    aborts with a divergence report pointing at the diagonal classification
-    tools.  With a certificate the per-entry bound is the closed geometric
+    Stopping: trace increment below ``trace_eps`` (by default
+    :func:`trace_stall_eps` of the level-0 trace) or ``max_levels``.  Any
+    diagonal beyond ``ceiling`` aborts with a divergence report pointing at
+    the diagonal classification tools.  With a certificate the per-entry bound is the closed geometric
     form and is labeled certified; otherwise a Cauchy-Schwarz bound is
     extrapolated from the last diagonal increments and labeled uncertified.
     """
@@ -473,8 +483,7 @@ def estimate_K_infinity(
     it = tower_gram_iter(K, branch, pts, pair_cap)
     levels = [next(it)]
     traces = [float(np.trace(levels[0]))]
-    if trace_eps is None:
-        trace_eps = 1e-10 * max(traces[0], 1.0)
+    trace_eps = trace_stall_eps(trace_eps, traces[0])
     converged = False
     while True:
         diag = np.diag(levels[-1])
@@ -657,7 +666,7 @@ def defect_embedding(tower: Tower, tol: float = DEFAULT_PSD_TOL) -> Embedding:
     emb = Embedding(points=tower.points, blocks=tower.factors(tol))
     scale = max(float(np.max(np.abs(tower.levels[-1]))), 1.0)
     err = float(np.max(np.abs(emb.gram() - tower.levels[-1])))
-    if err > 1e-10 * scale:
+    if err > FACTOR_RTOL * scale:
         raise NumericalError(
             f"embedding Gram deviates from level-{tower.horizon} Gram by {err:.3e}"
         )

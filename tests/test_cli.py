@@ -210,6 +210,21 @@ def test_tower_word_cap_names_the_first_level_past_it(tmp_path, capsys, cap, nam
         f"error[resource]: enumerating {named} words exceeds the cap {cap}\n")
 
 
+def test_diagonal_names_the_word_cap_before_the_tower_route_runs(tmp_path, capsys, monkeypatch):
+    # At horizon 25 the tower route on one word-tree point would hold 2^24
+    # pairs before its own cap; the word cap refuses the horizon first.
+    import kerneltower.diagonal
+
+    def tower_route(*args, **kwargs):
+        raise AssertionError("the tower route ran")
+
+    monkeypatch.setattr(kerneltower.diagonal, "tower_gram_iter", tower_route)
+    cfg = write_config(tmp_path, 'model: {kind: word-tree}\nbase_points: [""]\nhorizon: 25\n')
+    assert main(["diagonal", "--config", cfg, "--out", str(tmp_path / "o")]) == 5
+    assert capsys.readouterr().err == (
+        "error[resource]: enumerating 2^25 = 33554432 words exceeds the cap 16777216\n")
+
+
 def test_out_of_memory_is_a_resource_error(tmp_path, capsys, monkeypatch):
     import kerneltower.cli
 

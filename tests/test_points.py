@@ -15,7 +15,7 @@ from kerneltower import (
     orbit_closure,
 )
 from kerneltower.models import FiniteStateModel
-from kerneltower.points import fsum_rows, orbit_points_by_level, point_label
+from kerneltower.points import check_word_levels, fsum_rows, orbit_points_by_level, point_label
 
 from oracles import all_words, word_forward
 
@@ -108,6 +108,13 @@ def test_enumerate_words_cap():
         enumerate_words(2, 30, cap=2**20)
     with pytest.raises(InputError):
         enumerate_words(2, -1)
+
+
+def test_check_word_levels_stops_at_the_first_level_past_the_cap():
+    # n as large as the config fuzzer passes: m**n is never formed.
+    with pytest.raises(ResourceError, match=r"enumerating 2\^21 = 2097152 words exceeds the cap 1048576"):
+        check_word_levels(2, 2**64, cap=2**20)
+    check_word_levels(1, 2**64, cap=1)  # one word per level
 
 
 def test_orbit_closure_depth_zero_is_base(ex25, small_base):
