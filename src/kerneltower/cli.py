@@ -21,7 +21,7 @@ from .boundary import (ProductCylinderWeights, boundary_feature_gram, build_doob
                        sorted_words)
 from .config import Config, load_config, override, parse_config
 from .diagonal import blowup_detect, diagonal_trace, lyapunov_verify
-from .errors import EXIT_NUMERICAL, EXIT_RESOURCE, InputError, KernelTowerError
+from .errors import EXIT_NUMERICAL, EXIT_RESOURCE, InputError, KernelTowerError, ResourceError
 from .gaussian import (TowerSampler, _z_scores, empirical_covariance, export_batch_csv,
                        martingale_checks, sample_covariance)
 from .kernels import gram, psd_check
@@ -231,6 +231,22 @@ def _check_boundary_weights(cfg: Config, m: int) -> None:
                              f"one per map, got {len(cfg.boundary[key])}")
 
 
+def _check_cylinder_table(cfg: Config, m: int, anchors: int) -> None:
+    """Refuse a cylinder table of anchors x (words of length <= cylinder_levels)
+    past the pair cap; counting stops at the first level past it, as m**n may be huge."""
+    n, cap = cfg.boundary["cylinder_levels"], cfg.pair_cap
+    words = n + 1  # one map: one word per level
+    if m > 1:
+        words, level = 0, 1
+        for _ in range(n + 1):
+            words, level = words + level, level * m
+            if anchors * words > cap:
+                break
+    if anchors * words > cap:
+        raise ResourceError(f"boundary cylinder table: {anchors} anchors by the words of length "
+                            f"<= {n} exceed the pair cap of {cap}; lower config boundary.cylinder_levels")
+
+
 def cmd_boundary(cfg: Config, model: Model, base, bundle: Bundle) -> dict:
     cyl_levels = cfg.boundary["cylinder_levels"]
     feat_levels = cfg.boundary["feature_levels"]
@@ -265,6 +281,7 @@ def cmd_boundary(cfg: Config, model: Model, base, bundle: Bundle) -> dict:
     base = [s for s in base if chain.in_domain(s)]
     if not base:
         raise InputError("no base points inside the gauge-positive domain")
+    _check_cylinder_table(cfg, model.branch.m, len(base))
 
     # The feature Gram comes first: its section pair cap refuses before any
     # depth-cylinder_levels walk.

@@ -13,9 +13,15 @@ requests reproduce the sample stream bit for bit.  Sampling and the limit
 fields read the same draw g[j, k, a] (sample j, level k, point a).  numpy
 fills a draw in C order, so it is the flat prefix of any longer draw under
 the same seed (``TowerSampler.prefix``).  A sampler factors its tower
-once; the seed only keys the draw; ``sample(n)`` is ``fields(draw(n))``.
-The level-n field is the sum over k <= n of g[:, k, :] @ F_k^T, formed bit
-for bit as a per-level product followed by a running sum.  ``limit``
+once; the seed only keys the draw; ``sample(n)`` is ``fields(draw(n))``
+bit for bit.  ``sample`` draws its noise in chunks of at most
+_CHUNK_NORMALS normals from one generator; successive draws continue one
+stream, so the chunks concatenate to ``draw(n)``, and each is copied into
+a level-major array that the products then overwrite, so the full draw is
+never held beside the fields.  The level-n field is the sum over k <= n of
+g[:, k, :] @ F_k^T, formed bit for bit as a per-level product over all
+samples at once followed by a running sum: one product per level, as the
+rows a BLAS product returns can depend on its row count.  ``limit``
 forms only Y and Z, in one product over all levels, so Y equals the
 level-0 field exactly and Z equals the top-level field to rounding.  Where
 a Gram diagonal is exactly zero its factor row is zero (``sqrt_factor``),
@@ -40,6 +46,8 @@ from .tower import DEFAULT_CEILING, Tower, build_tower
 
 PASS_SIGMA = 5.0
 DEFAULT_NSAMPLES = 100_000
+# Normals (8 bytes each) of noise drawn, or of squared deviations held, at a time.
+_CHUNK_NORMALS = 1 << 18
 
 
 class TowerSampler:
@@ -56,8 +64,7 @@ class TowerSampler:
 
     def draw(self, nsamples: int, seed: int | None = None) -> np.ndarray:
         """The noise g[j, k, a] behind sample j, level k, point a; keyed by ``seed``."""
-        if nsamples < 1:
-            raise InputError("need at least one sample")
+        _check_nsamples(nsamples)
         rng = make_rng(self.seed if seed is None else seed)
         return rng.standard_normal((nsamples, len(self.factors), len(self.points)))
 
@@ -68,13 +75,24 @@ class TowerSampler:
 
     def fields(self, g: np.ndarray, seed: int | None = None) -> "FieldBatch":
         """The batch noise g gives: values[j, n, a] = level-n field of sample j at point a."""
-        # Level-major: fields[k] = g[:, k, :] @ F_k^T in one batched product,
-        # then the running sum over levels in place.  Adding one contiguous
-        # level at a time does cumsum's additions several times faster.
-        fields = np.matmul(g.transpose(1, 0, 2), self.factors_t)
-        for k in range(1, len(fields)):
-            np.add(fields[k - 1], fields[k], out=fields[k])
-        return FieldBatch(fields, self.points, self.seed if seed is None else int(seed))
+        noise = g.transpose(1, 0, 2)
+        return self._fields(noise, np.empty(noise.shape), self.seed if seed is None else int(seed))
+
+    def _fields(self, noise: np.ndarray, fields: np.ndarray, seed: int) -> "FieldBatch":
+        """Level-major fields[k] = noise[k] @ F_k^T, then the running sum over levels.
+
+        ``fields`` may be ``noise`` itself: each product then goes through
+        one level buffer.  Adding one contiguous level at a time does
+        cumsum's additions several times faster.
+        """
+        level = np.empty(noise.shape[1:]) if fields is noise else None
+        for k, F_t in enumerate(self.factors_t):
+            np.matmul(noise[k], F_t, out=fields[k] if level is None else level)
+            if level is not None:
+                fields[k] = level
+            if k:
+                np.add(fields[k - 1], fields[k], out=fields[k])
+        return FieldBatch(fields, self.points, seed)
 
     def limit(self, g: np.ndarray) -> "LimitFields":
         """(Z, Y) from noise g: the top-level field and the level-0 component."""
@@ -88,8 +106,24 @@ class TowerSampler:
         return LimitFields(Z=YZ[:, P:], Y=YZ[:, :P], points=self.points, levels_used=L - 1)
 
     def sample(self, nsamples: int) -> "FieldBatch":
-        """One batch of ``nsamples`` under the sampler's seed: ``fields(draw(nsamples))``."""
-        return self.fields(self.draw(nsamples))
+        """One batch of ``nsamples`` under the sampler's seed: ``fields(draw(nsamples))``.
+
+        Holds the fields plus one chunk of noise or one level's product.
+        """
+        _check_nsamples(nsamples)
+        rng = make_rng(self.seed)
+        L, P = len(self.factors), len(self.points)
+        noise = np.empty((L, nsamples, P))
+        rows = max(1, _CHUNK_NORMALS // (L * P))
+        for start in range(0, nsamples, rows):
+            stop = min(start + rows, nsamples)
+            noise[:, start:stop] = rng.standard_normal((stop - start, L, P)).transpose(1, 0, 2)
+        return self._fields(noise, noise, self.seed)
+
+
+def _check_nsamples(nsamples: int) -> None:
+    if nsamples < 1:
+        raise InputError("need at least one sample")
 
 
 @dataclass
@@ -183,6 +217,9 @@ def martingale_checks(batch: FieldBatch, tower: Tower) -> MartingaleReport:
     covariance (off-diagonal blocks) and every increment covariance
     (diagonal blocks); (I*I)^T (I*I) / n gives the second moments of the
     cross products, hence their population-std standard errors.
+
+    Memory: beside the fields, one increments array of the fields' size
+    times N/(N+1), plus O(_CHUNK_NORMALS + (N*P)^2) floats.
     """
     N = batch.top_level
     if N < 1:
@@ -195,7 +232,8 @@ def martingale_checks(batch: FieldBatch, tower: Tower) -> MartingaleReport:
     np.subtract(values[:, 1:], values[:, :-1], out=I)
     I = I.reshape(n, N * P)
 
-    mean_z = float(np.max(_z_scores(I.mean(axis=0), I.std(axis=0) / math.sqrt(n))))
+    mean = I.mean(axis=0)
+    mean_z = float(np.max(_z_scores(mean, _column_std(I, mean) / math.sqrt(n))))
 
     M2 = (I.T @ I / n).reshape(N, P, N, P)
     I *= I
@@ -219,6 +257,31 @@ def martingale_checks(batch: FieldBatch, tower: Tower) -> MartingaleReport:
         threshold=PASS_SIGMA,
         per_level_qv_z=qv_z_per_level,
     )
+
+
+def _column_std(I: np.ndarray, mean: np.ndarray) -> np.ndarray:
+    """``I.std(axis=0)`` bit for bit, for ``mean = I.mean(axis=0)``, without
+    a temporary of I's size.
+
+    numpy sums the columns of a C-contiguous array row after row, so the
+    squared deviations go a block of rows at a time under the partial sums
+    carried as the block's first row.  A single column is summed pairwise
+    along its contiguous axis, which blocks cannot follow: it goes whole.
+    """
+    n, m = I.shape
+    if m == 1:
+        return I.std(axis=0)
+    rows = max(1, _CHUNK_NORMALS // m)
+    acc = np.zeros(m)
+    buf = np.empty((min(rows, n) + 1, m))
+    for start in range(0, n, rows):
+        block = buf[: min(rows, n - start) + 1]
+        block[0] = acc
+        np.subtract(I[start:start + rows], mean, out=block[1:])
+        np.square(block[1:], out=block[1:])
+        np.add.reduce(block, axis=0, out=acc)
+    acc /= n
+    return np.sqrt(acc, out=acc)
 
 
 @dataclass

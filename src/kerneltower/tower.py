@@ -100,7 +100,9 @@ class _PointIndex:
     def intern(self, points) -> np.ndarray:
         setdefault, ids = self.ids.setdefault, self.ids
         out = np.array([setdefault(p, len(ids)) for p in points], dtype=np.int64)
-        self.points.extend(list(ids)[len(self.points):])
+        # The points this call added are the newest keys of ``ids``.
+        fresh = list(itertools.islice(reversed(ids), len(ids) - len(self.points)))
+        self.points.extend(reversed(fresh))
         return out
 
     def successors(self) -> np.ndarray:

@@ -5,7 +5,9 @@ from pathlib import Path
 
 import pytest
 
-from kerneltower.cli import main
+from kerneltower.cli import _check_cylinder_table, main
+from kerneltower.config import parse_config
+from kerneltower.errors import ResourceError
 
 
 def write_config(tmp_path, text, name="run.yaml"):
@@ -476,17 +478,65 @@ def test_boundary_section_cap_refuses_before_any_cylinder_walk(tmp_path, capsys,
     assert not (tmp_path / "out" / "cylinders.csv").exists()
 
 
-def test_boundary_reads_only_the_rows_its_walks_reach(tmp_path, capsys):
-    # The benchmark tree config at a small cap: each depth-12 walk has 4096
-    # words, under the cap, though the 32767-point orbit closure of depth 12
-    # around the 7 base points would not be.
+def test_boundary_reads_only_the_rows_its_walks_reach(tmp_path, capsys, monkeypatch):
+    # The benchmark tree config at a cap just over its 57337-entry cylinder
+    # table (7 anchors by the 8191 words of length <= 12): the chain reads
+    # the rows the depth-12 walks reach and builds no orbit closure deeper
+    # than closure_depth, such as the 32767-point one of depth 12.
+    import kerneltower.cli
+
+    closure = kerneltower.cli.orbit_closure
+
+    def shallow_closure(branch, points, depth, cap):
+        assert depth <= 1, f"orbit closure of depth {depth}"
+        return closure(branch, points, depth, cap)
+
+    monkeypatch.setattr(kerneltower.cli, "orbit_closure", shallow_closure)
     cfg = write_config(tmp_path, "model: {kind: word-tree}\nbase_points: ['', '1', '2']\n"
-                                 "closure_depth: 1\nhorizon: 10\nmax_levels: 12\npair_cap: 20000\n"
+                                 "closure_depth: 1\nhorizon: 10\nmax_levels: 12\npair_cap: 60000\n"
                                  "boundary: {feature_levels: 3}\n")
     assert main(["boundary", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
     res = read_summary(tmp_path / "out")["results"]
     assert res["gauge"] == {"harmonicity_residual": 0.0, "source": "closed-form"}
     assert res["cylinders"]["max_level_sum_error"] <= 1e-12
+
+
+@pytest.mark.parametrize("m, levels, cap", [(2, 16, 65536), (3, 2**64, 20000)])
+def test_boundary_cylinder_table_is_capped(tmp_path, capsys, monkeypatch, m, levels, cap):
+    # 7 anchors by the words of length <= 16 is 917497 entries, 14 times the
+    # cap; a huge cylinder_levels is refused as fast.  No walk runs first.
+    import kerneltower.cli
+
+    def walk(*args, **kwargs):
+        raise AssertionError("walk before the cylinder table cap")
+
+    monkeypatch.setattr(kerneltower.cli, "boundary_feature_gram", walk)
+    monkeypatch.setattr(kerneltower.cli, "cylinder_measure", walk)
+    cfg = write_config(tmp_path, f"model: {{kind: word-tree, m: {m}}}\n"
+                                 "base_points: ['', '1']\nclosure_depth: 1\nhorizon: 10\n"
+                                 f"max_levels: 12\npair_cap: {cap}\n"
+                                 f"boundary: {{cylinder_levels: {levels}, feature_levels: 3, "
+                                 f"nu: {[1.0 / m] * m}, nu_alt: {[1.0 / m] * m}}}\n")
+    code = main(["boundary", "--config", cfg, "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert code == 5
+    assert err.startswith("error[resource]: boundary cylinder table: ")
+    assert "config boundary.cylinder_levels" in err
+
+
+@pytest.mark.parametrize("m, anchors, levels, refused", [
+    (2, 7, 12, False), (2, 7, 13, True), (3, 1, 2**64, True),
+    (1, 4, 4999, False), (1, 4, 5000, True), (1, 1, 2**64, True),
+])
+def test_cylinder_table_cap_counts_to_the_first_level_past_it(m, anchors, levels, refused):
+    # 7 x 8191 = 57337 <= 60000 < 7 x 16383; one map adds one word a level.
+    cfg = parse_config({"model": {"kind": "word-tree"}, "pair_cap": 60000 if m > 1 else 20000,
+                        "boundary": {"cylinder_levels": levels}})
+    if refused:
+        with pytest.raises(ResourceError, match="config boundary.cylinder_levels"):
+            _check_cylinder_table(cfg, m, anchors)
+    else:
+        _check_cylinder_table(cfg, m, anchors)
 
 
 def test_boundary_bundle_determinism(tmp_path, capsys):

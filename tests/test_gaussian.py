@@ -1,8 +1,13 @@
 import math
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from kerneltower import gaussian
 from kerneltower import (
     TowerSampler,
     boundedness_probe,
@@ -224,3 +229,70 @@ def test_sample_is_fields_of_draw(ex_tower):
     other = sampler.fields(sampler.draw(300, seed=54), seed=54)
     assert other.seed == 54
     assert np.array_equal(other.values, TowerSampler(ex_tower, seed=54).sample(300).values)
+
+
+@pytest.mark.parametrize("chunk", [None, 7])
+@pytest.mark.parametrize("name", ["ex25", "zero-defect", "sink"])
+def test_chunked_sample_is_fields_of_draw(towers, name, chunk):
+    # One sample, part of one chunk, a whole chunk, and several chunks ending
+    # in a partial one; chunk 7 draws one or a few samples at a time.
+    sampler = TowerSampler(towers[name], seed=59)
+    with mock.patch.object(gaussian, "_CHUNK_NORMALS", chunk or gaussian._CHUNK_NORMALS):
+        rows = max(1, gaussian._CHUNK_NORMALS // (len(sampler.factors) * len(sampler.points)))
+        sizes = [1, rows // 2, rows, 2 * rows + 1, 3 * rows + rows // 3]
+        for n in sorted({max(1, n) for n in sizes}):
+            batch = sampler.sample(n)
+            assert batch.fields.shape == (len(sampler.factors), n, len(sampler.points))
+            assert np.array_equal(batch.fields, sampler.fields(sampler.draw(n)).fields)
+
+
+@settings(max_examples=60, deadline=None)
+@given(columns=st.integers(1, 400), chunk=st.integers(1, 4096), blocks=st.floats(0.0, 4.0),
+       seed=st.integers(0, 2**32 - 1))
+def test_column_std_is_numpy_std(columns, chunk, blocks, seed):
+    # Rows from 1 up to four blocks of the blocked pass.
+    rows = max(1, int(blocks * max(1, chunk // columns)))
+    rng = np.random.default_rng(seed)
+    I = rng.standard_normal((rows, columns)) * rng.uniform(1e-3, 1e3, columns) + rng.standard_normal(columns)
+    with mock.patch.object(gaussian, "_CHUNK_NORMALS", chunk):
+        got = gaussian._column_std(I, I.mean(axis=0))
+    assert np.array_equal(got.view(np.int64), I.std(axis=0).view(np.int64))
+
+
+def _traced_peak(fn):
+    """fn() and the most bytes it held at once beyond what it was given, by tracemalloc.
+
+    numpy reports its array buffers to tracemalloc.  Callers run fn once on
+    a small input first: a first call in a process also allocates one-off caches.
+    """
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        result = fn()
+        return result, tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+
+
+# Python objects and small arrays on top of the arrays each bound names.
+SLACK = 256 * 1024
+
+
+def test_sample_holds_the_fields_and_one_chunk_or_level(ex_tower):
+    sampler = TowerSampler(ex_tower, seed=61)
+    n = 200_000
+    sampler.sample(10)
+    batch, peak = _traced_peak(lambda: sampler.sample(n))
+    level = batch.fields[0].nbytes
+    assert level > 8 * gaussian._CHUNK_NORMALS  # the level buffer is the larger
+    assert peak <= batch.fields.nbytes + level + SLACK
+
+
+def test_martingale_checks_hold_one_increments_array(ex_tower):
+    batch = TowerSampler(ex_tower, seed=67).sample(200_000)
+    N, n, P = batch.top_level, batch.nsamples, len(batch.points)
+    martingale_checks(TowerSampler(ex_tower, seed=67).sample(10), ex_tower)
+    report, peak = _traced_peak(lambda: martingale_checks(batch, ex_tower))
+    increments = 8 * n * N * P
+    assert report.passed
+    assert peak <= increments + 8 * (gaussian._CHUNK_NORMALS + N * P) + 8 * 8 * (N * P) ** 2 + SLACK
