@@ -123,6 +123,7 @@ def diagonal_trace(
     check_word_levels(branch.m, horizon, cap)
     it = tower_gram_iter(K, branch, [s], cap)
     tower_vals = [float(next(it)[0, 0]) for _ in range(horizon + 1)]
+    del it  # the tower route's tables, freed before the word route
     cakes = layer_cake_check(K, branch, s, horizon, cap)
 
     for n, (a, b) in enumerate(zip(tower_vals, (lc.word_sum for lc in cakes))):

@@ -144,6 +144,7 @@ def word_levels(
 # scaled halves are exact floats and a row's terms cannot overflow.
 _ROW_COUNT_LIMIT = 2**26
 _TINY, _HUGE = 2.0**-1022, 2.0**997
+_SUM_BLOCK = 1 << 16  # entries of one halves block and of one block of count rows
 
 
 def fsum_rows(values, counts) -> np.ndarray:
@@ -153,6 +154,10 @@ def fsum_rows(values, counts) -> np.ndarray:
     and H and L fill one column pair per binade e: ``counts @ halves`` is
     exact in any summation order (Ozaki, Ogita, Oishi and Rump 2012), and
     ``math.fsum`` of a row's scaled terms is its exactly rounded total.
+    The product is taken a block of halves columns (a group of binades)
+    and a block of count rows at a time, so beyond its inputs and the row
+    sums it holds O(len(values) + ``_SUM_BLOCK``) floats, whatever the
+    numbers of rows and binades.
     Rows that count a non-finite value (giving what ``math.fsum`` gives), a
     nonzero value outside [2^-1022, 2^997) or 2^26 words or more, and rows
     whose total is zero (fsum decides the sign of zero), are summed in
@@ -166,15 +171,23 @@ def fsum_rows(values, counts) -> np.ndarray:
     ok = ~C[:, ~(fast | (v == 0.0))].any(axis=1)
     mant, exp = np.frexp(np.where(fast, v, 0.0))  # the other values add nothing here
     H = np.trunc(mant * 2.0**26)
+    L = mant * 2.0**53 - H * 2.0**27
     low = exp.min(initial=0)
     present = np.bincount(exp - low) > 0
-    col = 2 * np.cumsum(present)[exp - low] - 1  # column 0 counts the row's words
-    halves = np.zeros((len(v), 2 * np.count_nonzero(present) + 1))
-    halves[:, 0] = 1.0
-    at = np.arange(len(v))
-    halves[at, col] = H
-    halves[at, col + 1] = mant * 2.0**53 - H * 2.0**27
-    T = C @ halves
+    binades = int(np.count_nonzero(present))
+    col = 2 * np.cumsum(present)[exp - low] - 1  # H's column (L's is next); 0 counts words
+    T = np.empty((len(C), 2 * binades + 1))
+    group = max(1, _SUM_BLOCK // (2 * max(1, len(v))))  # binades per block of halves
+    rows = max(1, _SUM_BLOCK // max(1, len(v)))  # count rows per product
+    for b in range(0, max(binades, 1), group):  # one block at least: column 0
+        c0, c1 = 2 * b + (b > 0), 2 * min(b + group, binades) + 1  # the first block has column 0
+        halves = np.zeros((len(v), c1 - c0))
+        halves[:, 0] = b == 0
+        at = np.flatnonzero((col >= c0) & (col < c1))
+        halves[at, col[at] - c0] = H[at]
+        halves[at, col[at] + 1 - c0] = L[at]
+        for r in range(0, len(C), rows):
+            T[r:r + rows, c0:c1] = C[r:r + rows] @ halves
     ok &= T[:, 0] < _ROW_COUNT_LIMIT
     scale = np.ldexp(1.0, ((np.flatnonzero(present) + low)[:, None] - [26, 53]).ravel())
     out = np.zeros(len(C))

@@ -1,17 +1,22 @@
 """The kernel tower: iterated branching, defects, and the invariant completion.
 
 Level n of the tower is K_n = L^n K, with (LJ)(s, t) = sum_i J(phi_i s, phi_i t).
-The core interns every point it reaches as an int id and turns each map
-into an int successor array, grown one level at a time.  It keeps a layered
-pair graph: layer d holds the distinct point pairs at depth d, merged
-across base pairs, with one child-position array per map into layer d+1.
-Level n evaluates K on layer n and sums it up the layers in map order, so
-an entry is n nested left-to-right sums of m children, within
-(n(m-1)+1) * 2^-53 * (L^n |K|)(s, t) of the exact word sum.  On
-finite-state systems a layer holds at most S(S+1)/2 pairs; on genuine
-trees layers grow by a factor m per level and are guarded by the pair cap.
-Defects are exact level differences; their PSD margins are certified per
-level.
+The core interns every point it reaches as an id and turns each map into a
+successor row, grown one level at a time.  It keeps a layered pair graph:
+layer d holds the distinct point pairs at depth d, merged across base
+pairs, with one child-position array per map into layer d+1.  Level n
+evaluates K on layer n and sums it up the layers in map order, so an entry
+is n nested left-to-right sums of m children, within
+(n(m-1)+1) * 2^-53 * (L^n |K|)(s, t) of the exact word sum.  A sum reads
+its children by position, so the order of pairs within a layer (the sort
+order of their keys) never reaches a sum.  Ids, successors and child
+positions are stored in the smallest unsigned type that holds their range;
+a level step holds, beyond them, the next layer's candidate pairs as int64
+keys (sorted in place), their int64 sort order and the distinct keys, then
+that layer's values and one chunk of kernel temporaries.  On finite-state
+systems a layer holds at most S(S+1)/2 pairs; on genuine trees layers grow
+by a factor m per level and are guarded by the pair cap.  Defects are
+exact level differences; their PSD margins are certified per level.
 
 :func:`defect_gram` is the one LK - K: level 1 minus level 0 of the core, so
 LK is the left-to-right sum of the m terms K(phi_i s, phi_i t).  For m = 2
@@ -71,6 +76,7 @@ DEFAULT_MAX_LEVELS = 40
 DEFAULT_CEILING = 1e12
 TELESCOPE_RTOL = 1e-12
 _WORD_BLOCK = 2**16  # word codes and counts of one block in level_via_words
+_CHUNK_PAIRS = 1 << 14  # pairs per kernel call on a layer: bounds the kernel's temporaries
 
 
 def _canon_pair(x, y):
@@ -83,42 +89,64 @@ def _canon_pair(x, y):
         return (x, y)
 
 
-class _PointIndex:
-    """Points interned as int ids, with one successor array per map.
+def _append(table: np.ndarray, filled: int, block: np.ndarray) -> np.ndarray:
+    """``table`` with ``block`` written after its first ``filled`` columns.
 
-    Successors are computed for each point once, when the level holding it
-    is advanced, so the table grows one level at a time.
+    The table is regrown geometrically (amortized O(1) copies per column),
+    and retyped when ``block`` needs a wider type.
+    """
+    end = filled + block.shape[-1]
+    if end > table.shape[-1] or block.dtype != table.dtype:
+        dtype = np.promote_types(table.dtype, block.dtype)
+        grown = np.empty(table.shape[:-1] + (max(2 * table.shape[-1], end),), dtype)
+        grown[..., :filled] = table[..., :filled]
+        table = grown
+    table[..., filled:end] = block
+    return table
+
+
+class _PointIndex:
+    """Points interned as ids, with one successor row per map and a feature table.
+
+    Ids, and the successor table, take the smallest unsigned type that holds
+    the point count.  Successors and features are computed for each point
+    once, when the level holding it is advanced, into tables grown
+    geometrically.
     """
 
     def __init__(self, maps):
         self.maps = maps
         self.ids: dict = {}
         self.points: list = []
-        self.succ = np.empty((len(maps), 0), dtype=np.int64)
-        self.features = np.empty(0, dtype=np.int64)
+        self._succ = np.empty((len(maps), 0), dtype=np.uint8)
+        self._features = np.empty(0, dtype=np.int64)
+        self._done = self._featured = 0
 
     def intern(self, points) -> np.ndarray:
         setdefault, ids = self.ids.setdefault, self.ids
-        out = np.array([setdefault(p, len(ids)) for p in points], dtype=np.int64)
+        out = [setdefault(p, len(ids)) for p in points]
         # The points this call added are the newest keys of ``ids``.
         fresh = list(itertools.islice(reversed(ids), len(ids) - len(self.points)))
         self.points.extend(reversed(fresh))
-        return out
+        return np.array(out, dtype=np.min_scalar_type(len(ids)))
 
     def successors(self) -> np.ndarray:
-        done = self.succ.shape[1]
+        done = self._done
         if done < len(self.points):
             fresh = self.points[done:]
             rows = [self.intern(map(f, fresh)) for f in self.maps]
-            self.succ = np.concatenate([self.succ, np.vstack(rows)], axis=1)
-        return self.succ
+            self._succ = _append(self._succ, done, np.array(rows))
+            self._done = done + len(fresh)
+        return self._succ[:, :self._done]
 
     def feature_array(self, feature) -> np.ndarray:
-        have = len(self.features)
+        have = self._featured
         if have < len(self.points):
-            fresh = np.fromiter(map(feature, self.points[have:]), dtype=np.int64)
-            self.features = np.concatenate([self.features, fresh])
-        return self.features
+            fresh = np.fromiter(map(feature, itertools.islice(self.points, have, None)),
+                                dtype=np.int64, count=len(self.points) - have)
+            self._features = _append(self._features, have, fresh)
+            self._featured = len(self.points)
+        return self._features[:self._featured]
 
 
 def tower_gram_iter(
@@ -129,20 +157,34 @@ def tower_gram_iter(
 ) -> Iterator[np.ndarray]:
     """Yield the level-0, level-1, ... Gram matrices of the tower on ``points``.
 
-    Points are interned as int ids and each map becomes an int successor
-    array, grown only when the next level is requested, so callers may stop
-    at any horizon.  Layer d of the pair graph holds the distinct unordered
-    id pairs at depth d, merged across base pairs; each layer keeps one
-    child-position array per map into the next.  Level n evaluates K once
-    on layer n (in one call when the kernel has a ``KernelBatch``, else once
-    per pair in ``_canon_pair`` order) and sums up the layers in map order,
-    ``v_d = v_{d+1}[child_1] + ... + v_{d+1}[child_m]``.  These nested sums
-    lie within (n(m-1)+1) * 2^-53 * (L^n |K|)(s, t) of the exact word sum.
-    Pairs of points that do not compare are merged as unordered pairs.
+    Points are interned as ids and each map becomes a successor row, grown
+    only when the next level is requested, so callers may stop at any
+    horizon.  Layer d of the pair graph holds the distinct unordered id
+    pairs at depth d, merged across base pairs; each layer keeps one
+    child-position array per map into the next.  Level n evaluates K on
+    layer n, ``_CHUNK_PAIRS`` pairs at a time (one call per chunk when the
+    kernel has a ``KernelBatch``, else once per pair in ``_canon_pair``
+    order), and sums up the layers in map order, ``v_d = v_{d+1}[child_1]
+    + ... + v_{d+1}[child_m]``.  These nested sums lie within
+    (n(m-1)+1) * 2^-53 * (L^n |K|)(s, t) of the exact word sum.  A sum
+    reads its terms by child position, so where a pair sits within its
+    layer never enters a sum, and batch kernels are elementwise, so
+    neither does the chunking.  Pairs of points that do not compare are
+    merged as unordered pairs.
+
+    Between levels the generator holds the point index (the points, their
+    ids, the successor table and, for a batch kernel, the int64 feature
+    table, both grown geometrically), every layer's child positions and
+    the newest layer's pairs, ids and positions in the smallest unsigned
+    type that holds their range.  One level step adds the next layer's
+    candidate pairs as int64 keys (lo * points + hi), merged by one
+    ``argsort`` (the keys are then sorted in place, and the distinct ones
+    kept); then the layer's values and one chunk of kernel temporaries.
 
     ``pair_cap`` bounds the distinct pairs of one layer beyond layer 0; a
-    level beyond it raises a resource error when requested.  A level with a
-    non-finite entry raises a numerical error naming the level and a pair.
+    level beyond it raises a resource error when requested, before the
+    layer's child positions are built.  A level with a non-finite entry
+    raises a numerical error naming the level and a pair.
     """
     pts = tuple(points)
     n = len(pts)
@@ -152,41 +194,58 @@ def tower_gram_iter(
     evaluate = K.raw() if isinstance(K, Kernel) else K
     index = _PointIndex(branch.maps)
     base = index.intern(pts)
-    ia, ib = np.triu_indices(n)
+    ia, ib = (c.astype(np.min_scalar_type(n)) for c in np.triu_indices(n))
     lo, hi = base[ia], base[ib]
     children = []  # [0]: base pairs -> layer 0; [d]: layer d-1 -> layer d, one row per map
     while True:
         size = len(index.points)
         if size * size >= 2**63:
             raise ResourceError(f"tower pair keys of {size} points exceed int64")
-        key = np.minimum(lo, hi)
+        key = np.minimum(lo, hi).astype(np.int64)
         key *= size
         key += np.maximum(lo, hi, out=hi)
         del lo, hi  # the candidate columns, freed before the sort
-        key, at = np.unique(key, return_inverse=True)
-        if children and len(key) > pair_cap:
+        order = np.argsort(key)
+        key.sort()  # key[order] in place: no second array of keys, and faster than the gather
+        first = np.empty(len(key), dtype=bool)  # marks the first of each run of equal keys
+        first[0] = True
+        np.not_equal(key[1:], key[:-1], out=first[1:])
+        count = int(np.count_nonzero(first))
+        if children and count > pair_cap:
             raise ResourceError(
                 f"tower pair orbit exceeded the cap of {pair_cap} pairs; "
                 "reduce the horizon or supply a tail certificate"
             )
-        lo, hi = np.divmod(key, size)
-        del key
-        at = at.astype(np.min_scalar_type(len(lo)))
+        key = key[first]
+        rank = np.cumsum(first, dtype=np.min_scalar_type(count))
+        del first
+        rank -= 1
+        at = np.empty_like(rank)
+        at[order] = rank  # each candidate's position in the layer
+        del order, rank
         children.append(at.reshape(len(branch.maps) if children else 1, -1))
-        if batch is not None:
-            feat = index.feature_array(batch.feature)
-            values = batch.evaluate(feat[lo], feat[hi], lo == hi)
-        else:
-            pool = index.points
-            values = np.array([evaluate(*_canon_pair(pool[a], pool[b]))
-                               for a, b in zip(lo.tolist(), hi.tolist())], dtype=float)
+        id_type = np.min_scalar_type(size)  # ids are below size: decoded with no int64 copy
+        lo = np.floor_divide(key, size, out=np.empty(count, id_type), casting="unsafe")
+        hi = np.remainder(key, size, out=np.empty(count, id_type), casting="unsafe")
+        del key
+        feat = index.feature_array(batch.feature) if batch is not None else None
+        pool = index.points
+        values = np.empty(count)
+        for start in range(0, count, _CHUNK_PAIRS):
+            chunk = slice(start, start + _CHUNK_PAIRS)
+            a, b = lo[chunk], hi[chunk]
+            if batch is not None:
+                values[chunk] = batch.evaluate(feat[a], feat[b], a == b)
+            else:
+                values[chunk] = [evaluate(*_canon_pair(pool[x], pool[y]))
+                                 for x, y in zip(a.tolist(), b.tolist())]
         for kids in reversed(children):
             total = values[kids[0]]
             for k in kids[1:]:
                 total += values[k]
             values = total
-        bad = np.flatnonzero(~np.isfinite(values))
-        if len(bad):
+        if not np.isfinite(values).all():
+            bad = np.flatnonzero(~np.isfinite(values))
             a, b = pts[ia[bad[0]]], pts[ib[bad[0]]]
             raise NumericalError(f"level {len(children) - 1} tower entry at "
                                  f"{point_label(a)}, {point_label(b)} is not finite")

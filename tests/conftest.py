@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -51,3 +53,25 @@ def sink_model():
     A[0] = 0.0
     phi2 = [0] + [0 if s % 2 else int(rng.integers(1, S)) for s in range(1, S)]
     return FiniteStateModel([list(range(S)), phi2], A @ A.T, name="sink")
+
+
+def _traced_peak(fn):
+    """fn(), the most bytes it held at once beyond what it was given, and the
+    bytes still held when it returned (its result's), by tracemalloc.
+
+    numpy reports its array buffers to tracemalloc.  Callers run fn once on
+    a small input first: a first call in a process also allocates one-off caches.
+    """
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        result = fn()
+        held, peak = tracemalloc.get_traced_memory()
+        return result, peak - before, held - before
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.fixture(scope="session")
+def traced_peak():
+    return _traced_peak

@@ -17,8 +17,10 @@ from kerneltower import (
     lyapunov_verify,
     tail_bound,
 )
+from kerneltower import diagonal
 from kerneltower.diagonal import CONVERGING, DIVERGING, LyapunovRefutation
-from kerneltower.points import orbit_closure
+from kerneltower.points import fsum_rows, orbit_closure
+from kerneltower.tower import tower_gram_iter
 
 from oracles import apply_P, diagonal_word_sum
 
@@ -242,6 +244,37 @@ def test_layer_cake_matches_independent_trace(ex25):
     trace = diagonal_trace(ex25.kernel, ex25.branch, s, 6)
     for n, lc in enumerate(layer_cake_check(ex25.kernel, ex25.branch, s, 6)):
         assert abs(lc.integral - trace.values[n]) <= 1e-12 * max(1.0, trace.values[n])
+
+
+def test_diagonal_trace_holds_one_route_at_a_time_and_sums_within_its_counts(
+        ex25, root, traced_peak, monkeypatch):
+    # The README word tree at horizon 15: 2^16 - 1 diagonal values in 16
+    # binades, summed by one fsum_rows call over a 16-row count matrix.
+    K, B, n = ex25.kernel, ex25.branch, 15
+    diagonal_trace(K, B, root, 3)  # one-off caches
+
+    def tower_route():
+        levels = tower_gram_iter(K, B, [root])
+        return [next(levels) for _ in range(n + 1)]
+
+    _, tower_peak, _ = traced_peak(tower_route)
+    _, words_peak, _ = traced_peak(lambda: layer_cake_check(K, B, root, n))
+    _, peak, _ = traced_peak(lambda: diagonal_trace(K, B, root, n))
+    # Slack: CPython's free lists keep up to 2000 freed tuples (words) of each length.
+    assert peak <= max(tower_peak, words_peak) + 2 * 2**20
+
+    calls = []
+
+    def recorded(values, counts):
+        calls.append((values, counts))
+        return fsum_rows(values, counts)
+
+    monkeypatch.setattr(diagonal, "fsum_rows", recorded)
+    layer_cake_check(K, B, root, n)
+    (values, counts), = calls
+    assert counts.shape == (n + 1, 2**(n + 1) - 1)
+    _, peak, _ = traced_peak(lambda: fsum_rows(values, counts))
+    assert peak <= counts.nbytes
 
 
 # --- tail bounds ----------------------------------------------------------------

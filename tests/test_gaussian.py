@@ -1,5 +1,4 @@
 import math
-import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -259,40 +258,25 @@ def test_column_std_is_numpy_std(columns, chunk, blocks, seed):
     assert np.array_equal(got.view(np.int64), I.std(axis=0).view(np.int64))
 
 
-def _traced_peak(fn):
-    """fn() and the most bytes it held at once beyond what it was given, by tracemalloc.
-
-    numpy reports its array buffers to tracemalloc.  Callers run fn once on
-    a small input first: a first call in a process also allocates one-off caches.
-    """
-    tracemalloc.start()
-    try:
-        before = tracemalloc.get_traced_memory()[0]
-        result = fn()
-        return result, tracemalloc.get_traced_memory()[1] - before
-    finally:
-        tracemalloc.stop()
-
-
 # Python objects and small arrays on top of the arrays each bound names.
 SLACK = 256 * 1024
 
 
-def test_sample_holds_the_fields_and_one_chunk_or_level(ex_tower):
+def test_sample_holds_the_fields_and_one_chunk_or_level(ex_tower, traced_peak):
     sampler = TowerSampler(ex_tower, seed=61)
     n = 200_000
     sampler.sample(10)
-    batch, peak = _traced_peak(lambda: sampler.sample(n))
+    batch, peak, _ = traced_peak(lambda: sampler.sample(n))
     level = batch.fields[0].nbytes
     assert level > 8 * gaussian._CHUNK_NORMALS  # the level buffer is the larger
     assert peak <= batch.fields.nbytes + level + SLACK
 
 
-def test_martingale_checks_hold_one_increments_array(ex_tower):
+def test_martingale_checks_hold_one_increments_array(ex_tower, traced_peak):
     batch = TowerSampler(ex_tower, seed=67).sample(200_000)
     N, n, P = batch.top_level, batch.nsamples, len(batch.points)
     martingale_checks(TowerSampler(ex_tower, seed=67).sample(10), ex_tower)
-    report, peak = _traced_peak(lambda: martingale_checks(batch, ex_tower))
+    report, peak, _ = traced_peak(lambda: martingale_checks(batch, ex_tower))
     increments = 8 * n * N * P
     assert report.passed
     assert peak <= increments + 8 * (gaussian._CHUNK_NORMALS + N * P) + 8 * 8 * (N * P) ** 2 + SLACK

@@ -1,6 +1,7 @@
 import math
 import sys
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from kerneltower import (
     enumerate_words,
     orbit_closure,
 )
+from kerneltower import points
 from kerneltower.models import FiniteStateModel
 from kerneltower.points import check_word_levels, fsum_rows, orbit_points_by_level, point_label
 
@@ -368,6 +370,20 @@ def test_fsum_rows_does_not_depend_on_the_column_order():
         perm = rng.permutation(300)
         assert np.array_equal(fsum_rows(values[perm], counts[:, perm]), got)
     assert got.tolist() == [exact_count_sum(values, row) for row in counts]
+
+
+@pytest.mark.parametrize("block", [1, 6000, 60000])
+def test_fsum_rows_blocks_change_no_bit(block):
+    # One binade and one row per product, 10 binades and 20 rows, or 100
+    # binades and every row: each block's product is exact, so the sums
+    # equal those of the default blocks (here 109 binades per product).
+    rng = np.random.default_rng(19)
+    values = full_mantissas(rng, 300, -60, 60)
+    counts = rng.integers(0, 2**17, (25, 300))
+    want = fsum_rows(values, counts)
+    with mock.patch.object(points, "_SUM_BLOCK", block):
+        assert np.array_equal(fsum_rows(values, counts), want)
+    assert want.tolist() == [exact_count_sum(values, row) for row in counts]
 
 
 def test_fsum_rows_near_the_float_maximum():

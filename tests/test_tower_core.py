@@ -1,5 +1,7 @@
 """The table-backed tower core against the Counter reference and the word route."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -14,8 +16,9 @@ from kerneltower import (
     WordTreeModel,
     level_via_words,
 )
+from kerneltower import tower, verify
 from kerneltower.points import orbit_closure
-from kerneltower.tower import TELESCOPE_RTOL, tower_gram_iter
+from kerneltower.tower import TELESCOPE_RTOL, build_tower, tower_gram_iter
 
 from oracles import reference_tower_gram_iter
 
@@ -147,9 +150,7 @@ def random_tables(draw):
     return FiniteStateModel(maps, table), base
 
 
-@settings(max_examples=60, deadline=None)
-@given(random_tables(), st.integers(0, 6))
-def test_random_tables_core_matches_reference_and_words(case, n):
+def _assert_matches_reference_and_words(case, n):
     model, base = case
     core = _assert_core_within_rounding(model.kernel, model.branch, base, n)
     for level, W in enumerate(level_via_words(model.kernel, model.branch, base, n)):
@@ -158,6 +159,69 @@ def test_random_tables_core_matches_reference_and_words(case, n):
     telescoped = core[0] + sum(core[k + 1] - core[k] for k in range(n))
     scale = max(1.0, float(np.max(np.abs(core[-1]))))
     assert np.max(np.abs(telescoped - core[-1])) <= TELESCOPE_RTOL * scale
+
+
+@settings(max_examples=60, deadline=None)
+@given(random_tables(), st.integers(0, 6))
+def test_random_tables_core_matches_reference_and_words(case, n):
+    _assert_matches_reference_and_words(case, n)
+
+
+@settings(max_examples=60, deadline=None)
+@given(random_tables(), st.integers(0, 6))
+def test_random_tables_core_matches_reference_and_words_at_chunk_7(case, n):
+    # A layer of up to 28 pairs is evaluated in up to four kernel calls.
+    with mock.patch.object(tower, "_CHUNK_PAIRS", 7):
+        _assert_matches_reference_and_words(case, n)
+
+
+def _chunk_cases(ex25, closure2, feeder, sink_model):
+    """(kernel, branch, points, levels, equal): ``equal`` when the core equals
+    the reference bit for bit, else it is checked at its rounding bound."""
+    m3 = WordTreeModel(m=3, r=0.3, c=0.9, eta=2.0)
+    F3 = orbit_closure(m3.branch, [m3.point("")], 2)
+    return {
+        "word-tree-m2": (ex25.kernel, ex25.branch, closure2, 8, True),
+        "word-tree-m3": (m3.kernel, m3.branch, F3, 5, False),
+        "feeder": (feeder.kernel, feeder.branch, feeder.all_states(), 10, True),
+        "sink": (sink_model.kernel, sink_model.branch, sink_model.all_states(), 12, False),
+        "scalar": (ex25.strict_part, ex25.branch, closure2, 6, True),
+    }
+
+
+@pytest.mark.parametrize("chunk", [1, 7])
+@pytest.mark.parametrize("name", ["word-tree-m2", "word-tree-m3", "feeder", "sink", "scalar"])
+def test_chunked_kernel_calls_give_the_same_levels(ex25, closure2, feeder, sink_model, name, chunk):
+    # Chunk 1 calls the kernel once per pair; chunk 7 splits every layer.
+    K, branch, points, n, equal = _chunk_cases(ex25, closure2, feeder, sink_model)[name]
+    whole = _levels(tower_gram_iter(K, branch, points), n)
+    with mock.patch.object(tower, "_CHUNK_PAIRS", chunk):
+        check = _assert_core_equals_reference if equal else _assert_core_within_rounding
+        chunked = check(K, branch, points, n)
+    for level, (a, b) in enumerate(zip(chunked, whole)):
+        assert np.array_equal(a.view(np.int64), b.view(np.int64)), f"level {level}"
+
+
+def test_telescoping_check_holds_the_tables_and_one_layer_merge(traced_peak):
+    # Criterion 3's largest tower is the m = 3 word tree on 4 points at N = 10,
+    # whose layer 10 has 10 * 3^10 pairs and no merges.  Beyond the tables
+    # the generator holds after level 10, a step may hold three int64 arrays
+    # over the new layer (its keys, their sort order and the distinct keys),
+    # plus one chunk of kernel temporaries (under 64 bytes a pair).
+    model, F = verify._builtin_suite()[1]
+    build_tower(model.kernel, model.branch, F, 2)  # one-off caches
+
+    def to_level_10():
+        levels = tower_gram_iter(model.kernel, model.branch, F)
+        for _ in range(11):
+            next(levels)
+        return levels
+
+    _, _, tables = traced_peak(to_level_10)
+    result, peak, _ = traced_peak(lambda: verify.check_telescoping(verify.VerifyContext()))
+    assert result.passed
+    merge = 3 * 8 * len(F) * (len(F) + 1) // 2 * 3**10
+    assert peak <= tables + merge + 64 * tower._CHUNK_PAIRS + 2**20
 
 
 def test_multiplicities_count_the_words(sink_model):
