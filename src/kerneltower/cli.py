@@ -171,7 +171,8 @@ def cmd_diagonal(cfg: Config, model: Model, base, bundle: Bundle) -> dict:
     if cert is not None:
         results["certificate"].update({"C": cert.C, "beta": cert.beta,
                                        "domain_size": len(cert.domain)})
-    elif any(v != "converging" for v in verdicts.values()):
+    elif any(v != "converging" for v in verdicts.values()) and cfg.horizon >= 1 and model.branch.m >= 2:
+        # A witness needs a level n >= 1 and a growth rate rho = m > 1.
         levels = list(range(1, min(cfg.horizon, WORD_CHECK_LEVELS) + 1))
         witness = blowup_detect(
             model.kernel, model.branch, base[0], lambda x: True,
@@ -349,7 +350,7 @@ PIPELINES = {
 def run_pipeline(command: str, cfg: Config, outdir: Path, verbose: bool) -> int:
     """Model -> base -> bundle -> results -> report, around one pipeline subcommand."""
     t0 = time.perf_counter()
-    model = build_model(cfg.model_kind, cfg.model_params)
+    model = build_model(cfg.model_kind, cfg.model_params, cfg.tol)
     base = _resolve_base(cfg, model)
     bundle = Bundle(outdir, cfg.formats)
     results = PIPELINES[command](cfg, model, base, bundle)
@@ -367,7 +368,6 @@ def cmd_verify(cfg: Config, outdir: Path, verbose: bool) -> int:
         nsamples=cfg.nsamples,
         tol=cfg.tol,
         ceiling=cfg.ceiling,
-        fault=cfg.fault_injection,
     )
     results = run_checks(ctx, progress=lambda r: print(r.line()))
     bundle = Bundle(outdir, cfg.formats)
@@ -435,8 +435,13 @@ def main(argv=None) -> int:
                 override(cfg, key, value, flag)
         if args.format:
             cfg.formats = ["csv", "json"] if args.format == "both" else [args.format]
-        if args.command == "gaussian" and cfg.seed is None:
-            raise InputError("config seed: required for the gaussian subcommand")
+        if args.command == "gaussian":  # refused before any work
+            if cfg.seed is None:
+                raise InputError("config seed: required for the gaussian subcommand")
+            if cfg.horizon < 1:
+                raise InputError("config horizon: gaussian needs at least 1, a defect level to sample")
+            if cfg.nsamples < 2:
+                raise InputError("config nsamples: gaussian needs at least 2 to estimate a covariance")
         outdir = Path(args.out) if args.out else Path("runs") / args.command
         with np.errstate(all="ignore"):  # every non-finite value meets a named check
             if args.command == "verify":

@@ -33,9 +33,6 @@ from .tower import DEFAULT_CEILING, DEFAULT_MAX_LEVELS
 _Loader = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
 _Dumper = getattr(yaml, "CSafeDumper", yaml.SafeDumper)
 
-# The verify checks that read ``fault_injection``; verify.py reads this tuple.
-FAULT_CHECKS = ("telescoping", "gaussian-covariance")
-
 _REQUIRED = object()
 
 
@@ -166,8 +163,6 @@ _DEFAULT_BASE_POINTS = {
     "finite-state": [],  # all states
 }
 
-_FAULT = {"check": Key(_one_of(FAULT_CHECKS)), "delta": Key(_as_float)}
-
 _CERTIFICATE = {
     "C": Key(_as_float),
     "beta": Key(_as_float),
@@ -202,7 +197,6 @@ SCHEMA = {
     "gaussian": {"export_samples": Key(_as_bool, False)},
     "output": {"formats": Key(_as_list, ["csv", "json"], lambda f: all(x in ("csv", "json") for x in f),
                               "must be a list drawn from ['csv', 'json']")},
-    "fault_injection": Key(lambda value, path: _walk(_FAULT, value, path), None),  # verify only
 }
 
 

@@ -236,7 +236,9 @@ def blowup_detect(
     if epsilon <= 0.0 or rho <= 1.0:
         raise InputError("blow-up witness needs epsilon > 0 and rho > 1")
     levels = sorted(int(n) for n in levels)
-    if not levels or levels[0] < 0:
+    if not levels:
+        raise InputError("blow-up witness needs at least one level")
+    if levels[0] < 0:
         raise InputError("blow-up witness needs nonnegative levels")
     by_level = word_levels(branch, s, levels[-1], cap)
     counts = [

@@ -73,12 +73,12 @@ class TowerSampler:
         shape = (len(g), len(self.factors), len(self.points))
         return g.reshape(-1)[: math.prod(shape)].reshape(shape)
 
-    def fields(self, g: np.ndarray, seed: int | None = None) -> "FieldBatch":
+    def fields(self, g: np.ndarray) -> "FieldBatch":
         """The batch noise g gives: values[j, n, a] = level-n field of sample j at point a."""
         noise = g.transpose(1, 0, 2)
-        return self._fields(noise, np.empty(noise.shape), self.seed if seed is None else int(seed))
+        return self._fields(noise, np.empty(noise.shape))
 
-    def _fields(self, noise: np.ndarray, fields: np.ndarray, seed: int) -> "FieldBatch":
+    def _fields(self, noise: np.ndarray, fields: np.ndarray) -> "FieldBatch":
         """Level-major fields[k] = noise[k] @ F_k^T, then the running sum over levels.
 
         ``fields`` may be ``noise`` itself: each product then goes through
@@ -92,7 +92,7 @@ class TowerSampler:
                 fields[k] = level
             if k:
                 np.add(fields[k - 1], fields[k], out=fields[k])
-        return FieldBatch(fields, self.points, seed)
+        return FieldBatch(fields, self.points, self.seed)
 
     def limit(self, g: np.ndarray) -> "LimitFields":
         """(Z, Y) from noise g: the top-level field and the level-0 component."""
@@ -118,7 +118,7 @@ class TowerSampler:
         for start in range(0, nsamples, rows):
             stop = min(start + rows, nsamples)
             noise[:, start:stop] = rng.standard_normal((stop - start, L, P)).transpose(1, 0, 2)
-        return self._fields(noise, noise, self.seed)
+        return self._fields(noise, noise)
 
 
 def _check_nsamples(nsamples: int) -> None:

@@ -188,14 +188,6 @@ class WordTreeModel(Model):
 
         return r_fn, (1.0 - self.r) * self.c, self.r
 
-    def diagonal_lyapunov(self):
-        """(r, C) with kernel diagonal <= C*r and Pr = r (beta = 1)."""
-
-        def r_fn(s):
-            return self._inv_m ** len(s)
-
-        return r_fn, 1.0 + self.eta
-
 
 class DivergentDeltaModel(Model):
     """Identity kernel on the word tree: every diagonal doubles per level.
@@ -296,13 +288,14 @@ def feeder_model() -> FiniteStateModel:
     )
 
 
-def load_finite_state(params: Mapping) -> FiniteStateModel:
+def load_finite_state(params: Mapping, tol: float = DEFAULT_PSD_TOL) -> FiniteStateModel:
     """The finite-state model of config params, as config.py checked them."""
-    return FiniteStateModel(**params)
+    return FiniteStateModel(**params, tol=tol)
 
 
-def build_model(kind: str, params: Mapping) -> Model:
-    """Registry used by config ingestion: ``params`` as config.py checked them."""
+def build_model(kind: str, params: Mapping, tol: float = DEFAULT_PSD_TOL) -> Model:
+    """Registry used by config ingestion: ``params`` as config.py checked them;
+    ``tol`` is the PSD tolerance of a finite-state kernel table."""
     if kind == "word-tree":
         return WordTreeModel(**params)
     if kind == "delta":
@@ -310,5 +303,5 @@ def build_model(kind: str, params: Mapping) -> Model:
     if kind == "feeder":
         return feeder_model()
     if kind == "finite-state":
-        return load_finite_state(params)
+        return load_finite_state(params, tol)
     raise InputError(f"unknown model kind {kind!r} (expected word-tree | delta | feeder | finite-state)")

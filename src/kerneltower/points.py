@@ -64,18 +64,6 @@ class BranchSystem:
             raise InputError(f"symbol {i} out of range 1..{self.m}")
         return self.maps[i - 1](s)
 
-    def forward(self, w: Word, s: Point) -> Point:
-        """phi_w(s) = phi_{i1}(phi_{i2}(...phi_{in}(s)...)); empty word is identity."""
-        for i in reversed(w):
-            s = self.apply(i, s)
-        return s
-
-    def reversed(self, w: Word, s: Point) -> Point:
-        """Reversed composition: phi_{in}(...phi_{i1}(s)...); empty word is identity."""
-        for i in w:
-            s = self.apply(i, s)
-        return s
-
 
 def check_word_cap(m: int, n: int, cap: int = DEFAULT_WORD_CAP) -> int:
     """Number of length-n words, or a resource error when it exceeds the cap."""

@@ -8,10 +8,6 @@ CLI run and a green test suite certify the same statements.
 Criteria 7 and 8 stay two checks but share one pass over the protocol
 seeds, memoized on the context: each seed's noise is drawn once, and
 criterion 7 reads its prefix, by the RNG contract its own draw.
-
-Fault injection (``fault={"check": ..., "delta": ...}``) perturbs one
-computed quantity inside the named check to prove the harness actually
-discriminates; it is test machinery, not a user feature.
 """
 
 from __future__ import annotations
@@ -24,7 +20,6 @@ import numpy as np
 
 from .boundary import (ProductCylinderWeights, boundary_feature_gram, build_doob, cylinder_measure,
                        gauge_from_tower, intertwining_check, normalization_commutes)
-from .config import FAULT_CHECKS
 from .diagonal import CONVERGING, DIVERGING, blowup_detect, diagonal_trace, lyapunov_verify
 from .gaussian import (DEFAULT_NSAMPLES, PASS_SIGMA, TowerSampler, _z_scores, boundedness_probe,
                        martingale_checks, sample_covariance)
@@ -124,13 +119,9 @@ def check_telescoping(ctx) -> CheckResult:
     """Criterion 3: level N equals level 0 plus accumulated defects, N = 10."""
     worst = 0.0
     worst_model = ""
-    delta = ctx.fault_for("telescoping")
-    for k, (model, F) in enumerate(_builtin_suite()):
+    for model, F in _builtin_suite():
         tower = build_tower(model.kernel, model.branch, F, 10, ctx.tol)
-        defects = [D.copy() for D in tower.defects]
-        if delta is not None and k == 0:
-            defects[5][0, 0] += delta
-        resid = relative_residual(tower.levels[0] + sum(defects) - tower.levels[10], tower.levels[10])
+        resid = relative_residual(tower.levels[0] + sum(tower.defects) - tower.levels[10], tower.levels[10])
         if resid >= worst:
             worst, worst_model = resid, model.name
     passed = worst <= TELESCOPE_RTOL
@@ -249,18 +240,17 @@ def _protocol_pass(ctx) -> tuple[CheckResult, CheckResult]:
     F = [model.point(x) for x in ("", "1", "2")]
     tower, limit_tower = (build_tower(model.kernel, model.branch, F, N, ctx.tol) for N in (3, 12))
     sampler, limit_sampler = (TowerSampler(t, ctx.seed, ctx.tol) for t in (tower, limit_tower))
-    fault = ctx.fault_for("gaussian-covariance") or 0.0
     target_D = limit_tower.levels[-1] - limit_tower.levels[0]
     passes = passes8 = 0
     worst_z = 0.0
     for seed in _protocol_seeds(ctx.seed):
         g = limit_sampler.draw(ctx.nsamples, seed)
         fields = limit_sampler.limit(g)
-        batch = sampler.fields(sampler.prefix(g), seed)
+        batch = sampler.fields(sampler.prefix(g))
         del g
         # Criterion 7: the level-3 covariance and the increment covariances.
         cov, se = sample_covariance(batch.level(3))
-        z = float(np.max(_z_scores(cov - tower.levels[3] - fault, se)))
+        z = float(np.max(_z_scores(cov - tower.levels[3], se)))
         worst_z = max(worst_z, z)
         increments = (sample_covariance(batch.increment(n)) for n in range(3))
         passes += z <= PASS_SIGMA and all(
@@ -446,19 +436,11 @@ class VerifyContext:
     nsamples: int = DEFAULT_NSAMPLES
     tol: float = DEFAULT_PSD_TOL
     ceiling: float = DEFAULT_CEILING
-    fault: dict | None = None
 
     @cached_property
     def protocol_results(self) -> tuple[CheckResult, CheckResult]:
         """Criteria 7 and 8, from one shared pass over the protocol seeds."""
         return _protocol_pass(self)
-
-    def fault_for(self, check: str):
-        """The injected delta if the fault names ``check``, one of FAULT_CHECKS."""
-        assert check in FAULT_CHECKS, check
-        if self.fault and self.fault.get("check") == check:
-            return float(self.fault["delta"])
-        return None
 
 
 def run_checks(ctx: VerifyContext | None = None, progress=None) -> list[CheckResult]:

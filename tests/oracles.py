@@ -2,7 +2,8 @@
 
 Everything here is deliberately brute force (plain recursion, flat
 enumeration, no memoization, no multiplicity bookkeeping) so that
-agreement with the library is evidence, not tautology.
+agreement with the library is evidence, not tautology.  At the end are
+the faults that show the acceptance harness discriminates.
 """
 
 import math
@@ -246,7 +247,6 @@ def reference_check_gaussian_covariance(ctx):
     model = WordTreeModel(m=2, r=0.5, c=0.5, eta=1.0)
     F = [model.point(x) for x in ("", "1", "2")]
     tower = build_tower(model.kernel, model.branch, F, 3, ctx.tol)
-    fault = ctx.fault_for("gaussian-covariance") or 0.0
     passes = 0
     worst_z = 0.0
     for seed in [ctx.seed + k for k in range(verify.PROTOCOL_SEEDS)]:
@@ -255,7 +255,7 @@ def reference_check_gaussian_covariance(ctx):
             base_batch = batch
         ok = True
         cov, se = sample_covariance(batch.level(3))
-        z = np.abs(cov - tower.levels[3] - fault) / se
+        z = np.abs(cov - tower.levels[3]) / se
         worst_z = max(worst_z, float(np.max(z)))
         ok &= bool(np.max(z) <= PASS_SIGMA)
         for n in range(3):
@@ -388,3 +388,39 @@ def reference_section_points(chain, base, N):
 def reference_section_gram(K, chain, points):
     """Section Gram through three scalar kernel layers: the normalized defect itself."""
     return gram(h_normalize(reference_defect_kernel(K, chain.branch), chain.h), points).entries
+
+
+# Faults the acceptance harness must catch.  Each patches the ``build_tower``
+# a module reads, so that the first tower of a given horizon it builds is
+# changed in place after its own checks; every other tower is left alone.
+
+def _perturb_first_tower(monkeypatch, module, horizon, edit):
+    build, edited = module.build_tower, []
+
+    def perturbed(K, branch, points, N, *args, **kwargs):
+        tower = build(K, branch, points, N, *args, **kwargs)
+        if N == horizon and not edited:
+            edit(tower)
+            edited.append(tower)
+        return tower
+
+    monkeypatch.setattr(module, "build_tower", perturbed)
+
+
+def break_telescoping(monkeypatch):
+    """Criterion 3's first N = 10 tower (the example word tree) gains 1e-3 at
+    the root of defect 5: its telescoping residual reads 5.001e-04."""
+    def edit(tower):
+        tower.defects[5][0, 0] += 1e-3
+
+    _perturb_first_tower(monkeypatch, verify, 10, edit)
+
+
+def shift_level3_target(monkeypatch, *modules):
+    """The N = 3 tower of criterion 7 in each module gains 1.0 at every entry
+    of level 3, the covariance target; the sampled defects do not move."""
+    def edit(tower):
+        tower.levels[3] += 1.0
+
+    for module in modules:
+        _perturb_first_tower(monkeypatch, module, 3, edit)

@@ -17,6 +17,8 @@ import pytest
 from kerneltower.cli import main
 from kerneltower.verify import VerifyContext, run_checks
 
+from oracles import break_telescoping
+
 
 @pytest.fixture(scope="session")
 def check_results():
@@ -54,15 +56,16 @@ def test_acceptance_criterion_12_full_bundles(tmp_path, capsys):
     assert all(row["passed"] == "1" for row in rows), rows
 
 
-def test_fault_injection_fails_named_check(tmp_path, capsys):
-    """A perturbed kernel entry must surface as a telescoping failure."""
+def test_fault_injection_fails_named_check(monkeypatch):
+    """A perturbed defect entry must surface as a telescoping failure."""
     from kerneltower.verify import check_telescoping
 
-    ctx = VerifyContext(fault={"check": "telescoping", "delta": 1e-3})
-    result = check_telescoping(ctx)
+    break_telescoping(monkeypatch)
+    result = check_telescoping(VerifyContext())
     print(result.line())
     assert not result.passed
     assert result.criterion == 3
+    assert result.metrics["max_rel_residual"] == pytest.approx(5.0e-4, rel=1e-3)
 
 
 def test_blowup_classification_reads_the_context(monkeypatch):

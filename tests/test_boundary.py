@@ -27,6 +27,8 @@ from kerneltower import (
 )
 from kerneltower.points import orbit_closure
 
+from oracles import word_reversed
+
 
 @pytest.fixture(scope="module")
 def chain(ex25):
@@ -190,7 +192,7 @@ def test_sample_path_visits_reversed_compositions(chain, ex25):
     s = ex25.point("1")
     path = sample_path(chain, s, 6, seed=5)
     for k in range(7):
-        assert path.points[k] == ex25.branch.reversed(path.word[:k], s)
+        assert path.points[k] == word_reversed(ex25.branch.maps, path.word[:k], s)
 
 
 def test_sample_path_empirical_frequencies(chain, ex25):

@@ -9,6 +9,8 @@ from kerneltower.cli import _check_cylinder_table, main
 from kerneltower.config import parse_config
 from kerneltower.errors import ResourceError
 
+from oracles import break_telescoping
+
 
 def write_config(tmp_path, text, name="run.yaml"):
     path = tmp_path / name
@@ -90,6 +92,54 @@ def test_diagonal_blowup_search(tmp_path, capsys):
     summary = read_summary(out)
     assert summary["results"]["traces"]["<>"]["verdict"] == "diverging"
     assert summary["results"]["blowup_witness"]["valid"] is True
+
+
+_NEAR_PSD = "model: {kind: finite-state, kernel: [[1.0, 1.00000001], [1.00000001, 1.0]], maps: [[0, 1]]}\n"
+
+
+@pytest.mark.parametrize("command", ["tower", "diagonal"])
+def test_tol_sets_the_finite_state_table_check(tmp_path, capsys, command):
+    # min eig -1e-8 at scale 1: not PSD at the default tolerance, PSD at --tol 1e-6.
+    cfg = write_config(tmp_path, _NEAR_PSD)
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "default")]) == 2
+    assert capsys.readouterr().err.startswith("error[input]: finite-state kernel table is not PSD: ")
+    assert main([command, "--config", cfg, "--tol", "1e-6", "--out", str(tmp_path / "loose")]) == 0
+
+
+_ONE_LEVEL = {
+    "word-tree": "model: {kind: word-tree}\ncertificate: none\n",
+    "delta": "model: {kind: delta}\n",
+    "feeder": "model: {kind: feeder}\n",
+    "finite-state": "model: {kind: finite-state, maps: [[0, 1], [1, 1]], kernel: [[1.0, 0.0], [0.0, 2.0]]}\n",
+}
+
+
+@pytest.mark.parametrize("kind", list(_ONE_LEVEL))
+def test_horizon_zero_diagonal_runs_and_gaussian_names_horizon(tmp_path, capsys, kind):
+    # At horizon 0 no blow-up witness exists (it needs a level n >= 1), and
+    # gaussian has no defect to sample: it is refused before any work.
+    cfg = write_config(tmp_path, _ONE_LEVEL[kind])
+    out = tmp_path / "out"
+    assert main(["diagonal", "--config", cfg, "--max-level", "0", "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert "blowup_witness" not in read_summary(out)["results"]
+    gaussian = tmp_path / "gaussian"
+    assert main(["gaussian", "--config", cfg, "--max-level", "0", "--seed", "1", "--out", str(gaussian)]) == 2
+    assert capsys.readouterr().err.startswith("error[input]: config horizon: ")
+    assert not gaussian.exists()
+
+
+def test_one_map_diagonal_asks_for_no_witness(tmp_path, capsys):
+    # A witness needs rho = m > 1.  Its defect [[1, 2], [2, 0]] passes only the
+    # loose tol 1, so this one-map diagonal grows at state 0: inconclusive.
+    cfg = write_config(tmp_path, "model: {kind: finite-state, maps: [[1, 1]], kernel: [[1, 0], [0, 2]]}\n"
+                                 "certificate: none\nhorizon: 1\ntol: 1.0\n")
+    out = tmp_path / "out"
+    assert main(["diagonal", "--config", cfg, "--out", str(out)]) == 0
+    capsys.readouterr()
+    results = read_summary(out)["results"]
+    assert results["traces"]["0"]["verdict"] == "inconclusive"
+    assert "blowup_witness" not in results
 
 
 def test_gaussian_command(tmp_path, capsys):
@@ -263,12 +313,9 @@ def test_feeder_tower_converges(tmp_path, capsys):
     assert summary["results"]["completion"]["converged_by_trace"] is True
 
 
-def test_verify_fault_injection_exit_and_naming(tmp_path, capsys):
-    cfg = write_config(
-        tmp_path,
-        "model:\n  kind: word-tree\nseed: 20250809\nnsamples: 2000\n"
-        "fault_injection:\n  check: telescoping\n  delta: 1.0e-3\n",
-    )
+def test_verify_fault_injection_exit_and_naming(tmp_path, capsys, monkeypatch):
+    break_telescoping(monkeypatch)
+    cfg = write_config(tmp_path, "model:\n  kind: word-tree\nseed: 20250809\nnsamples: 2000\n")
     out = tmp_path / "out"
     code = main(["verify", "--config", cfg, "--out", str(out)])
     captured = capsys.readouterr()
@@ -280,13 +327,13 @@ def test_verify_fault_injection_exit_and_naming(tmp_path, capsys):
 
 
 def test_verify_unknown_fault_check_is_input_error(tmp_path, capsys):
-    # A fault no check reads would be a no-op that looks like success.
+    # The config has no fault key: one would be a no-op that looks like success.
     cfg = write_config(tmp_path, "model:\n  kind: word-tree\n"
-                                 "fault_injection: {check: nope, delta: 1}\n")
+                                 "fault_injection: {check: telescoping, delta: 1}\n")
     code = main(["verify", "--config", cfg, "--out", str(tmp_path / "out")])
     captured = capsys.readouterr()
     assert code == 2
-    assert captured.err.startswith("error[input]: config fault_injection.check: 'nope' not one of ")
+    assert captured.err.startswith("error[input]: config fault_injection: unknown key (expected one of ")
     assert captured.out == ""
 
 
@@ -375,7 +422,6 @@ _FS = "model: {kind: finite-state, maps: %s, kernel: %s%s}\n"
                  "certificate.r.kind", "decay-on-integer-states"),
     _bad("model: {kind: word-tree, m: x}\n", "model.m", "m-not-integer"),
     _bad("model: {kind: word-tree, r: abc}\n", "model.r", "r-not-number"),
-    _bad("fault_injection: {check: telescoping, delta: abc}\n", "fault_injection.delta", "delta-not-number"),
     _bad("model: {kind: delta, m: 2.5}\n", "model.m", "m-fractional"),
     # NaN passes every later range check unless the number parse refuses it.
     _bad("tol: .nan\n", "tol", "tol-nan"),
@@ -386,6 +432,7 @@ _FS = "model: {kind: finite-state, maps: %s, kernel: %s%s}\n"
     _bad("model: {kind: word-tree, eta: .nan}\n", "model.eta", "eta-nan"),
     # Values that were accepted, truncated, or failed with a traceback before the schema table.
     _bad("seed: -1\n", "seed", "seed-negative", "gaussian"),
+    _bad("seed: 1\nnsamples: 1\n", "nsamples", "nsamples-one", "gaussian"),
     _bad(_FS % ("[[0, 1], [1, 0]]", "[[1.0], [0.0, 1.0]]", ""), "model.kernel", "kernel-ragged"),
     _bad(_FS % ("[[0.5, 1], [1, 0]]", "[[1, 0], [0, 1]]", ""), "model.maps", "maps-fractional"),
     _bad(_FS % ("[[0, true], [1, 0]]", "[[1, 0], [0, 1]]", ""), "model.maps", "maps-bool"),

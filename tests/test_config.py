@@ -1,5 +1,3 @@
-import inspect
-import re
 
 import pytest
 import yaml
@@ -66,16 +64,6 @@ def test_certificate_mapping_requires_keys():
             "model": {"kind": "word-tree"},
             "certificate": {"C": 1.0, "r": {"kind": "length-decay", "base": 0.25}},
         })
-
-
-def test_fault_injection_schema():
-    cfg = parse_config({
-        "model": {"kind": "word-tree"},
-        "fault_injection": {"check": "telescoping", "delta": 1e-3},
-    })
-    assert cfg.fault_injection == {"check": "telescoping", "delta": 1e-3}
-    with pytest.raises(InputError, match="fault_injection"):
-        parse_config({"model": {"kind": "word-tree"}, "fault_injection": {"check": "x"}})
 
 
 def test_load_config_file(tmp_path):
@@ -161,13 +149,12 @@ def test_echo_keeps_nested_values_as_written():
 
 
 @pytest.mark.parametrize("section", ["model", "gaussian", "output", "certificate", "boundary",
-                                     "fault_injection", "lyapunov", "certificate.r"])
+                                     "lyapunov", "certificate.r"])
 def test_unknown_keys_are_refused_at_every_level(section):
     raw = {"model": {"kind": "finite-state", "maps": [[0]], "kernel": [[1.0]],
                      "lyapunov": {"C": 1, "beta": 1, "r": [1]}},
            "gaussian": {}, "output": {}, "boundary": {},
-           "certificate": {"C": 1, "beta": 1, "r": {"kind": "table", "values": {}}},
-           "fault_injection": {"check": "telescoping", "delta": 1.0}}
+           "certificate": {"C": 1, "beta": 1, "r": {"kind": "table", "values": {}}}}
     parse_config(raw)
     node = raw["model"]["lyapunov"] if section == "lyapunov" else \
         raw["certificate"]["r"] if section == "certificate.r" else raw[section]
@@ -175,13 +162,3 @@ def test_unknown_keys_are_refused_at_every_level(section):
     path = {"lyapunov": "model.lyapunov", "certificate.r": "certificate.r"}.get(section, section)
     with pytest.raises(InputError, match=rf"^config {path}\.extra: unknown key \(expected one of "):
         parse_config(raw)
-
-
-def test_fault_checks_are_the_ones_verify_reads():
-    # Each name config accepts is read by one verify check, and fault_for
-    # refuses any other name.
-    from kerneltower import verify
-    from kerneltower.config import FAULT_CHECKS
-
-    read = re.findall(r'fault_for\("([^"]+)"\)', inspect.getsource(verify))
-    assert sorted(read) == sorted(FAULT_CHECKS)

@@ -17,9 +17,10 @@ from kerneltower import (
 )
 from kerneltower import points
 from kerneltower.models import FiniteStateModel
-from kerneltower.points import check_word_levels, fsum_rows, orbit_points_by_level, point_label
+from kerneltower.points import (check_word_levels, fsum_rows, orbit_points_by_level, point_label,
+                                word_levels)
 
-from oracles import all_words, word_forward
+from oracles import all_words, word_forward, word_reversed
 
 
 def test_apply_map_prefixes_word_tree(ex25):
@@ -47,31 +48,41 @@ def test_apply_map_symbol_out_of_range(ex25):
         ex25.branch.apply(3, ex25.point(""))
 
 
+# The composition conventions of the points docstring, as word_levels
+# realises them: the point of word w at level |w| is phi_w(s), last symbol's
+# map first; the reversed composition (the Doob walk's) is the oracle's.
+
+def _composed(branch, w, s):
+    pts, index = word_levels(branch, s, len(w))[-1]
+    return pts[index[enumerate_words(branch.m, len(w)).index(w)]]
+
+
 def test_compose_forward_empty_word_is_identity(ex25):
     s = ex25.point("21")
-    assert ex25.branch.forward((), s) == s
+    assert _composed(ex25.branch, (), s) == s
 
 
 def test_compose_forward_example(ex25):
     # phi_1(phi_2(root)) = "12"
-    assert ex25.branch.forward((1, 2), ex25.point("")) == ex25.point("12")
+    assert _composed(ex25.branch, (1, 2), ex25.point("")) == ex25.point("12")
 
 
 def test_compose_forward_single_symbol_matches_apply(ex25):
     s = ex25.point("2")
     for i in (1, 2):
-        assert ex25.branch.forward((i,), s) == ex25.branch.apply(i, s)
+        assert _composed(ex25.branch, (i,), s) == ex25.branch.apply(i, s)
 
 
 def test_compose_reversed_example(ex25):
-    assert ex25.branch.reversed((1, 2), ex25.point("")) == ex25.point("21")
-    assert ex25.branch.reversed((), ex25.point("1")) == ex25.point("1")
+    maps = ex25.branch.maps
+    assert word_reversed(maps, (1, 2), ex25.point("")) == ex25.point("21")
+    assert word_reversed(maps, (), ex25.point("1")) == ex25.point("1")
 
 
 def test_compose_reversed_length_one_equals_forward(ex25):
     s = ex25.point("12")
     for i in (1, 2):
-        assert ex25.branch.reversed((i,), s) == ex25.branch.forward((i,), s)
+        assert word_reversed(ex25.branch.maps, (i,), s) == _composed(ex25.branch, (i,), s)
 
 
 def test_forward_concatenation_exhaustive(ex25):
@@ -81,16 +92,16 @@ def test_forward_concatenation_exhaustive(ex25):
         for lv in range(4):
             for w in all_words(2, lw):
                 for v in all_words(2, lv):
-                    via_concat = ex25.branch.forward(w + v, s)
-                    via_steps = ex25.branch.forward(w, ex25.branch.forward(v, s))
+                    via_concat = _composed(ex25.branch, w + v, s)
+                    via_steps = _composed(ex25.branch, w, _composed(ex25.branch, v, s))
                     assert via_concat == via_steps
 
 
 def test_reversed_equals_forward_of_reversed_word(ex25):
     s = ex25.point("1")
-    for n in range(7):
-        for w in all_words(2, n):
-            assert ex25.branch.reversed(w, s) == ex25.branch.forward(tuple(reversed(w)), s)
+    for n, (pts, index) in enumerate(word_levels(ex25.branch, s, 6)):
+        for j, w in enumerate(all_words(2, n)):
+            assert word_reversed(ex25.branch.maps, tuple(reversed(w)), s) == pts[index[j]]
 
 
 def test_enumerate_words_basics():

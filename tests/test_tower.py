@@ -248,8 +248,8 @@ def test_estimate_requires_covering_certificate(ex25, small_base):
 
 
 def test_estimate_refuses_diagonal_form_certificate_with_beta_one(ex25, root):
-    # diagonal_lyapunov gives beta = 1: the closed form would divide by 1 - beta.
-    r_fn, C = ex25.diagonal_lyapunov()
+    # K(s, s) <= C r(s) with Pr = r, so beta = 1: the closed form would divide by 1 - beta.
+    r_fn, C = (lambda s: 0.5 ** len(s)), 1 + ex25.eta
     diag = lambda s: ex25.kernel(s, s)
     cert = lyapunov_verify(diag, ex25.branch, r_fn, C, 1.0, [root], form="diagonal")
     assert hasattr(cert, "bound") and cert.beta == 1.0
