@@ -24,18 +24,16 @@ FACTOR_RTOL = 1e-10  # how closely, relative to the scale, a factor reproduces i
 
 @dataclass(frozen=True)
 class KernelBatch:
-    """Vectorized form of a kernel over interned points.
+    """Vectorized form of a kernel on the codes of one branch system.
 
-    ``feature`` maps a point to the int the kernel reads from it (a word
-    length, a state).  ``evaluate(fa, fb, same)`` returns the kernel at the
-    pairs whose points have features ``fa`` and ``fb``, with ``same``
-    marking pairs of equal points.  The two sides of a pair arrive in no
-    particular order; each value must equal, bit for bit, the scalar kernel
-    at the pair as ``tower._canon_pair`` orders it.
+    The tower core calls ``evaluate(a, b)`` only on towers over ``branch``
+    itself, at pairs of the codes ``branch.codes()`` gives, in no order; each
+    value must equal, bit for bit, the scalar kernel at the pair as
+    ``tower._canon_pair`` orders it.
     """
 
-    feature: Callable[[Point], int]
-    evaluate: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray]
+    branch: BranchSystem
+    evaluate: Callable[[np.ndarray, np.ndarray], np.ndarray]
 
 
 class Kernel:
@@ -45,7 +43,7 @@ class Kernel:
     composed kernels (e.g. the branching operator applied to a base kernel)
     memoize so that repeated Gram assembly over overlapping point sets does
     not re-walk the branch tree.  An optional ``batch`` form lets the tower
-    core evaluate all pairs of a level in one call.
+    core evaluate a chunk of pairs in one call, on its branch system's codes.
     """
 
     def __init__(self, fn: Callable[[Point, Point], float], name: str = "",

@@ -57,12 +57,51 @@ def _parse_word(spec, m: int) -> tuple[int, ...]:
     return word
 
 
-def _prefix_branch(m: int) -> BranchSystem:
-    def make(i):
-        sym = (i,)
-        return lambda s: sym + s
+class PrefixBranch(BranchSystem):
+    """The prefix maps phi_i(w) = (i,) + w on the words over {1..m}.
 
-    return BranchSystem([make(i) for i in range(1, m + 1)], name=f"prefix-tree(m={m})")
+    A word's code is its bijective base-m integer: () is 0, (i,) + w is
+    i * m^|w| + code(w), and the words of length k start at (m^k - 1)/(m - 1).
+    """
+
+    def __init__(self, m: int):
+        super().__init__([(lambda sym: lambda s: sym + s)((i,)) for i in range(1, m + 1)],
+                         name=f"prefix-tree(m={m})")
+        # m^k up to the first past 2^32: the int64 pair keys keep every code the tower steps below 2^32.
+        self._powers = np.array([m**k for k in range(34) if m**k <= 2**32 * m])
+        self._starts = np.cumsum(self._powers) - self._powers
+
+    def codes(self) -> "PrefixBranch":
+        return self
+
+    def encode(self, points) -> np.ndarray:
+        m = self.m  # codes past int64 come back in a wider array, for the tower to refuse
+        return np.array([sum(i * m**k for k, i in enumerate(_parse_word(w, m)[::-1])) for w in points])
+
+    def lengths(self, codes: np.ndarray) -> np.ndarray:
+        return np.searchsorted(self._starts, codes, side="right") - 1
+
+    def step(self, codes: np.ndarray) -> np.ndarray:
+        out = np.arange(1, self.m + 1)[:, None] * self._powers[self.lengths(codes)]
+        out += codes
+        return out
+
+
+class TableBranch(BranchSystem):
+    """Maps given as tables over the states 0..S-1; a state is its own code."""
+
+    def __init__(self, tables: Sequence[Sequence[int]], name: str):
+        super().__init__([row.__getitem__ for row in tables], name=name)
+        self._table = np.array(tables, dtype=np.min_scalar_type(max(len(tables[0]) - 1, 0)))
+
+    def codes(self) -> "TableBranch":
+        return self
+
+    def encode(self, points) -> np.ndarray:
+        return np.array(points)
+
+    def step(self, codes: np.ndarray) -> np.ndarray:
+        return self._table[:, codes]
 
 
 class WordTreeModel(Model):
@@ -85,7 +124,7 @@ class WordTreeModel(Model):
             raise InputError("word-tree model needs eta >= 0")
         self.m, self.r, self.c, self.eta = m, float(r), float(c), float(eta)
         self.name = f"word-tree(m={m},r={r},c={c},eta={eta})"
-        self.branch = _prefix_branch(m)
+        self.branch = PrefixBranch(m)
         self._inv_m = 1.0 / m
         self._inv_sqrt_m = m ** -0.5
         # Power tables shared by the kernel and its oracles, grown on demand,
@@ -94,7 +133,7 @@ class WordTreeModel(Model):
         self._pism: list[float] = [1.0]  # m^(-k/2)
         self._pr: list[float] = [1.0]    # r^k
         self.kernel = Kernel(self._make_eval(), name=f"K[{self.name}]",
-                             batch=KernelBatch(len, self._batch_eval))
+                             batch=KernelBatch(self.branch, self._batch_eval))
         # Named parts, exposed for order/invariance tests.
         self.diag_invariant = Kernel(self._j0, name="J0")   # L-invariant, diagonal
         self.rank_one = Kernel(self._j1, name="J1")         # L-invariant, rank one
@@ -148,9 +187,10 @@ class WordTreeModel(Model):
 
         return evaluate
 
-    def _batch_eval(self, lu, lv, same):
+    def _batch_eval(self, a, b):
         # The scalar kernel's operations, elementwise, on the same power tables.
-        k = lu + lv
+        lu, same = self.branch.lengths(a), a == b
+        k = lu + self.branch.lengths(b)
         self._pow(self._pism, self._inv_sqrt_m, int(k.max()))
         val = self.eta * np.array(self._pism)[k]
         if same.any():
@@ -202,7 +242,7 @@ class DivergentDeltaModel(Model):
             raise InputError("divergent delta model needs m >= 2")
         self.m = m
         self.name = f"delta(m={m})"
-        self.branch = _prefix_branch(m)
+        self.branch = PrefixBranch(m)
         self.kernel = Kernel(lambda u, v: 1.0 if u == v else 0.0, name="delta")
 
     def point(self, spec) -> Point:
@@ -249,14 +289,11 @@ class FiniteStateModel(Model):
         self.table = table
         self.m = len(self.maps_table)
         self.name = name
-        self.branch = BranchSystem(
-            [(lambda row: (lambda s: row[s]))(row) for row in self.maps_table],
-            name=f"{name}-maps",
-        )
+        self.branch = TableBranch(self.maps_table, name=f"{name}-maps")
         self.kernel = Kernel(
             lambda s, t: float(table[s, t]), name=f"K[{name}]",
             # States are ints, so the core orders each pair as (min, max).
-            batch=KernelBatch(int, lambda a, b, _same: table[np.minimum(a, b), np.maximum(a, b)]),
+            batch=KernelBatch(self.branch, lambda a, b: table[np.minimum(a, b), np.maximum(a, b)]),
         )
         self.lyapunov = lyapunov  # {C, beta, r: per-state values} or None
 

@@ -1,22 +1,14 @@
 """The kernel tower: iterated branching, defects, and the invariant completion.
 
 Level n of the tower is K_n = L^n K, with (LJ)(s, t) = sum_i J(phi_i s, phi_i t).
-The core interns every point it reaches as an id and turns each map into a
-successor row, grown one level at a time.  It keeps a layered pair graph:
-layer d holds the distinct point pairs at depth d, merged across base
-pairs, with one child-position array per map into layer d+1.  Level n
-evaluates K on layer n and sums it up the layers in map order, so an entry
-is n nested left-to-right sums of m children, within
-(n(m-1)+1) * 2^-53 * (L^n |K|)(s, t) of the exact word sum.  A sum reads
-its children by position, so the order of pairs within a layer (the sort
-order of their keys) never reaches a sum.  Ids, successors and child
-positions are stored in the smallest unsigned type that holds their range;
-a level step holds, beyond them, the next layer's candidate pairs as int64
-keys (sorted in place), their int64 sort order and the distinct keys, then
-that layer's values and one chunk of kernel temporaries.  On finite-state
-systems a layer holds at most S(S+1)/2 pairs; on genuine trees layers grow
-by a factor m per level and are guarded by the pair cap.  Defects are
-exact level differences; their PSD margins are certified per level.
+The core, :func:`tower_gram_iter`, reads every point as an integer code:
+a word of the prefix tree as its bijective base-m integer and a state of
+a map table as itself, when the kernel's batch is bound to that branch
+system, and otherwise an id interned in reach order.  An entry of level
+n is n nested left-to-right sums of m children, within
+(n(m-1)+1) * 2^-53 * (L^n |K|)(s, t) of the exact word sum.  Words too
+long for the int64 pair keys are refused.  Defects are exact level
+differences; their PSD margins are certified per level.
 
 :func:`defect_gram` is the one LK - K: level 1 minus level 0 of the core, so
 LK is the left-to-right sum of the m terms K(phi_i s, phi_i t).  For m = 2
@@ -89,29 +81,11 @@ def _canon_pair(x, y):
         return (x, y)
 
 
-def _append(table: np.ndarray, filled: int, block: np.ndarray) -> np.ndarray:
-    """``table`` with ``block`` written after its first ``filled`` columns.
-
-    The table is regrown geometrically (amortized O(1) copies per column),
-    and retyped when ``block`` needs a wider type.
-    """
-    end = filled + block.shape[-1]
-    if end > table.shape[-1] or block.dtype != table.dtype:
-        dtype = np.promote_types(table.dtype, block.dtype)
-        grown = np.empty(table.shape[:-1] + (max(2 * table.shape[-1], end),), dtype)
-        grown[..., :filled] = table[..., :filled]
-        table = grown
-    table[..., filled:end] = block
-    return table
-
-
 class _PointIndex:
-    """Points interned as ids, with one successor row per map and a feature table.
+    """Points interned as ids in reach order: codes for any branch system.
 
-    Ids, and the successor table, take the smallest unsigned type that holds
-    the point count.  Successors and features are computed for each point
-    once, when the level holding it is advanced, into tables grown
-    geometrically.
+    An id's successors are computed once, when a step first asks for them;
+    ids take the smallest unsigned type that holds the point count.
     """
 
     def __init__(self, maps):
@@ -119,34 +93,20 @@ class _PointIndex:
         self.ids: dict = {}
         self.points: list = []
         self._succ = np.empty((len(maps), 0), dtype=np.uint8)
-        self._features = np.empty(0, dtype=np.int64)
-        self._done = self._featured = 0
 
-    def intern(self, points) -> np.ndarray:
-        setdefault, ids = self.ids.setdefault, self.ids
-        out = [setdefault(p, len(ids)) for p in points]
-        # The points this call added are the newest keys of ``ids``.
-        fresh = list(itertools.islice(reversed(ids), len(ids) - len(self.points)))
-        self.points.extend(reversed(fresh))
+    def encode(self, points) -> np.ndarray:
+        ids, known = self.ids, len(self.ids)
+        out = [ids.setdefault(p, len(ids)) for p in points]
+        self.points.extend(itertools.islice(ids, known, None))
         return np.array(out, dtype=np.min_scalar_type(len(ids)))
 
-    def successors(self) -> np.ndarray:
-        done = self._done
-        if done < len(self.points):
-            fresh = self.points[done:]
-            rows = [self.intern(map(f, fresh)) for f in self.maps]
-            self._succ = _append(self._succ, done, np.array(rows))
-            self._done = done + len(fresh)
-        return self._succ[:, :self._done]
-
-    def feature_array(self, feature) -> np.ndarray:
-        have = self._featured
-        if have < len(self.points):
-            fresh = np.fromiter(map(feature, itertools.islice(self.points, have, None)),
-                                dtype=np.int64, count=len(self.points) - have)
-            self._features = _append(self._features, have, fresh)
-            self._featured = len(self.points)
-        return self._features[:self._featured]
+    def step(self, ids: np.ndarray) -> np.ndarray:
+        # Only ids up to the largest asked for: the core steps lo and hi in
+        # turn, and stepping what lo's step interned would run a level ahead.
+        fresh = self.points[self._succ.shape[1]:int(ids.max()) + 1]
+        if fresh:
+            self._succ = np.concatenate([self._succ, [self.encode(map(f, fresh)) for f in self.maps]], axis=1)
+        return self._succ[:, ids]
 
 
 def tower_gram_iter(
@@ -157,33 +117,38 @@ def tower_gram_iter(
 ) -> Iterator[np.ndarray]:
     """Yield the level-0, level-1, ... Gram matrices of the tower on ``points``.
 
-    Points are interned as ids and each map becomes a successor row, grown
-    only when the next level is requested, so callers may stop at any
-    horizon.  Layer d of the pair graph holds the distinct unordered id
-    pairs at depth d, merged across base pairs; each layer keeps one
-    child-position array per map into the next.  Level n evaluates K on
-    layer n, ``_CHUNK_PAIRS`` pairs at a time (one call per chunk when the
-    kernel has a ``KernelBatch``, else once per pair in ``_canon_pair``
-    order), and sums up the layers in map order, ``v_d = v_{d+1}[child_1]
-    + ... + v_{d+1}[child_m]``.  These nested sums lie within
+    Points are read as integer codes, stepped by the maps only when the
+    next level is requested, so callers may stop at any horizon.  When K's
+    ``KernelBatch`` is bound to ``branch`` itself, the codes are
+    ``branch.codes()`` and the batch evaluates K on them; for every other
+    kernel and branch system the points are interned as ids and K is
+    called once per pair in ``_canon_pair`` order, so a batch never reads
+    another system's codes.  Layer d of the pair graph holds the distinct
+    unordered code pairs at depth d, merged across base pairs; each layer
+    keeps one child-position array per map into the next.  Level n
+    evaluates K on layer n, ``_CHUNK_PAIRS`` pairs at a time, and sums up
+    the layers in map order, ``v_d = v_{d+1}[child_1] + ... +
+    v_{d+1}[child_m]``.  These nested sums lie within
     (n(m-1)+1) * 2^-53 * (L^n |K|)(s, t) of the exact word sum.  A sum
     reads its terms by child position, so where a pair sits within its
     layer never enters a sum, and batch kernels are elementwise, so
     neither does the chunking.  Pairs of points that do not compare are
     merged as unordered pairs.
 
-    Between levels the generator holds the point index (the points, their
-    ids, the successor table and, for a batch kernel, the int64 feature
-    table, both grown geometrically), every layer's child positions and
-    the newest layer's pairs, ids and positions in the smallest unsigned
-    type that holds their range.  One level step adds the next layer's
-    candidate pairs as int64 keys (lo * points + hi), merged by one
+    Between levels the generator holds any interned points with their
+    successors, every layer's child positions and the newest layer's pairs
+    in the smallest unsigned type that holds their range.  A level step
+    adds the next layer's candidate pairs and their int64 keys, lo * size
+    + hi with size one more than the largest code, merged by one
     ``argsort`` (the keys are then sorted in place, and the distinct ones
     kept); then the layer's values and one chunk of kernel temporaries.
+    Keys past int64 (from words of about 31 symbols at m = 2, 20 at m = 3)
+    are a resource error naming the level.
 
-    ``pair_cap`` bounds the distinct pairs of one layer beyond layer 0; a
-    level beyond it raises a resource error when requested, before the
-    layer's child positions are built.  A level with a non-finite entry
+    ``pair_cap`` bounds the distinct pairs of one layer beyond layer 0 (on
+    S states a layer holds at most S(S+1)/2; on genuine trees layers grow
+    by a factor m per level); a level beyond it raises a resource error
+    when requested, before the layer's child positions are built.  A level with a non-finite entry
     raises a numerical error naming the level and a pair.
     """
     pts = tuple(points)
@@ -191,16 +156,23 @@ def tower_gram_iter(
     if n == 0:
         raise InputError("tower needs a nonempty base point list")
     batch = K.batch if isinstance(K, Kernel) else None
-    evaluate = K.raw() if isinstance(K, Kernel) else K
-    index = _PointIndex(branch.maps)
-    base = index.intern(pts)
+    if batch is not None and batch.branch is branch:
+        codes, evaluate = branch.codes(), batch.evaluate
+    else:
+        codes, scalar = _PointIndex(branch.maps), K.raw() if isinstance(K, Kernel) else K
+        pool = codes.points
+
+        def evaluate(a, b):
+            return [scalar(*_canon_pair(pool[x], pool[y])) for x, y in zip(a.tolist(), b.tolist())]
+
+    base = codes.encode(pts)
     ia, ib = (c.astype(np.min_scalar_type(n)) for c in np.triu_indices(n))
     lo, hi = base[ia], base[ib]
     children = []  # [0]: base pairs -> layer 0; [d]: layer d-1 -> layer d, one row per map
     while True:
-        size = len(index.points)
+        size = int(max(lo.max(), hi.max())) + 1
         if size * size >= 2**63:
-            raise ResourceError(f"tower pair keys of {size} points exceed int64")
+            raise ResourceError(f"level {len(children)} tower pair keys exceed int64: shorten base_points")
         key = np.minimum(lo, hi).astype(np.int64)
         key *= size
         key += np.maximum(lo, hi, out=hi)
@@ -224,21 +196,14 @@ def tower_gram_iter(
         at[order] = rank  # each candidate's position in the layer
         del order, rank
         children.append(at.reshape(len(branch.maps) if children else 1, -1))
-        id_type = np.min_scalar_type(size)  # ids are below size: decoded with no int64 copy
-        lo = np.floor_divide(key, size, out=np.empty(count, id_type), casting="unsafe")
-        hi = np.remainder(key, size, out=np.empty(count, id_type), casting="unsafe")
+        code_type = np.min_scalar_type(size)  # codes are below size: decoded with no int64 copy
+        lo = np.floor_divide(key, size, out=np.empty(count, code_type), casting="unsafe")
+        hi = np.remainder(key, size, out=np.empty(count, code_type), casting="unsafe")
         del key
-        feat = index.feature_array(batch.feature) if batch is not None else None
-        pool = index.points
         values = np.empty(count)
         for start in range(0, count, _CHUNK_PAIRS):
             chunk = slice(start, start + _CHUNK_PAIRS)
-            a, b = lo[chunk], hi[chunk]
-            if batch is not None:
-                values[chunk] = batch.evaluate(feat[a], feat[b], a == b)
-            else:
-                values[chunk] = [evaluate(*_canon_pair(pool[x], pool[y]))
-                                 for x, y in zip(a.tolist(), b.tolist())]
+            values[chunk] = evaluate(lo[chunk], hi[chunk])
         for kids in reversed(children):
             total = values[kids[0]]
             for k in kids[1:]:
@@ -253,8 +218,7 @@ def tower_gram_iter(
         G[ia, ib] = G[ib, ia] = values + 0.0  # + 0.0: no entry is -0.0
         yield G
 
-        succ = index.successors()
-        lo, hi = succ[:, lo].ravel(), succ[:, hi].ravel()
+        lo, hi = codes.step(lo).ravel(), codes.step(hi).ravel()
 
 
 @dataclass
@@ -399,7 +363,7 @@ def level_via_words(
     (every word tree), or whose D^2 pair codes exceed ``cap``, is summed
     word by word: one kernel call per word, ``math.fsum`` per entry.  Both
     give the exactly rounded sum of all m^k per-word values.  Nothing is
-    shared with the interned tower core, and no batch form of the kernel is
+    shared with the tower core, and no batch form of the kernel is
     called.  Past ``cap`` words, the first level over it names the error.
     """
     pts = tuple(points)

@@ -203,6 +203,20 @@ def test_delta_tower_exits_with_model_code(tmp_path, capsys):
     assert "ceiling" in captured.err
 
 
+@pytest.mark.parametrize("m, longest", [(2, 28), (3, 17)])
+def test_word_codes_past_the_int64_pair_keys_exit_5_naming_base_points(tmp_path, capsys, m, longest):
+    # The tower reads a word as its bijective base-m integer, and its pair
+    # keys square the codes: at m = 2 they hold words of up to 30 symbols,
+    # at m = 3 up to 19.  `tower` reaches words 2 symbols longer than
+    # base_points at level 1 (the subinvariance check on the one-step closure).
+    for length, code in ((longest, 0), (longest + 1, 5)):
+        cfg = write_config(tmp_path, f'model: {{kind: word-tree, m: {m}}}\nbase_points: ["{"1" * length}"]\n'
+                           "horizon: 1\nmax_levels: 2\n")
+        assert main(["tower", "--config", cfg, "--out", str(tmp_path / f"out-{length}")]) == code
+        err = capsys.readouterr().err
+    assert err == "error[resource]: level 1 tower pair keys exceed int64: shorten base_points\n"
+
+
 def test_missing_config_is_input_error(tmp_path, capsys):
     code = main(["tower", "--out", str(tmp_path / "out")])
     captured = capsys.readouterr()

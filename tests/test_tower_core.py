@@ -87,11 +87,75 @@ def test_core_equals_reference_on_seeded_finite_state(sink_model):
 
 
 def test_batched_and_scalar_kernels_agree_bitwise(ex25, closure2, sink_model):
-    for model, pts in ((ex25, closure2), (sink_model, sink_model.all_states())):
+    # On a plain BranchSystem of the same maps the batch is not bound, so the
+    # model's kernel takes the scalar route: a batch never reads another
+    # system's ids.  The states run backwards, so their ids are not the states.
+    for model, pts in ((ex25, closure2), (sink_model, sink_model.all_states()[::-1])):
         scalar = Kernel(model.kernel.raw(), name="scalar")
-        a = _levels(tower_gram_iter(model.kernel, model.branch, pts), 6)
+        other = BranchSystem(model.branch.maps)
         b = _levels(tower_gram_iter(scalar, model.branch, pts), 6)
-        assert all(np.array_equal(x, y) for x, y in zip(a, b))
+        for K, branch in ((model.kernel, model.branch), (model.kernel, other), (scalar, other)):
+            a = _levels(tower_gram_iter(K, branch, pts), 6)
+            assert all(np.array_equal(x, y) for x, y in zip(a, b))
+
+
+def test_builtin_kernels_read_codes_and_intern_no_point(monkeypatch, ex25, closure2, delta2, feeder, sink_model):
+    made = []
+
+    class Recorded(tower._PointIndex):
+        def __init__(self, maps):
+            super().__init__(maps)
+            made.append(self)
+
+    monkeypatch.setattr(tower, "_PointIndex", Recorded)
+    m3 = WordTreeModel(m=3)
+    for model, pts in ((ex25, closure2), (m3, orbit_closure(m3.branch, [()], 2)),
+                       (feeder, feeder.all_states()), (sink_model, sink_model.all_states())):
+        build_tower(model.kernel, model.branch, pts, 6)
+    assert not made
+    # The delta kernel has no batch.  Levels 0..6 intern the 2^7 - 1 words
+    # of length up to 6: a step never runs ahead of the level asked for.
+    build_tower(delta2.kernel, delta2.branch, [()], 6)
+    assert len(made) == 1 and len(made[0].points) == 2**7 - 1
+
+
+@st.composite
+def coded_models(draw):
+    """A finite-state model or a word tree at m = 2..4, with base points.
+
+    The finite-state kernel tables are small integers, and the word trees
+    have base words of at most 3 symbols and dyadic r, c and eta, so every
+    level sum is exact except on word trees at m = 3, whose powers of 1/3
+    round.
+    """
+    m = draw(st.integers(2, 4))
+    if draw(st.booleans()):
+        S = draw(st.integers(1, 6))
+        maps = [draw(st.lists(st.integers(0, S - 1), min_size=S, max_size=S)) for _ in range(m)]
+        rank = draw(st.integers(1, S))
+        A = np.array(draw(st.lists(st.lists(st.integers(-2, 2), min_size=rank, max_size=rank),
+                                   min_size=S, max_size=S)))
+        return FiniteStateModel(maps, A @ A.T), draw(st.lists(st.integers(0, S - 1), min_size=1, max_size=4))
+    dyadic = st.sampled_from([0.25, 0.5, 0.75])
+    model = WordTreeModel(m, draw(dyadic), draw(dyadic), draw(st.sampled_from([0.0, 0.5, 1.0, 2.0])))
+    words = st.lists(st.integers(1, m), max_size=3).map(tuple)
+    return model, draw(st.lists(words, min_size=1, max_size=4))
+
+
+@settings(max_examples=60, deadline=None)
+@given(coded_models(), st.integers(0, 6))
+def test_coded_route_equals_interned_route_and_reference(case, n):
+    # The coded route (the model's batch on its own codes) against the
+    # interned route (its scalar kernel on a plain BranchSystem of the same
+    # maps), bit for bit, and against the Counter reference.
+    model, base = case
+    coded = _levels(tower_gram_iter(model.kernel, model.branch, base), n)
+    interned = _levels(tower_gram_iter(Kernel(model.kernel.raw()), BranchSystem(model.branch.maps), base), n)
+    for level, (a, b) in enumerate(zip(coded, interned)):
+        assert np.array_equal(a.view(np.int64), b.view(np.int64)), f"level {level}"
+    exact = not (isinstance(model, WordTreeModel) and model.m == 3)
+    check = _assert_core_equals_reference if exact else _assert_core_within_rounding
+    check(model.kernel, model.branch, base, n)
 
 
 def test_core_handles_points_that_do_not_compare():
@@ -204,10 +268,12 @@ def test_chunked_kernel_calls_give_the_same_levels(ex25, closure2, feeder, sink_
 
 def test_telescoping_check_holds_the_tables_and_one_layer_merge(traced_peak):
     # Criterion 3's largest tower is the m = 3 word tree on 4 points at N = 10,
-    # whose layer 10 has 10 * 3^10 pairs and no merges.  Beyond the tables
-    # the generator holds after level 10, a step may hold three int64 arrays
-    # over the new layer (its keys, their sort order and the distinct keys),
-    # plus one chunk of kernel temporaries (under 64 bytes a pair).
+    # whose layer 10 has 10 * 3^10 pairs and no merges.  Its words are codes,
+    # so after level 10 the generator holds only child positions and the
+    # newest layer's pairs (7.8 MiB; 61.4 MiB when it interned the words).
+    # Beyond them a step may hold three int64 arrays over the new layer (its
+    # keys, their sort order and the distinct keys), plus one chunk of kernel
+    # temporaries (under 64 bytes a pair).
     model, F = verify._builtin_suite()[1]
     build_tower(model.kernel, model.branch, F, 2)  # one-off caches
 
@@ -220,6 +286,7 @@ def test_telescoping_check_holds_the_tables_and_one_layer_merge(traced_peak):
     _, _, tables = traced_peak(to_level_10)
     result, peak, _ = traced_peak(lambda: verify.check_telescoping(verify.VerifyContext()))
     assert result.passed
+    assert tables <= 12 * 2**20 and peak <= 30 * 2**20
     merge = 3 * 8 * len(F) * (len(F) + 1) // 2 * 3**10
     assert peak <= tables + merge + 64 * tower._CHUNK_PAIRS + 2**20
 

@@ -33,6 +33,7 @@ from kerneltower import (
 )
 from kerneltower.cli import main
 from kerneltower.kernels import KernelBatch
+from kerneltower.models import PrefixBranch, TableBranch
 from kerneltower.points import fsum_rows, orbit_points_by_level, word_levels, word_sum
 
 from oracles import (
@@ -352,27 +353,31 @@ def test_random_finite_state_routes_match_reference(case, n):
 
 # --- the oracles share nothing with the tower core ---------------------------
 
-def test_word_routes_do_not_touch_the_tower_core(monkeypatch, sink_model):
+def test_word_routes_do_not_touch_the_tower_core(monkeypatch, sink_model, ex25, small_base):
     def refuse(*args, **kwargs):
         raise AssertionError("a word route reached the tower core")
 
     monkeypatch.setattr(tower_module, "_PointIndex", refuse)
-    table = sink_model.table
-    K = Kernel(lambda s, t: float(table[s, t]), batch=KernelBatch(refuse, refuse))
-    base = sink_model.all_states()
-    with pytest.raises(AssertionError, match="tower core"):
-        next(tower_module.tower_gram_iter(K, sink_model.branch, base))
+    for cls in (PrefixBranch, TableBranch):
+        monkeypatch.setattr(cls, "codes", refuse)
+        monkeypatch.setattr(cls, "step", refuse)
     # Route one of diagonal_trace is the tower; swap in the Counter loop so
     # that only the word route could reach the core.
     monkeypatch.setattr(diagonal_module, "tower_gram_iter", reference_tower_gram_iter)
 
-    for n, W in enumerate(level_via_words(K, sink_model.branch, base, 5)):
-        assert np.array_equal(W.entries, reference_level_via_words(K, sink_model.branch, base, n))
-    for s in base:
-        diagonal_trace(K, sink_model.branch, s, 6)  # raises if the two routes disagree
-        layer_cake_check(K, sink_model.branch, s, 6)
-        level_set_count(K, sink_model.branch, s, 6, 0.5)
-        blowup_detect(K, sink_model.branch, s, lambda x: True, 1.0, 2.0, [1, 4])
+    for model, base in ((sink_model, sink_model.all_states()), (ex25, small_base)):
+        B = model.branch
+        K = Kernel(model.kernel.raw(), batch=KernelBatch(B, refuse))
+        for J in (K, Kernel(K.raw())):  # the codes of B, then interned points
+            with pytest.raises(AssertionError, match="tower core"):
+                next(tower_module.tower_gram_iter(J, B, base))
+        for n, W in enumerate(level_via_words(K, B, base, 5)):
+            assert np.array_equal(W.entries, reference_level_via_words(K, B, base, n))
+        for s in base:
+            diagonal_trace(K, B, s, 6)  # raises if the two routes disagree
+            layer_cake_check(K, B, s, 6)
+            level_set_count(K, B, s, 6, 0.5)
+            blowup_detect(K, B, s, lambda x: True, 1.0, 2.0, [1, 4])
 
 
 # --- negative word lengths ---------------------------------------------------
