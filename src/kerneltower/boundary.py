@@ -466,8 +466,7 @@ class BoundarySections:
     the sections, kept with a PSD verdict and not factored.
     LK - K is :func:`tower.defect_gram`.  For m = 2 it equals the scalar
     ``fsum`` over the maps; otherwise it lies within m * 2^-53 * (L|K|)(s, t)
-    of it.  Kernels symmetric only up to rounding may also differ by their
-    asymmetry, since the core reads each pair in one order.
+    of it.
     """
 
     points: tuple

@@ -171,8 +171,13 @@ def empirical_covariance(batch: FieldBatch, level: int) -> tuple[np.ndarray, np.
 def sample_covariance(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Covariance of exactly-centered samples with plug-in standard errors."""
     n = X.shape[0]
-    cov = X.T @ X / n
+    cov = _cross_products(X) / n
     return cov, _plugin_se(cov, np.einsum("ja,ja->a", X, X) / n, n)
+
+
+def _cross_products(X: np.ndarray) -> np.ndarray:
+    """X.T @ X; one column by ``np.einsum``, as OpenBLAS splits that inner product across threads."""
+    return np.einsum("ja,ja->a", X, X)[:, None] if X.shape[1] == 1 else X.T @ X
 
 
 def _plugin_se(cov: np.ndarray, var: np.ndarray, n: int) -> np.ndarray:
@@ -235,9 +240,9 @@ def martingale_checks(batch: FieldBatch, tower: Tower) -> MartingaleReport:
     mean = I.mean(axis=0)
     mean_z = float(np.max(_z_scores(mean, _column_std(I, mean) / math.sqrt(n))))
 
-    M2 = (I.T @ I / n).reshape(N, P, N, P)
+    M2 = (_cross_products(I) / n).reshape(N, P, N, P)
     I *= I
-    M4 = (I.T @ I / n).reshape(N, P, N, P)
+    M4 = (_cross_products(I) / n).reshape(N, P, N, P)
     cross_se = np.sqrt(np.maximum(M4 - M2**2, 0.0)) / math.sqrt(n)
 
     cross_z = 0.0

@@ -15,7 +15,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import InputError, KernelTowerError, ModelError, NumericalError, ResourceError
+from .errors import ContractError, InputError, KernelTowerError, ModelError, NumericalError, ResourceError
 from .points import BranchSystem, Point, point_label
 
 DEFAULT_PSD_TOL = 1e-9
@@ -27,13 +27,17 @@ class KernelBatch:
     """Vectorized form of a kernel on the codes of one branch system.
 
     The tower core calls ``evaluate(a, b)`` only on towers over ``branch``
-    itself, at pairs of the codes ``branch.codes()`` gives, in no order; each
-    value must equal, bit for bit, the scalar kernel at the pair as
-    ``tower._canon_pair`` orders it.
+    itself, at code arrays from ``branch.codes()`` with ``a <= b``
+    elementwise; each value must equal, bit for bit, the scalar kernel at
+    the pair.  A branch system without codes is refused.
     """
 
     branch: BranchSystem
     evaluate: Callable[[np.ndarray, np.ndarray], np.ndarray]
+
+    def __post_init__(self):
+        if not hasattr(self.branch, "codes"):
+            raise ContractError(f"a KernelBatch needs a branch system with codes, not {self.branch!r}")
 
 
 class Kernel:

@@ -243,7 +243,8 @@ class DivergentDeltaModel(Model):
         self.m = m
         self.name = f"delta(m={m})"
         self.branch = PrefixBranch(m)
-        self.kernel = Kernel(lambda u, v: 1.0 if u == v else 0.0, name="delta")
+        self.kernel = Kernel(lambda u, v: 1.0 if u == v else 0.0, name="delta",
+                             batch=KernelBatch(self.branch, lambda a, b: (a == b).astype(float)))
 
     def point(self, spec) -> Point:
         return _parse_word(spec, self.m)
@@ -262,14 +263,19 @@ class FiniteStateModel(Model):
                  name: str = "finite-state", tol: float = DEFAULT_PSD_TOL,
                  lyapunov: Mapping | None = None):
         try:
-            table = np.asarray(kernel, dtype=float)
+            table = np.array(kernel, dtype=float)
         except (TypeError, ValueError):  # ragged, or not numbers
             raise InputError("finite-state kernel table must be a rectangular table of numbers") from None
         if table.ndim != 2 or table.shape[0] != table.shape[1]:
             raise InputError("finite-state kernel table must be square")
         self.S = table.shape[0]
-        if not np.allclose(table, table.T, atol=1e-12):
-            raise InputError("finite-state kernel table must be symmetric")
+        gap = np.abs(table - table.T)
+        s, t = np.unravel_index(np.argmax(gap), gap.shape)
+        if gap[s, t] > 1e-12 * max(1.0, float(np.max(np.abs(table)))):
+            raise InputError(f"finite-state kernel table must be symmetric: "
+                             f"K[{s}, {t}] = {table[s, t]} but K[{t}, {s}] = {table[t, s]}")
+        i, j = np.tril_indices(self.S, -1)
+        table[i, j] = table[j, i]  # copied, not averaged: a sum would turn -0.0 into +0.0
         report = psd_check(table, tol)
         if not report.psd:
             raise InputError(f"finite-state kernel table is not PSD: {report.summary()}")
@@ -290,11 +296,8 @@ class FiniteStateModel(Model):
         self.m = len(self.maps_table)
         self.name = name
         self.branch = TableBranch(self.maps_table, name=f"{name}-maps")
-        self.kernel = Kernel(
-            lambda s, t: float(table[s, t]), name=f"K[{name}]",
-            # States are ints, so the core orders each pair as (min, max).
-            batch=KernelBatch(self.branch, lambda a, b: table[np.minimum(a, b), np.maximum(a, b)]),
-        )
+        self.kernel = Kernel(lambda s, t: float(table[s, t]), name=f"K[{name}]",
+                             batch=KernelBatch(self.branch, lambda a, b: table[a, b]))
         self.lyapunov = lyapunov  # {C, beta, r: per-state values} or None
 
     def point(self, spec) -> Point:

@@ -16,7 +16,8 @@ kernel is evaluated once per distinct point; it also owns the word cap,
 naming the first level past it.  The word routes' sums weight each value
 by its number of words through :func:`fsum_rows`, which is exactly
 rounded: every word still counts as its own term, and each sum equals
-``math.fsum`` over all m^n word values.
+``math.fsum`` over all m^n word values.  :class:`PointIndex` is the one
+reach-order index, stepped by :func:`orbit_closure` and by the tower core.
 """
 
 from __future__ import annotations
@@ -236,6 +237,37 @@ def orbit_points_by_level(
     return [[pts[j] for j in idx.tolist()] for pts, idx in word_levels(branch, s, n, cap)]
 
 
+class PointIndex:
+    """Points interned as ids in reach order: codes for any branch system.
+
+    ``step`` gives ids' successor ids, one row per map, computed once, when
+    a step first asks for them, and interned point-major: each new point's
+    images under phi_1..phi_m in turn.  Points that compare equal are one
+    id; ids take the smallest unsigned type that holds the point count.
+    """
+
+    def __init__(self, maps):
+        self.maps = maps
+        self.ids: dict = {}
+        self.points: list = []
+        self._succ = np.empty((len(maps), 0), dtype=np.uint8)
+
+    def encode(self, points) -> np.ndarray:
+        ids, known = self.ids, len(self.ids)
+        out = [ids.setdefault(p, len(ids)) for p in points]
+        self.points.extend(itertools.islice(ids, known, None))
+        return np.array(out, dtype=np.min_scalar_type(len(ids)))
+
+    def step(self, ids: np.ndarray) -> np.ndarray:
+        # Only ids up to the largest asked for: the tower core steps lo and
+        # hi in turn, and stepping what lo's step interned would run a level ahead.
+        fresh = self.points[self._succ.shape[1]:int(ids.max()) + 1]
+        if fresh:
+            images = self.encode(f(p) for p in fresh for f in self.maps)
+            self._succ = np.concatenate([self._succ, images.reshape(-1, len(self.maps)).T], axis=1)
+        return self._succ[:, ids]
+
+
 def orbit_closure(
     branch: BranchSystem,
     base: Iterable[Point],
@@ -244,29 +276,22 @@ def orbit_closure(
 ) -> list[Point]:
     """All points phi_w(s), s in base, |w| <= depth, deduplicated.
 
-    Insertion-ordered (base points first, then by level and word order).
-    The reversed compositions contribute no new points: over all words of a
-    fixed length they produce the same set as the forward compositions.
+    Insertion-ordered (base points first, then by level and word order): a
+    :class:`PointIndex` stepped one level at a time, which stops at a level
+    that reaches no new point.  The reversed compositions contribute no new
+    points: over all words of a fixed length they produce the same set as
+    the forward compositions.
     """
     if depth < 0:
         raise InputError("orbit depth must be nonnegative")
-    seen: dict[Point, None] = dict.fromkeys(base)
-    frontier = list(seen)
-    budget = cap
+    index = PointIndex(branch.maps)
+    index.encode(base)
+    stepped = 0  # the ids below it are stepped
     for _ in range(depth):
-        nxt = []
-        for s in frontier:
-            for f in branch.maps:
-                budget -= 1
-                if budget < 0:
-                    raise ResourceError(
-                        f"orbit closure exceeded the cap of {cap} map applications"
-                    )
-                t = f(s)
-                if t not in seen:
-                    seen[t] = None
-                    nxt.append(t)
-        if not nxt:
+        if stepped == len(index.points):  # the last level reached no new point
             break
-        frontier = nxt
-    return list(seen)
+        frontier, stepped = np.arange(stepped, len(index.points)), len(index.points)
+        if stepped * branch.m > cap:  # every point is stepped once
+            raise ResourceError(f"orbit closure exceeded the cap of {cap} map applications")
+        index.step(frontier)
+    return index.points

@@ -4,17 +4,17 @@ Level n of the tower is K_n = L^n K, with (LJ)(s, t) = sum_i J(phi_i s, phi_i t)
 The core, :func:`tower_gram_iter`, reads every point as an integer code:
 a word of the prefix tree as its bijective base-m integer and a state of
 a map table as itself, when the kernel's batch is bound to that branch
-system, and otherwise an id interned in reach order.  An entry of level
-n is n nested left-to-right sums of m children, within
-(n(m-1)+1) * 2^-53 * (L^n |K|)(s, t) of the exact word sum.  Words too
-long for the int64 pair keys are refused.  Defects are exact level
-differences; their PSD margins are certified per level.
+system (every builtin kernel), and otherwise an id of a
+:class:`points.PointIndex`.  An entry of level n is n nested
+left-to-right sums of m children, within (n(m-1)+1) * 2^-53 *
+(L^n |K|)(s, t) of the exact word sum.  Words too long for the int64
+pair keys are refused.  Defects are exact level differences; their PSD
+margins are certified per level.
 
 :func:`defect_gram` is the one LK - K: level 1 minus level 0 of the core, so
 LK is the left-to-right sum of the m terms K(phi_i s, phi_i t).  For m = 2
 it equals a scalar ``fsum`` over the maps; otherwise it lies within
-m * 2^-53 * (L|K|)(s, t) of it (kernels symmetric only up to rounding may
-also differ by their asymmetry: the core reads each pair in one order).
+m * 2^-53 * (L|K|)(s, t) of it.
 
 Word-sum evaluation (one sum over all length-n words, with the scalar
 kernel) is kept as an independent second route to the same level Grams:
@@ -57,6 +57,7 @@ from .points import (
     DEFAULT_WORD_CAP,
     BranchSystem,
     Point,
+    PointIndex,
     fsum_rows,
     point_label,
     word_levels,
@@ -71,44 +72,6 @@ _WORD_BLOCK = 2**16  # word codes and counts of one block in level_via_words
 _CHUNK_PAIRS = 1 << 14  # pairs per kernel call on a layer: bounds the kernel's temporaries
 
 
-def _canon_pair(x, y):
-    """Order a point pair when the point values are comparable."""
-    if x == y:
-        return (x, y)
-    try:
-        return (x, y) if x <= y else (y, x)
-    except TypeError:
-        return (x, y)
-
-
-class _PointIndex:
-    """Points interned as ids in reach order: codes for any branch system.
-
-    An id's successors are computed once, when a step first asks for them;
-    ids take the smallest unsigned type that holds the point count.
-    """
-
-    def __init__(self, maps):
-        self.maps = maps
-        self.ids: dict = {}
-        self.points: list = []
-        self._succ = np.empty((len(maps), 0), dtype=np.uint8)
-
-    def encode(self, points) -> np.ndarray:
-        ids, known = self.ids, len(self.ids)
-        out = [ids.setdefault(p, len(ids)) for p in points]
-        self.points.extend(itertools.islice(ids, known, None))
-        return np.array(out, dtype=np.min_scalar_type(len(ids)))
-
-    def step(self, ids: np.ndarray) -> np.ndarray:
-        # Only ids up to the largest asked for: the core steps lo and hi in
-        # turn, and stepping what lo's step interned would run a level ahead.
-        fresh = self.points[self._succ.shape[1]:int(ids.max()) + 1]
-        if fresh:
-            self._succ = np.concatenate([self._succ, [self.encode(map(f, fresh)) for f in self.maps]], axis=1)
-        return self._succ[:, ids]
-
-
 def tower_gram_iter(
     K: Kernel,
     branch: BranchSystem,
@@ -121,19 +84,18 @@ def tower_gram_iter(
     next level is requested, so callers may stop at any horizon.  When K's
     ``KernelBatch`` is bound to ``branch`` itself, the codes are
     ``branch.codes()`` and the batch evaluates K on them; for every other
-    kernel and branch system the points are interned as ids and K is
-    called once per pair in ``_canon_pair`` order, so a batch never reads
-    another system's codes.  Layer d of the pair graph holds the distinct
-    unordered code pairs at depth d, merged across base pairs; each layer
-    keeps one child-position array per map into the next.  Level n
-    evaluates K on layer n, ``_CHUNK_PAIRS`` pairs at a time, and sums up
-    the layers in map order, ``v_d = v_{d+1}[child_1] + ... +
-    v_{d+1}[child_m]``.  These nested sums lie within
-    (n(m-1)+1) * 2^-53 * (L^n |K|)(s, t) of the exact word sum.  A sum
-    reads its terms by child position, so where a pair sits within its
-    layer never enters a sum, and batch kernels are elementwise, so
-    neither does the chunking.  Pairs of points that do not compare are
-    merged as unordered pairs.
+    kernel and branch system the points are interned as the ids of a
+    :class:`points.PointIndex` and K is called once per pair, the lower id
+    first, so a batch never reads another system's codes.  Layer d of the
+    pair graph holds the distinct unordered code pairs at depth d, each as
+    (lo, hi) with lo <= hi, merged across base pairs; each layer keeps one
+    child-position array per map into the next.  Level n evaluates K on
+    layer n, ``_CHUNK_PAIRS`` pairs at a time, and sums up the layers in
+    map order, ``v_d = v_{d+1}[child_1] + ... + v_{d+1}[child_m]``.  These
+    nested sums lie within (n(m-1)+1) * 2^-53 * (L^n |K|)(s, t) of the
+    exact word sum.  A sum reads its terms by child position, so where a
+    pair sits within its layer never enters a sum, and batch kernels are
+    elementwise, so neither does the chunking.
 
     Between levels the generator holds any interned points with their
     successors, every layer's child positions and the newest layer's pairs
@@ -159,11 +121,11 @@ def tower_gram_iter(
     if batch is not None and batch.branch is branch:
         codes, evaluate = branch.codes(), batch.evaluate
     else:
-        codes, scalar = _PointIndex(branch.maps), K.raw() if isinstance(K, Kernel) else K
+        codes, scalar = PointIndex(branch.maps), K.raw() if isinstance(K, Kernel) else K
         pool = codes.points
 
         def evaluate(a, b):
-            return [scalar(*_canon_pair(pool[x], pool[y])) for x, y in zip(a.tolist(), b.tolist())]
+            return [scalar(pool[x], pool[y]) for x, y in zip(a.tolist(), b.tolist())]
 
     base = codes.encode(pts)
     ia, ib = (c.astype(np.min_scalar_type(n)) for c in np.triu_indices(n))
@@ -302,9 +264,10 @@ def defect_gram(K: Kernel, branch: BranchSystem, points: Sequence[Point],
                 pair_cap: int = DEFAULT_WORD_CAP) -> np.ndarray:
     """Gram of the one-step defect LK - K on ``points``: level 1 minus level 0 of the core.
 
-    LK(s, t) is the left-to-right sum of K(phi_i s, phi_i t) over the maps:
-    for m = 2 the exactly rounded sum, otherwise within m * 2^-53 *
-    (L|K|)(s, t) of it.  ``pair_cap`` bounds the distinct pairs of layer 1.
+    LK(s, t) is the left-to-right sum of K(phi_i s, phi_i t) over the maps,
+    each read once per unordered pair: for m = 2 the exactly rounded sum,
+    otherwise within m * 2^-53 * (L|K|)(s, t) of it.  ``pair_cap`` bounds
+    the distinct pairs of layer 1.
     """
     levels = tower_gram_iter(K, branch, points, pair_cap)
     K0 = next(levels)

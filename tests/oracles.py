@@ -81,6 +81,35 @@ def diagonal_word_sum(K, maps, s, n):
     )
 
 
+def reference_orbit_closure(branch, base, depth, cap=2**24):
+    """All points phi_w(s), s in base, |w| <= depth, by a dict walk.
+
+    Each frontier point's images under the maps in turn, new points in the
+    order first reached; it stops after a level that reaches no new point,
+    and the map application past ``cap`` is refused.
+    """
+    if depth < 0:
+        raise InputError("orbit depth must be nonnegative")
+    seen = dict.fromkeys(base)
+    frontier = list(seen)
+    budget = cap
+    for _ in range(depth):
+        nxt = []
+        for s in frontier:
+            for f in branch.maps:
+                budget -= 1
+                if budget < 0:
+                    raise ResourceError(f"orbit closure exceeded the cap of {cap} map applications")
+                t = f(s)
+                if t not in seen:
+                    seen[t] = None
+                    nxt.append(t)
+        if not nxt:
+            break
+        frontier = nxt
+    return list(seen)
+
+
 def _canon_pair(x, y):
     if x == y:
         return (x, y)

@@ -106,6 +106,13 @@ def test_tol_sets_the_finite_state_table_check(tmp_path, capsys, command):
     assert main([command, "--config", cfg, "--tol", "1e-6", "--out", str(tmp_path / "loose")]) == 0
 
 
+def test_a_visibly_asymmetric_table_is_refused(tmp_path, capsys):
+    cfg = write_config(tmp_path, "model: {kind: finite-state, kernel: [[2.0, 1.0], [1.000005, 2.0]], maps: [[0, 1]]}\n")
+    assert main(["tower", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err.startswith(
+        "error[input]: finite-state kernel table must be symmetric: K[0, 1] = 1.0 but K[1, 0] = 1.000005")
+
+
 _ONE_LEVEL = {
     "word-tree": "model: {kind: word-tree}\ncertificate: none\n",
     "delta": "model: {kind: delta}\n",

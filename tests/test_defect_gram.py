@@ -171,7 +171,10 @@ def test_section_gram_failing_the_psd_verdict_is_a_numerical_error():
 
 @st.composite
 def asymmetric_tables(draw):
-    """Random maps and a PSD table whose transpose differs below 1e-13."""
+    """Random maps and a PSD table whose transpose differs below 1e-13.
+
+    The model stores the table's upper triangle in both, exactly symmetric.
+    """
     S = draw(st.integers(2, 7))
     m = draw(st.integers(1, 3))
     maps = [draw(st.lists(st.integers(0, S - 1), min_size=S, max_size=S)) for _ in range(m)]

@@ -128,6 +128,22 @@ def test_load_finite_state_rejects_non_psd_kernel():
         FiniteStateModel([[0, 1]], [[1.0, 2.0], [2.0, 1.0]])
 
 
+def test_finite_state_table_is_stored_exactly_symmetric():
+    # Asymmetric at 1e-13 is accepted; the upper triangle, signed zeros too,
+    # is copied into the lower one, and the caller's table is left as given.
+    rng = np.random.default_rng(7)
+    A = rng.standard_normal((5, 5))
+    K = A @ A.T + 5 * np.eye(5) + np.triu(rng.uniform(-1e-13, 1e-13, (5, 5)), 1)
+    K[0, 4], K[4, 0] = -0.0, 0.0
+    given = K.copy()
+    table = FiniteStateModel([[0, 1, 2, 3, 4]], K).table
+    assert table.tobytes() == table.T.tobytes()
+    upper = np.triu_indices(5)
+    assert table[upper].tobytes() == K[upper].tobytes()
+    assert K.tobytes() == given.tobytes()
+    assert not np.array_equal(K, K.T)
+
+
 def test_load_finite_state_rejects_bad_maps():
     # The config names the key; the model keeps its own checks for library callers.
     I2 = [[1.0, 0.0], [0.0, 1.0]]

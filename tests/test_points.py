@@ -16,11 +16,11 @@ from kerneltower import (
     orbit_closure,
 )
 from kerneltower import points
-from kerneltower.models import FiniteStateModel
+from kerneltower.models import FiniteStateModel, WordTreeModel
 from kerneltower.points import (check_word_levels, fsum_rows, orbit_points_by_level, point_label,
                                 word_levels)
 
-from oracles import all_words, word_forward, word_reversed
+from oracles import all_words, reference_orbit_closure, word_forward, word_reversed
 
 
 def test_apply_map_prefixes_word_tree(ex25):
@@ -162,6 +162,37 @@ def test_orbit_closure_idempotent_once_stable(feeder):
 def test_orbit_closure_cap(ex25, root):
     with pytest.raises(ResourceError):
         orbit_closure(ex25.branch, [root], 30, cap=1000)
+
+
+@st.composite
+def closure_cases(draw):
+    """A finite-state branch system at m = 1..3 or a word tree at m = 2..3,
+    base points with repeats, and a depth 0..4."""
+    m = draw(st.integers(1, 3))
+    if m == 1 or draw(st.booleans()):
+        S = draw(st.integers(1, 6))
+        maps = [draw(st.lists(st.integers(0, S - 1), min_size=S, max_size=S)) for _ in range(m)]
+        branch = FiniteStateModel(maps, np.eye(S)).branch
+        base = draw(st.lists(st.integers(0, S - 1), max_size=4))
+    else:
+        branch = WordTreeModel(m).branch
+        base = [tuple(w) for w in draw(st.lists(st.lists(st.integers(1, m), max_size=3), max_size=4))]
+    return branch, base, draw(st.integers(0, 4))
+
+
+@settings(max_examples=100, deadline=None)
+@given(closure_cases())
+def test_orbit_closure_matches_the_reference_walk(case):
+    branch, base, depth = case
+    applied = []
+    counted = BranchSystem([(lambda f: lambda s: applied.append(s) or f(s))(f) for f in branch.maps])
+    expected = reference_orbit_closure(counted, base, depth)
+    cap = len(applied)  # the exact number of map applications
+    assert orbit_closure(branch, base, depth, cap) == expected
+    if cap:
+        for walk in (orbit_closure, reference_orbit_closure):
+            with pytest.raises(ResourceError, match=rf"^orbit closure exceeded the cap of {cap - 1} map applications$"):
+                walk(branch, base, depth, cap - 1)
 
 
 def test_orbit_points_by_level_matches_words(ex25, root):

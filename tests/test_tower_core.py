@@ -9,15 +9,17 @@ from hypothesis import strategies as st
 
 from kerneltower import (
     BranchSystem,
+    ContractError,
     FiniteStateModel,
     Kernel,
+    KernelBatch,
     NumericalError,
     ResourceError,
     WordTreeModel,
     level_via_words,
 )
 from kerneltower import tower, verify
-from kerneltower.points import orbit_closure
+from kerneltower.points import PointIndex, orbit_closure
 from kerneltower.tower import TELESCOPE_RTOL, build_tower, tower_gram_iter
 
 from oracles import reference_tower_gram_iter
@@ -102,21 +104,36 @@ def test_batched_and_scalar_kernels_agree_bitwise(ex25, closure2, sink_model):
 def test_builtin_kernels_read_codes_and_intern_no_point(monkeypatch, ex25, closure2, delta2, feeder, sink_model):
     made = []
 
-    class Recorded(tower._PointIndex):
+    class Recorded(PointIndex):
         def __init__(self, maps):
             super().__init__(maps)
             made.append(self)
 
-    monkeypatch.setattr(tower, "_PointIndex", Recorded)
     m3 = WordTreeModel(m=3)
-    for model, pts in ((ex25, closure2), (m3, orbit_closure(m3.branch, [()], 2)),
-                       (feeder, feeder.all_states()), (sink_model, sink_model.all_states())):
+    cases = ((ex25, closure2), (m3, orbit_closure(m3.branch, [()], 2)), (delta2, closure2),
+             (feeder, feeder.all_states()), (sink_model, sink_model.all_states()))
+    monkeypatch.setattr(tower, "PointIndex", Recorded)
+    for model, pts in cases:
         build_tower(model.kernel, model.branch, pts, 6)
     assert not made
-    # The delta kernel has no batch.  Levels 0..6 intern the 2^7 - 1 words
-    # of length up to 6: a step never runs ahead of the level asked for.
-    build_tower(delta2.kernel, delta2.branch, [()], 6)
+    # A plain BranchSystem has no codes.  Levels 0..6 intern the 2^7 - 1
+    # words of length up to 6: a step never runs ahead of the level asked for.
+    build_tower(Kernel(delta2.kernel.raw()), BranchSystem(delta2.branch.maps), [()], 6)
     assert len(made) == 1 and len(made[0].points) == 2**7 - 1
+
+
+def test_coded_delta_tower_equals_the_interned_scalar_tower(delta2, closure2):
+    scalar, plain = Kernel(delta2.kernel.raw()), BranchSystem(delta2.branch.maps)
+    for pts in ([()], closure2):
+        coded = _levels(tower_gram_iter(delta2.kernel, delta2.branch, pts), 8)
+        interned = _levels(tower_gram_iter(scalar, plain, pts), 8)
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(coded, interned))
+
+
+def test_a_batch_needs_a_branch_system_with_codes():
+    plain = BranchSystem([lambda s: s + 1], name="successor")
+    with pytest.raises(ContractError, match=r"KernelBatch needs a branch system with codes.*successor"):
+        Kernel(lambda s, t: 1.0, batch=KernelBatch(plain, lambda a, b: a + b))
 
 
 @st.composite
@@ -200,9 +217,9 @@ def random_tables(draw):
     """Random maps on S states with a random PSD kernel table.
 
     The kernel need not be subinvariant: the properties below are about
-    tower_gram_iter, not about defect certification.  The table is
-    symmetric only to 1e-13, as the model allows, so the order in which a
-    pair is looked up shows in the bits.
+    tower_gram_iter, not about defect certification.  The table given is
+    symmetric only to 1e-13, as the model allows; the model stores its
+    upper triangle in both, so a pair reads one value in either order.
     """
     S = draw(st.integers(1, 7))
     m = draw(st.integers(1, 3))

@@ -357,7 +357,7 @@ def test_word_routes_do_not_touch_the_tower_core(monkeypatch, sink_model, ex25, 
     def refuse(*args, **kwargs):
         raise AssertionError("a word route reached the tower core")
 
-    monkeypatch.setattr(tower_module, "_PointIndex", refuse)
+    monkeypatch.setattr(tower_module, "PointIndex", refuse)  # where the core reads it
     for cls in (PrefixBranch, TableBranch):
         monkeypatch.setattr(cls, "codes", refuse)
         monkeypatch.setattr(cls, "step", refuse)
