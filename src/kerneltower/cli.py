@@ -30,7 +30,7 @@ from .points import orbit_closure, point_label
 from .reports import Bundle, RunReport
 from .rngs import GENERATOR_NAME
 from .tower import (TELESCOPE_RTOL, build_tower, defect_gram, estimate_K_infinity,
-                    invariance_residual, level_via_words, subinvariance_check)
+                    invariance_residual, level_via_words)
 from .verify import (BOUNDARY_RESIDUAL_TOL, CYLINDER_SUM_TOL, INTERTWINING_TOL, LAYER_CAKE_TOL,
                      NU_INVARIANCE_TOL, WORD_ROUTE_TOL, VerifyContext, run_checks)
 
@@ -91,7 +91,7 @@ def cmd_tower(cfg: Config, model: Model, base, bundle: Bundle) -> dict:
 
     sub_pts = orbit_closure(model.branch, base, min(cfg.horizon, 2), cfg.pair_cap)
     base_psd = psd_check(gram(model.kernel, sub_pts), cfg.tol)
-    sub_defect = subinvariance_check(model.kernel, model.branch, sub_pts, cfg.tol)
+    sub_defect = psd_check(defect_gram(model.kernel, model.branch, sub_pts, cfg.pair_cap), cfg.tol)
     results["subinvariance"] = {
         "base_psd_min_eig": base_psd.min_eigenvalue,
         "defect_psd_min_eig": sub_defect.min_eigenvalue,

@@ -23,7 +23,7 @@ from typing import Any, Callable, Mapping, NamedTuple
 import yaml
 
 from .boundary import symbol_weights_ok
-from .errors import InputError
+from .errors import InputError, ResourceError
 from .gaussian import DEFAULT_NSAMPLES
 from .kernels import DEFAULT_PSD_TOL
 from .points import DEFAULT_WORD_CAP
@@ -314,6 +314,9 @@ def parse_config(raw: Mapping, base_dir: Path | None = None) -> Config:
     if isinstance(cert, dict) and cert["r"]["kind"] == "length-decay" and kind in ("feeder", "finite-state"):
         raise _error("certificate.r.kind", "length-decay needs word points, "
                                            f"not the integer states of a {kind} model")
+    if kind in ("word-tree", "delta") and params["m"] > values["pair_cap"]:
+        raise ResourceError(f"config model.m: {params['m']} maps exceed pair_cap = {values['pair_cap']}, "
+                            "so one pair's first orbit layer could not fit")
     if "base_points" not in raw:
         values["base_points"] = list(_DEFAULT_BASE_POINTS[kind])
     return Config(model_kind=kind, model_params=params, base_points=values.pop("base_points") or [],

@@ -104,6 +104,11 @@ class TableBranch(BranchSystem):
         return self._table[:, codes]
 
 
+def _powers(base: float, k: np.ndarray) -> np.ndarray:
+    """base ** k elementwise, as Python float powers (np.power may round differently)."""
+    return np.array([base ** j for j in range(int(k.max()) + 1)])[k]
+
+
 class WordTreeModel(Model):
     """Words over {1..m} with prefixing maps and a geometric defect tower.
 
@@ -127,11 +132,8 @@ class WordTreeModel(Model):
         self.branch = PrefixBranch(m)
         self._inv_m = 1.0 / m
         self._inv_sqrt_m = m ** -0.5
-        # Power tables shared by the kernel and its oracles, grown on demand,
-        # so both evaluation routes use bit-identical building blocks.
-        self._pim: list[float] = [1.0]   # m^-k
-        self._pism: list[float] = [1.0]  # m^(-k/2)
-        self._pr: list[float] = [1.0]    # r^k
+        # Every route computes each power as base ** k, a Python float power,
+        # so the scalar kernel, its batch and the oracles agree bit for bit.
         self.kernel = Kernel(self._make_eval(), name=f"K[{self.name}]",
                              batch=KernelBatch(self.branch, self._batch_eval))
         # Named parts, exposed for order/invariance tests.
@@ -143,63 +145,43 @@ class WordTreeModel(Model):
     def point(self, spec) -> Point:
         return _parse_word(spec, self.m)
 
-    # power tables -------------------------------------------------------
-    def _pow(self, table: list[float], base: float, k: int) -> float:
-        while len(table) <= k:
-            table.append(base ** len(table))
-        return table[k]
-
     # kernel parts -----------------------------------------------------
     def _j0(self, u, v):
-        return self._pow(self._pim, self._inv_m, len(u)) if u == v else 0.0
+        return self._inv_m ** len(u) if u == v else 0.0
 
     def _j1(self, u, v):
-        return self._pow(self._pism, self._inv_sqrt_m, len(u) + len(v))
+        return self._inv_sqrt_m ** (len(u) + len(v))
 
     def _e(self, u, v):
         if u != v:
             return 0.0
         k = len(u)
-        return self.c * self._pow(self._pr, self.r, k) * self._pow(self._pim, self._inv_m, k)
+        return self.c * self.r ** k * self._inv_m ** k
 
     def _j(self, u, v):
         return self._j0(u, v) + self.eta * self._j1(u, v)
 
     def _make_eval(self):
-        # Flat closure for the hot path; aliases the shared power tables.
-        pim, pism, pr = self._pim, self._pism, self._pr
+        # Flat closure over locals for the hot path.
         inv_m, inv_sqrt_m = self._inv_m, self._inv_sqrt_m
         r, c, eta = self.r, self.c, self.eta
 
         def evaluate(u, v):
             lu = len(u)
-            k = lu + len(v)
-            while len(pism) <= k:
-                pism.append(inv_sqrt_m ** len(pism))
-            val = eta * pism[k]
+            val = eta * inv_sqrt_m ** (lu + len(v))
             if u == v:
-                while len(pim) <= lu:
-                    pim.append(inv_m ** len(pim))
-                while len(pr) <= lu:
-                    pr.append(r ** len(pr))
-                val += pim[lu] * (1.0 - c * pr[lu])
+                val += inv_m ** lu * (1.0 - c * r ** lu)
             return val
 
         return evaluate
 
     def _batch_eval(self, a, b):
-        # The scalar kernel's operations, elementwise, on the same power tables.
+        # The scalar kernel's operations, elementwise.
         lu, same = self.branch.lengths(a), a == b
-        k = lu + self.branch.lengths(b)
-        self._pow(self._pism, self._inv_sqrt_m, int(k.max()))
-        val = self.eta * np.array(self._pism)[k]
+        val = self.eta * _powers(self._inv_sqrt_m, lu + self.branch.lengths(b))
         if same.any():
             ls = lu[same]
-            top = int(ls.max())
-            self._pow(self._pim, self._inv_m, top)
-            self._pow(self._pr, self.r, top)
-            pim, pr = np.array(self._pim), np.array(self._pr)
-            val[same] += pim[ls] * (1.0 - self.c * pr[ls])
+            val[same] += _powers(self._inv_m, ls) * (1.0 - self.c * _powers(self.r, ls))
         return val
 
     # closed-form oracles ----------------------------------------------
@@ -217,7 +199,7 @@ class WordTreeModel(Model):
 
     def oracle_gauge(self, s) -> float:
         """Harmonic gauge = limit diagonal = (1+eta) m^{-|s|}."""
-        return (1.0 + self.eta) * self._pow(self._pim, self._inv_m, len(s))
+        return (1.0 + self.eta) * self._inv_m ** len(s)
 
     def defect_lyapunov(self):
         """(r, C, beta) with defect diagonal = C*r exactly and Pr = beta*r."""

@@ -390,7 +390,8 @@ class TailCertificate:
     Premises (verified by the diagonal module on ``domain``): the one-step
     defect diagonal is bounded by C * r and the branching operator contracts
     r by the factor beta.  With beta < 1 these yield the closed-form tail
-    bound C/(1-beta) * beta^N * sqrt(r(s) r(t)) on the limit kernel.
+    bound C/(1-beta) * beta^N * sqrt(r(s) r(t)) on the limit kernel, which
+    :meth:`bound_matrix` states once; :meth:`bound` is one of its entries.
     """
 
     r_fn: Callable[[Point], float]
@@ -403,26 +404,14 @@ class TailCertificate:
         dom = set(self.domain)
         return all(s in dom for s in points)
 
-    def _require_tail_form(self) -> None:
-        # A diagonal-form premise bounds the kernel diagonal, not the defect.
-        if self.form != "defect" or not self.beta < 1.0:
-            raise ContractError(
-                "tail bounds need a defect-form certificate with beta < 1"
-            )
-
     def bound(self, s: Point, t: Point, N: int) -> float:
-        self._require_tail_form()
-        return (
-            self.C / (1.0 - self.beta)
-            * self.beta**N
-            * math.sqrt(self.r_fn(s) * self.r_fn(t))
-        )
+        return float(self.bound_matrix([s, t], N)[0, 1])
 
     def bound_matrix(self, points: Sequence[Point], N: int) -> np.ndarray:
-        self._require_tail_form()
-        pts = tuple(points)
-        r_vals = np.array([self.r_fn(s) for s in pts], dtype=float)
-        root = np.sqrt(r_vals)
+        # A diagonal-form premise bounds the kernel diagonal, not the defect.
+        if self.form != "defect" or not self.beta < 1.0:
+            raise ContractError("tail bounds need a defect-form certificate with beta < 1")
+        root = np.sqrt(np.array([self.r_fn(s) for s in points], dtype=float))
         return self.C / (1.0 - self.beta) * self.beta**N * np.outer(root, root)
 
 

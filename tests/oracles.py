@@ -335,6 +335,23 @@ def reference_check_compression_fields(ctx):
                     "covY_root": float(covY[0, 0]), "covD_root": float(covD[0, 0])}
 
 
+def word_tree_closed_form(m, r, c, eta):
+    """The word-tree kernel and its parts written out from the closed form
+    K(u, v) = eta m^-(|u|+|v|)/2 + [u = v] m^-|u| (1 - c r^|u|).
+
+    Each power is a Python float power of the rounded base 1/m, m^-1/2 or r,
+    as the model defines its building blocks, so a match is bit for bit.
+    """
+    inv_m, inv_sqrt_m = 1.0 / m, m ** -0.5
+    j0 = lambda u, v: inv_m ** len(u) if u == v else 0.0
+    j1 = lambda u, v: inv_sqrt_m ** (len(u) + len(v))
+    e = lambda u, v: c * r ** len(u) * inv_m ** len(u) if u == v else 0.0
+    kernel = lambda u, v: eta * j1(u, v) + (inv_m ** len(u) * (1.0 - c * r ** len(u)) if u == v else 0.0)
+    return {"kernel": kernel, "J0": j0, "J1": j1, "E": e,
+            "J": lambda u, v: j0(u, v) + eta * j1(u, v),
+            "gauge": lambda s: (1.0 + eta) * inv_m ** len(s)}
+
+
 def reference_defect_kernel(K, branch):
     """The one-step defect LK - K as a composed scalar kernel over the apply_L memo."""
     LK = apply_L(K, branch)

@@ -263,6 +263,30 @@ def test_resource_cap_exit_code(tmp_path, capsys):
     assert "error[resource]" in captured.err
 
 
+def test_tower_subinvariance_step_honours_the_pair_cap(tmp_path, capsys):
+    # The tower (horizon 2 on three points) fits 100 pairs; the one-step
+    # defect on the 15-point depth-2 closure does not.
+    cfg = write_config(tmp_path, 'model: {kind: word-tree}\nbase_points: ["", "1", "2"]\n'
+                                 "horizon: 2\nmax_levels: 1\npair_cap: 100\ncertificate: none\n")
+    assert main(["tower", "--config", cfg, "--out", str(tmp_path / "o")]) == 5
+    assert capsys.readouterr().err.startswith(
+        "error[resource]: tower pair orbit exceeded the cap of 100 pairs")
+
+
+@pytest.mark.parametrize("model, code", [
+    ("{kind: word-tree, m: 101}\ncertificate: none", 5),
+    ("{kind: word-tree, m: 100}\ncertificate: none", 0),
+    ("{kind: delta, m: 101}", 5),
+    ("{kind: delta, m: 100}", 0),
+])
+def test_more_maps_than_pair_cap_are_refused_by_the_config(tmp_path, capsys, model, code):
+    cfg = write_config(tmp_path, f"model: {model}\npair_cap: 100\nhorizon: 0\n")
+    assert main(["diagonal", "--config", cfg, "--out", str(tmp_path / "o")]) == code
+    err = capsys.readouterr().err
+    assert err == ("error[resource]: config model.m: 101 maps exceed pair_cap = 100, "
+                   "so one pair's first orbit layer could not fit\n" if code else "")
+
+
 FINITE_STATE_YAML = """\
 model:
   kind: finite-state

@@ -7,11 +7,11 @@ cell or take a bad one.  Each example runs one command in-process.
 
 Cost pins: ``pair_cap`` is 20000 and is never deleted or enlarged, and
 ``nsamples`` is 50 and never deleted; ``gaussian`` runs at ``--max-level 2``.
-Huge values go only to the level counts the small cap refuses before it
-allocates much.  On the saturating finite-state orbits the cap never
-refuses ``horizon`` or ``boundary.feature_levels``, and a tower costs time
-linear in its level count, so those two take huge values on the word tree
-only.
+Huge values go only to the map count and the level counts that the small
+cap refuses before it allocates much.  On the saturating finite-state
+orbits the cap never refuses ``horizon`` or ``boundary.feature_levels``,
+and a tower costs time linear in its level count, so those two take huge
+values on the word tree only.
 """
 
 import contextlib
@@ -54,8 +54,8 @@ BASES = {
 BAD = ["no", True, None, -1, 0, 0.5, math.nan, math.inf, -math.inf, "x", [], {}, {"k": 1},
        [1.0], [[1.0], [0.0, 1.0]], [["x"]]]
 HUGE = [10**9, 2**64]
-HUGE_KEYS = {("horizon",), ("max_levels",), ("closure_depth",), ("boundary", "cylinder_levels"),
-             ("boundary", "feature_levels")}
+HUGE_KEYS = {("model", "m"), ("horizon",), ("max_levels",), ("closure_depth",),
+             ("boundary", "cylinder_levels"), ("boundary", "feature_levels")}
 SATURATING = {("horizon",), ("boundary", "feature_levels")}  # huge on the word tree only
 COMMANDS = ["tower", "diagonal", "gaussian", "boundary"]
 

@@ -9,9 +9,11 @@ from kerneltower import (
     InputError,
     Kernel,
     TailCertificate,
+    WordTreeModel,
     blowup_detect,
     build_tower,
     diagonal_trace,
+    estimate_K_infinity,
     layer_cake_check,
     level_set_count,
     lyapunov_verify,
@@ -291,6 +293,20 @@ def test_tail_bound_certified_tight_at_root(ex25, root):
     gap = ex25.oracle_limit(root, root) - ex25.oracle_level(10, root, root)
     assert tb.value == pytest.approx(0.5**11, rel=1e-15)
     assert tb.value == pytest.approx(gap, rel=1e-15)
+
+
+def test_certified_tail_bound_is_the_completion_bound_entry():
+    # On the m = 3 word tree r(s) = 6^-|s| is not dyadic: the pair and the
+    # matrix bounds agree bit for bit only if they are one formula.
+    model = WordTreeModel(m=3)
+    B = model.branch
+    pts = [model.point("12312"[:n]) for n in range(6)]
+    r_fn, C, beta = model.defect_lyapunov()
+    cert = lyapunov_verify(lambda s: model.oracle_defect(0, s, s), B, r_fn, C, beta, pts)
+    est = estimate_K_infinity(model.kernel, B, pts, max_levels=5, certificate=cert)
+    N = est.levels_used
+    bounds = [[tail_bound(est.tower, s, t, N, certificate=cert).value for t in pts] for s in pts]
+    assert bounds == est.bound.tolist()
 
 
 def test_tail_bound_invariant_kernel_is_zero(ex25, root):

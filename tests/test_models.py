@@ -15,6 +15,8 @@ from kerneltower import (
 from kerneltower.config import parse_config
 from kerneltower.points import orbit_closure
 
+from oracles import word_tree_closed_form
+
 
 @pytest.mark.parametrize(
     "kwargs",
@@ -70,6 +72,35 @@ def test_oracle_grid_matches_computed_tower():
             oracle = np.array([[model.oracle_defect(n, s, t) for t in F] for s in F])
             worst = max(worst, float(np.max(np.abs(tower.defects[n] - oracle))))
     assert worst <= 1e-12
+
+
+class _LengthCodes:
+    """Codes 2 * |w| + i for two words of each length: the batch reads any
+    length here, past the prefix codes the tower core steps."""
+
+    def lengths(self, codes):
+        return codes // 2
+
+
+@pytest.mark.parametrize("m", [2, 3, 5])
+def test_word_tree_routes_equal_the_closed_form_bit_for_bit(m, monkeypatch):
+    r, c, eta = 0.3, 0.7, 2.1  # none dyadic
+    model = WordTreeModel(m=m, r=r, c=c, eta=eta)
+    form = word_tree_closed_form(m, r, c, eta)
+    # Two distinct words per length 40..1, longest first, then the empty word.
+    codes = {2 * n + i: tuple(1 + (i + 3 * j) % m for j in range(n))
+             for n in range(40, 0, -1) for i in (0, 1)} | {0: ()}
+    pairs = [(a, b) for a in codes for b in codes if a <= b]
+    routes = {"kernel": model.kernel, "J0": model.diag_invariant, "J1": model.rank_one,
+              "E": model.strict_part, "J": model.majorant}
+    for name, route in routes.items():
+        got = [route(codes[a], codes[b]) for a, b in pairs]
+        assert got == [form[name](codes[a], codes[b]) for a, b in pairs], name
+    assert [model.oracle_gauge(w) for w in codes.values()] == [form["gauge"](w) for w in codes.values()]
+    monkeypatch.setattr(model, "branch", _LengthCodes())
+    a, b = np.array(pairs).T
+    batch = model.kernel.batch.evaluate(a, b)
+    assert batch.tolist() == [form["kernel"](codes[x], codes[y]) for x, y in pairs]
 
 
 def test_eta_zero_towers_are_diagonal():
