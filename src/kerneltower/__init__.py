@@ -67,8 +67,6 @@ from .kernels import (
     Kernel,
     KernelBatch,
     PsdReport,
-    apply_L,
-    apply_L_power,
     gram,
     psd_check,
     psd_leq,

@@ -17,6 +17,7 @@ convention independent.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -25,7 +26,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import InputError, ModelError, NumericalError, ResourceError
-from .kernels import DEFAULT_PSD_TOL, Kernel, apply_L_power, psd_check
+from .kernels import DEFAULT_PSD_TOL, Kernel, gram, psd_check
 from .points import (
     DEFAULT_WORD_CAP,
     BranchSystem,
@@ -36,7 +37,7 @@ from .points import (
     word_levels,
 )
 from .rngs import make_rng
-from .tower import Tower, defect_gram
+from .tower import Tower, defect_gram, tower_gram_iter
 
 
 class DoobChain:
@@ -359,23 +360,27 @@ def h_normalize(J: Kernel, gauge: Callable[[Point], float]) -> Kernel:
 
 
 def apply_L_tilde(G: Kernel, chain: DoobChain) -> Kernel:
-    """Normalized branching: sum_i p_i(s) p_i(t) G(phi_i(s), phi_i(t)); memoized.
+    """Normalized branching: sum_i p_i(s) p_i(t) G(phi_i(s), phi_i(t)).
 
     Branches with zero probability in either argument are skipped (their
-    weight vanishes and G may be undefined at gauge-zero points).
+    weight vanishes and G may be undefined at gauge-zero points).  Each
+    unordered pair is summed once, so iterating n times on a finite-state
+    chain costs polynomially in n.
     """
     maps = chain.branch.maps
+    memo: dict = {}
 
     def fn(s, t):
-        ps = chain.probs(s)
-        pt = chain.probs(t)
-        return math.fsum(
-            a * b * G(g(s), g(t))
-            for a, b, g in zip(ps, pt, maps)
-            if a != 0.0 and b != 0.0
-        )
+        v = memo.get((s, t))
+        if v is None:
+            v = memo[(s, t)] = memo[(t, s)] = math.fsum(
+                a * b * G(g(s), g(t))
+                for a, b, g in zip(chain.probs(s), chain.probs(t), maps)
+                if a != 0.0 and b != 0.0
+            )
+        return v
 
-    return Kernel(fn, name=f"Lt[{G.name}]", memoize=True)
+    return Kernel(fn, name=f"Lt[{G.name}]")
 
 
 def normalization_commutes(
@@ -386,21 +391,24 @@ def normalization_commutes(
 ) -> float:
     """max over pairs of |(L^n J)^(h) - Ltilde^n (J^(h))|.
 
-    The two routes must agree: normalizing after n branch steps equals n
-    normalized steps after normalizing.
+    The left side is level n of the tower core, :func:`tower.tower_gram_iter`,
+    over the gauge at both points; the right side iterates
+    :func:`apply_L_tilde` n times on :func:`h_normalize` of J, reading the
+    Doob rows and the scalar kernel.  The two routes must agree:
+    normalizing after n branch steps equals n normalized steps after
+    normalizing.
     """
-    for s in points:
+    if n < 0:
+        raise InputError("word length must be nonnegative")
+    pts = list(points)
+    for s in pts:
         chain.require_domain(s)
-    lhs = h_normalize(apply_L_power(J, chain.branch, n), chain.h)
+    h = np.array([chain.h(s) for s in pts])
+    lhs = next(itertools.islice(tower_gram_iter(J, chain.branch, pts), n, None)) / np.outer(h, h)
     rhs = h_normalize(J, chain.h)
     for _ in range(n):
         rhs = apply_L_tilde(rhs, chain)
-    pts = list(points)
-    worst = 0.0
-    for a, s in enumerate(pts):
-        for t in pts[a:]:
-            worst = max(worst, abs(lhs(s, t) - rhs(s, t)))
-    return worst
+    return float(np.max(np.abs(lhs - gram(rhs, pts).entries)))
 
 
 def tilde_word_expansion(

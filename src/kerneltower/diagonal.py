@@ -23,6 +23,7 @@ come from verified certificates (decay) or counting witnesses (blow-up).
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -32,7 +33,7 @@ import numpy as np
 from .errors import ContractError, InputError, NumericalError
 from .kernels import Kernel
 from .points import (DEFAULT_WORD_CAP, BranchSystem, Point, check_word_levels, fsum_rows,
-                     orbit_closure, point_label, word_levels, word_overflow)
+                     point_label, word_levels, word_overflow)
 from .tower import (DEFAULT_CEILING, TailCertificate, Tower, extrapolated_tail_bound,
                     tower_gram_iter, trace_stall_eps)
 
@@ -180,7 +181,7 @@ def lyapunov_verify(
     pts = tuple(domain)
     if not pts:
         raise InputError("certificate needs a nonempty verification domain")
-    for s in orbit_closure(branch, pts, 1):
+    for s in itertools.chain(pts, (f(s) for s in pts for f in branch.maps)):
         if not r_fn(s) > 0.0:
             raise InputError(f"Lyapunov function not positive at {point_label(s)}")
     for s in pts:

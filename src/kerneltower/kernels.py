@@ -1,7 +1,7 @@
 """Kernel evaluation, Gram matrices, and the PSD order.
 
 A kernel is a symmetric real-valued function on pairs of points wrapped in
-a :class:`Kernel` for naming and optional memoization.  Everything
+a :class:`Kernel` for naming and an optional batch form.  Everything
 downstream is realized through Gram matrices on ordered finite point
 lists; positive semidefiniteness is tested by a symmetric eigensolver so
 that every verdict carries a quantitative margin.
@@ -9,7 +9,6 @@ that every verdict carries a quantitative margin.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -43,58 +42,25 @@ class KernelBatch:
 class Kernel:
     """A symmetric pointwise kernel.
 
-    ``fn`` is evaluated once per unordered pair when ``memoize`` is on;
-    composed kernels (e.g. the branching operator applied to a base kernel)
-    memoize so that repeated Gram assembly over overlapping point sets does
-    not re-walk the branch tree.  An optional ``batch`` form lets the tower
-    core evaluate a chunk of pairs in one call, on its branch system's codes.
+    An optional ``batch`` form lets the tower core evaluate a chunk of
+    pairs in one call, on its branch system's codes.
     """
 
     def __init__(self, fn: Callable[[Point, Point], float], name: str = "",
-                 memoize: bool = False, batch: KernelBatch | None = None):
+                 batch: KernelBatch | None = None):
         self._fn = fn
         self.name = name or getattr(fn, "__name__", "kernel")
-        self._memo: dict | None = {} if memoize else None
         self.batch = batch
 
     def __repr__(self):
         return f"Kernel({self.name})"
 
     def __call__(self, s: Point, t: Point) -> float:
-        if self._memo is None:
-            return self._fn(s, t)
-        key = (s, t)
-        v = self._memo.get(key)
-        if v is None:
-            v = self._fn(s, t)
-            self._memo[key] = v
-            self._memo[(t, s)] = v
-        return v
+        return self._fn(s, t)
 
     def raw(self) -> Callable[[Point, Point], float]:
-        """Fastest callable for hot loops (skips the wrapper when unmemoized)."""
-        return self._fn if self._memo is None else self.__call__
-
-
-def apply_L(J: Kernel, branch: BranchSystem) -> Kernel:
-    """The branching operator: (LJ)(s,t) = sum_i J(phi_i(s), phi_i(t)).
-
-    Lazy and memoized per point pair; preserves symmetry and positive
-    definiteness since each pullback along (phi_i, phi_i) does.
-    """
-    maps = branch.maps
-
-    def fn(s, t):
-        return math.fsum(J(f(s), f(t)) for f in maps)
-
-    return Kernel(fn, name=f"L[{J.name}]", memoize=True)
-
-
-def apply_L_power(J: Kernel, branch: BranchSystem, n: int) -> Kernel:
-    K = J
-    for _ in range(n):
-        K = apply_L(K, branch)
-    return K
+        """The wrapped callable, for hot loops."""
+        return self._fn
 
 
 @dataclass

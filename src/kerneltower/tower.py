@@ -29,7 +29,6 @@ per-word values bit for bit.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 from typing import Callable, Iterator, Sequence
 
@@ -534,7 +533,8 @@ def invariance_residual(
 ) -> float:
     """max |(L K_inf_est)(s,t) - K_inf_est(s,t)| over pairs from ``points``.
 
-    The estimate must cover the one-step orbit of ``points``.
+    The estimate must cover the one-step orbit of ``points``.  L is the
+    tower core's, read on the estimate as a kernel: :func:`defect_gram`.
     """
     est_index = {s: i for i, s in enumerate(estimate.points)}
     for s in points:
@@ -545,15 +545,8 @@ def invariance_residual(
                     "estimate over the one-step orbit closure"
                 )
     G = estimate.entries
-    worst = 0.0
-    pts = list(points)
-    for a, s in enumerate(pts):
-        for t in pts[a:]:
-            ls = math.fsum(
-                G[est_index[f(s)], est_index[f(t)]] for f in branch.maps
-            )
-            worst = max(worst, abs(ls - G[est_index[s], est_index[t]]))
-    return worst
+    table = Kernel(lambda s, t: G[est_index[s], est_index[t]], name="estimate")
+    return float(np.max(np.abs(defect_gram(table, branch, points))))
 
 
 @dataclass

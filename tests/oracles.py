@@ -17,7 +17,6 @@ from kerneltower import (
     ResourceError,
     TowerSampler,
     WordTreeModel,
-    apply_L,
     build_tower,
     gram,
     h_normalize,
@@ -53,6 +52,19 @@ def word_reversed(maps, w, s):
     for i in w:
         s = maps[i - 1](s)
     return s
+
+
+def apply_L(J, branch):
+    """The branching operator (LJ)(s, t) = fsum of J(phi_i s, phi_i t) over the maps, lazy and unmemoized."""
+    maps = branch.maps
+    return Kernel(lambda s, t: math.fsum(J(f(s), f(t)) for f in maps), name=f"L[{J.name}]")
+
+
+def apply_L_power(J, branch, n):
+    """L^n J as n nested :func:`apply_L`: m^n calls of J per entry."""
+    for _ in range(n):
+        J = apply_L(J, branch)
+    return J
 
 
 def iterated_branch_sum(K, maps, s, t, n):
@@ -353,9 +365,26 @@ def word_tree_closed_form(m, r, c, eta):
 
 
 def reference_defect_kernel(K, branch):
-    """The one-step defect LK - K as a composed scalar kernel over the apply_L memo."""
+    """The one-step defect LK - K as a composed scalar kernel over :func:`apply_L`."""
     LK = apply_L(K, branch)
     return Kernel(lambda s, t: LK(s, t) - K(s, t), name=f"defect[{K.name}]")
+
+
+def reference_invariance_residual(estimate, branch, points):
+    """max |(L K_inf_est)(s, t) - K_inf_est(s, t)| over pairs of ``points``, fsum over the maps.
+
+    The scalar loop over the estimate's entries; the estimate must cover
+    the one-step images of ``points``.
+    """
+    est_index = {s: i for i, s in enumerate(estimate.points)}
+    G = estimate.entries
+    pts = list(points)
+    worst = 0.0
+    for a, s in enumerate(pts):
+        for t in pts[a:]:
+            ls = math.fsum(G[est_index[f(s)], est_index[f(t)]] for f in branch.maps)
+            worst = max(worst, abs(ls - G[est_index[s], est_index[t]]))
+    return worst
 
 
 def reference_subinvariance_check(K, branch, points, tol=1e-9):

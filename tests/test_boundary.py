@@ -10,7 +10,6 @@ from kerneltower import (
     Kernel,
     ModelError,
     ProductCylinderWeights,
-    apply_L,
     apply_L_tilde,
     apply_Q,
     boundary_feature_gram,
@@ -25,9 +24,10 @@ from kerneltower import (
     sample_path,
     tilde_word_expansion,
 )
+from kerneltower import boundary
 from kerneltower.points import orbit_closure
 
-from oracles import word_reversed
+from oracles import apply_L, word_reversed
 
 
 @pytest.fixture(scope="module")
@@ -316,6 +316,32 @@ def test_normalization_commutes_residuals(chain, ex25, fchain, feeder, small_bas
     for n in range(6):
         assert normalization_commutes(ex25.kernel, chain, small_base, n) <= 1e-12
         assert normalization_commutes(feeder.kernel, fchain, fchain.domain, n) <= 1e-12
+
+
+def test_normalization_commutes_refuses_negative_length(chain, ex25, small_base):
+    with pytest.raises(InputError, match="word length must be nonnegative"):
+        normalization_commutes(ex25.kernel, chain, small_base, -1)
+
+
+@pytest.mark.parametrize("n", [0, 1, 3])
+@pytest.mark.parametrize("fixtures", [("ex25", "chain"), ("feeder", "fchain")], ids=["word-tree", "feeder"])
+def test_normalization_commutes_reads_the_tower_core(monkeypatch, request, fixtures, n):
+    # The left side is the core's level n: an entry moved by delta there
+    # moves the residual by delta / h(s)^2.
+    model, chain = map(request.getfixturevalue, fixtures)
+    points = list(chain.domain[:3])
+    delta, a = 1e-6, len(points) - 1
+    core = boundary.tower_gram_iter
+
+    def shifted(*args, **kwargs):
+        for level, G in enumerate(core(*args, **kwargs)):
+            if level == n:
+                G[a, a] += delta
+            yield G
+
+    monkeypatch.setattr(boundary, "tower_gram_iter", shifted)
+    residual = normalization_commutes(model.kernel, chain, points, n)
+    assert residual >= delta / chain.h(points[a]) ** 2 - 1e-12
 
 
 def test_tilde_word_expansion_matches_iteration(chain, ex25):

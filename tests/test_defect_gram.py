@@ -14,7 +14,6 @@ from kerneltower import (
     Kernel,
     NumericalError,
     WordTreeModel,
-    apply_L,
     build_doob,
     build_tower,
     cylinder_measure,
@@ -31,6 +30,7 @@ from kerneltower.points import orbit_closure
 from kerneltower.tower import defect_gram
 
 from oracles import (
+    apply_L,
     reference_defect_kernel,
     reference_iterate_Q,
     reference_section_gram,

@@ -24,7 +24,7 @@ from kerneltower.diagonal import CONVERGING, DIVERGING, LyapunovRefutation
 from kerneltower.points import fsum_rows, orbit_closure
 from kerneltower.tower import tower_gram_iter
 
-from oracles import apply_P, diagonal_word_sum
+from oracles import apply_P, diagonal_word_sum, reference_orbit_closure
 
 
 # --- the induced operator on functions --------------------------------------
@@ -143,6 +143,22 @@ def test_lyapunov_input_validation(ex25, root):
         lyapunov_verify(lambda s: 1.0, ex25.branch, lambda s: 1.0, -1.0, 0.5, [root])
     with pytest.raises(InputError):
         lyapunov_verify(lambda s: 1.0, ex25.branch, lambda s: 1.0, 1.0, 0.5, [])
+
+
+@pytest.mark.parametrize("failing", [
+    ("22", "1"),     # a domain point and an image of a point stepped before it
+    ("2", "122"),    # images only: the root's, then one of the later domain point's
+])
+def test_lyapunov_refuses_the_first_nonpositive_point_of_the_closure(ex25, failing):
+    # r is checked on the domain, then on each domain point's images in
+    # turn: the refusal names the first failing point of the one-step closure.
+    bad = {ex25.point(x) for x in failing}
+    r_fn = lambda s: 0.0 if s in bad else 1.0
+    domain = [ex25.point(x) for x in ("", "22")]
+    first = next(s for s in reference_orbit_closure(ex25.branch, domain, 1) if s in bad)
+    assert first == ex25.point(failing[0])
+    with pytest.raises(InputError, match=f"^Lyapunov function not positive at {failing[0]}$"):
+        lyapunov_verify(lambda s: 1.0, ex25.branch, r_fn, 1.0, 0.5, domain)
 
 
 def test_lyapunov_nan_verifies_nothing(ex25, root):

@@ -13,11 +13,10 @@ from kerneltower import (
     ModelError,
     ResourceError,
     WordTreeModel,
-    apply_L,
-    apply_L_power,
     build_tower,
     defect_embedding,
     estimate_K_infinity,
+    feeder_model,
     gram,
     invariance_residual,
     level_via_words,
@@ -28,7 +27,8 @@ from kerneltower import (
 )
 from kerneltower.points import orbit_closure
 
-from oracles import iterated_branch_sum, word_sum
+from oracles import (apply_L, apply_L_power, iterated_branch_sum, reference_invariance_residual,
+                     word_sum)
 
 
 # --- the branching operator ------------------------------------------------
@@ -297,6 +297,20 @@ def test_invariance_residual_is_the_gram_level_isometry_defect(ex25, small_base)
         for t in small_base
     )
     assert invariance_residual(est, ex25.branch, small_base) == pytest.approx(by_hand, abs=1e-15)
+
+
+@pytest.mark.parametrize("model, labels", [
+    (WordTreeModel(m=2, r=0.5, c=0.5, eta=1.0), ("", "1", "2")),
+    (WordTreeModel(m=3, r=0.5, c=0.5, eta=1.0), ("", "1", "3")),
+    (WordTreeModel(m=3, r=0.3, c=0.7, eta=2.0), ("", "1", "3", "21")),
+    (feeder_model(), None),
+], ids=["m2", "m3", "m3-r0.3", "feeder"])
+def test_invariance_residual_equals_the_scalar_loop(model, labels):
+    base = model.all_states() if labels is None else [model.point(x) for x in labels]
+    est = estimate_K_infinity(model.kernel, model.branch, orbit_closure(model.branch, base, 1),
+                              max_levels=6)
+    assert invariance_residual(est, model.branch, base) == \
+        reference_invariance_residual(est, model.branch, base)
 
 
 def test_invariance_residual_truncated_bound(ex25, small_base):
