@@ -12,7 +12,6 @@ __version__ = "0.1.0"
 
 from .boundary import (
     BoundaryGram,
-    BoundarySections,
     CylinderTable,
     DoobChain,
     ProductCylinderWeights,

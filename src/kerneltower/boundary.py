@@ -454,37 +454,25 @@ class ProductCylinderWeights:
     def bernoulli(cls, p: float) -> "ProductCylinderWeights":
         return cls([p, 1.0 - p])
 
-    def mass(self, w: Word) -> float:
-        out = 1.0
-        for i in w:
-            out *= self.symbol_weights[i - 1]
+    def masses(self, n: int) -> np.ndarray:
+        """Masses of the m^n length-n words in word order, each multiplied left to right."""
+        q = np.array(self.symbol_weights)
+        out = np.ones(1)
+        for _ in range(n):
+            out = (out[:, None] * q).ravel()
         return out
 
     def describe(self) -> str:
         return "product(" + ", ".join(repr(x) for x in self.symbol_weights) + ")"
 
 
-@dataclass
-class BoundarySections:
-    """The reference-measure-free part of a boundary feature Gram.
-
-    The Doob walks of the base points down to level N - 1 and the Gram of
-    the normalized one-step defect (LK - K)/(h x h) on every point those
-    walks reach with positive mass: by the reproducing property the Gram of
-    the sections, kept with a PSD verdict and not factored.
-    LK - K is :func:`tower.defect_gram`.  For m = 2 it equals the scalar
-    ``fsum`` over the maps; otherwise it lies within m * 2^-53 * (L|K|)(s, t)
-    of it.
-    """
-
-    points: tuple
-    levels: int
-    walks: list
-    section_index: dict
-    section_gram: np.ndarray
-
-
-def _boundary_sections(K, base, chain, N, tol, cap) -> BoundarySections:
+def _boundary_sections(K, base, chain, N, tol, cap) -> tuple[list, dict, np.ndarray]:
+    """The measure-free part of a boundary feature Gram: the Doob walks of ``base``
+    down to level N - 1, the index of each point they reach with positive mass,
+    and the Gram of those points' sections, by the reproducing property the
+    normalized defect (LK - K)/(h x h), PSD-checked and not factored.  LK - K
+    is :func:`tower.defect_gram`: for m = 2 the scalar ``fsum`` over the maps,
+    otherwise within m * 2^-53 * (L|K|)(s, t) of it."""
     # One synchronized walk per base point; word order is shared across them.
     walks = [_walk_levels(chain, s, N - 1, cap) for s in base]
 
@@ -509,13 +497,7 @@ def _boundary_sections(K, base, chain, N, tol, cap) -> BoundarySections:
     report = psd_check(defect_h, tol)
     if not report.psd:
         raise NumericalError(f"boundary section Gram is not PSD ({report.summary()})")
-    return BoundarySections(
-        points=base,
-        levels=N,
-        walks=walks,
-        section_index={x: i for i, x in enumerate(section_list)},
-        section_gram=defect_h,
-    )
+    return walks, {x: i for i, x in enumerate(section_list)}, defect_h
 
 
 @dataclass
@@ -526,7 +508,6 @@ class BoundaryGram:
     entries: np.ndarray
     reference: np.ndarray
     levels: int
-    sections: BoundarySections
 
     @property
     def residual(self) -> float:
@@ -541,13 +522,12 @@ def boundary_feature_gram(
     K: Kernel,
     tower: Tower,
     chain: DoobChain,
-    weights: ProductCylinderWeights,
+    measures: Sequence[ProductCylinderWeights],
     N: int,
     tol: float = DEFAULT_PSD_TOL,
     cap: int = DEFAULT_WORD_CAP,
-    sections: BoundarySections | None = None,
-) -> BoundaryGram:
-    """Truncated boundary feature Gram of the accumulated normalized defects.
+) -> list[BoundaryGram]:
+    """Truncated boundary feature Grams of the accumulated normalized defects, one per measure.
 
     Fibers at (level n, word w) are the cylinder-weighted sections of the
     normalized one-step defect at the reversed orbit points; their Gram is
@@ -555,49 +535,41 @@ def boundary_feature_gram(
     reference measure enters each fiber as 1/sqrt(mass) and the level Gram
     as mass, so it cancels by construction (each coefficient is computed as
     root * (p / root) with root = sqrt(mass)): a change of reference
-    measure moves the Gram by rounding only.
-
-    The walks and the section Gram do not depend on the reference measure:
-    pass ``sections`` from an earlier result on the same kernel, tower and
-    chain to weight them again without rebuilding them.
+    measure moves the Gram by rounding only.  The walks, the section Gram
+    and the reference are built once; the Grams follow ``measures`` in order.
     """
     if N < 1:
         raise InputError("boundary feature Gram needs at least one level")
     if tower.horizon < N:
         raise InputError(f"tower horizon {tower.horizon} below requested N={N}")
+    m = chain.branch.m
+    for nu in measures:
+        if len(nu.symbol_weights) != m:
+            raise InputError(f"reference measure has {len(nu.symbol_weights)} symbol weights, not m = {m}")
     base = tower.points
     for s in base:
         chain.require_domain(s)
-    if sections is None:
-        sections = _boundary_sections(K, base, chain, N, tol, cap)
-    elif sections.points != base or sections.levels != N:
-        raise InputError("boundary sections were built for other base points or levels")
-    walks, section_index = sections.walks, sections.section_index
-    section_gram = sections.section_gram
+    walks, section_index, section_gram = _boundary_sections(K, base, chain, N, tol, cap)
 
-    r = len(base)
-    entries = np.zeros((r, r))
-    for n in range(N):
-        # Per base point (rows) and word (columns): cylinder mass and section index.
-        P = np.array([walk[n][2] for walk in walks])
-        S = np.array([np.array([section_index.get(x, 0) for x in walk[n][0]])[walk[n][1]]
-                      for walk in walks])
-        for j, word in enumerate(enumerate_words(chain.branch.m, n, cap)):
-            mass = weights.mass(word)
-            if mass <= 0.0:
-                raise InputError(f"reference measure vanishes on cylinder {word}")
-            root = math.sqrt(mass)
-            coef = root * (P[:, j] / root)
-            if np.any(coef != 0.0):
-                idx = S[:, j]
-                entries += np.outer(coef, coef) * section_gram[np.ix_(idx, idx)]
-
+    # Per level, base point (rows) and word (columns): cylinder mass and section index.
+    P = [np.array([walk[n][2] for walk in walks]) for n in range(N)]
+    S = [np.array([np.array([section_index.get(x, 0) for x in walk[n][0]])[walk[n][1]]
+                   for walk in walks]) for n in range(N)]
     h_vec = np.array([chain.h(s) for s in base])
     reference = (tower.levels[N] - tower.levels[0]) / np.outer(h_vec, h_vec)
-    return BoundaryGram(
-        points=base,
-        entries=entries,
-        reference=reference,
-        levels=N,
-        sections=sections,
-    )
+
+    grams = []
+    for nu in measures:
+        entries = np.zeros((len(base), len(base)))
+        for n in range(N):
+            mass = nu.masses(n)
+            if not np.all(mass):  # masses are >= 0, so the first minimum is the first zero
+                word = tuple(int(d) + 1 for d in np.unravel_index(np.argmin(mass), (m,) * n))
+                raise InputError(f"reference measure vanishes on cylinder {word}")
+            root = np.sqrt(mass)
+            coef = root * (P[n] / root)
+            for j in np.flatnonzero(np.any(coef != 0.0, axis=0)).tolist():
+                idx = S[n][:, j]
+                entries += np.outer(coef[:, j], coef[:, j]) * section_gram[np.ix_(idx, idx)]
+        grams.append(BoundaryGram(points=base, entries=entries, reference=reference, levels=N))
+    return grams

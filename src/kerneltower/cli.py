@@ -289,9 +289,8 @@ def cmd_boundary(cfg: Config, model: Model, base, bundle: Bundle) -> dict:
     tower = build_tower(model.kernel, model.branch, base, feat_levels, cfg.tol, cfg.pair_cap)
     nu = ProductCylinderWeights(cfg.boundary["nu"])
     nu_alt = ProductCylinderWeights(cfg.boundary["nu_alt"])
-    bg = boundary_feature_gram(model.kernel, tower, chain, nu, feat_levels, cfg.tol, cfg.pair_cap)
-    bg_alt = boundary_feature_gram(model.kernel, tower, chain, nu_alt, feat_levels, cfg.tol,
-                                   cfg.pair_cap, sections=bg.sections)
+    bg, bg_alt = boundary_feature_gram(model.kernel, tower, chain, [nu, nu_alt], feat_levels,
+                                       cfg.tol, cfg.pair_cap)
     bundle.add_gram_csv("boundary_gram.csv", bg.points, bg.entries)
 
     # The walks apply the word cap before the words are listed.

@@ -337,6 +337,8 @@ def tail_bound(
     tower's extrapolated Cauchy-Schwarz bound at level N
     (:func:`extrapolated_tail_bound`), flagged uncertified.
     """
+    if N < 0:
+        raise InputError(f"tail bound level must be nonnegative, got N={N}")
     if N > tower.horizon:
         raise InputError(f"tower horizon {tower.horizon} below requested level {N}")
     if certificate is not None:

@@ -407,6 +407,8 @@ class TailCertificate:
         return float(self.bound_matrix([s, t], N)[0, 1])
 
     def bound_matrix(self, points: Sequence[Point], N: int) -> np.ndarray:
+        if N < 0:
+            raise InputError(f"tail bound level must be nonnegative, got N={N}")
         # A diagonal-form premise bounds the kernel diagonal, not the defect.
         if self.form != "defect" or not self.beta < 1.0:
             raise ContractError("tail bounds need a defect-form certificate with beta < 1")

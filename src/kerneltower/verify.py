@@ -361,9 +361,9 @@ def check_boundary_gram(ctx) -> CheckResult:
     tower = build_tower(K, B, F, 8, ctx.tol)
     chain = build_doob(model.oracle_gauge, B, F, ctx.tol)
 
-    bg_half = boundary_feature_gram(K, tower, chain, ProductCylinderWeights.bernoulli(0.5), 8, ctx.tol)
-    bg_alt = boundary_feature_gram(K, tower, chain, ProductCylinderWeights.bernoulli(0.3), 8, ctx.tol,
-                                   sections=bg_half.sections)
+    bg_half, bg_alt = boundary_feature_gram(
+        K, tower, chain, [ProductCylinderWeights.bernoulli(0.5), ProductCylinderWeights.bernoulli(0.3)],
+        8, ctx.tol)
     nu_shift = bg_half.nu_shift(bg_alt)
 
     h_vec = np.array([chain.h(s) for s in F])

@@ -460,6 +460,14 @@ def reference_section_points(chain, base, N):
     return list(points)
 
 
+def reference_cylinder_mass(weights, w):
+    """Product mass of the cylinder [w], multiplied symbol by symbol left to right."""
+    out = 1.0
+    for i in w:
+        out *= weights.symbol_weights[i - 1]
+    return out
+
+
 def reference_section_gram(K, chain, points):
     """Section Gram through three scalar kernel layers: the normalized defect itself."""
     return gram(h_normalize(reference_defect_kernel(K, chain.branch), chain.h), points).entries

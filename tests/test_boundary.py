@@ -10,6 +10,7 @@ from kerneltower import (
     Kernel,
     ModelError,
     ProductCylinderWeights,
+    WordTreeModel,
     apply_L_tilde,
     apply_Q,
     boundary_feature_gram,
@@ -27,7 +28,7 @@ from kerneltower import (
 from kerneltower import boundary
 from kerneltower.points import orbit_closure
 
-from oracles import apply_L, word_reversed
+from oracles import all_words, apply_L, reference_cylinder_mass, word_reversed
 
 
 @pytest.fixture(scope="module")
@@ -370,13 +371,21 @@ def test_weights_validation():
     with pytest.raises(InputError):
         ProductCylinderWeights([0.4, 0.4])
     w = ProductCylinderWeights.bernoulli(0.3)
-    assert w.mass((1, 2, 1)) == pytest.approx(0.3 * 0.7 * 0.3, abs=1e-15)
+    assert w.masses(3)[2] == pytest.approx(0.3 * 0.7 * 0.3, abs=1e-15)  # word (1, 2, 1)
+
+
+@pytest.mark.parametrize("q", [[0.3, 0.7], [0.1, 0.3, 0.6], [0.11, 0.13, 0.17, 0.19, 0.4]])
+def test_product_masses_equal_the_per_word_loop(q):
+    w = ProductCylinderWeights(q)
+    for n in range(7):
+        expected = [reference_cylinder_mass(w, word) for word in all_words(len(q), n)]
+        assert w.masses(n).tolist() == expected
 
 
 def test_boundary_gram_single_level_is_defect(chain, ex25, small_base):
     tower = build_tower(ex25.kernel, ex25.branch, small_base, 1)
-    bg = boundary_feature_gram(
-        ex25.kernel, tower, chain, ProductCylinderWeights.bernoulli(0.5), 1
+    [bg] = boundary_feature_gram(
+        ex25.kernel, tower, chain, [ProductCylinderWeights.bernoulli(0.5)], 1
     )
     D0h = _defect_h(ex25, chain)
     expected = np.array([[D0h(s, t) for t in small_base] for s in small_base])
@@ -385,33 +394,51 @@ def test_boundary_gram_single_level_is_defect(chain, ex25, small_base):
 
 def test_boundary_gram_residual_and_nu_invariance(chain, ex25, small_base):
     tower = build_tower(ex25.kernel, ex25.branch, small_base, 8)
-    bg = boundary_feature_gram(
-        ex25.kernel, tower, chain, ProductCylinderWeights.bernoulli(0.5), 8
-    )
-    bg_alt = boundary_feature_gram(
-        ex25.kernel, tower, chain, ProductCylinderWeights.bernoulli(0.3), 8
+    bg, bg_alt = boundary_feature_gram(
+        ex25.kernel, tower, chain,
+        [ProductCylinderWeights.bernoulli(0.5), ProductCylinderWeights.bernoulli(0.3)], 8
     )
     assert bg.residual <= 1e-10
-    assert np.max(np.abs(bg.entries - bg_alt.entries)) <= 1e-12
+    assert bg.nu_shift(bg_alt) <= 1e-12
 
 
-def test_boundary_gram_reused_sections_match_a_fresh_build(chain, ex25, small_base):
+def test_boundary_gram_two_measures_match_two_calls(chain, ex25, small_base):
     tower = build_tower(ex25.kernel, ex25.branch, small_base, 6)
     nu, nu_alt = ProductCylinderWeights.bernoulli(0.5), ProductCylinderWeights.bernoulli(0.3)
-    bg = boundary_feature_gram(ex25.kernel, tower, chain, nu, 6)
-    fresh = boundary_feature_gram(ex25.kernel, tower, chain, nu_alt, 6)
-    reused = boundary_feature_gram(ex25.kernel, tower, chain, nu_alt, 6, sections=bg.sections)
-    assert reused.sections is bg.sections
-    assert np.array_equal(reused.entries, fresh.entries)
-    assert np.array_equal(reused.reference, fresh.reference)
-    with pytest.raises(InputError, match="other base points or levels"):
-        boundary_feature_gram(ex25.kernel, tower, chain, nu_alt, 5, sections=bg.sections)
+    both = boundary_feature_gram(ex25.kernel, tower, chain, [nu, nu_alt], 6)
+    alone = [boundary_feature_gram(ex25.kernel, tower, chain, [w], 6)[0] for w in (nu, nu_alt)]
+    assert len(both) == 2
+    for joint, single in zip(both, alone):
+        assert np.array_equal(joint.entries, single.entries)
+        assert np.array_equal(joint.reference, single.reference)
+        assert (joint.points, joint.levels) == (single.points, single.levels)
+
+
+@pytest.mark.parametrize("m, q", [(3, [0.5, 0.5]), (2, [0.2, 0.3, 0.5])])
+def test_boundary_gram_refuses_a_measure_of_another_symbol_count(m, q):
+    model = WordTreeModel(m=m)
+    F = orbit_closure(model.branch, [model.point("")], 1)
+    tower = build_tower(model.kernel, model.branch, F, 2)
+    tree_chain = build_doob(model.oracle_gauge, model.branch, F)
+    measures = [ProductCylinderWeights([1.0 / m] * m), ProductCylinderWeights(q)]
+    with pytest.raises(InputError, match=f"^reference measure has {len(q)} symbol weights, not m = {m}$"):
+        boundary_feature_gram(model.kernel, tower, tree_chain, measures, 2)
+
+
+def test_boundary_gram_names_the_first_vanishing_cylinder_of_the_first_measure(chain, ex25, small_base):
+    # 1e-110 cubed and 1e-200 squared underflow: each measure runs over all
+    # its levels before the next, so the first measure's (1, 1, 1) is named,
+    # not the second's shorter (1, 1).
+    tower = build_tower(ex25.kernel, ex25.branch, small_base, 4)
+    measures = [ProductCylinderWeights([1.0e-110, 1.0]), ProductCylinderWeights([1.0e-200, 1.0])]
+    with pytest.raises(InputError, match=r"^reference measure vanishes on cylinder \(1, 1, 1\)$"):
+        boundary_feature_gram(ex25.kernel, tower, chain, measures, 4)
 
 
 def test_boundary_gram_full_identity(chain, ex25, small_base):
     tower = build_tower(ex25.kernel, ex25.branch, small_base, 8)
-    bg = boundary_feature_gram(
-        ex25.kernel, tower, chain, ProductCylinderWeights.bernoulli(0.5), 8
+    [bg] = boundary_feature_gram(
+        ex25.kernel, tower, chain, [ProductCylinderWeights.bernoulli(0.5)], 8
     )
     h = np.array([chain.h(s) for s in small_base])
     lhs = tower.levels[8] / np.outer(h, h)
@@ -421,8 +448,8 @@ def test_boundary_gram_full_identity(chain, ex25, small_base):
 
 def test_boundary_gram_feeder(fchain, feeder):
     tower = build_tower(feeder.kernel, feeder.branch, list(fchain.domain), 6)
-    bg = boundary_feature_gram(
-        feeder.kernel, tower, fchain, ProductCylinderWeights.bernoulli(0.5), 6
+    [bg] = boundary_feature_gram(
+        feeder.kernel, tower, fchain, [ProductCylinderWeights.bernoulli(0.5)], 6
     )
     assert bg.residual <= 1e-10
     # the only defect mass is at the feeder state, normalized by the gauge
@@ -433,5 +460,5 @@ def test_boundary_gram_horizon_guard(chain, ex25, small_base):
     tower = build_tower(ex25.kernel, ex25.branch, small_base, 2)
     with pytest.raises(InputError):
         boundary_feature_gram(
-            ex25.kernel, tower, chain, ProductCylinderWeights.bernoulli(0.5), 4
+            ex25.kernel, tower, chain, [ProductCylinderWeights.bernoulli(0.5)], 4
         )

@@ -525,6 +525,14 @@ def test_boundary_weight_count_is_checked_before_the_closure(tmp_path, capsys):
     assert err.startswith("error[input]: config boundary.nu: expected 3 weights")
 
 
+def test_boundary_refuses_a_reference_measure_that_vanishes_on_a_cylinder(tmp_path, capsys):
+    # Each weight is positive, but 1e-200 squared underflows at length 2.
+    cfg = write_config(tmp_path, EX25_YAML + "boundary: {nu: [1.0e-200, 1.0]}\n")
+    code = main(["boundary", "--config", cfg, "--out", str(tmp_path / "out")])
+    assert code == 2
+    assert capsys.readouterr().err == "error[input]: reference measure vanishes on cylinder (1, 1)\n"
+
+
 def test_boundary_nonharmonic_tower_gauge_is_refused_before_the_weight_count(tmp_path, capsys):
     # Three maps and the default two weights, but the doubling diagonal is
     # not harmonic, which is reported first.

@@ -131,9 +131,10 @@ def test_defect_gram_equals_scalar_reference(name, case):
 @pytest.mark.parametrize("name", CASE_NAMES)
 def test_section_gram_equals_scalar_reference(name, case):
     model, chain, base, N = case(name)
-    sections = _boundary_sections(model.kernel, tuple(base), chain, N, 1e-9, 2**24)
+    _walks, section_index, section_gram = _boundary_sections(model.kernel, tuple(base), chain, N,
+                                                             1e-9, 2**24)
     points = reference_section_points(chain, base, N)
-    assert list(sections.section_index) == points
+    assert list(section_index) == points
     ref = reference_section_gram(model.kernel, chain, points)
     if name == "finite-state":
         # Merged pairs: the core's LK lies within m * 2^-53 * (L|K|) of the exact
@@ -143,16 +144,15 @@ def test_section_gram_equals_scalar_reference(name, case):
         h = np.array([chain.h(x) for x in points])
         m = len(model.branch.maps)
         bound = 2.0**-53 * ((m + 1) * absLK.entries / np.outer(h, h) + 4 * np.abs(ref))
-        assert np.all(np.abs(sections.section_gram - ref) <= bound)
+        assert np.all(np.abs(section_gram - ref) <= bound)
         return
-    assert np.array_equal(sections.section_gram, ref)
+    assert np.array_equal(section_gram, ref)
 
 
 def test_section_gram_sees_off_diagonal_normalization(case):
     # Guards the h(s) h(t) normalization: the seeded defects are not diagonal.
     model, chain, base, N = case("finite-state")
-    sections = _boundary_sections(model.kernel, tuple(base), chain, N, 1e-9, 2**24)
-    G = sections.section_gram
+    _walks, _index, G = _boundary_sections(model.kernel, tuple(base), chain, N, 1e-9, 2**24)
     assert np.max(np.abs(G - np.diag(np.diag(G)))) > 1e-3
 
 
@@ -229,8 +229,8 @@ def test_walk_reads_points_in_the_order_of_the_scalar_walk():
     h = [0.0, 1.0, 1.5, 2.5, 3.0]
     chain = build_doob(h.__getitem__, model.branch, [1, 2, 3, 4], tol=math.inf)
     _assert_walk_equals_reference(chain, 4, 4)
-    sections = _boundary_sections(model.kernel, (4,), chain, 3, 1e-9, 2**24)
-    assert list(sections.section_index) == reference_section_points(chain, [4], 3) == [4, 1, 3, 2]
+    _walks, section_index, _G = _boundary_sections(model.kernel, (4,), chain, 3, 1e-9, 2**24)
+    assert list(section_index) == reference_section_points(chain, [4], 3) == [4, 1, 3, 2]
 
 
 def test_cylinder_table_equals_reference(case):

@@ -373,3 +373,27 @@ def test_tail_bound_contract_errors(ex25, root):
                    certificate=cert)
     with pytest.raises(InputError):
         tail_bound(tower, root, root, 9)
+
+
+@pytest.mark.parametrize("N, certified", [(-1, False), (-3, False), (-2, True)])
+def test_tail_bound_refuses_a_negative_level(ex25, root, N, certified):
+    # Unrefused, the uncertified bound sliced the levels from the wrong end
+    # (-1 raised IndexError, -3 returned a number) and the certified one
+    # returned beta**-2 times the level-0 bound, labelled certified.
+    tower = build_tower(ex25.kernel, ex25.branch, [root], 4)
+    cert = None
+    if certified:
+        r_fn, C, beta = ex25.defect_lyapunov()
+        cert = lyapunov_verify(lambda s: ex25.oracle_defect(0, s, s), ex25.branch, r_fn, C, beta,
+                               orbit_closure(ex25.branch, [root], 2))
+    with pytest.raises(InputError, match=f"^tail bound level must be nonnegative, got N={N}$"):
+        tail_bound(tower, root, root, N, certificate=cert)
+
+
+def test_certificate_bound_refuses_a_negative_level(ex25, root):
+    r_fn, C, beta = ex25.defect_lyapunov()
+    cert = TailCertificate(r_fn=r_fn, C=C, beta=beta, domain=(root,))
+    assert cert.bound(root, root, 0) > 0.0
+    for call in (lambda: cert.bound(root, root, -1), lambda: cert.bound_matrix([root], -2)):
+        with pytest.raises(InputError, match="^tail bound level must be nonnegative"):
+            call()

@@ -16,3 +16,4 @@ def test_library_quick_start_runs_as_written():
     assert scope["est"].bound_label == "certified"
     assert kt.martingale_checks(scope["batch"], scope["tower"]).passed
     assert abs(scope["bg"].residual) <= 1e-12
+    assert scope["bg"].nu_shift(scope["bg_alt"]) == 0.0
