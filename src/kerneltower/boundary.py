@@ -34,10 +34,17 @@ from .points import (
     Word,
     enumerate_words,
     point_label,
+    symbol_weights_ok,
     word_levels,
 )
 from .rngs import make_rng
 from .tower import Tower, defect_gram, tower_gram_iter
+
+# The tolerances of verify criteria 9 to 11, echoed by the boundary command.
+CYLINDER_SUM_TOL = 1e-12  # cylinder level sums and consistency
+INTERTWINING_TOL = 1e-12  # intertwining and normalization residuals
+BOUNDARY_RESIDUAL_TOL = 1e-10  # feature Gram against the tower
+NU_INVARIANCE_TOL = 1e-12  # shift under another reference measure
 
 
 class DoobChain:
@@ -429,11 +436,6 @@ def tilde_word_expansion(
         for i, j, ps, pt in zip(idx_s.tolist(), idx_t.tolist(), mass_s.tolist(), mass_t.tolist())
         if ps != 0.0 and pt != 0.0
     )
-
-
-def symbol_weights_ok(q: Sequence[float]) -> bool:
-    """Cylinder symbol weights: each positive, summing to 1 within 1e-9."""
-    return all(x > 0.0 for x in q) and abs(math.fsum(q) - 1.0) <= 1e-9
 
 
 class ProductCylinderWeights:

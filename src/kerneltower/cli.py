@@ -4,7 +4,9 @@ Subcommands: tower, diagonal, gaussian, boundary, verify.  Each run reads
 one YAML config (see config.py for the schema), writes a reproducibility
 bundle (summary.json, per-artifact CSVs, resolved config copy) into the
 output directory, and exits with a category code on failure: 2 input,
-3 model, 4 numerical, 5 resource.
+3 model, 4 numerical, 5 resource.  The gaussian, boundary and verify
+modules are imported by the commands that run them, so no other command
+loads them.
 """
 
 from __future__ import annotations
@@ -16,23 +18,16 @@ from pathlib import Path
 
 import numpy as np
 
-from .boundary import (ProductCylinderWeights, boundary_feature_gram, build_doob, cylinder_measure,
-                       gauge_from_tower, intertwining_check, normalization_commutes, sample_path,
-                       sorted_words)
 from .config import Config, load_config, override, parse_config
-from .diagonal import blowup_detect, diagonal_trace, lyapunov_verify
+from .diagonal import LAYER_CAKE_TOL, blowup_detect, diagonal_trace, lyapunov_verify
 from .errors import EXIT_NUMERICAL, EXIT_RESOURCE, InputError, KernelTowerError, ResourceError
-from .gaussian import (TowerSampler, _z_scores, empirical_covariance, export_batch_csv,
-                       martingale_checks, sample_covariance)
 from .kernels import gram, psd_check
 from .models import FiniteStateModel, Model, WordTreeModel, build_model
 from .points import orbit_closure, point_label
 from .reports import Bundle, RunReport
 from .rngs import GENERATOR_NAME
-from .tower import (TELESCOPE_RTOL, build_tower, defect_gram, estimate_K_infinity,
+from .tower import (TELESCOPE_RTOL, WORD_ROUTE_TOL, build_tower, defect_gram, estimate_K_infinity,
                     invariance_residual, level_via_words)
-from .verify import (BOUNDARY_RESIDUAL_TOL, CYLINDER_SUM_TOL, INTERTWINING_TOL, LAYER_CAKE_TOL,
-                     NU_INVARIANCE_TOL, WORD_ROUTE_TOL, VerifyContext, run_checks)
 
 WORD_CHECK_LEVELS = 8  # the deepest level the word routes re-check
 STEP_CHECK_LEVELS = 5  # the steps of the intertwining and normalization checks
@@ -189,6 +184,9 @@ def cmd_diagonal(cfg: Config, model: Model, base, bundle: Bundle) -> dict:
 
 
 def cmd_gaussian(cfg: Config, model: Model, base, bundle: Bundle) -> dict:
+    from .gaussian import (TowerSampler, _z_scores, empirical_covariance, export_batch_csv,
+                           martingale_checks, sample_covariance)
+
     tower = build_tower(model.kernel, model.branch, base, cfg.horizon, cfg.tol, cfg.pair_cap)
     sampler = TowerSampler(tower, cfg.seed, cfg.tol)
     batch = sampler.sample(cfg.nsamples)
@@ -249,6 +247,11 @@ def _check_cylinder_table(cfg: Config, m: int, anchors: int) -> None:
 
 
 def cmd_boundary(cfg: Config, model: Model, base, bundle: Bundle) -> dict:
+    from .boundary import (BOUNDARY_RESIDUAL_TOL, CYLINDER_SUM_TOL, INTERTWINING_TOL, NU_INVARIANCE_TOL,
+                           ProductCylinderWeights, boundary_feature_gram, build_doob, cylinder_measure,
+                           gauge_from_tower, intertwining_check, normalization_commutes, sample_path,
+                           sorted_words)
+
     cyl_levels = cfg.boundary["cylinder_levels"]
     feat_levels = cfg.boundary["feature_levels"]
 
@@ -362,6 +365,8 @@ def run_pipeline(command: str, cfg: Config, outdir: Path, verbose: bool) -> int:
 
 
 def cmd_verify(cfg: Config, outdir: Path, verbose: bool) -> int:
+    from .verify import VerifyContext, run_checks
+
     ctx = VerifyContext(
         seed=VerifyContext.seed if cfg.seed is None else cfg.seed,
         nsamples=cfg.nsamples,

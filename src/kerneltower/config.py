@@ -22,11 +22,10 @@ from typing import Any, Callable, Mapping, NamedTuple
 
 import yaml
 
-from .boundary import symbol_weights_ok
 from .errors import InputError, ResourceError
-from .gaussian import DEFAULT_NSAMPLES
 from .kernels import DEFAULT_PSD_TOL
-from .points import DEFAULT_WORD_CAP
+from .points import DEFAULT_WORD_CAP, symbol_weights_ok
+from .rngs import DEFAULT_NSAMPLES
 from .tower import DEFAULT_CEILING, DEFAULT_MAX_LEVELS
 
 # libyaml where PyYAML has it: the same data and text, several times faster.

@@ -40,6 +40,7 @@ from .tower import (DEFAULT_CEILING, TailCertificate, Tower, extrapolated_tail_b
 CONVERGING = "converging"
 DIVERGING = "diverging"
 INCONCLUSIVE = "inconclusive"
+LAYER_CAKE_TOL = 1e-12  # relative layer-cake residual, verify criterion 5
 
 # Increment-ratio thresholds for the finite-horizon verdict heuristic.
 _RATIO_CONVERGING = 1.0 - 1e-6

@@ -45,7 +45,6 @@ from .rngs import make_rng
 from .tower import DEFAULT_CEILING, Tower, build_tower
 
 PASS_SIGMA = 5.0
-DEFAULT_NSAMPLES = 100_000
 # Normals (8 bytes each) of noise drawn, or of squared deviations held, at a time.
 _CHUNK_NORMALS = 1 << 18
 

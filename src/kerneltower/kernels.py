@@ -25,10 +25,12 @@ FACTOR_RTOL = 1e-10  # how closely, relative to the scale, a factor reproduces i
 class KernelBatch:
     """Vectorized form of a kernel on the codes of one branch system.
 
-    The tower core calls ``evaluate(a, b)`` only on towers over ``branch``
-    itself, at code arrays from ``branch.codes()`` with ``a <= b``
-    elementwise; each value must equal, bit for bit, the scalar kernel at
-    the pair.  A branch system without codes is refused.
+    The tower core calls ``evaluate(codes, a, b)`` only on towers over
+    ``branch`` itself: ``codes`` is the tower's ``branch.codes()``, which
+    encoded the base points and has stepped them to the layer of ``a`` and
+    ``b``, code arrays with ``a <= b`` elementwise.  Each value must equal,
+    bit for bit, the scalar kernel at the pair.  A branch system without
+    codes is refused.
     """
 
     branch: BranchSystem

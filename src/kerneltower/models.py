@@ -60,31 +60,46 @@ def _parse_word(spec, m: int) -> tuple[int, ...]:
 class PrefixBranch(BranchSystem):
     """The prefix maps phi_i(w) = (i,) + w on the words over {1..m}.
 
-    A word's code is its bijective base-m integer: () is 0, (i,) + w is
-    i * m^|w| + code(w), and the words of length k start at (m^k - 1)/(m - 1).
+    Each tower reads its words through a new :class:`PrefixCodes`.
     """
 
     def __init__(self, m: int):
         super().__init__([(lambda sym: lambda s: sym + s)((i,)) for i in range(1, m + 1)],
                          name=f"prefix-tree(m={m})")
-        # m^k up to the first past 2^32: the int64 pair keys keep every code the tower steps below 2^32.
-        self._powers = np.array([m**k for k in range(34) if m**k <= 2**32 * m])
-        self._starts = np.cumsum(self._powers) - self._powers
 
-    def codes(self) -> "PrefixBranch":
-        return self
+    def codes(self) -> "PrefixCodes":
+        return PrefixCodes(self.m)
+
+
+class PrefixCodes:
+    """Word codes of one tower, relative to its distinct base words b_0..b_(P0-1).
+
+    At depth d a point is w + b, b a base word and w a word of d symbols.
+    Its code is b's index plus the sum over j of (w_j - 1) * P0 * m^(d-j):
+    the newest symbol, w_1, is the most significant digit.  So phi_i adds
+    (i - 1) * P0 * m^d, codes at depth d stay below P0 * m^d, equal codes at
+    one depth are equal words, and a word's length is |b| + d.  Stepping a
+    sorted array in map order gives increasing codes.
+    """
+
+    def __init__(self, m: int):
+        self.m, self.depth = m, 0
 
     def encode(self, points) -> np.ndarray:
-        m = self.m  # codes past int64 come back in a wider array, for the tower to refuse
-        return np.array([sum(i * m**k for k, i in enumerate(_parse_word(w, m)[::-1])) for w in points])
+        words = [_parse_word(w, self.m) for w in points]
+        index = {w: k for k, w in enumerate(dict.fromkeys(words))}
+        self.base_len = np.array([len(w) for w in index])
+        return np.array([index[w] for w in words], dtype=np.min_scalar_type(len(index)))
 
     def lengths(self, codes: np.ndarray) -> np.ndarray:
-        return np.searchsorted(self._starts, codes, side="right") - 1
+        return self.base_len[codes % len(self.base_len)] + self.depth
 
-    def step(self, codes: np.ndarray) -> np.ndarray:
-        out = np.arange(1, self.m + 1)[:, None] * self._powers[self.lengths(codes)]
-        out += codes
-        return out
+    def step(self, *codes: np.ndarray) -> list[np.ndarray]:
+        """Each array's images, one row per map; the depth advances once."""
+        stride = len(self.base_len) * self.m**self.depth
+        self.depth += 1
+        offsets = np.arange(0, stride * self.m, stride, dtype=np.min_scalar_type(stride * self.m))[:, None]
+        return [offsets + x for x in codes]
 
 
 class TableBranch(BranchSystem):
@@ -100,8 +115,8 @@ class TableBranch(BranchSystem):
     def encode(self, points) -> np.ndarray:
         return np.array(points)
 
-    def step(self, codes: np.ndarray) -> np.ndarray:
-        return self._table[:, codes]
+    def step(self, *codes: np.ndarray) -> list[np.ndarray]:
+        return [self._table[:, x] for x in codes]
 
 
 def _powers(base: float, k: np.ndarray) -> np.ndarray:
@@ -175,10 +190,10 @@ class WordTreeModel(Model):
 
         return evaluate
 
-    def _batch_eval(self, a, b):
+    def _batch_eval(self, codes, a, b):
         # The scalar kernel's operations, elementwise.
-        lu, same = self.branch.lengths(a), a == b
-        val = self.eta * _powers(self._inv_sqrt_m, lu + self.branch.lengths(b))
+        lu, same = codes.lengths(a), a == b
+        val = self.eta * _powers(self._inv_sqrt_m, lu + codes.lengths(b))
         if same.any():
             ls = lu[same]
             val[same] += _powers(self._inv_m, ls) * (1.0 - self.c * _powers(self.r, ls))
@@ -226,7 +241,7 @@ class DivergentDeltaModel(Model):
         self.name = f"delta(m={m})"
         self.branch = PrefixBranch(m)
         self.kernel = Kernel(lambda u, v: 1.0 if u == v else 0.0, name="delta",
-                             batch=KernelBatch(self.branch, lambda a, b: (a == b).astype(float)))
+                             batch=KernelBatch(self.branch, lambda codes, a, b: (a == b).astype(float)))
 
     def point(self, spec) -> Point:
         return _parse_word(spec, self.m)
@@ -279,7 +294,7 @@ class FiniteStateModel(Model):
         self.name = name
         self.branch = TableBranch(self.maps_table, name=f"{name}-maps")
         self.kernel = Kernel(lambda s, t: float(table[s, t]), name=f"K[{name}]",
-                             batch=KernelBatch(self.branch, lambda a, b: table[a, b]))
+                             batch=KernelBatch(self.branch, lambda codes, a, b: table[a, b]))
         self.lyapunov = lyapunov  # {C, beta, r: per-state values} or None
 
     def point(self, spec) -> Point:

@@ -206,6 +206,11 @@ def _exact_sum(v: np.ndarray, c: np.ndarray) -> float:
     return total / (1 << -low) if low < 0 else float(total << low)
 
 
+def symbol_weights_ok(q: Sequence[float]) -> bool:
+    """Cylinder symbol weights: each positive, summing to 1 within 1e-9."""
+    return all(x > 0.0 for x in q) and abs(math.fsum(q) - 1.0) <= 1e-9
+
+
 def word_overflow(level: int, *at: Point) -> NumericalError:
     """The error of a word-route sum past the float range, naming the level and points."""
     where = ", ".join(point_label(p) for p in at)
@@ -240,10 +245,11 @@ def orbit_points_by_level(
 class PointIndex:
     """Points interned as ids in reach order: codes for any branch system.
 
-    ``step`` gives ids' successor ids, one row per map, computed once, when
-    a step first asks for them, and interned point-major: each new point's
-    images under phi_1..phi_m in turn.  Points that compare equal are one
-    id; ids take the smallest unsigned type that holds the point count.
+    ``step`` gives each id array's successor ids, one row per map, computed
+    once, when a step first asks for them, and interned point-major: each
+    new point's images under phi_1..phi_m in turn.  Points that compare
+    equal are one id; ids take the smallest unsigned type that holds the
+    point count.
     """
 
     def __init__(self, maps):
@@ -258,14 +264,13 @@ class PointIndex:
         self.points.extend(itertools.islice(ids, known, None))
         return np.array(out, dtype=np.min_scalar_type(len(ids)))
 
-    def step(self, ids: np.ndarray) -> np.ndarray:
-        # Only ids up to the largest asked for: the tower core steps lo and
-        # hi in turn, and stepping what lo's step interned would run a level ahead.
-        fresh = self.points[self._succ.shape[1]:int(ids.max()) + 1]
+    def step(self, *ids: np.ndarray) -> list[np.ndarray]:
+        # Only ids up to the largest asked for, so a step never runs a level ahead.
+        fresh = self.points[self._succ.shape[1]:max(int(x.max()) for x in ids) + 1]
         if fresh:
             images = self.encode(f(p) for p in fresh for f in self.maps)
             self._succ = np.concatenate([self._succ, images.reshape(-1, len(self.maps)).T], axis=1)
-        return self._succ[:, ids]
+        return [self._succ[:, x] for x in ids]
 
 
 def orbit_closure(

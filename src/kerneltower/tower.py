@@ -2,14 +2,13 @@
 
 Level n of the tower is K_n = L^n K, with (LJ)(s, t) = sum_i J(phi_i s, phi_i t).
 The core, :func:`tower_gram_iter`, reads every point as an integer code:
-a word of the prefix tree as its bijective base-m integer and a state of
-a map table as itself, when the kernel's batch is bound to that branch
-system (every builtin kernel), and otherwise an id of a
-:class:`points.PointIndex`.  An entry of level n is n nested
-left-to-right sums of m children, within (n(m-1)+1) * 2^-53 *
-(L^n |K|)(s, t) of the exact word sum.  Words too long for the int64
-pair keys are refused.  Defects are exact level differences; their PSD
-margins are certified per level.
+a word of the prefix tree relative to the tower's base words
+(:class:`models.PrefixCodes`) and a state of a map table as itself, when
+the kernel's batch is bound to that branch system (every builtin kernel),
+and otherwise an id of a :class:`points.PointIndex`.  An entry of level n
+is n nested left-to-right sums of m children, within (n(m-1)+1) * 2^-53 *
+(L^n |K|)(s, t) of the exact word sum.  Defects are exact level
+differences; their PSD margins are certified per level.
 
 :func:`defect_gram` is the one LK - K: level 1 minus level 0 of the core, so
 LK is the left-to-right sum of the m terms K(phi_i s, phi_i t).  For m = 2
@@ -67,6 +66,7 @@ from .points import (
 DEFAULT_MAX_LEVELS = 40
 DEFAULT_CEILING = 1e12
 TELESCOPE_RTOL = 1e-12
+WORD_ROUTE_TOL = 1e-12  # max |word sum - tower level|, verify criterion 2
 _WORD_BLOCK = 2**16  # word codes and counts of one block in level_via_words
 _CHUNK_PAIRS = 1 << 14  # pairs per kernel call on a layer: bounds the kernel's temporaries
 
@@ -81,30 +81,36 @@ def tower_gram_iter(
 
     Points are read as integer codes, stepped by the maps only when the
     next level is requested, so callers may stop at any horizon.  When K's
-    ``KernelBatch`` is bound to ``branch`` itself, the codes are
+    ``KernelBatch`` is bound to ``branch`` itself, the codes are one new
     ``branch.codes()`` and the batch evaluates K on them; for every other
     kernel and branch system the points are interned as the ids of a
     :class:`points.PointIndex` and K is called once per pair, the lower id
     first, so a batch never reads another system's codes.  Layer d of the
     pair graph holds the distinct unordered code pairs at depth d, each as
-    (lo, hi) with lo <= hi, merged across base pairs; each layer keeps one
-    child-position array per map into the next.  Level n evaluates K on
-    layer n, ``_CHUNK_PAIRS`` pairs at a time, and sums up the layers in
-    map order, ``v_d = v_{d+1}[child_1] + ... + v_{d+1}[child_m]``.  These
-    nested sums lie within (n(m-1)+1) * 2^-53 * (L^n |K|)(s, t) of the
-    exact word sum.  A sum reads its terms by child position, so where a
-    pair sits within its layer never enters a sum, and batch kernels are
-    elementwise, so neither does the chunking.
+    (lo, hi) with lo <= hi, merged across base pairs, in the order of their
+    keys lo * size + hi (size one more than the largest code); each layer
+    keeps one child-position array per map into the next.  Level n
+    evaluates K on layer n, ``_CHUNK_PAIRS`` pairs at a time, and sums up
+    the layers in map order, ``v_d = v_{d+1}[child_1] + ... +
+    v_{d+1}[child_m]``.  These nested sums lie within (n(m-1)+1) * 2^-53 *
+    (L^n |K|)(s, t) of the exact word sum.  A sum reads its terms by child
+    position, so where a pair sits within its layer never enters a sum, and
+    batch kernels are elementwise, so neither does the chunking.
 
-    Between levels the generator holds any interned points with their
-    successors, every layer's child positions and the newest layer's pairs
-    in the smallest unsigned type that holds their range.  A level step
-    adds the next layer's candidate pairs and their int64 keys, lo * size
-    + hi with size one more than the largest code, merged by one
-    ``argsort`` (the keys are then sorted in place, and the distinct ones
-    kept); then the layer's values and one chunk of kernel temporaries.
-    Keys past int64 (from words of about 31 symbols at m = 2, 20 at m = 3)
-    are a resource error naming the level.
+    A level step steps both columns of the newest layer in one call, one
+    row per map, and keys the candidates in int64.  Keys that already
+    increase strictly (every word-tree layer past layer 0, whose relative
+    codes step a sorted layer to sorted blocks) are the layer itself: its
+    child positions are the identity blocks, kept as slices.  Any other
+    candidates are merged by one ``argsort`` (the keys are then sorted in
+    place, and the distinct ones kept).  Keys are below size^2, and size is
+    at most a table's state count, the interned point count or, on the word
+    tree, the candidate count, so int64 holds them while those fit in
+    memory.  Between levels the generator holds any interned points with
+    their successors, every merged layer's child positions and the newest
+    layer's pairs; a step adds the candidates, their keys and, for a merge,
+    the sort order, then the layer's values and one chunk of kernel
+    temporaries.
 
     ``pair_cap`` bounds the distinct pairs of one layer beyond layer 0 (on
     S states a layer holds at most S(S+1)/2; on genuine trees layers grow
@@ -118,7 +124,10 @@ def tower_gram_iter(
         raise InputError("tower needs a nonempty base point list")
     batch = K.batch if isinstance(K, Kernel) else None
     if batch is not None and batch.branch is branch:
-        codes, evaluate = branch.codes(), batch.evaluate
+        codes = branch.codes()
+
+        def evaluate(a, b):
+            return batch.evaluate(codes, a, b)
     else:
         codes, scalar = PointIndex(branch.maps), K.raw() if isinstance(K, Kernel) else K
         pool = codes.points
@@ -131,55 +140,62 @@ def tower_gram_iter(
     lo, hi = base[ia], base[ib]
     children = []  # [0]: base pairs -> layer 0; [d]: layer d-1 -> layer d, one row per map
     while True:
-        size = int(max(lo.max(), hi.max())) + 1
-        if size * size >= 2**63:
-            raise ResourceError(f"level {len(children)} tower pair keys exceed int64: shorten base_points")
-        key = np.minimum(lo, hi).astype(np.int64)
+        rows = len(branch.maps) if children else 1  # candidates per pair of the last layer
+        lo, hi = np.minimum(lo, hi), np.maximum(lo, hi, out=hi)
+        size = int(hi.max()) + 1
+        key = lo.astype(np.int64)
         key *= size
-        key += np.maximum(lo, hi, out=hi)
-        del lo, hi  # the candidate columns, freed before the sort
-        order = np.argsort(key)
-        key.sort()  # key[order] in place: no second array of keys, and faster than the gather
-        first = np.empty(len(key), dtype=bool)  # marks the first of each run of equal keys
-        first[0] = True
-        np.not_equal(key[1:], key[:-1], out=first[1:])
-        count = int(np.count_nonzero(first))
+        key += hi
+        first = None  # strictly increasing keys: the candidates are the layer, in order
+        if not (key[1:] > key[:-1]).all():
+            del lo, hi  # the candidate columns, freed before the sort
+            order = np.argsort(key)
+            key.sort()  # key[order] in place: no second array of keys, and faster than the gather
+            first = np.empty(len(key), dtype=bool)  # marks the first of each run of equal keys
+            first[0] = True
+            np.not_equal(key[1:], key[:-1], out=first[1:])
+        count = len(key) if first is None else int(np.count_nonzero(first))
         if children and count > pair_cap:
             raise ResourceError(
                 f"tower pair orbit exceeded the cap of {pair_cap} pairs; "
                 "reduce the horizon or supply a tail certificate"
             )
-        key = key[first]
-        rank = np.cumsum(first, dtype=np.min_scalar_type(count))
-        del first
-        rank -= 1
-        at = np.empty_like(rank)
-        at[order] = rank  # each candidate's position in the layer
-        del order, rank
-        children.append(at.reshape(len(branch.maps) if children else 1, -1))
-        code_type = np.min_scalar_type(size)  # codes are below size: decoded with no int64 copy
-        lo = np.floor_divide(key, size, out=np.empty(count, code_type), casting="unsafe")
-        hi = np.remainder(key, size, out=np.empty(count, code_type), casting="unsafe")
+        if first is None:
+            width = count // rows
+            children.append([slice(i * width, (i + 1) * width) for i in range(rows)])
+        else:
+            key = key[first]
+            rank = np.cumsum(first, dtype=np.min_scalar_type(count))
+            del first
+            rank -= 1
+            at = np.empty_like(rank)
+            at[order] = rank  # each candidate's position in the layer
+            del order, rank
+            children.append(at.reshape(rows, -1))
+            code_type = np.min_scalar_type(size)  # codes are below size: decoded with no int64 copy
+            lo = np.floor_divide(key, size, out=np.empty(count, code_type), casting="unsafe")
+            hi = np.remainder(key, size, out=np.empty(count, code_type), casting="unsafe")
         del key
         values = np.empty(count)
         for start in range(0, count, _CHUNK_PAIRS):
             chunk = slice(start, start + _CHUNK_PAIRS)
             values[chunk] = evaluate(lo[chunk], hi[chunk])
         for kids in reversed(children):
-            total = values[kids[0]]
+            total = values[kids[0]]  # a slice is a view: adding into it leaves the other rows
             for k in kids[1:]:
                 total += values[k]
             values = total
+        values = values + 0.0  # no entry is -0.0, and no view holds the newest layer's values
         if not np.isfinite(values).all():
             bad = np.flatnonzero(~np.isfinite(values))
             a, b = pts[ia[bad[0]]], pts[ib[bad[0]]]
             raise NumericalError(f"level {len(children) - 1} tower entry at "
                                  f"{point_label(a)}, {point_label(b)} is not finite")
         G = np.empty((n, n), dtype=float)
-        G[ia, ib] = G[ib, ia] = values + 0.0  # + 0.0: no entry is -0.0
+        G[ia, ib] = G[ib, ia] = values
         yield G
 
-        lo, hi = codes.step(lo).ravel(), codes.step(hi).ravel()
+        lo, hi = (x.ravel() for x in codes.step(lo, hi))
 
 
 @dataclass

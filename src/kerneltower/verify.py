@@ -18,30 +18,27 @@ from functools import cached_property
 
 import numpy as np
 
-from .boundary import (ProductCylinderWeights, boundary_feature_gram, build_doob, cylinder_measure,
+from .boundary import (BOUNDARY_RESIDUAL_TOL, CYLINDER_SUM_TOL, INTERTWINING_TOL, NU_INVARIANCE_TOL,
+                       ProductCylinderWeights, boundary_feature_gram, build_doob, cylinder_measure,
                        gauge_from_tower, intertwining_check, normalization_commutes)
-from .diagonal import CONVERGING, DIVERGING, blowup_detect, diagonal_trace, lyapunov_verify
-from .gaussian import (DEFAULT_NSAMPLES, PASS_SIGMA, TowerSampler, _z_scores, boundedness_probe,
-                       martingale_checks, sample_covariance)
+from .diagonal import CONVERGING, DIVERGING, LAYER_CAKE_TOL, blowup_detect, diagonal_trace, lyapunov_verify
+from .gaussian import (PASS_SIGMA, TowerSampler, _z_scores, boundedness_probe, martingale_checks,
+                       sample_covariance)
 from .kernels import DEFAULT_PSD_TOL
 from .models import DivergentDeltaModel, WordTreeModel, feeder_model
 from .points import orbit_closure
 from .reports import RunReport
-from .tower import (DEFAULT_CEILING, TELESCOPE_RTOL, build_tower, defect_gram, level_via_words,
-                    relative_residual)
+from .rngs import DEFAULT_NSAMPLES
+from .tower import (DEFAULT_CEILING, TELESCOPE_RTOL, WORD_ROUTE_TOL, build_tower, defect_gram,
+                    level_via_words, relative_residual)
 
 PROTOCOL_SEEDS = 100
 PROTOCOL_MIN_PASS = 99
 
-# The tolerance each criterion enforces (criterion 3's is tower.TELESCOPE_RTOL);
-# the CLI echoes those of the checks it repeats into summary.json.
-ORACLE_TOL = 1e-12  # criteria 1 and 4: max |computed - closed form|
-WORD_ROUTE_TOL = 1e-12  # criterion 2: max |word sum - tower level|
-LAYER_CAKE_TOL = 1e-12  # criterion 5: relative layer-cake residual
-CYLINDER_SUM_TOL = 1e-12  # criterion 9: cylinder level sums and consistency
-INTERTWINING_TOL = 1e-12  # criterion 10: intertwining and normalization residuals
-BOUNDARY_RESIDUAL_TOL = 1e-10  # criterion 11: feature Gram against the tower
-NU_INVARIANCE_TOL = 1e-12  # criterion 11: shift under another reference measure
+# Criteria 1 and 4: max |computed - closed form|.  Every other criterion's
+# tolerance is defined beside the identity it pins, where the CLI reads it too:
+# tower (criteria 2 and 3), diagonal (5) and boundary (9 to 11).
+ORACLE_TOL = 1e-12
 
 
 @dataclass

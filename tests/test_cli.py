@@ -3,11 +3,14 @@ import json
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from kerneltower.cli import _check_cylinder_table, main
 from kerneltower.config import parse_config
 from kerneltower.errors import ResourceError
+from kerneltower.models import WordTreeModel
+from kerneltower.tower import build_tower
 
 from oracles import break_telescoping
 
@@ -210,18 +213,27 @@ def test_delta_tower_exits_with_model_code(tmp_path, capsys):
     assert "ceiling" in captured.err
 
 
-@pytest.mark.parametrize("m, longest", [(2, 28), (3, 17)])
-def test_word_codes_past_the_int64_pair_keys_exit_5_naming_base_points(tmp_path, capsys, m, longest):
-    # The tower reads a word as its bijective base-m integer, and its pair
-    # keys square the codes: at m = 2 they hold words of up to 30 symbols,
-    # at m = 3 up to 19.  `tower` reaches words 2 symbols longer than
-    # base_points at level 1 (the subinvariance check on the one-step closure).
-    for length, code in ((longest, 0), (longest + 1, 5)):
-        cfg = write_config(tmp_path, f'model: {{kind: word-tree, m: {m}}}\nbase_points: ["{"1" * length}"]\n'
-                           "horizon: 1\nmax_levels: 2\n")
-        assert main(["tower", "--config", cfg, "--out", str(tmp_path / f"out-{length}")]) == code
-        err = capsys.readouterr().err
-    assert err == "error[resource]: level 1 tower pair keys exceed int64: shorten base_points\n"
+@pytest.mark.parametrize("m, length", [(2, 100), (3, 60)])
+def test_base_words_of_any_length_run_tower_and_diagonal(tmp_path, capsys, m, length):
+    # The tower codes a word relative to its base words, so no base word is
+    # too long: these run past where absolute word codes squared in int64
+    # pair keys ended (31 symbols at m = 2, 20 at m = 3).
+    long_words = ["1" * length, "2" * length]
+    cfg = write_config(tmp_path, f"model: {{kind: word-tree, m: {m}}}\nbase_points: {long_words + ['']}\n"
+                                 "horizon: 4\nmax_levels: 6\n")
+    for command in ("tower", "diagonal"):
+        assert main([command, "--config", cfg, "--out", str(tmp_path / command)]) == 0
+        assert capsys.readouterr().err == ""
+    res = read_summary(tmp_path / "tower")["results"]
+    assert res["word_expansion"]["max_abs_residual"] <= 1e-12
+    traces = read_summary(tmp_path / "diagonal")["results"]["traces"]
+    assert [traces[w]["verdict"] for w in long_words] == ["converging", "converging"]
+    model = WordTreeModel(m=m)
+    base = model.points(long_words + [""])
+    tower = build_tower(model.kernel, model.branch, base, 4)
+    for n, level in enumerate(tower.levels):
+        oracle = np.array([[model.oracle_level(n, s, t) for t in base] for s in base])
+        assert np.max(np.abs(level - oracle)) <= 1e-12
 
 
 def test_missing_config_is_input_error(tmp_path, capsys):
@@ -562,12 +574,12 @@ def test_boundary_section_pairs_are_capped(tmp_path, capsys):
 def test_boundary_section_cap_refuses_before_any_cylinder_walk(tmp_path, capsys, monkeypatch):
     # Three maps at the default cylinder_levels (12): the section pair cap
     # refuses first, so no depth-12 walk runs and no cylinders.csv is written.
-    import kerneltower.cli
+    import kerneltower.boundary
 
     def walk(*args, **kwargs):
         raise AssertionError("cylinder walk before the section pair cap")
 
-    monkeypatch.setattr(kerneltower.cli, "cylinder_measure", walk)
+    monkeypatch.setattr(kerneltower.boundary, "cylinder_measure", walk)  # where cmd_boundary reads it
     cfg = write_config(tmp_path, "model: {kind: word-tree, m: 3}\nbase_points: ['', '1', '2']\n"
                                  "horizon: 4\nboundary: {nu: [0.2, 0.3, 0.5], nu_alt: [0.5, 0.25, 0.25]}\n")
     code = main(["boundary", "--config", cfg, "--out", str(tmp_path / "out")])
@@ -605,13 +617,13 @@ def test_boundary_reads_only_the_rows_its_walks_reach(tmp_path, capsys, monkeypa
 def test_boundary_cylinder_table_is_capped(tmp_path, capsys, monkeypatch, m, levels, cap):
     # 7 anchors by the words of length <= 16 is 917497 entries, 14 times the
     # cap; a huge cylinder_levels is refused as fast.  No walk runs first.
-    import kerneltower.cli
+    import kerneltower.boundary
 
     def walk(*args, **kwargs):
         raise AssertionError("walk before the cylinder table cap")
 
-    monkeypatch.setattr(kerneltower.cli, "boundary_feature_gram", walk)
-    monkeypatch.setattr(kerneltower.cli, "cylinder_measure", walk)
+    monkeypatch.setattr(kerneltower.boundary, "boundary_feature_gram", walk)  # where cmd_boundary reads them
+    monkeypatch.setattr(kerneltower.boundary, "cylinder_measure", walk)
     cfg = write_config(tmp_path, f"model: {{kind: word-tree, m: {m}}}\n"
                                  "base_points: ['', '1']\nclosure_depth: 1\nhorizon: 10\n"
                                  f"max_levels: 12\npair_cap: {cap}\n"

@@ -76,14 +76,14 @@ def test_oracle_grid_matches_computed_tower():
 
 class _LengthCodes:
     """Codes 2 * |w| + i for two words of each length: the batch reads any
-    length here, past the prefix codes the tower core steps."""
+    length through the codes object it is handed, past those a tower steps."""
 
     def lengths(self, codes):
         return codes // 2
 
 
 @pytest.mark.parametrize("m", [2, 3, 5])
-def test_word_tree_routes_equal_the_closed_form_bit_for_bit(m, monkeypatch):
+def test_word_tree_routes_equal_the_closed_form_bit_for_bit(m):
     r, c, eta = 0.3, 0.7, 2.1  # none dyadic
     model = WordTreeModel(m=m, r=r, c=c, eta=eta)
     form = word_tree_closed_form(m, r, c, eta)
@@ -97,9 +97,8 @@ def test_word_tree_routes_equal_the_closed_form_bit_for_bit(m, monkeypatch):
         got = [route(codes[a], codes[b]) for a, b in pairs]
         assert got == [form[name](codes[a], codes[b]) for a, b in pairs], name
     assert [model.oracle_gauge(w) for w in codes.values()] == [form["gauge"](w) for w in codes.values()]
-    monkeypatch.setattr(model, "branch", _LengthCodes())
     a, b = np.array(pairs).T
-    batch = model.kernel.batch.evaluate(a, b)
+    batch = model.kernel.batch.evaluate(_LengthCodes(), a, b)
     assert batch.tolist() == [form["kernel"](codes[x], codes[y]) for x, y in pairs]
 
 

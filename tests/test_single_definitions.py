@@ -2,13 +2,14 @@
 
 The config schema, the verify context and the Doob chain restate the
 library defaults; the CLI echoes into summary.json the tolerances the
-verify criteria enforce.  A change to one definition must move them all.
+verify criteria enforce, each defined beside the identity it pins.  A
+change to one definition must move them all.
 """
 
 import inspect
 import json
 
-from kerneltower import boundary, config, gaussian, kernels, points, tower, verify
+from kerneltower import boundary, config, diagonal, kernels, points, rngs, tower, verify
 from kerneltower.cli import main
 
 README_EX = """\
@@ -22,7 +23,7 @@ max_levels: 12
 
 def test_config_verify_and_doob_defaults_are_the_library_constants():
     library = {"tol": kernels.DEFAULT_PSD_TOL, "ceiling": tower.DEFAULT_CEILING,
-               "nsamples": gaussian.DEFAULT_NSAMPLES, "max_levels": tower.DEFAULT_MAX_LEVELS,
+               "nsamples": rngs.DEFAULT_NSAMPLES, "max_levels": tower.DEFAULT_MAX_LEVELS,
                "pair_cap": points.DEFAULT_WORD_CAP}
     assert {key: config.SCHEMA[key].default for key in library} == library
     ctx = verify.VerifyContext()
@@ -40,18 +41,23 @@ def test_summary_tolerances_are_the_ones_verify_enforces(tmp_path, capsys):
         results[command] = json.loads((tmp_path / command / "summary.json").read_text())["results"]
     capsys.readouterr()
     assert results["tower"]["tower"]["telescoping_tolerance"] == tower.TELESCOPE_RTOL
-    assert results["tower"]["word_expansion"]["tolerance"] == verify.WORD_ROUTE_TOL
-    assert results["diagonal"]["layer_cake"]["tolerance"] == verify.LAYER_CAKE_TOL
-    assert results["boundary"]["cylinders"]["tolerance"] == verify.CYLINDER_SUM_TOL
-    assert results["boundary"]["intertwining"]["tolerance"] == verify.INTERTWINING_TOL
+    assert results["tower"]["word_expansion"]["tolerance"] == tower.WORD_ROUTE_TOL
+    assert results["diagonal"]["layer_cake"]["tolerance"] == diagonal.LAYER_CAKE_TOL
+    assert results["boundary"]["cylinders"]["tolerance"] == boundary.CYLINDER_SUM_TOL
+    assert results["boundary"]["intertwining"]["tolerance"] == boundary.INTERTWINING_TOL
     assert results["boundary"]["boundary_gram"]["tolerances"] == {
-        "residual": verify.BOUNDARY_RESIDUAL_TOL, "nu_invariance": verify.NU_INVARIANCE_TOL}
+        "residual": boundary.BOUNDARY_RESIDUAL_TOL, "nu_invariance": boundary.NU_INVARIANCE_TOL}
+    # verify enforces the same definitions.
+    for module, names in ((tower, ["WORD_ROUTE_TOL"]), (diagonal, ["LAYER_CAKE_TOL"]),
+                          (boundary, ["CYLINDER_SUM_TOL", "INTERTWINING_TOL", "BOUNDARY_RESIDUAL_TOL",
+                                      "NU_INVARIANCE_TOL"])):
+        assert all(getattr(verify, name) is getattr(module, name) for name in names)
 
 
 def test_verify_details_print_the_pinned_tolerances():
     ctx = verify.VerifyContext()
     telescoping, layer_cake = verify.check_telescoping(ctx), verify.check_layer_cake(ctx)
     assert telescoping.metrics["tolerance"] == tower.TELESCOPE_RTOL
-    assert layer_cake.metrics["tolerance"] == verify.LAYER_CAKE_TOL
+    assert layer_cake.metrics["tolerance"] == diagonal.LAYER_CAKE_TOL
     assert layer_cake.detail.endswith("(tol 1e-12)")
     assert "(tol 1e-12, worst on " in telescoping.detail

@@ -1,5 +1,6 @@
 """The table-backed tower core against the Counter reference and the word route."""
 
+import hashlib
 from unittest import mock
 
 import numpy as np
@@ -347,3 +348,68 @@ def test_a_level_past_the_float_range_is_a_numerical_error_naming_the_level():
     branch = BranchSystem([lambda x: x + 1])
     with pytest.raises(NumericalError, match="level 2 tower entry at 0, 0 is not finite"):
         _levels(tower_gram_iter(nan, branch, [0]), 2)
+
+
+# --- word-tree layers arrive sorted ------------------------------------------
+
+def _levels_or_refusal(gen, n):
+    """Levels 0..n as bytes, ending with the message of a refusal if one comes."""
+    out = []
+    try:
+        for level in gen:
+            out.append(level.tobytes())
+            if len(out) > n:
+                break
+    except ResourceError as exc:
+        out.append(str(exc))
+    return out
+
+
+@st.composite
+def word_tree_bases(draw):
+    """A word tree at m = 2, 3 or 5 and a base list that may repeat words,
+    hold words that are prefixes of one another, and words of 40 and 100 symbols."""
+    m = draw(st.sampled_from([2, 3, 5]))
+    model = WordTreeModel(m, draw(st.sampled_from([0.3, 0.5])), 0.7, draw(st.sampled_from([0.0, 2.1])))
+    pool = [(), (1,), (1, 1), (2, 1), (1,) * 40, tuple(1 + j % m for j in range(100))]
+    words = st.one_of(st.sampled_from(pool), st.lists(st.integers(1, m), max_size=3).map(tuple))
+    return model, draw(st.lists(words, min_size=1, max_size=5))
+
+
+@settings(max_examples=40, deadline=None)
+@given(word_tree_bases(), st.integers(0, 5), st.integers(1, 400))
+def test_sorted_word_tree_layers_equal_the_merged_interned_route_bit_for_bit(case, n, cap):
+    # The coded route merges at most layer 0: stepping a sorted layer in map
+    # order gives increasing codes.  The interned route's ids are in reach
+    # order, point-major, so every layer from layer 2 on merges.  Levels, and
+    # the level and message of a pair-cap refusal, are the same bytes.
+    model, base = case
+    with mock.patch("numpy.argsort", wraps=np.argsort) as merges:
+        coded = _levels_or_refusal(tower_gram_iter(model.kernel, model.branch, base, cap), n)
+        assert merges.call_count <= 1
+        merges.reset_mock()
+        interned = _levels_or_refusal(
+            tower_gram_iter(Kernel(model.kernel.raw()), BranchSystem(model.branch.maps), base, cap), n)
+        assert merges.call_count >= len(interned) - 2
+    assert coded == interned
+
+
+def test_levels_are_the_parents_bytes(sink_model, feeder):
+    # SHA-256 prefixes of levels 0..n, as the core gave them before word-tree
+    # layers skipped the merge: table branch systems always merge, and word
+    # trees merge at most their base pairs.
+    def digest(model, points, n):
+        h = hashlib.sha256()
+        for level in _levels(tower_gram_iter(model.kernel, model.branch, points), n):
+            h.update(level.tobytes())
+        return h.hexdigest()[:16]
+
+    rng = np.random.default_rng(7)
+    A = rng.standard_normal((40, 5))
+    fs40 = FiniteStateModel([rng.integers(0, 40, 40).tolist() for _ in range(3)], A @ A.T)
+    assert digest(sink_model, sink_model.all_states(), 12) == "645fc30e949b1f11"
+    assert digest(fs40, fs40.all_states()[::-1], 10) == "baed8a8a7dd7f5ac"
+    assert digest(feeder, [2, 0, 2], 10) == "14c670be3c65022d"
+    base = [(1,) * 10, (), (1,), (2, 1), (1, 1), (), (1,) * 10]
+    for m, n, pinned in ((2, 8, "d2a42cc2968eb550"), (3, 6, "575803493952b46b"), (5, 3, "e679551a41685f7c")):
+        assert digest(WordTreeModel(m, 0.3, 0.7, 2.1), base, n) == pinned

@@ -33,7 +33,7 @@ from kerneltower import (
 )
 from kerneltower.cli import main
 from kerneltower.kernels import KernelBatch
-from kerneltower.models import PrefixBranch, TableBranch
+from kerneltower.models import PrefixBranch, PrefixCodes, TableBranch
 from kerneltower.points import fsum_rows, orbit_points_by_level, word_levels, word_sum
 
 from oracles import (
@@ -360,6 +360,7 @@ def test_word_routes_do_not_touch_the_tower_core(monkeypatch, sink_model, ex25, 
     monkeypatch.setattr(tower_module, "PointIndex", refuse)  # where the core reads it
     for cls in (PrefixBranch, TableBranch):
         monkeypatch.setattr(cls, "codes", refuse)
+    for cls in (PrefixCodes, TableBranch):
         monkeypatch.setattr(cls, "step", refuse)
     # Route one of diagonal_trace is the tower; swap in the Counter loop so
     # that only the word route could reach the core.
