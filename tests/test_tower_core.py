@@ -287,11 +287,12 @@ def test_chunked_kernel_calls_give_the_same_levels(ex25, closure2, feeder, sink_
 def test_telescoping_check_holds_the_tables_and_one_layer_merge(traced_peak):
     # Criterion 3's largest tower is the m = 3 word tree on 4 points at N = 10,
     # whose layer 10 has 10 * 3^10 pairs and no merges.  Its words are codes,
-    # so after level 10 the generator holds only child positions and the
-    # newest layer's pairs (7.8 MiB; 61.4 MiB when it interned the words).
-    # Beyond them a step may hold three int64 arrays over the new layer (its
-    # keys, their sort order and the distinct keys), plus one chunk of kernel
-    # temporaries (under 64 bytes a pair).
+    # so after level 10 the generator holds only child positions (slices past
+    # layer 0) and the newest layer's pairs (61.4 MiB when it interned the
+    # words).  Beyond them a step may hold three int64 arrays over the new
+    # layer (for a merge, its keys, their sort order and the distinct keys;
+    # a word-tree step keys its candidates and merges nothing), plus one
+    # chunk of kernel temporaries (under 64 bytes a pair).
     model, F = verify._builtin_suite()[1]
     build_tower(model.kernel, model.branch, F, 2)  # one-off caches
 
