@@ -21,8 +21,8 @@ _EXPORTS = {
                  "h_normalize", "intertwining_check", "iterate_Q", "normalization_commutes", "sample_path",
                  "tilde_word_expansion"],
     "diagonal": ["BlowupWitness", "DiagonalTrace", "LayerCakeResult", "LyapunovRefutation", "TailBound",
-                 "blowup_detect", "diagonal_trace", "layer_cake_check", "level_set_count", "lyapunov_verify",
-                 "tail_bound"],
+                 "blowup_detect", "defect_decay", "diagonal_trace", "layer_cake_check", "level_set_count",
+                 "lyapunov_verify", "tail_bound"],
     "errors": ["ContractError", "DivergenceError", "InputError", "KernelTowerError", "ModelError",
                "NumericalError", "ResourceError"],
     "gaussian": ["FieldBatch", "LimitFields", "MartingaleReport", "TowerSampler", "boundedness_probe",

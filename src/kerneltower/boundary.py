@@ -158,8 +158,7 @@ def gauge_from_tower(tower: Tower) -> tuple[Callable[[Point], float], list[Point
 
     Returns the level-N diagonal as a function on the tower base, plus the
     sub-list of base points where it is positive.  Its harmonicity residual
-    is bounded by the remaining diagonal tail, which the caller should
-    budget via a tail certificate.
+    is bounded by the remaining diagonal tail; the Doob chain reports it.
     """
     diag = {s: float(tower.levels[-1][a, a]) for a, s in enumerate(tower.points)}
 

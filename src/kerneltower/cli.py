@@ -19,7 +19,8 @@ from pathlib import Path
 import numpy as np
 
 from .config import Config, load_config, override, parse_config
-from .diagonal import LAYER_CAKE_TOL, blowup_detect, diagonal_trace, lyapunov_verify
+from .diagonal import (LAYER_CAKE_TOL, LyapunovRefutation, blowup_detect, defect_decay, diagonal_trace,
+                       lyapunov_verify)
 from .errors import EXIT_NUMERICAL, EXIT_RESOURCE, InputError, KernelTowerError, ResourceError
 from .kernels import gram, psd_check
 from .models import FiniteStateModel, Model, WordTreeModel, build_model
@@ -46,39 +47,23 @@ def _resolve_base(cfg: Config, model: Model):
 
 
 def _resolve_certificate(cfg: Config, model: Model, base):
-    """Build and verify the configured Lyapunov certificate, or report why not."""
+    """Decide the configured Lyapunov certificate on the words no shorter than
+    the base's shortest, or report why there is none."""
     spec = cfg.certificate
     if spec in ("none", None):
         return None, "disabled"
     if spec == "auto":
-        if isinstance(model, WordTreeModel):
-            r_fn, C, beta = model.defect_lyapunov()
-        elif isinstance(model, FiniteStateModel) and model.lyapunov:
-            values = model.lyapunov["r"]
-            r_fn = lambda s: values[s]
-            C, beta = model.lyapunov["C"], model.lyapunov["beta"]
-        else:
+        if not isinstance(model, WordTreeModel):
             return None, "no certificate available for this model"
+        # The defect diagonal is a * q^|w|: C = a and r(w) = q^|w|, which L scales by m q = model.r.
+        C, r_base = defect_decay(model)
+        beta = model.r
     else:
-        C, beta, r_spec = spec["C"], spec["beta"], spec["r"]
-        if r_spec["kind"] == "length-decay":
-            bb = r_spec["base"]
-            r_fn = lambda s: bb ** len(s)
-        else:
-            values = {model.point(k): v for k, v in r_spec["values"].items()}
-            def r_fn(s):  # the table must cover the certificate's domain
-                if s not in values:
-                    raise InputError(f"config certificate.r.values: no value at point {point_label(s)}")
-                return values[s]
-    if hasattr(model, "oracle_defect"):
-        d0 = lambda s: model.oracle_defect(0, s, s)
-    else:  # one point at a time: the domain may be large, and only its diagonal is read
-        d0 = lambda s: float(defect_gram(model.kernel, model.branch, [s], cfg.pair_cap)[0, 0])
-    domain = orbit_closure(model.branch, base, min(cfg.horizon + 1, 8), cfg.pair_cap)
-    outcome = lyapunov_verify(d0, model.branch, r_fn, C, beta, domain)
-    if hasattr(outcome, "bound"):
-        return outcome, "verified"
-    return None, f"refuted: {outcome}"
+        C, beta, r_base = spec["C"], spec["beta"], spec["r"]["base"]
+    outcome = lyapunov_verify(model, C, beta, r_base, min(map(len, base)))
+    if isinstance(outcome, LyapunovRefutation):
+        return None, f"refuted: {outcome}"
+    return outcome, "verified"
 
 
 def cmd_tower(cfg: Config, model: Model, base, bundle: Bundle) -> dict:
@@ -164,8 +149,8 @@ def cmd_diagonal(cfg: Config, model: Model, base, bundle: Bundle) -> dict:
     cert, cert_status = _resolve_certificate(cfg, model, base)
     results["certificate"] = {"status": cert_status}
     if cert is not None:
-        results["certificate"].update({"C": cert.C, "beta": cert.beta,
-                                       "domain_size": len(cert.domain)})
+        results["certificate"].update({"C": float(cert.C), "beta": float(cert.beta),
+                                       "min_length": cert.min_length})
     elif any(v != "converging" for v in verdicts.values()) and cfg.horizon >= 1 and model.branch.m >= 2:
         # A witness needs a level n >= 1 and a growth rate rho = m > 1.
         levels = list(range(1, min(cfg.horizon, WORD_CHECK_LEVELS) + 1))
@@ -270,13 +255,6 @@ def cmd_boundary(cfg: Config, model: Model, base, bundle: Bundle) -> dict:
             )
         domain = positive
         gauge_info["source"] = f"tower diagonal at level {cfg.horizon}"
-        cert, cert_status = _resolve_certificate(cfg, model, base)
-        gauge_info["certificate"] = cert_status
-        if cert is not None:
-            # The certificate domain contains the one-step closure, hence ``positive``.
-            gauge_info["harmonicity_budget"] = max(
-                cert.bound(s, s, cfg.horizon) for s in positive
-            )
     # The chain checks the domain's rows now, and every other row when a walk
     # first reads it; a gauge not harmonic on the domain is refused before
     # the weight count.

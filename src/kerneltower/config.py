@@ -76,12 +76,6 @@ def _as_numbers(value, path: str) -> list[float]:
     return [_as_float(x, f"{path}[{k}]") for k, x in enumerate(value)]
 
 
-def _as_point_values(value, path: str) -> dict:
-    if not isinstance(value, Mapping):
-        raise _type_error(path, "a mapping of point label to number", value)
-    return {label: _as_float(x, f"{path}.{label}") for label, x in value.items()}
-
-
 def _one_of(choices: tuple) -> Callable:
     def check(value, path: str):
         if value not in choices:  # a tuple: unhashable values compare too
@@ -128,12 +122,6 @@ _BRANCHES = (lambda m: m >= 2, "must be at least 2")
 _UNIT = (lambda x: 0.0 < x < 1.0, "must lie strictly between 0 and 1")
 _WEIGHTS = (symbol_weights_ok, "must be positive weights summing to 1")
 
-_LYAPUNOV = {  # a per-state certificate of a finite-state model; r has one value per state
-    "C": Key(_as_float, _REQUIRED, math.isfinite, "must be finite"),
-    "beta": Key(_as_float, _REQUIRED, math.isfinite, "must be finite"),
-    "r": Key(_as_numbers, _REQUIRED, lambda r: all(map(math.isfinite, r)), "must be finite numbers"),
-}
-
 _MODELS = {
     "word-tree": {
         "m": Key(_as_int, 2, *_BRANCHES),
@@ -151,7 +139,6 @@ _MODELS = {
         "kernel_csv": Key(_as_str, None),
         "maps_csv": Key(_as_str, None),
         "name": Key(_as_str, "finite-state"),
-        "lyapunov": Key(lambda value, path: _walk(_LYAPUNOV, value, path), None),
     },
 }
 
@@ -165,11 +152,8 @@ _DEFAULT_BASE_POINTS = {
 _CERTIFICATE = {
     "C": Key(_as_float),
     "beta": Key(_as_float),
-    "r": Key(_by_kind({  # length-decay reads word lengths: word-tree and delta only
-        "length-decay": {"base": Key(_as_float)},
-        "table": {"values": Key(_as_point_values, _REQUIRED,
-                                lambda v: all(x == x for x in v.values()), "must not be NaN")},
-    })),
+    # r(w) = base^|w| reads word lengths: word-tree and delta models only.
+    "r": Key(_by_kind({"length-decay": {"base": Key(_as_float)}})),
 }
 
 SCHEMA = {
@@ -254,8 +238,8 @@ def _check_states(rows, path: str, note: str, S: int) -> None:
 
 
 def _finite_state_tables(params: dict, written: dict, base_dir: Path) -> None:
-    """Read the ``*_csv`` tables, which echo as read, and check the kernel,
-    maps and lyapunov tables against the kernel's side S."""
+    """Read the ``*_csv`` tables, which echo as read, and check the kernel
+    and maps tables against the kernel's side S."""
     at = {key: (f"model.{key}", "") for key in ("kernel", "maps")}  # key path, file
     for key in at:
         name = params.pop(f"{key}_csv")
@@ -277,9 +261,6 @@ def _finite_state_tables(params: dict, written: dict, base_dir: Path) -> None:
     for key in at:
         if written.pop(f"{key}_csv", None) is not None:
             written[key] = params[key]
-    lyapunov = params["lyapunov"]
-    if lyapunov is not None and len(lyapunov["r"]) != S:
-        raise _error("model.lyapunov.r", f"expected {S} per-state values, got {len(lyapunov['r'])}")
 
 
 class Config(SimpleNamespace):
@@ -310,7 +291,7 @@ def parse_config(raw: Mapping, base_dir: Path | None = None) -> Config:
     }
     if kind == "finite-state":
         _finite_state_tables(params, written["model"], Path(base_dir or "."))
-    if isinstance(cert, dict) and cert["r"]["kind"] == "length-decay" and kind in ("feeder", "finite-state"):
+    if isinstance(cert, dict) and kind in ("feeder", "finite-state"):
         raise _error("certificate.r.kind", "length-decay needs word points, "
                                            f"not the integer states of a {kind} model")
     if kind in ("word-tree", "delta") and params["m"] > values["pair_cap"]:

@@ -3,9 +3,9 @@
 The diagonal of the kernel tower evolves under the induced branching
 operator on functions, (Pu)(s) = sum_i u(phi_i(s)), so growth questions
 reduce to combinatorics of the rooted branch tree.  This module computes
-diagonal traces two independent ways, verifies Lyapunov certificates,
-searches for branch-counting blow-up witnesses, and evaluates layer-cake
-identities and tail bounds.
+diagonal traces two independent ways, decides Lyapunov certificates
+exactly over word lengths, searches for branch-counting blow-up witnesses,
+and evaluates layer-cake identities and tail bounds.
 
 The word routes (layer-cake identities, whose word sums are the second
 route of ``diagonal_trace``, level-set counts and blow-up witnesses)
@@ -23,15 +23,16 @@ come from verified certificates (decay) or counting witnesses (blow-up).
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .errors import ContractError, InputError, NumericalError
 from .kernels import Kernel
+from .models import DivergentDeltaModel, WordTreeModel
 from .points import (DEFAULT_WORD_CAP, BranchSystem, Point, check_word_levels, fsum_rows,
                      point_label, word_levels, word_overflow)
 from .tower import (DEFAULT_CEILING, TailCertificate, Tower, extrapolated_tail_bound,
@@ -41,6 +42,7 @@ CONVERGING = "converging"
 DIVERGING = "diverging"
 INCONCLUSIVE = "inconclusive"
 LAYER_CAKE_TOL = 1e-12  # relative layer-cake residual, verify criterion 5
+_LENGTH_SEARCH = 1024  # lengths past the shortest a refutation searches for the first failing one
 
 # Increment-ratio thresholds for the finite-horizon verdict heuristic.
 _RATIO_CONVERGING = 1.0 - 1e-6
@@ -138,64 +140,85 @@ def diagonal_trace(
     return DiagonalTrace(point=s, values=tower_vals, verdict=verdict, layer_cake=cakes)
 
 
+def defect_decay(model) -> tuple[Fraction, Fraction]:
+    """(a, q), exact: the one-step defect diagonal at a word w is a * q^|w|.
+
+    The word tree's is (1 - r) c (r/m)^|w| and the delta model's m - 1, in
+    rationals of the float parameters; no other model's is a function of |w|.
+    """
+    if isinstance(model, WordTreeModel):
+        r = Fraction(model.r)
+        return (1 - r) * Fraction(model.c), r / model.m
+    if isinstance(model, DivergentDeltaModel):
+        return Fraction(model.m - 1), Fraction(1)
+    raise InputError(f"certificates are decided over word lengths: {model.name} "
+                     "is not a word-tree or delta model")
+
+
 @dataclass
 class LyapunovRefutation:
-    """First violated premise of a proposed Lyapunov certificate."""
+    """First violated premise of a proposed Lyapunov certificate: its sides at the first
+    failing word length, or (length None, when the defect premise fails only past
+    ``_LENGTH_SEARCH`` lengths) the per-symbol factors of the defect diagonal and of r."""
 
-    point: Point
     premise: str
+    length: int | None
     lhs: float
     rhs: float
 
     def __str__(self):
-        return (
-            f"premise {self.premise} fails at {point_label(self.point)}: "
-            f"{self.lhs!r} > {self.rhs!r}"
-        )
+        if self.length is None:
+            return (f"premise {self.premise} fails past the first {_LENGTH_SEARCH} lengths: the defect "
+                    f"diagonal's per-symbol factor {self.lhs!r} exceeds r's {self.rhs!r}")
+        return f"premise {self.premise} fails at length {self.length}: {self.lhs!r} > {self.rhs!r}"
 
 
-def lyapunov_verify(
-    diag: Callable[[Point], float],
-    branch: BranchSystem,
-    r_fn: Callable[[Point], float],
-    C: float,
-    beta: float,
-    domain: Sequence[Point],
-    form: str = "defect",
-) -> TailCertificate | LyapunovRefutation:
-    """Check diag <= C*r and Pr <= beta*r pointwise on ``domain``.
+def lyapunov_verify(model, C, beta, base, min_length: int = 0) -> TailCertificate | LyapunovRefutation:
+    """Decide diag <= C*r and Pr <= beta*r exactly at every word of length >= k0 = ``min_length``.
 
-    ``form="defect"`` (beta < 1) certifies geometric tail bounds for the
-    one-step defect diagonal; ``form="diagonal"`` (beta <= 1) certifies
-    plain finiteness for the kernel diagonal.  Returns the certificate with
-    the verification domain recorded, or the first violating point (a NaN
-    side violates its premise).
+    With r(w) = base^|w| and the defect diagonal a * q^|w| (:func:`defect_decay`),
+    at length k they read a q^k <= C base^k and m base^(k+1) <= beta base^k.
+    In exact rationals of the inputs, the first holds at every k >= k0 iff it
+    holds at k0 and q <= base (else it fails from some length on), the second
+    iff m base <= beta.  Returns the certificate, or the refutation at the
+    first failing length, the defect premise first.
     """
-    if form not in ("defect", "diagonal"):
-        raise InputError(f"unknown certificate form {form!r}")
-    if form == "defect" and not 0.0 < beta < 1.0:
-        raise InputError("defect-form certificates need 0 < beta < 1")
-    if form == "diagonal" and not 0.0 < beta <= 1.0:
-        raise InputError("diagonal-form certificates need 0 < beta <= 1")
-    if not C >= 0.0:
-        raise InputError("certificate constant C must be nonnegative")
-    pts = tuple(domain)
-    if not pts:
-        raise InputError("certificate needs a nonempty verification domain")
-    for s in itertools.chain(pts, (f(s) for s in pts for f in branch.maps)):
-        if not r_fn(s) > 0.0:
-            raise InputError(f"Lyapunov function not positive at {point_label(s)}")
-    for s in pts:
-        lhs = diag(s)
-        rhs = C * r_fn(s)
-        if not lhs <= rhs:
-            return LyapunovRefutation(point=s, premise="diag <= C*r", lhs=lhs, rhs=rhs)
-    for s in pts:
-        lhs = math.fsum(r_fn(f(s)) for f in branch.maps)
-        rhs = beta * r_fn(s)
-        if not lhs <= rhs:
-            return LyapunovRefutation(point=s, premise="Pr <= beta*r", lhs=lhs, rhs=rhs)
-    return TailCertificate(r_fn=r_fn, C=C, beta=beta, domain=pts, form=form)
+    if not 0 <= C < math.inf:
+        raise InputError("certificate constant C must be finite and nonnegative")
+    if not 0 < beta < 1:
+        raise InputError("certificates need 0 < beta < 1")
+    if not base < math.inf:
+        raise InputError("Lyapunov function base must be finite")
+    k = k0 = min_length
+    if not base > 0:  # r = base^|w| on the lengths k0, k0 + 1 of the one-step closure
+        bad = k0 if (base < 0 and k0 % 2) or (base == 0 and k0) else k0 + 1
+        raise InputError(f"Lyapunov function not positive at length {bad}")
+    a, q = defect_decay(model)
+    C, beta, base, m = Fraction(C), Fraction(beta), Fraction(base), model.branch.m
+    if a * q**k0 <= C * base**k0:
+        if not m * base <= beta:
+            return LyapunovRefutation("Pr <= beta*r", k0, float(m * base ** (k0 + 1)), float(beta * base**k0))
+        if q <= base:
+            return TailCertificate(C=C, beta=beta, base=base, min_length=k0)
+        k = _first_power_above(q / base, C * base**k0 / (a * q**k0))
+        if k is None:
+            return LyapunovRefutation("diag <= C*r", None, float(q), float(base))
+        k += k0
+    return LyapunovRefutation("diag <= C*r", k, float(a * q**k), float(C * base**k))
+
+
+def _first_power_above(x: Fraction, R: Fraction) -> int | None:
+    """The least j >= 1 with x^j > R (x > 1, R >= 1), or None past ``_LENGTH_SEARCH``:
+    exponents double until one passes R, then bisect, each comparison exact."""
+    lo, hi = 0, 1
+    while not x**hi > R:
+        if hi >= _LENGTH_SEARCH:
+            return None
+        lo, hi = hi, min(2 * hi, _LENGTH_SEARCH)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if x**mid > R else (mid, hi)
+    return hi
 
 
 @dataclass
@@ -344,7 +367,7 @@ def tail_bound(
         raise InputError(f"tower horizon {tower.horizon} below requested level {N}")
     if certificate is not None:
         if not certificate.covers([s, t]):
-            raise ContractError("certificate domain does not cover the requested points")
+            raise ContractError(f"certificate covers words of length >= {certificate.min_length} only")
         return TailBound(certificate.bound(s, t, N), certified=True)
     bound = extrapolated_tail_bound(tower.levels[: N + 1])[tower.index(s), tower.index(t)]
     return TailBound(float(bound), certified=False)

@@ -216,15 +216,6 @@ class WordTreeModel(Model):
         """Harmonic gauge = limit diagonal = (1+eta) m^{-|s|}."""
         return (1.0 + self.eta) * self._inv_m ** len(s)
 
-    def defect_lyapunov(self):
-        """(r, C, beta) with defect diagonal = C*r exactly and Pr = beta*r."""
-        rate = self.r * self._inv_m
-
-        def r_fn(s):
-            return rate ** len(s)
-
-        return r_fn, (1.0 - self.r) * self.c, self.r
-
 
 class DivergentDeltaModel(Model):
     """Identity kernel on the word tree: every diagonal doubles per level.
@@ -257,8 +248,7 @@ class FiniteStateModel(Model):
     """S states, m map tables, one symmetric PSD kernel table."""
 
     def __init__(self, maps: Sequence[Sequence[int]], kernel: Sequence[Sequence[float]],
-                 name: str = "finite-state", tol: float = DEFAULT_PSD_TOL,
-                 lyapunov: Mapping | None = None):
+                 name: str = "finite-state", tol: float = DEFAULT_PSD_TOL):
         try:
             table = np.array(kernel, dtype=float)
         except (TypeError, ValueError):  # ragged, or not numbers
@@ -295,7 +285,6 @@ class FiniteStateModel(Model):
         self.branch = TableBranch(self.maps_table, name=f"{name}-maps")
         self.kernel = Kernel(lambda s, t: float(table[s, t]), name=f"K[{name}]",
                              batch=KernelBatch(self.branch, lambda codes, a, b: table[a, b]))
-        self.lyapunov = lyapunov  # {C, beta, r: per-state values} or None
 
     def point(self, spec) -> Point:
         try:  # a label, or an integer (not a float, which would be truncated)

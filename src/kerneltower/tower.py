@@ -28,8 +28,9 @@ per-word values bit for bit.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
-from typing import Callable, Iterator, Sequence
+from typing import TYPE_CHECKING, Iterator, Sequence
 
 import numpy as np
 
@@ -62,6 +63,9 @@ from .points import (
     word_overflow,
     word_sum,
 )
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 DEFAULT_MAX_LEVELS = 40
 DEFAULT_CEILING = 1e12
@@ -400,36 +404,51 @@ def _words_level(evaluate, pts: tuple, level_of: dict, n: int, cap: int) -> Gram
 
 @dataclass(frozen=True)
 class TailCertificate:
-    """Lyapunov certificate for geometric defect decay.
+    """Lyapunov certificate for geometric defect decay on the words of length >= ``min_length``.
 
-    Premises (verified by the diagonal module on ``domain``): the one-step
-    defect diagonal is bounded by C * r and the branching operator contracts
-    r by the factor beta.  With beta < 1 these yield the closed-form tail
-    bound C/(1-beta) * beta^N * sqrt(r(s) r(t)) on the limit kernel, which
-    :meth:`bound_matrix` states once; :meth:`bound` is one of its entries.
+    :func:`diagonal.lyapunov_verify` proves, in exact rationals C, beta and
+    base, that the one-step defect diagonal is at most C * r, r(w) =
+    base^|w|, and that the branching operator contracts r by beta < 1.  So
+    the limit kernel's tail is at most C/(1-beta) * beta^N * sqrt(r(s) r(t)),
+    which :meth:`bound_matrix` states once; :meth:`bound` is one entry.
     """
 
-    r_fn: Callable[[Point], float]
-    C: float
-    beta: float
-    domain: tuple
-    form: str = "defect"  # "defect" (beta < 1) or "diagonal" (beta <= 1)
+    C: Fraction
+    beta: Fraction
+    base: Fraction
+    min_length: int
 
     def covers(self, points: Sequence[Point]) -> bool:
-        dom = set(self.domain)
-        return all(s in dom for s in points)
+        return all(len(s) >= self.min_length for s in points)
 
     def bound(self, s: Point, t: Point, N: int) -> float:
         return float(self.bound_matrix([s, t], N)[0, 1])
 
     def bound_matrix(self, points: Sequence[Point], N: int) -> np.ndarray:
+        """The bound at every pair, rounded up from the exact value once per length sum |s| + |t|."""
         if N < 0:
             raise InputError(f"tail bound level must be nonnegative, got N={N}")
-        # A diagonal-form premise bounds the kernel diagonal, not the defect.
-        if self.form != "defect" or not self.beta < 1.0:
-            raise ContractError("tail bounds need a defect-form certificate with beta < 1")
-        root = np.sqrt(np.array([self.r_fn(s) for s in points], dtype=float))
-        return self.C / (1.0 - self.beta) * self.beta**N * np.outer(root, root)
+        lengths = np.array([len(s) for s in points], dtype=np.int64)
+        sums, where = np.unique(np.add.outer(lengths, lengths).ravel(), return_inverse=True)
+        scale = self.C / (1 - self.beta) * self.beta**N
+        values = [_sqrt_up(scale * scale * self.base ** int(j)) for j in sums.tolist()]
+        return np.array(values, dtype=float)[where].reshape(len(lengths), len(lengths))
+
+
+def _sqrt_up(y: Fraction) -> float:
+    """A float at or above sqrt(y) >= 0 and within 2 ulp of it: sqrt(y) * 2^t >= 2^63,
+    rounded up to an integer, rounded up to a float."""
+    num, den = y.numerator, y.denominator
+    t = max(0, 64 - (num.bit_length() - den.bit_length()) // 2)
+    z = -(-(num << 2 * t) // den)  # ceil(y * 4^t)
+    s = math.isqrt(z)
+    s += s * s < z
+    try:
+        v = s / (1 << t)  # correctly rounded
+    except OverflowError:
+        return math.inf
+    p, q = v.as_integer_ratio()
+    return math.nextafter(v, math.inf) if p << t < s * q else v
 
 
 @dataclass
@@ -471,9 +490,8 @@ def estimate_K_infinity(
     """
     pts = tuple(points)
     if certificate is not None and not certificate.covers(pts):
-        raise ContractError(
-            "certificate verification domain does not cover the requested points"
-        )
+        raise ContractError(f"certificate covers words of length >= {certificate.min_length} only, "
+                            "not all the requested points")
     it = tower_gram_iter(K, branch, pts, pair_cap)
     levels = [next(it)]
     traces = [float(np.trace(levels[0]))]

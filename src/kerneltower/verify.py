@@ -21,7 +21,8 @@ import numpy as np
 from .boundary import (BOUNDARY_RESIDUAL_TOL, CYLINDER_SUM_TOL, INTERTWINING_TOL, NU_INVARIANCE_TOL,
                        ProductCylinderWeights, boundary_feature_gram, build_doob, cylinder_measure,
                        gauge_from_tower, intertwining_check, normalization_commutes)
-from .diagonal import CONVERGING, DIVERGING, LAYER_CAKE_TOL, blowup_detect, diagonal_trace, lyapunov_verify
+from .diagonal import (CONVERGING, DIVERGING, LAYER_CAKE_TOL, LyapunovRefutation, blowup_detect, defect_decay,
+                       diagonal_trace, lyapunov_verify)
 from .gaussian import (PASS_SIGMA, TowerSampler, _z_scores, boundedness_probe, martingale_checks,
                        sample_covariance)
 from .kernels import DEFAULT_PSD_TOL
@@ -135,16 +136,14 @@ def check_certified_tail_bound(ctx) -> CheckResult:
     K, B = model.kernel, model.branch
     F = orbit_closure(B, [model.point("")], 2)
 
-    # Premises hold with equality, so they are checked on the closed-form
-    # defect diagonal; the recomputed one must agree with it to ORACLE_TOL but
-    # carries ~2 ulp of cancellation noise that a strict inequality would
-    # mistake for a refutation.
-    d0 = lambda s: model.oracle_defect(0, s, s)
-    domain = orbit_closure(B, F, 3)
-    defect_drift = max(abs(float(defect_gram(K, B, [s])[0, 0]) - d0(s)) for s in domain)
-    r_fn, C, beta = model.defect_lyapunov()
-    cert = lyapunov_verify(d0, B, r_fn, C, beta, domain)
-    if not hasattr(cert, "bound"):
+    # The premises hold with equality in exact arithmetic, so they are decided
+    # on the exact defect diagonal; the computed one must agree with its
+    # closed form to ORACLE_TOL, up to ~2 ulp of cancellation noise.
+    defect_drift = max(abs(float(defect_gram(K, B, [s])[0, 0]) - model.oracle_defect(0, s, s))
+                       for s in orbit_closure(B, F, 3))
+    a, q = defect_decay(model)
+    cert = lyapunov_verify(model, a, model.r, q)
+    if isinstance(cert, LyapunovRefutation):
         return CheckResult("certified-tail-bound", 4, False, f"premises refuted: {cert}")
 
     dominates = True

@@ -8,6 +8,7 @@ the faults that show the acceptance harness discriminates.
 
 import math
 from collections import Counter
+from fractions import Fraction
 
 import numpy as np
 
@@ -362,6 +363,41 @@ def word_tree_closed_form(m, r, c, eta):
     return {"kernel": kernel, "J0": j0, "J1": j1, "E": e,
             "J": lambda u, v: j0(u, v) + eta * j1(u, v),
             "gauge": lambda s: (1.0 + eta) * inv_m ** len(s)}
+
+
+def exact_defect_diagonal(kind, m, r=None, c=None):
+    """k -> the one-step defect diagonal (LK - K)(w, w) at a length-k word, exactly.
+
+    From the closed forms, in rationals of the float parameters: the word
+    tree's (1 - r) c r^k / m^k, the identity kernel's m - 1.
+    """
+    if kind == "delta":
+        return lambda k: Fraction(m - 1)
+    r, c = Fraction(r), Fraction(c)
+    return lambda k: (1 - r) * c * r**k / Fraction(m) ** k
+
+
+def reference_certificate_failure(defect, m, C, beta, base, k0, span=64):
+    """The first (premise, length) at which diag <= C r or Pr <= beta r fails.
+
+    Checked length by length over k0..k0+span in exact rationals, with
+    r(w) = base^|w| and Pr summed over the m images; None if both hold on
+    every length checked.
+    """
+    C, beta, base = Fraction(C), Fraction(beta), Fraction(base)
+    for k in range(k0, k0 + span + 1):
+        r = base**k
+        if not defect(k) <= C * r:
+            return "diag <= C*r", k
+        if not sum([base ** (k + 1)] * m) <= beta * r:
+            return "Pr <= beta*r", k
+    return None
+
+
+def exact_tail_bound_squared(C, beta, base, N, ks, kt):
+    """The square of C/(1-beta) beta^N sqrt(base^ks base^kt), exactly."""
+    C, beta, base = Fraction(C), Fraction(beta), Fraction(base)
+    return (C / (1 - beta) * beta**N) ** 2 * base ** (ks + kt)
 
 
 def reference_defect_kernel(K, branch):

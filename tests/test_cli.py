@@ -394,32 +394,21 @@ def test_verify_unknown_fault_check_is_input_error(tmp_path, capsys):
     assert captured.out == ""
 
 
-def test_short_lyapunov_table_is_input_error(tmp_path, capsys):
+def test_finite_state_lyapunov_key_is_refused(tmp_path, capsys):
+    # A per-state certificate could never hold on a closed finite domain
+    # (P has row sums m there), yet a depth-capped check read this chain
+    # certified: state 3 is fixed by the map, where 0.01 <= 0.5 * 0.01 fails.
     cfg = write_config(
         tmp_path,
-        "model:\n  kind: finite-state\n  maps: [[0, 1], [1, 1]]\n"
-        "  kernel: [[1.0, 0.0], [0.0, 0.0]]\n"
-        "  lyapunov: {C: 1, beta: 0.5, r: [1.0]}\nhorizon: 2\n",
+        "model:\n  kind: finite-state\n  maps: [[1, 2, 3, 3]]\n"
+        "  kernel: [[0, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0]]\n"
+        "  lyapunov: {C: 1, beta: 0.5, r: [1, 0.4, 0.1, 0.01]}\n"
+        "base_points: [0]\nhorizon: 1\n",
     )
     code = main(["tower", "--config", cfg, "--out", str(tmp_path / "out")])
     err = capsys.readouterr().err
     assert code == 2
-    assert err.startswith("error[input]")
-    assert "lyapunov.r" in err
-
-
-def test_finite_state_certificate_reads_the_computed_defect_diagonal(tmp_path, capsys):
-    # The feeder tables: the one-step defect diagonal is (0, 0, 0.5), so
-    # C = 0.25 is refuted at state 2 with the computed value in the status.
-    cfg = write_config(
-        tmp_path,
-        "model:\n  kind: finite-state\n  maps: [[0, 1, 0], [1, 1, 0]]\n"
-        "  kernel: [[1.0, 0.0, 1.0], [0.0, 0.0, 0.0], [1.0, 0.0, 1.5]]\n"
-        "  lyapunov: {C: 0.25, beta: 0.5, r: [1, 1, 1]}\nhorizon: 2\n",
-    )
-    assert main(["diagonal", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
-    status = read_summary(tmp_path / "out")["results"]["certificate"]["status"]
-    assert status == "refuted: premise diag <= C*r fails at 2: 0.5 > 0.25"
+    assert err.startswith("error[input]: config model.lyapunov: unknown key")
 
 
 def test_boundary_without_positive_gauge_is_input_error(tmp_path, capsys):
@@ -427,7 +416,6 @@ def test_boundary_without_positive_gauge_is_input_error(tmp_path, capsys):
         tmp_path,
         "model:\n  kind: finite-state\n  maps: [[1, 2, 3, 3]]\n"
         "  kernel: [[0, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0]]\n"
-        "  lyapunov: {C: 1, beta: 0.5, r: [1, 0.4, 0.1, 0.01]}\n"
         "base_points: [0]\nhorizon: 0\n",
     )
     code = main(["boundary", "--config", cfg, "--out", str(tmp_path / "out")])
@@ -468,13 +456,14 @@ _FS = "model: {kind: finite-state, maps: %s, kernel: %s%s}\n"
 
 
 @pytest.mark.parametrize("text, key, command", [
-    _bad(_CERT % "{kind: table}", "certificate.r.values", "table-no-values"),
+    # A table r could never cover the infinite orbit: the kind is gone.
+    _bad(_CERT % "{kind: table}", "certificate.r.kind", "table-no-values"),
     _bad(_CERT % "{kind: length-decay}", "certificate.r.base", "decay-no-base"),
     _bad("certificate: {C: abc, beta: 0.5, r: {kind: length-decay, base: 0.25}}\n",
                  "certificate.C", "C-not-number"),
     _bad(_CERT % "{kind: length-decay, base: abc}", "certificate.r.base", "base-not-number"),
-    _bad(_CERT % "{kind: table, values: {'': 1}}", "certificate.r.values", "table-misses-a-point"),
-    _bad(_CERT % "{kind: table, values: [1, 2]}", "certificate.r.values", "values-not-mapping"),
+    _bad(_CERT % "{kind: table, values: {'': 1}}", "certificate.r.kind", "table-misses-a-point"),
+    _bad(_CERT % "{kind: table, values: [1, 2]}", "certificate.r.kind", "values-not-mapping"),
     _bad("model: {kind: feeder}\n" + _CERT % "{kind: length-decay, base: 0.25}",
                  "certificate.r.kind", "decay-on-integer-states"),
     _bad("model: {kind: word-tree, m: x}\n", "model.m", "m-not-integer"),
@@ -502,7 +491,7 @@ _FS = "model: {kind: finite-state, maps: %s, kernel: %s%s}\n"
     _bad("gaussian: {export_samples: 'no'}\n", "gaussian.export_samples", "export-samples-string"),
     _bad("model: {kind: word-tree, eta: .inf}\n", "model.eta", "eta-inf"),
     _bad(_FS % ("[[0, 1], [1, 0]]", "[[1, 0], [0, 1]]", ", lyapunov: {C: .nan, beta: 0.5, r: [1, 1]}"),
-         "model.lyapunov.C", "lyapunov-C-nan"),
+         "model.lyapunov", "lyapunov-C-nan"),  # the per-state certificate key is gone
     # Unknown keys are refused at every level.
     _bad("model: {kind: word-tree, foo: 1}\n", "model.foo", "unknown-word-tree-key"),
     _bad("model: {kind: delta, r: 0.5}\n", "model.r", "unknown-delta-key"),

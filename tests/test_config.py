@@ -129,8 +129,7 @@ def test_echo_keeps_nested_values_as_written():
     # strings under model, certificate and boundary echo as written; the
     # top-level numbers echo as the floats they are read as.
     raw = {
-        "model": {"kind": "finite-state", "maps": [[0, 1], [1, 1]], "kernel": [[1, 0], [0, 0]],
-                  "lyapunov": {"C": 1, "beta": 0.5, "r": [1, "1.0e0"]}},
+        "model": {"kind": "finite-state", "maps": [[0, 1], [1, 1]], "kernel": [[1, 0], [0, "0e0"]]},
         "tol": 1,
         "boundary": {"nu": [0.5, "5e-1"]},
     }
@@ -143,22 +142,28 @@ def test_echo_keeps_nested_values_as_written():
     assert echoed["tol"] == 1.0 and type(echoed["tol"]) is float
     # The program reads the checked values.
     assert cfg.model_params["kernel"] == [[1.0, 0.0], [0.0, 0.0]]
-    assert cfg.model_params["lyapunov"] == {"C": 1.0, "beta": 0.5, "r": [1.0, 1.0]}
     assert cfg.boundary["nu"] == [0.5, 0.5]
+    assert parse_config(echoed).echo_yaml() == cfg.echo_yaml()
+
+    cert = {"C": 1, "beta": "5e-1", "r": {"kind": "length-decay", "base": "0.25"}}
+    cfg = parse_config({"model": {"kind": "word-tree"}, "certificate": cert})
+    echoed = yaml.safe_load(cfg.echo_yaml())
+    assert echoed["certificate"] == cert and type(echoed["certificate"]["C"]) is int
+    assert cfg.certificate == {"C": 1.0, "beta": 0.5, "r": {"kind": "length-decay", "base": 0.25}}
     assert parse_config(echoed).echo_yaml() == cfg.echo_yaml()
 
 
 @pytest.mark.parametrize("section", ["model", "gaussian", "output", "certificate", "boundary",
                                      "lyapunov", "certificate.r"])
 def test_unknown_keys_are_refused_at_every_level(section):
-    raw = {"model": {"kind": "finite-state", "maps": [[0]], "kernel": [[1.0]],
-                     "lyapunov": {"C": 1, "beta": 1, "r": [1]}},
-           "gaussian": {}, "output": {}, "boundary": {},
-           "certificate": {"C": 1, "beta": 1, "r": {"kind": "table", "values": {}}}}
+    raw = {"model": {"kind": "word-tree"}, "gaussian": {}, "output": {}, "boundary": {},
+           "certificate": {"C": 1, "beta": 0.5, "r": {"kind": "length-decay", "base": 0.25}}}
     parse_config(raw)
-    node = raw["model"]["lyapunov"] if section == "lyapunov" else \
-        raw["certificate"]["r"] if section == "certificate.r" else raw[section]
-    node["extra"] = 1
-    path = {"lyapunov": "model.lyapunov", "certificate.r": "certificate.r"}.get(section, section)
-    with pytest.raises(InputError, match=rf"^config {path}\.extra: unknown key \(expected one of "):
+    if section == "lyapunov":  # the finite-state per-state certificate is itself unknown now
+        raw["model"] = {"kind": "finite-state", "maps": [[0]], "kernel": [[1.0]], "lyapunov": {}}
+        path = "model.lyapunov"
+    else:
+        (raw["certificate"]["r"] if section == "certificate.r" else raw[section])["extra"] = 1
+        path = f"{section}.extra"
+    with pytest.raises(InputError, match=rf"^config {path}: unknown key \(expected one of "):
         parse_config(raw)

@@ -39,8 +39,7 @@ BASES = {
     },
     "feeder": {"model": {"kind": "feeder"}, **PINS},
     "finite-state": {
-        "model": {"kind": "finite-state", "maps": FEEDER_MAPS, "kernel": FEEDER_KERNEL,
-                  "lyapunov": {"C": 0.5, "beta": 0.5, "r": [1.0, 1.0, 1.0]}},
+        "model": {"kind": "finite-state", "maps": FEEDER_MAPS, "kernel": FEEDER_KERNEL},
         "horizon": 4, "seed": 3, **PINS,
     },
     "csv": {

@@ -1,10 +1,14 @@
+import json
 import math
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kerneltower import (
-    BranchSystem,
     ContractError,
+    DivergentDeltaModel,
     FiniteStateModel,
     InputError,
     Kernel,
@@ -12,6 +16,7 @@ from kerneltower import (
     WordTreeModel,
     blowup_detect,
     build_tower,
+    defect_decay,
     diagonal_trace,
     estimate_K_infinity,
     layer_cake_check,
@@ -20,11 +25,13 @@ from kerneltower import (
     tail_bound,
 )
 from kerneltower import diagonal
+from kerneltower.cli import main
 from kerneltower.diagonal import CONVERGING, DIVERGING, LyapunovRefutation
 from kerneltower.points import fsum_rows, orbit_closure
 from kerneltower.tower import tower_gram_iter
 
-from oracles import apply_P, diagonal_word_sum, reference_orbit_closure
+from oracles import (apply_P, diagonal_word_sum, exact_defect_diagonal, exact_tail_bound_squared,
+                     reference_certificate_failure)
 
 
 # --- the induced operator on functions --------------------------------------
@@ -104,86 +111,172 @@ def test_trace_monotone_for_subinvariant_models(ex25, delta2, feeder):
 
 # --- Lyapunov certificates ----------------------------------------------------
 
+def _own(model, min_length=0):
+    """The word tree's own certificate, C = a, beta = r, r = q^|w|: equality in exact arithmetic."""
+    a, q = defect_decay(model)
+    return lyapunov_verify(model, a, model.r, q, min_length)
+
+
 def test_lyapunov_example_defect_certificate(ex25, root):
-    r_fn, C, beta = ex25.defect_lyapunov()
-    d0 = lambda s: ex25.oracle_defect(0, s, s)
-    domain = orbit_closure(ex25.branch, [root], 4)
-    cert = lyapunov_verify(d0, ex25.branch, r_fn, C, beta, domain)
+    cert = _own(ex25)
     assert isinstance(cert, TailCertificate)
-    assert cert.C == 0.25 and cert.beta == 0.5
-    assert cert.domain == tuple(domain)
-
-
-def test_lyapunov_single_branch_allows_beta_one():
-    collapse = BranchSystem([lambda s: 0], name="to-zero")
-    diag = lambda s: 1.0
-    cert = lyapunov_verify(
-        diag, collapse, lambda s: 1.0, 1.0, 1.0, [0, 1], form="diagonal"
-    )
-    assert isinstance(cert, TailCertificate)
-    assert cert.form == "diagonal"
+    assert cert.C == 0.25 and cert.beta == 0.5 and cert.base == 0.25
+    assert cert.min_length == 0 and cert.covers([root, ex25.point("121")])
 
 
 def test_lyapunov_refutation_carries_both_sides(delta2, root):
-    outcome = lyapunov_verify(
-        lambda s: 1.0, delta2.branch, lambda s: 1.0, 1.0, 0.9, [root]
-    )
+    # m base = 2 > beta = 0.9 at every length: refuted at the shortest.
+    outcome = lyapunov_verify(delta2, 1.0, 0.9, 1.0)
     assert isinstance(outcome, LyapunovRefutation)
-    assert outcome.premise == "Pr <= beta*r"
+    assert outcome.premise == "Pr <= beta*r" and outcome.length == 0
     assert outcome.lhs == 2.0
     assert outcome.rhs == pytest.approx(0.9)
 
 
-def test_lyapunov_input_validation(ex25, root):
-    with pytest.raises(InputError):
-        lyapunov_verify(lambda s: 1.0, ex25.branch, lambda s: 0.0, 1.0, 0.5, [root])
-    with pytest.raises(InputError):
-        lyapunov_verify(lambda s: 1.0, ex25.branch, lambda s: 1.0, 1.0, 1.0, [root], form="defect")
-    with pytest.raises(InputError):
-        lyapunov_verify(lambda s: 1.0, ex25.branch, lambda s: 1.0, -1.0, 0.5, [root])
-    with pytest.raises(InputError):
-        lyapunov_verify(lambda s: 1.0, ex25.branch, lambda s: 1.0, 1.0, 0.5, [])
+def test_lyapunov_input_validation(ex25, feeder):
+    with pytest.raises(InputError, match="C must be finite and nonnegative"):
+        lyapunov_verify(ex25, -1.0, 0.5, 0.25)
+    with pytest.raises(InputError, match="0 < beta < 1"):
+        lyapunov_verify(ex25, 1.0, 1.0, 0.25)
+    with pytest.raises(InputError, match="base must be finite"):
+        lyapunov_verify(ex25, 1.0, 0.5, math.inf)
+    with pytest.raises(InputError, match="not a word-tree or delta model"):
+        lyapunov_verify(feeder, 1.0, 0.5, 0.25)
 
 
 @pytest.mark.parametrize("failing", [
-    ("22", "1"),     # a domain point and an image of a point stepped before it
-    ("2", "122"),    # images only: the root's, then one of the later domain point's
+    (0.0, 0, 1),     # r = 1 on the shortest words, 0 on their images
+    (-0.5, 2, 3),    # positive at an even length, negative one symbol on
+    (-0.5, 3, 3),    # negative already at the shortest length
 ])
 def test_lyapunov_refuses_the_first_nonpositive_point_of_the_closure(ex25, failing):
-    # r is checked on the domain, then on each domain point's images in
-    # turn: the refusal names the first failing point of the one-step closure.
-    bad = {ex25.point(x) for x in failing}
-    r_fn = lambda s: 0.0 if s in bad else 1.0
-    domain = [ex25.point(x) for x in ("", "22")]
-    first = next(s for s in reference_orbit_closure(ex25.branch, domain, 1) if s in bad)
-    assert first == ex25.point(failing[0])
-    with pytest.raises(InputError, match=f"^Lyapunov function not positive at {failing[0]}$"):
-        lyapunov_verify(lambda s: 1.0, ex25.branch, r_fn, 1.0, 0.5, domain)
+    # r = base^|w| on the one-step closure of the words of length >= k0:
+    # the refusal names the first length, k0 or k0 + 1, where r <= 0.
+    base, k0, first = failing
+    assert first == next(k for k in (k0, k0 + 1) if not base**k > 0)
+    with pytest.raises(InputError, match=f"^Lyapunov function not positive at length {first}$"):
+        lyapunov_verify(ex25, 1.0, 0.5, base, k0)
 
 
-def test_lyapunov_nan_verifies_nothing(ex25, root):
-    # NaN fails every comparison: a NaN constant is refused, and a NaN on
-    # either side of a premise refutes it instead of passing it.
+def test_lyapunov_nan_verifies_nothing(ex25):
+    # NaN fails every comparison: each NaN input is refused.
     nan = float("nan")
-    r_fn, C, beta = ex25.defect_lyapunov()
-    d0 = lambda s: ex25.oracle_defect(0, s, s)
-    with pytest.raises(InputError, match="C must be nonnegative"):
-        lyapunov_verify(d0, ex25.branch, r_fn, nan, beta, [root])
-    outcome = lyapunov_verify(lambda s: nan, ex25.branch, r_fn, C, beta, [root])
-    assert isinstance(outcome, LyapunovRefutation) and outcome.premise == "diag <= C*r"
-    # C * r = 0 * inf is NaN on the right-hand side.
-    outcome = lyapunov_verify(lambda s: 0.0, ex25.branch, lambda s: math.inf, 0.0, beta, [root])
-    assert isinstance(outcome, LyapunovRefutation) and outcome.premise == "diag <= C*r"
+    a, q = defect_decay(ex25)
+    with pytest.raises(InputError, match="C must be finite"):
+        lyapunov_verify(ex25, nan, 0.5, q)
+    with pytest.raises(InputError, match="0 < beta < 1"):
+        lyapunov_verify(ex25, a, nan, q)
+    with pytest.raises(InputError, match="base must be finite"):
+        lyapunov_verify(ex25, a, 0.5, nan)
 
 
-def test_certificate_domain_is_forward_invariant(ex25, root):
-    # the default verification domain contains the one-step orbit of its interior
-    depth = 4
-    domain = set(orbit_closure(ex25.branch, [root], depth))
-    interior = orbit_closure(ex25.branch, [root], depth - 1)
-    for s in interior:
-        for f in ex25.branch.maps:
-            assert f(s) in domain
+def test_certificate_domain_is_forward_invariant(ex25):
+    # A certificate covers the words of length >= k0; the maps lengthen
+    # words, so it covers the images of every point it covers.
+    cert = _own(ex25, 2)
+    covered = [s for s in orbit_closure(ex25.branch, [ex25.point("12")], 3) if cert.covers([s])]
+    assert len(covered) == 15
+    assert cert.covers([f(s) for s in covered for f in ex25.branch.maps])
+    assert not cert.covers([ex25.point("1")])
+
+
+def _up(x: Fraction) -> float:
+    """The least float >= x."""
+    f = float(x)
+    return math.nextafter(f, math.inf) if Fraction(f) < x else f
+
+
+_PARAMS = st.sampled_from([0.1, 0.3, 0.37, 0.7, 0.9, 0.123]) | st.floats(0.01, 0.99)
+
+
+@st.composite
+def certificate_cases(draw):
+    """A word tree or delta model and (C, beta, base) at their exact boundaries, one of them
+    one ulp past it, or some drawn off it."""
+    m, k0 = draw(st.integers(2, 7)), draw(st.integers(0, 6))
+    past = draw(st.sampled_from([None, "C", "beta", "base", "off"]))
+
+    def place(name, boundary: Fraction, off: float) -> float:
+        if past == "off" and draw(st.booleans()):
+            return off
+        at = _up(boundary)
+        return math.nextafter(at, 0.0) if past == name else at
+
+    if draw(st.booleans()):
+        r, c = draw(_PARAMS), draw(_PARAMS)
+        model, defect = WordTreeModel(m=m, r=r, c=c), exact_defect_diagonal("word-tree", m, r, c)
+        base = place("base", Fraction(r) / m, draw(st.floats(1e-3, 1.0)))
+    else:  # q = 1: r must decay, so the defect premise fails from some length on
+        model, defect = DivergentDeltaModel(m=m), exact_defect_diagonal("delta", m)
+        base = draw(st.floats(1e-3, 0.999 / m))
+    beta = place("beta", m * Fraction(base), draw(st.floats(1e-3, 0.999)))
+    if not 0.0 < beta < 1.0:
+        beta = draw(st.floats(1e-3, 0.999))
+    C = place("C", defect(k0) / Fraction(base) ** k0, draw(st.floats(0.0, 1e6)))
+    return model, defect, C, beta, base, k0
+
+
+@settings(max_examples=300, deadline=None)
+@given(certificate_cases(), st.integers(0, 40))
+def test_certificate_decision_agrees_with_the_length_by_length_oracle(case, N):
+    model, defect, C, beta, base, k0 = case
+    outcome = lyapunov_verify(model, C, beta, base, k0)
+    first = reference_certificate_failure(defect, model.m, C, beta, base, k0)
+    if first is not None:
+        assert isinstance(outcome, LyapunovRefutation)
+        assert (outcome.premise, outcome.length) == first
+        return
+    if isinstance(outcome, LyapunovRefutation):  # the defect premise fails only past the oracle's span
+        assert outcome.premise == "diag <= C*r"
+        assert outcome.length is None or outcome.length > k0 + 64
+        return
+    # Verified: r decays no faster than the defect diagonal, so no later length fails.
+    assert Fraction(base) * model.m <= Fraction(beta) and Fraction(base) >= defect(k0 + 1) / defect(k0)
+    points = [model.point("1" * k) for k in range(k0, k0 + 6)]
+    bounds = outcome.bound_matrix(points, N)
+    for s, row in zip(points, bounds.tolist()):
+        for t, f in zip(points, row):
+            exact = exact_tail_bound_squared(C, beta, base, N, len(s), len(t))
+            assert f >= 0.0 and Fraction(f) ** 2 >= exact
+            below = math.nextafter(math.nextafter(f, -math.inf), -math.inf)  # 2 ulp down
+            assert below < 0.0 or Fraction(below) ** 2 < exact
+
+
+def test_a_refutation_names_a_failing_length_past_the_oracle_span():
+    # r decays 1% faster per symbol than the defect diagonal, with C = 1.01^100 a:
+    # the defect premise first fails about 100 lengths on.
+    model = WordTreeModel(m=3, r=0.3, c=0.7, eta=2.0)
+    a, q = defect_decay(model)
+    base, C = float(q) / 1.01, float(a) * 1.01**100
+    outcome = lyapunov_verify(model, C, 0.9, base, 2)
+    assert isinstance(outcome, LyapunovRefutation) and outcome.premise == "diag <= C*r"
+    defect = exact_defect_diagonal("word-tree", 3, 0.3, 0.7)
+    assert reference_certificate_failure(defect, 3, C, 0.9, base, 2, span=outcome.length - 3) is None
+    assert reference_certificate_failure(defect, 3, C, 0.9, base, 2, span=outcome.length - 2) == \
+        ("diag <= C*r", outcome.length)
+    # One ulp slower than the defect: it fails only astronomically far on.
+    outcome = lyapunov_verify(model, 2 * a, 0.9, math.nextafter(_up(q), 0.0))
+    assert outcome.length is None and str(outcome).startswith(
+        "premise diag <= C*r fails past the first 1024 lengths: the defect diagonal's per-symbol factor ")
+
+
+@pytest.mark.parametrize("text, status", [
+    # delta: the defect diagonal 1 stays while C r = 1e6 * 0.4^k decays;
+    # a depth-capped pointwise check read it certified.
+    ("model: {kind: delta}\nhorizon: 3\nmax_levels: 4\n"
+     "certificate: {C: 1.0e+6, beta: 0.9, r: {kind: length-decay, base: 0.4}}\n",
+     "refuted: premise diag <= C*r fails at length 16: 1.0 > 0.4294967296000004"),
+    # m3r: the own certificate holds with equality, which float premises refuted by an ulp.
+    ("model: {kind: word-tree, m: 3, r: 0.3, c: 0.7, eta: 2.0}\nbase_points: ['', '1']\n"
+     "horizon: 4\nmax_levels: 6\n", "verified"),
+], ids=["delta", "m3r"])
+def test_tower_certifies_only_what_holds_at_every_length(tmp_path, capsys, text, status):
+    (tmp_path / "c.yaml").write_text(text)
+    assert main(["tower", "--config", str(tmp_path / "c.yaml"), "--out", str(tmp_path / "out")]) == 0
+    capsys.readouterr()
+    completion = json.loads((tmp_path / "out" / "summary.json").read_text())["results"]["completion"]
+    assert completion["certificate"] == status
+    assert completion["bound_label"] == ("certified" if status == "verified" else "uncertified")
 
 
 # --- blow-up witnesses ---------------------------------------------------------
@@ -299,15 +392,10 @@ def test_diagonal_trace_holds_one_route_at_a_time_and_sums_within_its_counts(
 
 def test_tail_bound_certified_tight_at_root(ex25, root):
     tower = build_tower(ex25.kernel, ex25.branch, [root], 10)
-    r_fn, C, beta = ex25.defect_lyapunov()
-    cert = lyapunov_verify(
-        lambda s: ex25.oracle_defect(0, s, s), ex25.branch, r_fn, C, beta,
-        orbit_closure(ex25.branch, [root], 2),
-    )
-    tb = tail_bound(tower, root, root, 10, certificate=cert)
+    tb = tail_bound(tower, root, root, 10, certificate=_own(ex25))
     assert tb.certified
     gap = ex25.oracle_limit(root, root) - ex25.oracle_level(10, root, root)
-    assert tb.value == pytest.approx(0.5**11, rel=1e-15)
+    assert tb.value == 0.5**11
     assert tb.value == pytest.approx(gap, rel=1e-15)
 
 
@@ -317,8 +405,7 @@ def test_certified_tail_bound_is_the_completion_bound_entry():
     model = WordTreeModel(m=3)
     B = model.branch
     pts = [model.point("12312"[:n]) for n in range(6)]
-    r_fn, C, beta = model.defect_lyapunov()
-    cert = lyapunov_verify(lambda s: model.oracle_defect(0, s, s), B, r_fn, C, beta, pts)
+    cert = _own(model)
     est = estimate_K_infinity(model.kernel, B, pts, max_levels=5, certificate=cert)
     N = est.levels_used
     bounds = [[tail_bound(est.tower, s, t, N, certificate=cert).value for t in pts] for s in pts]
@@ -365,12 +452,9 @@ def test_tail_bound_at_level_one_follows_the_tower_rule():
 
 def test_tail_bound_contract_errors(ex25, root):
     tower = build_tower(ex25.kernel, ex25.branch, [root], 4)
-    r_fn, C, beta = ex25.defect_lyapunov()
-    cert = TailCertificate(r_fn=r_fn, C=C, beta=beta, domain=(root,))
-    other = ex25.point("1")
-    with pytest.raises(ContractError):
-        tail_bound(build_tower(ex25.kernel, ex25.branch, [other], 4), other, other, 4,
-                   certificate=cert)
+    cert = _own(ex25, 1)
+    with pytest.raises(ContractError, match="length >= 1 only"):
+        tail_bound(tower, root, root, 4, certificate=cert)
     with pytest.raises(InputError):
         tail_bound(tower, root, root, 9)
 
@@ -383,16 +467,13 @@ def test_tail_bound_refuses_a_negative_level(ex25, root, N, certified):
     tower = build_tower(ex25.kernel, ex25.branch, [root], 4)
     cert = None
     if certified:
-        r_fn, C, beta = ex25.defect_lyapunov()
-        cert = lyapunov_verify(lambda s: ex25.oracle_defect(0, s, s), ex25.branch, r_fn, C, beta,
-                               orbit_closure(ex25.branch, [root], 2))
+        cert = _own(ex25)
     with pytest.raises(InputError, match=f"^tail bound level must be nonnegative, got N={N}$"):
         tail_bound(tower, root, root, N, certificate=cert)
 
 
 def test_certificate_bound_refuses_a_negative_level(ex25, root):
-    r_fn, C, beta = ex25.defect_lyapunov()
-    cert = TailCertificate(r_fn=r_fn, C=C, beta=beta, domain=(root,))
+    cert = _own(ex25)
     assert cert.bound(root, root, 0) > 0.0
     for call in (lambda: cert.bound(root, root, -1), lambda: cert.bound_matrix([root], -2)):
         with pytest.raises(InputError, match="^tail bound level must be nonnegative"):

@@ -78,6 +78,17 @@ def test_each_path_loads_only_the_modules_it_runs(tmp_path, code, absent):
     assert not loaded & absent
 
 
+def test_exact_certificate_arithmetic_stays_off_the_setup_path(tmp_path):
+    # fractions loads with the diagonal module, which decides certificates;
+    # the set-up path (config, models, points, tower, kernels) never loads it.
+    (tmp_path / "ex.yaml").write_text(README_EX)
+    script = SETUP + "\nimport sys\nprint('fractions' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    run = subprocess.run([sys.executable, "-c", script], cwd=tmp_path, env=env,
+                         capture_output=True, text=True, check=True)
+    assert run.stdout.split() == ["False"]
+
+
 def test_every_exported_name_still_imports_from_the_package():
     import kerneltower
 

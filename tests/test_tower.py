@@ -14,6 +14,7 @@ from kerneltower import (
     ResourceError,
     WordTreeModel,
     build_tower,
+    defect_decay,
     defect_embedding,
     estimate_K_infinity,
     feeder_model,
@@ -183,18 +184,17 @@ def test_defect_recursion_via_words(ex25, small_base):
 
 # --- the invariant completion -----------------------------------------------
 
-def _certificate(model, base, depth=3):
-    r_fn, C, beta = model.defect_lyapunov()
-    d0 = lambda s: model.oracle_defect(0, s, s)
-    domain = orbit_closure(model.branch, base, depth)
-    cert = lyapunov_verify(d0, model.branch, r_fn, C, beta, domain)
+def _certificate(model, base):
+    """The word tree's own certificate on the words no shorter than the base's shortest."""
+    a, q = defect_decay(model)
+    cert = lyapunov_verify(model, a, model.r, q, min(map(len, base)))
     assert hasattr(cert, "bound"), f"certificate refuted: {cert}"
     return cert
 
 
 def test_estimate_certified_matches_limit(ex25, small_base):
     F1 = orbit_closure(ex25.branch, small_base, 1)
-    cert = _certificate(ex25, F1, depth=2)
+    cert = _certificate(ex25, F1)
     est = estimate_K_infinity(
         ex25.kernel, ex25.branch, F1, max_levels=12, certificate=cert
     )
@@ -242,32 +242,9 @@ def test_estimate_divergence_report(delta2, root):
 
 
 def test_estimate_requires_covering_certificate(ex25, small_base):
-    cert = _certificate(ex25, [ex25.point("")], depth=0)
+    cert = _certificate(ex25, [ex25.point("1")])  # the root is shorter
     with pytest.raises(ContractError):
         estimate_K_infinity(ex25.kernel, ex25.branch, small_base, certificate=cert)
-
-
-def test_estimate_refuses_diagonal_form_certificate_with_beta_one(ex25, root):
-    # K(s, s) <= C r(s) with Pr = r, so beta = 1: the closed form would divide by 1 - beta.
-    r_fn, C = (lambda s: 0.5 ** len(s)), 1 + ex25.eta
-    diag = lambda s: ex25.kernel(s, s)
-    cert = lyapunov_verify(diag, ex25.branch, r_fn, C, 1.0, [root], form="diagonal")
-    assert hasattr(cert, "bound") and cert.beta == 1.0
-    with pytest.raises(ContractError, match="defect-form"):
-        estimate_K_infinity(ex25.kernel, ex25.branch, [root], max_levels=6, certificate=cert)
-
-
-def test_estimate_refuses_diagonal_form_certificate_with_beta_below_one(ex25, root):
-    # A verified diagonal-form premise bounds the diagonal, not the defect,
-    # so it may not label a tail bound certified even when beta < 1.
-    diag = lambda s: ex25.kernel(s, s)
-    cert = lyapunov_verify(diag, ex25.branch, lambda s: 0.25 ** len(s), 2.0, 0.5,
-                           [root], form="diagonal")
-    assert hasattr(cert, "bound") and cert.beta == 0.5
-    with pytest.raises(ContractError, match="defect-form"):
-        estimate_K_infinity(ex25.kernel, ex25.branch, [root], max_levels=6, certificate=cert)
-    with pytest.raises(ContractError, match="defect-form"):
-        cert.bound(root, root, 6)
 
 
 def test_invariance_residual_oracle_is_tiny(ex25, small_base):
@@ -315,7 +292,7 @@ def test_invariance_residual_equals_the_scalar_loop(model, labels):
 
 def test_invariance_residual_truncated_bound(ex25, small_base):
     F1 = orbit_closure(ex25.branch, small_base, 1)
-    cert = _certificate(ex25, F1, depth=2)
+    cert = _certificate(ex25, F1)
     est = estimate_K_infinity(
         ex25.kernel, ex25.branch, F1, max_levels=10, certificate=cert
     )
@@ -331,7 +308,7 @@ def test_invariance_residual_needs_one_step_cover(ex25, small_base):
 
 def test_minimality_of_limit_candidate(ex25, small_base):
     F1 = orbit_closure(ex25.branch, small_base, 1)
-    cert = _certificate(ex25, F1, depth=2)
+    cert = _certificate(ex25, F1)
     est = estimate_K_infinity(ex25.kernel, ex25.branch, F1, max_levels=12, certificate=cert)
     report = minimality_check(est, ex25.majorant, ex25.kernel, ex25.branch, small_base)
     assert report.premises_ok and report.ok
@@ -339,7 +316,7 @@ def test_minimality_of_limit_candidate(ex25, small_base):
 
 def test_minimality_strictly_larger_candidate(ex25, small_base):
     F1 = orbit_closure(ex25.branch, small_base, 1)
-    cert = _certificate(ex25, F1, depth=2)
+    cert = _certificate(ex25, F1)
     est = estimate_K_infinity(ex25.kernel, ex25.branch, F1, max_levels=12, certificate=cert)
     bigger = Kernel(
         lambda s, t: ex25.majorant(s, t) + ex25.diag_invariant(s, t), name="J+J0"
