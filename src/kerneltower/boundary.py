@@ -153,11 +153,12 @@ def build_doob(
     return DoobChain(gauge, branch, domain, tol)
 
 
-def gauge_from_tower(tower: Tower) -> tuple[Callable[[Point], float], list[Point]]:
+def gauge_from_tower(tower: Tower, branch: BranchSystem) -> tuple[Callable[[Point], float], list[Point]]:
     """Surrogate gauge from the deepest computed diagonal.
 
     Returns the level-N diagonal as a function on the tower base, plus the
-    sub-list of base points where it is positive.  Its harmonicity residual
+    sub-list of base points where it is positive and computed at every
+    image, so that their Doob rows can be built.  Its harmonicity residual
     is bounded by the remaining diagonal tail; the Doob chain reports it.
     """
     diag = {s: float(tower.levels[-1][a, a]) for a, s in enumerate(tower.points)}
@@ -170,7 +171,7 @@ def gauge_from_tower(tower: Tower) -> tuple[Callable[[Point], float], list[Point
                 f"surrogate gauge not computed at {point_label(s)}; widen the tower base"
             ) from None
 
-    positive = [s for s in tower.points if diag[s] > 0.0]
+    positive = [s for s in tower.points if diag[s] > 0.0 and all(f(s) in diag for f in branch.maps)]
     return h, positive
 
 

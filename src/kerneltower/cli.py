@@ -247,11 +247,11 @@ def cmd_boundary(cfg: Config, model: Model, base, bundle: Bundle) -> dict:
     else:
         closure = orbit_closure(model.branch, base, 1, cfg.pair_cap)
         gtower = build_tower(model.kernel, model.branch, closure, cfg.horizon, cfg.tol, cfg.pair_cap)
-        gauge, positive = gauge_from_tower(gtower)
+        gauge, positive = gauge_from_tower(gtower, model.branch)
         if not positive:
             raise InputError(
-                f"the level-{cfg.horizon} tower diagonal vanishes on the one-step "
-                "closure of the base points: no gauge-positive domain"
+                f"the level-{cfg.horizon} tower diagonal vanishes on the base points: "
+                "no gauge-positive domain"
             )
         domain = positive
         gauge_info["source"] = f"tower diagonal at level {cfg.horizon}"

@@ -45,8 +45,10 @@ from .rngs import make_rng
 from .tower import DEFAULT_CEILING, Tower, build_tower
 
 PASS_SIGMA = 5.0
-# Normals (8 bytes each) of noise drawn, or of squared deviations held, at a time.
+# Normals (8 bytes each) of noise drawn at a time.
 _CHUNK_NORMALS = 1 << 18
+# The most of the fields' size that martingale_checks holds as increments: two groups of levels.
+_STACK_SHARE = 0.5
 
 
 class TowerSampler:
@@ -216,43 +218,61 @@ def martingale_checks(batch: FieldBatch, tower: Tower) -> MartingaleReport:
     uncorrelated, (iii) the level-n increment covariance matches the level-n
     defect Gram; each within PASS_SIGMA plug-in standard errors.
 
-    All second moments come from two Gram products of the stacked
-    increments I (nsamples x N*P): M2 = I^T I / n holds every cross-level
-    covariance (off-diagonal blocks) and every increment covariance
-    (diagonal blocks); (I*I)^T (I*I) / n gives the second moments of the
-    cross products, hence their population-std standard errors.
+    All second moments come from Gram products of stacked increments: for
+    a stack I (nsamples x m*P) of m levels' increments, I^T I / n holds
+    their cross-level covariances (off-diagonal blocks) and increment
+    covariances (diagonal blocks); (I*I)^T (I*I) / n gives the second
+    moments of the cross products, hence their population-std standard
+    errors.  The levels go in groups of whole levels, and one stack holds
+    two groups side by side for each pair of groups (all levels, when they
+    form one group), so every pair of levels shares a stack.  Each level's
+    mean, std and quadratic variation, and each pair's cross moments, are
+    read from the first stack that holds them.  The means and stds are
+    column sums, the same bits in any stack; a Gram entry of a stack
+    narrower than all levels can differ in its last bits from the one-stack
+    entry, where OpenBLAS computes it in another micro-kernel tile.
 
-    Memory: beside the fields, one increments array of the fields' size
-    times N/(N+1), plus O(_CHUNK_NORMALS + (N*P)^2) floats.
+    Memory: beside the fields, one stack of at most _STACK_SHARE of their
+    size (or two levels), plus O((stack width)^2) floats.
     """
     N = batch.top_level
     if N < 1:
         raise InputError("martingale checks need at least one increment level")
-    _, n, P = batch.fields.shape
-    # I[j, k*P + a]: level-k increment of sample j at point a, subtracted
-    # straight into place: no level-major temporary of the same size.
-    values = batch.values
-    I = np.empty((n, N, P))
-    np.subtract(values[:, 1:], values[:, :-1], out=I)
-    I = I.reshape(n, N * P)
+    L, n, P = batch.fields.shape
+    w = max(1, int(L * _STACK_SHARE) // 2)  # levels per group
+    groups = [list(range(k, min(k + w, N))) for k in range(0, N, w)]
+    stacks = [a + b for i, a in enumerate(groups) for b in groups[i + 1:]] or groups
+    buf = np.empty(n * min(2 * w, N) * P)
+    mean_z = cross_z = 0.0
+    qv_z_per_level = [None] * N
+    todo = np.triu(np.ones((N, N), dtype=bool), 1)  # level pairs not yet checked
+    for levels in stacks:
+        I = _stack_increments(batch.fields, levels, buf)
+        if None in [qv_z_per_level[k] for k in levels]:
+            mean = I.mean(axis=0)
+            I -= mean
+            I *= I  # I.std(axis=0) bit for bit, in place; then the increments again
+            std = np.sqrt(I.sum(axis=0) / n)
+            mean_z = max(mean_z, float(np.max(_z_scores(mean, std / math.sqrt(n)))))
+            I = _stack_increments(batch.fields, levels, buf)
 
-    mean = I.mean(axis=0)
-    mean_z = float(np.max(_z_scores(mean, _column_std(I, mean) / math.sqrt(n))))
-
-    M2 = (_cross_products(I) / n).reshape(N, P, N, P)
-    I *= I
-    M4 = (_cross_products(I) / n).reshape(N, P, N, P)
-    cross_se = np.sqrt(np.maximum(M4 - M2**2, 0.0)) / math.sqrt(n)
-
-    cross_z = 0.0
-    qv_z_per_level = []
-    for a in range(N):
-        for b in range(a + 1, N):
-            z = _z_scores(M2[a, :, b, :], cross_se[a, :, b, :])
-            cross_z = max(cross_z, float(np.max(z)))
-        cov = M2[a, :, a, :]
-        se = _plugin_se(cov, np.diag(cov), n)
-        qv_z_per_level.append(float(np.max(_z_scores(cov - tower.defects[a], se))))
+        pairs = np.ix_(levels, levels)
+        cross = todo[pairs]  # the level pairs first met in this stack
+        todo[pairs] = False
+        m = len(levels)
+        blocks = lambda G: G.reshape(m, P, m, P).transpose(0, 2, 1, 3)  # [i, j]: levels i, j
+        G2 = blocks(_cross_products(I))  # n * M2; only the blocks read are divided
+        I *= I
+        M4 = blocks(_cross_products(I))[cross] / n
+        M2 = G2[cross] / n
+        cross_se = np.sqrt(np.maximum(M4 - M2**2, 0.0)) / math.sqrt(n)
+        cross_z = max(cross_z, float(np.max(_z_scores(M2, cross_se), initial=0.0)))
+        for i, k in enumerate(levels):
+            if qv_z_per_level[k] is None:
+                cov = G2[i, i] / n
+                se = _plugin_se(cov, np.diag(cov), n)
+                qv_z_per_level[k] = float(np.max(_z_scores(cov - tower.defects[k], se)))
+        del G2, M4, M2, cross_se  # before the next stack's products
 
     return MartingaleReport(
         max_mean_z=mean_z,
@@ -263,29 +283,14 @@ def martingale_checks(batch: FieldBatch, tower: Tower) -> MartingaleReport:
     )
 
 
-def _column_std(I: np.ndarray, mean: np.ndarray) -> np.ndarray:
-    """``I.std(axis=0)`` bit for bit, for ``mean = I.mean(axis=0)``, without
-    a temporary of I's size.
-
-    numpy sums the columns of a C-contiguous array row after row, so the
-    squared deviations go a block of rows at a time under the partial sums
-    carried as the block's first row.  A single column is summed pairwise
-    along its contiguous axis, which blocks cannot follow: it goes whole.
-    """
-    n, m = I.shape
-    if m == 1:
-        return I.std(axis=0)
-    rows = max(1, _CHUNK_NORMALS // m)
-    acc = np.zeros(m)
-    buf = np.empty((min(rows, n) + 1, m))
-    for start in range(0, n, rows):
-        block = buf[: min(rows, n - start) + 1]
-        block[0] = acc
-        np.subtract(I[start:start + rows], mean, out=block[1:])
-        np.square(block[1:], out=block[1:])
-        np.add.reduce(block, axis=0, out=acc)
-    acc /= n
-    return np.sqrt(acc, out=acc)
+def _stack_increments(fields: np.ndarray, levels: list[int], buf: np.ndarray) -> np.ndarray:
+    """I[j, i*P + a]: increment of sample j at point a on level ``levels[i]``,
+    subtracted straight into the front of ``buf``."""
+    _, n, P = fields.shape
+    I = buf[: n * len(levels) * P].reshape(n, len(levels), P)
+    for i, k in enumerate(levels):
+        np.subtract(fields[k + 1], fields[k], out=I[:, i])
+    return I.reshape(n, -1)
 
 
 @dataclass

@@ -104,9 +104,13 @@ class Bundle:
         if "csv" not in self.formats:
             return
         labels = [_csv_field(point_label(s)) for s in points]
-        rows = np.asarray(entries, dtype=float).tolist()
-        text = "".join(f"{la},{lb},{v!r}\n" for la, row in zip(labels, rows)
-                       for lb, v in zip(columns or labels, row))
+        values = np.asarray(entries, dtype=float)
+        # Each distinct value is formatted once, keyed by its bits so -0.0 and NaNs stay exact.
+        distinct, index = np.unique(values.view(np.int64).ravel(), return_inverse=True)
+        cells = [repr(v) for v in distinct.view(float).tolist()]
+        rows = index.reshape(values.shape).tolist()
+        text = "".join(f"{la},{lb},{cells[i]}\n" for la, row in zip(labels, rows)
+                       for lb, i in zip(columns or labels, row))
         (self.outdir / name).write_text(header + "\n" + text, newline="")
 
     def finish(self, summary_json: str, config_yaml: str) -> None:

@@ -296,7 +296,7 @@ def _feeder_chain(ctx):
     """The feeder model and the Doob chain of its level-2 tower-diagonal gauge."""
     feeder = feeder_model()
     ftower = build_tower(feeder.kernel, feeder.branch, feeder.all_states(), 2, ctx.tol)
-    h, positive = gauge_from_tower(ftower)
+    h, positive = gauge_from_tower(ftower, feeder.branch)
     return feeder, build_doob(h, feeder.branch, positive, ctx.tol)
 
 

@@ -13,9 +13,12 @@ from fractions import Fraction
 import numpy as np
 
 from kerneltower import (
+    FieldBatch,
     InputError,
     Kernel,
+    MartingaleReport,
     ResourceError,
+    Tower,
     TowerSampler,
     WordTreeModel,
     build_tower,
@@ -26,7 +29,8 @@ from kerneltower import (
     psd_check,
     verify,
 )
-from kerneltower.gaussian import PASS_SIGMA, sample_covariance
+from kerneltower.gaussian import (_CHUNK_NORMALS, PASS_SIGMA, _cross_products, _plugin_se, _z_scores,
+                                  sample_covariance)
 from kerneltower.points import check_word_cap, point_label
 
 
@@ -224,6 +228,87 @@ def reference_martingale_z(values, defects):
         se = np.sqrt(np.maximum(np.outer(var, var) + cov**2, 0.0) / n)
         qv_z.append(float(np.max(_z(cov - D, se))))
     return mean_z, cross_z, qv_z
+
+
+# --- the whole-array martingale checks the level-group stacks replaced ------
+
+def whole_array_martingale_checks(batch: FieldBatch, tower: Tower) -> MartingaleReport:
+    """Verify the defect-martingale structure of a sampled batch.
+
+    (i) increment means vanish, (ii) increments at different levels are
+    uncorrelated, (iii) the level-n increment covariance matches the level-n
+    defect Gram; each within PASS_SIGMA plug-in standard errors.
+
+    All second moments come from two Gram products of the stacked
+    increments I (nsamples x N*P): M2 = I^T I / n holds every cross-level
+    covariance (off-diagonal blocks) and every increment covariance
+    (diagonal blocks); (I*I)^T (I*I) / n gives the second moments of the
+    cross products, hence their population-std standard errors.
+
+    Memory: beside the fields, one increments array of the fields' size
+    times N/(N+1), plus O(_CHUNK_NORMALS + (N*P)^2) floats.
+    """
+    N = batch.top_level
+    if N < 1:
+        raise InputError("martingale checks need at least one increment level")
+    _, n, P = batch.fields.shape
+    # I[j, k*P + a]: level-k increment of sample j at point a, subtracted
+    # straight into place: no level-major temporary of the same size.
+    values = batch.values
+    I = np.empty((n, N, P))
+    np.subtract(values[:, 1:], values[:, :-1], out=I)
+    I = I.reshape(n, N * P)
+
+    mean = I.mean(axis=0)
+    mean_z = float(np.max(_z_scores(mean, _column_std(I, mean) / math.sqrt(n))))
+
+    M2 = (_cross_products(I) / n).reshape(N, P, N, P)
+    I *= I
+    M4 = (_cross_products(I) / n).reshape(N, P, N, P)
+    cross_se = np.sqrt(np.maximum(M4 - M2**2, 0.0)) / math.sqrt(n)
+
+    cross_z = 0.0
+    qv_z_per_level = []
+    for a in range(N):
+        for b in range(a + 1, N):
+            z = _z_scores(M2[a, :, b, :], cross_se[a, :, b, :])
+            cross_z = max(cross_z, float(np.max(z)))
+        cov = M2[a, :, a, :]
+        se = _plugin_se(cov, np.diag(cov), n)
+        qv_z_per_level.append(float(np.max(_z_scores(cov - tower.defects[a], se))))
+
+    return MartingaleReport(
+        max_mean_z=mean_z,
+        max_cross_z=cross_z,
+        max_qv_z=max(qv_z_per_level),
+        threshold=PASS_SIGMA,
+        per_level_qv_z=qv_z_per_level,
+    )
+
+
+def _column_std(I: np.ndarray, mean: np.ndarray) -> np.ndarray:
+    """``I.std(axis=0)`` bit for bit, for ``mean = I.mean(axis=0)``, without
+    a temporary of I's size.
+
+    numpy sums the columns of a C-contiguous array row after row, so the
+    squared deviations go a block of rows at a time under the partial sums
+    carried as the block's first row.  A single column is summed pairwise
+    along its contiguous axis, which blocks cannot follow: it goes whole.
+    """
+    n, m = I.shape
+    if m == 1:
+        return I.std(axis=0)
+    rows = max(1, _CHUNK_NORMALS // m)
+    acc = np.zeros(m)
+    buf = np.empty((min(rows, n) + 1, m))
+    for start in range(0, n, rows):
+        block = buf[: min(rows, n - start) + 1]
+        block[0] = acc
+        np.subtract(I[start:start + rows], mean, out=block[1:])
+        np.square(block[1:], out=block[1:])
+        np.add.reduce(block, axis=0, out=acc)
+    acc /= n
+    return np.sqrt(acc, out=acc)
 
 
 # --- the list-walking word routes the indexed word levels replaced -----------

@@ -40,7 +40,7 @@ def chain(ex25):
 @pytest.fixture(scope="module")
 def fchain(feeder):
     tower = build_tower(feeder.kernel, feeder.branch, feeder.all_states(), 2)
-    h, positive = gauge_from_tower(tower)
+    h, positive = gauge_from_tower(tower, feeder.branch)
     return build_doob(h, feeder.branch, positive)
 
 
@@ -108,7 +108,7 @@ def test_doob_chain_messages(feeder, fchain):
         fchain.probs(1)
     with pytest.raises(InputError, match="point 1 outside the Doob domain"):
         cylinder_measure(fchain, 1, 3)
-    h, _positive = gauge_from_tower(build_tower(feeder.kernel, feeder.branch, [0, 2], 2))
+    h, _positive = gauge_from_tower(build_tower(feeder.kernel, feeder.branch, [0, 2], 2), feeder.branch)
     with pytest.raises(InputError, match="surrogate gauge not computed at 1"):
         build_doob(h, feeder.branch, [0, 2])
 
@@ -129,8 +129,8 @@ def test_rows_off_the_domain_are_checked_when_read():
 
 def test_gauge_from_tower_matches_oracle(ex25, small_base):
     tower = build_tower(ex25.kernel, ex25.branch, small_base, 12)
-    h, positive = gauge_from_tower(tower)
-    assert positive == list(small_base)
+    h, positive = gauge_from_tower(tower, ex25.branch)
+    assert positive == list(small_base[:1])  # the children's images are not in the tower
     for s in small_base:
         assert h(s) == pytest.approx(ex25.oracle_gauge(s), abs=1e-3)
     with pytest.raises(InputError):

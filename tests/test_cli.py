@@ -421,7 +421,7 @@ def test_boundary_without_positive_gauge_is_input_error(tmp_path, capsys):
     code = main(["boundary", "--config", cfg, "--out", str(tmp_path / "out")])
     err = capsys.readouterr().err
     assert code == 2
-    assert err.startswith("error[input]")
+    assert err.startswith("error[input]: the level-0 tower diagonal vanishes on the base points")
 
 
 @pytest.mark.parametrize("boundary, key", [
@@ -546,6 +546,18 @@ def test_boundary_nonharmonic_tower_gauge_is_refused_before_the_weight_count(tmp
     err = capsys.readouterr().err
     assert code == 3
     assert err.startswith("error[model]: gauge not harmonic")
+
+
+@pytest.mark.parametrize("depth", [1, 3])
+def test_boundary_on_the_delta_model_is_a_model_error(tmp_path, capsys, depth):
+    # The delta diagonal doubles each level, so no harmonic gauge exists.  The
+    # gauge domain holds only points whose images the gauge tower computed,
+    # so the refusal names the model, not a tower base too narrow to widen.
+    cfg = write_config(tmp_path, f"model: {{kind: delta}}\nhorizon: 6\nclosure_depth: {depth}\n")
+    code = main(["boundary", "--config", cfg, "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert err.startswith("error[model]: gauge not harmonic: relative residual 1.000e+00 at <> exceeds ")
 
 
 def test_boundary_section_pairs_are_capped(tmp_path, capsys):

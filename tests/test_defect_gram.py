@@ -100,7 +100,7 @@ def _build_case(name):
     if name == "feeder":
         model = feeder_model()
         tower = build_tower(model.kernel, model.branch, model.all_states(), 2)
-        h, positive = gauge_from_tower(tower)
+        h, positive = gauge_from_tower(tower, model.branch)
         return model, build_doob(h, model.branch, positive), [0, 2], 6
     model = seeded_finite_state(5)
     return model, _positive_chain(model), [1, 2, 3], 5

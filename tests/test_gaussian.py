@@ -6,8 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 from kerneltower import gaussian
 from kerneltower import (
+    FieldBatch,
+    FiniteStateModel,
     TowerSampler,
     boundedness_probe,
     build_tower,
@@ -20,7 +23,7 @@ from kerneltower import (
 )
 from kerneltower.gaussian import sample_covariance
 
-from oracles import reference_martingale_z, reference_sample
+from oracles import reference_martingale_z, reference_sample, whole_array_martingale_checks
 
 
 @pytest.fixture(scope="module")
@@ -69,6 +72,65 @@ def test_martingale_z_match_pairwise_reference(towers, name):
     got = [report.max_mean_z, report.max_cross_z] + report.per_level_qv_z
     want = [mean_z, cross_z] + qv_z
     assert got == pytest.approx(want, rel=1e-12, abs=0.0)
+
+
+def _report_bits(report):
+    values = [report.max_mean_z, report.max_cross_z, report.max_qv_z, report.threshold, *report.per_level_qv_z]
+    return np.array(values).view(np.int64).tolist()
+
+
+def _integer_fields(batch):
+    """The batch scaled and rounded to integers of size at most 64: every
+    product and Gram entry of its increments is then exact in any order."""
+    top = float(np.max(np.abs(batch.fields))) or 1.0
+    return FieldBatch(np.round(batch.fields * (64 / top)), batch.points, batch.seed)
+
+
+def _assert_matches_whole_array(batch, tower, share):
+    """The level-group report equals the whole-array oracle's bit for bit, with
+    the group-size rule as shipped, at one level per group, or at all levels.
+
+    It does on integer fields, and on any fields when one stack holds all
+    levels.  Elsewhere a Gram entry of sampled fields may move by ulps: in a
+    stack narrower than the whole array OpenBLAS may compute it in another
+    micro-kernel tile, which sums in another order.  The means and stds are
+    column sums, the same bits in any stack.
+    """
+    with mock.patch.object(gaussian, "_STACK_SHARE", share or gaussian._STACK_SHARE):
+        for fields in (_integer_fields(batch), batch):
+            got, want = martingale_checks(fields, tower), whole_array_martingale_checks(fields, tower)
+            assert len(got.per_level_qv_z) == batch.top_level
+            if fields is batch and share != 2.0 and batch.top_level > 1:
+                assert _report_bits(got)[0] == _report_bits(want)[0]
+            else:
+                assert _report_bits(got) == _report_bits(want)
+
+
+# The shipped rule; one level per group (a share too small for more); one
+# group of all levels (a share of 2 makes a group as long as the fields).
+SHARES = [None, 1e-9, 2.0]
+
+
+@pytest.mark.parametrize("share", SHARES)
+@pytest.mark.parametrize("name", ["ex25", "zero-defect", "sink", "delta", "delta-1"])
+def test_martingale_checks_match_whole_array_oracle(towers, delta2, root, name, share):
+    horizon = {"delta": 5, "delta-1": 1}.get(name)
+    tower = towers[name] if horizon is None else build_tower(delta2.kernel, delta2.branch, [root], horizon)
+    _assert_matches_whole_array(TowerSampler(tower, seed=71).sample(3_000), tower, share)
+
+
+@pytest.mark.parametrize("share", SHARES)
+@settings(max_examples=40, deadline=None)
+@given(P=st.integers(1, 12), N=st.integers(1, 10), n=st.integers(2, 500), seed=st.integers(0, 2**32 - 1))
+def test_martingale_checks_match_whole_array_oracle_on_finite_state_towers(share, P, N, n, seed):
+    # phi_1 is the identity, so LK - K = K o (phi_2 x phi_2) is PSD; a null
+    # state 0 gives zero factor rows and exactly zero increments.
+    rng = np.random.default_rng(seed)
+    A = rng.standard_normal((P, P))
+    A[0] *= rng.integers(0, 2)
+    model = FiniteStateModel([list(range(P)), rng.integers(0, P, P).tolist()], A @ A.T)
+    tower = build_tower(model.kernel, model.branch, list(range(P)), N)
+    _assert_matches_whole_array(TowerSampler(tower, seed=seed).sample(n), tower, share)
 
 
 def test_factors_reconstruct_grams(ex_tower):
@@ -249,12 +311,13 @@ def test_chunked_sample_is_fields_of_draw(towers, name, chunk):
 @given(columns=st.integers(1, 400), chunk=st.integers(1, 4096), blocks=st.floats(0.0, 4.0),
        seed=st.integers(0, 2**32 - 1))
 def test_column_std_is_numpy_std(columns, chunk, blocks, seed):
-    # Rows from 1 up to four blocks of the blocked pass.
+    # The whole-array oracle's blocked std, which the library's stacks now
+    # take in place.  Rows from 1 up to four blocks of the blocked pass.
     rows = max(1, int(blocks * max(1, chunk // columns)))
     rng = np.random.default_rng(seed)
     I = rng.standard_normal((rows, columns)) * rng.uniform(1e-3, 1e3, columns) + rng.standard_normal(columns)
-    with mock.patch.object(gaussian, "_CHUNK_NORMALS", chunk):
-        got = gaussian._column_std(I, I.mean(axis=0))
+    with mock.patch.object(oracles, "_CHUNK_NORMALS", chunk):
+        got = oracles._column_std(I, I.mean(axis=0))
     assert np.array_equal(got.view(np.int64), I.std(axis=0).view(np.int64))
 
 
@@ -280,3 +343,19 @@ def test_martingale_checks_hold_one_increments_array(ex_tower, traced_peak):
     increments = 8 * n * N * P
     assert report.passed
     assert peak <= increments + 8 * (gaussian._CHUNK_NORMALS + N * P) + 8 * 8 * (N * P) ** 2 + SLACK
+
+
+def test_martingale_checks_hold_two_level_groups(traced_peak):
+    # N = 10 levels of P = 40 points: a stack of two groups of whole levels
+    # and its Grams, never the 9.6 MB array of all the increments.
+    rng = np.random.default_rng(43)
+    P, N, n = 40, 10, 3_000
+    A = rng.standard_normal((P, P))
+    model = FiniteStateModel([list(range(P)), rng.integers(0, P, P).tolist()], A @ A.T)
+    tower = build_tower(model.kernel, model.branch, list(range(P)), N)
+    batch = TowerSampler(tower, seed=73).sample(n)
+    martingale_checks(TowerSampler(tower, seed=73).sample(10), tower)
+    _, peak, _ = traced_peak(lambda: martingale_checks(batch, tower))
+    width = 2 * max(1, int((N + 1) * gaussian._STACK_SHARE) // 2) * P  # columns of a two-group stack
+    assert width < N * P
+    assert peak <= 8 * n * width + 8 * 8 * width**2 + SLACK < 8 * n * N * P
